@@ -315,6 +315,8 @@ def cmd_simulate(args) -> int:
     config = _simulation_config(args)
     try:
         result = run_size_study(config)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     except SimulationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
@@ -341,6 +343,8 @@ def cmd_cdf_study(args) -> int:
     try:
         study = run_cdf_study(model, theta, theta10, n=sizes[0],
                               replicates=args.reps, seed=args.seed)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
     except SimulationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -17,6 +17,7 @@ what makes the three rules agree to the expansion's order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .expansion import ExpansionCoefficients
@@ -75,11 +76,17 @@ def expanded_cdf(x: float, coef: ExpansionCoefficients, q: int,
     return chi2_cdf(x, q) + tail / (24.0 * n)
 
 
+def _check_statistic(S: float) -> None:
+    if not math.isfinite(S):
+        raise ValueError(f"S must be finite, got {S}")
+    if S < 0:
+        raise ValueError(f"S must be >= 0, got {S}")
+
+
 def corrected_statistic(S: float, coef: ExpansionCoefficients, q: int,
                         n: int) -> tuple[float, tuple[str, ...]]:
     """S* = S{1 - (c + bS + aS^2)}, unclamped, with regime warnings."""
-    if S < 0:
-        raise ValueError(f"S must be >= 0, got {S}")
+    _check_statistic(S)
     f = bartlett_factors(coef, q, n)
     poly = f.c + f.b * S + f.a * S * S
     s_star = S * (1.0 - poly)
@@ -124,8 +131,7 @@ def _clamp(p: float) -> tuple[float, bool]:
 def run_test(S: float, coef: ExpansionCoefficients, q: int, n: int,
              gamma: float = 0.05) -> TestReport:
     """Assemble all three improved procedures plus the first-order p-value."""
-    if S < 0:
-        raise ValueError(f"S must be >= 0, got {S}")
+    _check_statistic(S)
     warnings: list[str] = []
     s_star, w = corrected_statistic(S, coef, q, n)
     warnings.extend(w)

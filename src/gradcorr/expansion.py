@@ -223,7 +223,8 @@ def coefficients_one_param(c: OneParamCumulants) -> ExpansionCoefficients:
     A2 = (12.0 * k2 * (2.0 * c.kppp_p - c.kpppp)
           + 3.0 * c.kppp * (5.0 * c.kppp - 16.0 * c.kpp_p)) / (4.0 * k2c)
     A3 = -5.0 * c.kppp ** 2 / (4.0 * k2c)
-    assert A3 >= 0.0
+    if not 0.0 <= A3 < np.inf:
+        raise ValueError(f"A3 must be finite and nonnegative, got {A3}")
     return ExpansionCoefficients(A1=A1, A2=A2, A3=A3)
 
 
@@ -264,8 +265,7 @@ def coefficients_orthogonal(c: OrthogonalCumulants) -> OrthogonalCoefficients:
                      + c.kpbb * (4.0 * c.kbb_p - 3.0 * c.kpbb))
             / (kpp * kbb ** 2))
     A2pb = (3.0 * c.kppp * c.kpbb + 9.0 * c.kppb ** 2) / (kpp ** 2 * kbb)
-    A3 = phi.A3
-    assert A3 >= 0.0
-    return OrthogonalCoefficients(A1=phi.A1 + A1pb, A2=phi.A2 + A2pb, A3=A3,
+    return OrthogonalCoefficients(A1=phi.A1 + A1pb, A2=phi.A2 + A2pb,
+                                  A3=phi.A3,
                                   A1_phi=phi.A1, A1_phibeta=A1pb,
                                   A2_phi=phi.A2, A2_phibeta=A2pb)

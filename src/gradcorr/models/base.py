@@ -5,7 +5,9 @@ two maximum likelihood fits, the per-observation score, the analytic
 cumulant arrays, and (where available) hard-coded closed-form expansion
 coefficients.  Data is a 1-D float array for one-sample families; the
 two-sample family takes a pair of equal-length arrays and counts both
-samples in n.
+samples in n.  The Monte Carlo path hands ``batch_statistics`` a (k, n)
+matrix holding one data set per row; a two-sample row is sample 1 in
+its first n/2 columns and sample 2 in the rest.
 
 The statistic itself is the inner product of the restricted score with
 the tested-component estimate shift,
@@ -60,8 +62,13 @@ class ModelFamily(ABC):
     default_theta: tuple = (1.0,)
 
     @abstractmethod
-    def sample(self, theta, n: int, rng: np.random.Generator):
-        """Draw n observations at theta."""
+    def sample(self, theta, size, rng: np.random.Generator):
+        """Draw at theta: one data set for size = n, a data matrix for
+        size = (k, n).
+
+        Row r of a (k, n) matrix consumes draws r*n .. (r+1)*n - 1 of rng,
+        so it equals the r-th of k successive size-n draws.
+        """
 
     @abstractmethod
     def fit_unrestricted(self, data) -> np.ndarray:
@@ -105,23 +112,22 @@ class ModelFamily(ABC):
                                     HypothesisSpec(p=self.p, q=self.q,
                                                    theta10=dummy_null))
 
-    def batch_statistics(self, theta, theta10, n, rngs, count):
-        """S per replicate (NaN where a fit failed) and the failure count.
+    def batch_statistics(self, data, theta10):
+        """S per row of a (k, n) data matrix from ``sample`` and the number
+        of rows whose fit failed.
 
-        Families with closed-form fits override this with a vectorized
-        path; equality with the generic loop is a tested property.
+        S is clamped at zero and NaN where a fit failed; each row agrees
+        with ``gradient_statistic`` on that row's data set.
         """
-        theta10 = np.atleast_1d(np.asarray(theta10, dtype=float))
-        S = np.empty(count)
-        failed = 0
-        for i, rng in zip(range(count), rngs):
-            data = self.sample(theta, n, rng)
-            try:
-                S[i] = gradient_statistic(self, data, theta10).value
-            except FitError:
-                S[i] = np.nan
-                failed += 1
-        return S, failed
+        raise NotImplementedError(f"{self.name} has no batch statistic")
+
+
+def batch_result(raw, failed) -> tuple:
+    """(S clamped at zero, NaN where ``failed`` or raw is not finite;
+    the number of such rows)."""
+    failed = failed | ~np.isfinite(raw)
+    S = np.where(failed, np.nan, np.where(raw < 0.0, 0.0, raw))
+    return S, int(np.count_nonzero(failed))
 
 
 def gradient_statistic(model: ModelFamily, data, theta10) -> GradientStatistic:

@@ -39,7 +39,7 @@ from ..expansion import (OrthogonalCoefficients, OrthogonalCumulants,
                          coefficients_orthogonal)
 from ..special import std_normal_tail_scaled
 from ._build import pair_fill, sym_fill
-from .base import FitError, ModelFamily
+from .base import FitError, ModelFamily, batch_result
 
 __all__ = ["BirnbaumSaunders", "fit_birnbaum_saunders"]
 
@@ -84,9 +84,9 @@ class BirnbaumSaunders(ModelFamily):
                              f"got ({phi}, {beta})")
         return phi, beta
 
-    def sample(self, theta, n, rng):
+    def sample(self, theta, size, rng):
         phi, beta = self._check_theta(theta)
-        t = 0.5 * phi * rng.standard_normal(n)
+        t = 0.5 * phi * rng.standard_normal(size)
         return beta * (t + np.sqrt(t * t + 1.0)) ** 2
 
     def validate_data(self, data):
@@ -266,13 +266,10 @@ class BirnbaumSaunders(ModelFamily):
                                       A1_phi=-3.0, A1_phibeta=a1pb,
                                       A2_phi=69.0 / 8.0, A2_phibeta=a2pb)
 
-    def batch_statistics(self, theta, theta10, n, rngs, count):
-        phi, beta = self._check_theta(theta)
+    def batch_statistics(self, data, theta10):
         phi0 = float(np.atleast_1d(theta10)[0])
-        x = np.empty((count, n))
-        for i, rng in zip(range(count), rngs):
-            t = 0.5 * phi * rng.standard_normal(n)
-            x[i] = beta * (t + np.sqrt(t * t + 1.0)) ** 2
+        x = np.asarray(data, dtype=float)
+        count, n = x.shape
         s = x.mean(axis=1)
         r = 1.0 / (1.0 / x).mean(axis=1)
 
@@ -309,10 +306,8 @@ class BirnbaumSaunders(ModelFamily):
         phi_sq = s / bh + bh / r - 2.0
         degenerate = ~(phi_sq > 0.0)
         ph = np.sqrt(np.where(degenerate, np.nan, phi_sq))
-
-        S = n * (ph - phi0) / phi0**3 * (s / bt + bt / r - (2.0 + phi0**2))
-        S = np.where(S < 0.0, 0.0, S)
-        return S, int(degenerate.sum())
+        return batch_result(n * (ph - phi0) / phi0**3
+                            * (s / bt + bt / r - (2.0 + phi0**2)), degenerate)
 
 
 def fit_birnbaum_saunders(data, mode: str = "unrestricted",

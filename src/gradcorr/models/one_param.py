@@ -27,7 +27,7 @@ import numpy as np
 from ..cumulants import CumulantBundle
 from ..expansion import (ExpansionCoefficients, OneParamCumulants,
                          coefficients_one_param)
-from .base import FitError, ModelFamily
+from .base import FitError, ModelFamily, batch_result
 
 __all__ = ["OneParamExpFamily", "exponential", "normal_mean_known",
            "normal_variance_known", "inverse_normal_mean_known",
@@ -43,8 +43,8 @@ class _FamilySpec:
     alpha_derivs: Callable[[float], tuple]    # (a1, a2, a3) at phi
     beta: Callable[[float], float]
     beta_derivs: Callable[[float], tuple]     # (b1, b2, b3) at phi
-    mle_from_dbar: Callable[[float], float]
-    sampler: Callable[[float, int, np.random.Generator], np.ndarray]
+    mle_from_dbar: Callable[[np.ndarray], np.ndarray]   # elementwise
+    sampler: Callable[[float, object, np.random.Generator], np.ndarray]
     closed_A: Callable[[float], tuple]
     data_error: Callable[[float], str]        # reason string, or ""
     phi_min: float = 0.0                      # open lower bound for phi
@@ -71,8 +71,8 @@ class OneParamExpFamily(ModelFamily):
                              f"{self._spec.phi_min}, got {phi}")
         return phi
 
-    def sample(self, theta, n, rng):
-        return self._spec.sampler(self._check_phi(theta), n, rng)
+    def sample(self, theta, size, rng):
+        return self._spec.sampler(self._check_phi(theta), size, rng)
 
     def validate_data(self, data):
         x = np.asarray(data, dtype=float)
@@ -85,9 +85,14 @@ class OneParamExpFamily(ModelFamily):
             if reason:
                 raise ValueError(f"observation {i + 1}: {reason} ({v})")
 
+    def _mle(self, dbar):
+        # NaN marks a mean outside the range the MLE inverts
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return self._spec.mle_from_dbar(np.asarray(dbar, dtype=float))
+
     def fit_unrestricted(self, data):
         dbar = float(np.mean(self._spec.d(np.asarray(data, dtype=float))))
-        phi_hat = self._spec.mle_from_dbar(dbar)
+        phi_hat = float(self._mle(dbar))
         if not np.isfinite(phi_hat) or not phi_hat > self._spec.phi_min:
             raise FitError(f"{self.name}: MLE left the parameter space "
                            f"(dbar={dbar})")
@@ -131,21 +136,16 @@ class OneParamExpFamily(ModelFamily):
         a1, a2, a3 = self._spec.closed_A(phi)
         return ExpansionCoefficients(A1=a1, A2=a2, A3=a3)
 
-    def batch_statistics(self, theta, theta10, n, rngs, count):
-        phi = self._check_phi(theta)
+    def batch_statistics(self, data, theta10):
         phi0 = self._check_phi(theta10)
         spec = self._spec
-        dbar = np.empty(count)
-        for i, rng in zip(range(count), rngs):
-            dbar[i] = float(np.mean(spec.d(spec.sampler(phi, n, rng))))
-        phi_hat = np.array([spec.mle_from_dbar(v) for v in dbar])
+        x = np.asarray(data, dtype=float)
+        dbar = spec.d(x).mean(axis=1)
+        phi_hat = self._mle(dbar)
         bad = ~(np.isfinite(phi_hat) & (phi_hat > spec.phi_min))
         a1 = spec.alpha_derivs(phi0)[0]
-        with np.errstate(invalid="ignore"):
-            S = n * (phi0 - phi_hat) * a1 * (spec.beta(phi0) + dbar)
-            S = np.where(S < 0.0, 0.0, S)
-        S[bad] = np.nan
-        return S, int(bad.sum())
+        return batch_result(x.shape[1] * (phi0 - phi_hat) * a1
+                            * (spec.beta(phi0) + dbar), bad)
 
 
 def _positive(v: float) -> str:
@@ -165,7 +165,7 @@ def exponential() -> OneParamExpFamily:
         beta=lambda phi: -phi,
         beta_derivs=lambda phi: (-1.0, 0.0, 0.0),
         mle_from_dbar=lambda dbar: dbar,
-        sampler=lambda phi, n, rng: rng.exponential(phi, size=n),
+        sampler=lambda phi, size, rng: rng.exponential(phi, size=size),
         closed_A=lambda phi: (0.0, 18.0, 20.0),
         data_error=_positive,
     ))
@@ -180,7 +180,8 @@ def normal_mean_known(mu: float = 0.0) -> OneParamExpFamily:
         beta=lambda phi: -phi,
         beta_derivs=lambda phi: (-1.0, 0.0, 0.0),
         mle_from_dbar=lambda dbar: dbar,
-        sampler=lambda phi, n, rng: rng.normal(mu, np.sqrt(phi), size=n),
+        sampler=lambda phi, size, rng: rng.normal(mu, np.sqrt(phi),
+                                                  size=size),
         closed_A=lambda phi: (0.0, 36.0, 40.0),
         data_error=_any_finite,
     ))
@@ -197,7 +198,8 @@ def normal_variance_known(variance: float = 1.0) -> OneParamExpFamily:
         beta=lambda mu: -mu,
         beta_derivs=lambda mu: (-1.0, 0.0, 0.0),
         mle_from_dbar=lambda dbar: dbar,
-        sampler=lambda mu, n, rng: rng.normal(mu, np.sqrt(variance), size=n),
+        sampler=lambda mu, size, rng: rng.normal(mu, np.sqrt(variance),
+                                                 size=size),
         closed_A=lambda mu: (0.0, 0.0, 0.0),
         data_error=_any_finite,
         phi_min=-np.inf,
@@ -216,8 +218,8 @@ def inverse_normal_mean_known(mu: float = 1.0) -> OneParamExpFamily:
         alpha_derivs=lambda phi: (1.0, 0.0, 0.0),
         beta=lambda phi: -0.5 / phi,
         beta_derivs=lambda phi: (0.5 / phi**2, -1.0 / phi**3, 3.0 / phi**4),
-        mle_from_dbar=lambda dbar: 0.5 / dbar if dbar > 0.0 else np.nan,
-        sampler=lambda phi, n, rng: rng.wald(mu, phi, size=n),
+        mle_from_dbar=lambda dbar: np.where(dbar > 0.0, 0.5 / dbar, np.nan),
+        sampler=lambda phi, size, rng: rng.wald(mu, phi, size=size),
         closed_A=lambda phi: (24.0, 30.0, 10.0),
         data_error=_positive,
     ))
@@ -235,7 +237,7 @@ def inverse_normal_shape_known(shape: float = 1.0) -> OneParamExpFamily:
         beta=lambda mu: -mu,
         beta_derivs=lambda mu: (-1.0, 0.0, 0.0),
         mle_from_dbar=lambda dbar: dbar,
-        sampler=lambda mu, n, rng: rng.wald(mu, shape, size=n),
+        sampler=lambda mu, size, rng: rng.wald(mu, shape, size=size),
         closed_A=lambda mu: (0.0, 45.0 * mu / shape, 45.0 * mu / shape),
         data_error=_positive,
         param_name="mu",
@@ -253,8 +255,8 @@ def gamma_rate(k: float = 1.0) -> OneParamExpFamily:
         beta=lambda phi: -k / phi,
         beta_derivs=lambda phi: (k / phi**2, -2.0 * k / phi**3,
                                  6.0 * k / phi**4),
-        mle_from_dbar=lambda dbar: k / dbar if dbar > 0.0 else np.nan,
-        sampler=lambda phi, n, rng: rng.gamma(k, 1.0 / phi, size=n),
+        mle_from_dbar=lambda dbar: np.where(dbar > 0.0, k / dbar, np.nan),
+        sampler=lambda phi, size, rng: rng.gamma(k, 1.0 / phi, size=size),
         closed_A=lambda phi: (12.0 / k, 15.0 / k, 5.0 / k),
         data_error=_positive,
     ))
@@ -269,7 +271,8 @@ def truncated_extreme_value() -> OneParamExpFamily:
         beta=lambda phi: -phi,
         beta_derivs=lambda phi: (-1.0, 0.0, 0.0),
         mle_from_dbar=lambda dbar: dbar,
-        sampler=lambda phi, n, rng: np.log1p(rng.exponential(phi, size=n)),
+        sampler=lambda phi, size, rng: np.log1p(rng.exponential(phi,
+                                                                size=size)),
         # The printed row reads (0, 12, 20), with correction polynomial
         # (12 - 15 S + 2 S^2)/(18 n).  Both are replaced: in phi the
         # log-likelihood is the exponential one in expm1(x), so the row is
@@ -290,10 +293,10 @@ def pareto_shape(k: float = 1.0) -> OneParamExpFamily:
         alpha_derivs=lambda phi: (1.0, 0.0, 0.0),
         beta=lambda phi: -1.0 / phi - np.log(k),
         beta_derivs=lambda phi: (1.0 / phi**2, -2.0 / phi**3, 6.0 / phi**4),
-        mle_from_dbar=lambda dbar: (1.0 / (dbar - np.log(k))
-                                    if dbar > np.log(k) else np.nan),
-        sampler=lambda phi, n, rng: k * np.exp(rng.exponential(1.0 / phi,
-                                                               size=n)),
+        mle_from_dbar=lambda dbar: np.where(dbar > np.log(k),
+                                            1.0 / (dbar - np.log(k)), np.nan),
+        sampler=lambda phi, size, rng: k * np.exp(
+            rng.exponential(1.0 / phi, size=size)),
         closed_A=lambda phi: (12.0, 15.0, 5.0),
         data_error=lambda v: "" if v > k else f"must exceed the scale {k}",
     ))
@@ -309,10 +312,11 @@ def power_shape(theta: float = 1.0) -> OneParamExpFamily:
         alpha_derivs=lambda phi: (-1.0, 0.0, 0.0),
         beta=lambda phi: 1.0 / phi - np.log(theta),
         beta_derivs=lambda phi: (-1.0 / phi**2, 2.0 / phi**3, -6.0 / phi**4),
-        mle_from_dbar=lambda dbar: (1.0 / (np.log(theta) - dbar)
-                                    if dbar < np.log(theta) else np.nan),
-        sampler=lambda phi, n, rng: theta * np.exp(-rng.exponential(1.0 / phi,
-                                                                    size=n)),
+        mle_from_dbar=lambda dbar: np.where(dbar < np.log(theta),
+                                            1.0 / (np.log(theta) - dbar),
+                                            np.nan),
+        sampler=lambda phi, size, rng: theta * np.exp(
+            -rng.exponential(1.0 / phi, size=size)),
         closed_A=lambda phi: (12.0, 15.0, 5.0),
         data_error=lambda v: ("" if 0.0 < v < theta
                               else f"must lie strictly inside (0, {theta})"),
@@ -328,8 +332,9 @@ def laplace_scale(center: float = 0.0) -> OneParamExpFamily:
                                     -6.0 / theta**4),
         beta=lambda theta: -theta,
         beta_derivs=lambda theta: (-1.0, 0.0, 0.0),
-        mle_from_dbar=lambda dbar: dbar if dbar > 0.0 else np.nan,
-        sampler=lambda theta, n, rng: rng.laplace(center, theta, size=n),
+        mle_from_dbar=lambda dbar: np.where(dbar > 0.0, dbar, np.nan),
+        sampler=lambda theta, size, rng: rng.laplace(center, theta,
+                                                     size=size),
         closed_A=lambda theta: (0.0, 18.0, 20.0),
         data_error=_any_finite,
         param_name="theta",

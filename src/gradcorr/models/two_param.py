@@ -26,7 +26,7 @@ from ..cumulants import CumulantBundle
 from ..expansion import (OrthogonalCoefficients, OrthogonalCumulants,
                          coefficients_orthogonal)
 from ._build import pair_fill, sym_fill
-from .base import FitError, ModelFamily
+from .base import FitError, ModelFamily, batch_result
 
 __all__ = ["NormalMeanTest", "TwoSampleExponential"]
 
@@ -47,9 +47,9 @@ class NormalMeanTest(ModelFamily):
             raise ValueError(f"variance must be positive, got {beta}")
         return phi, beta
 
-    def sample(self, theta, n, rng):
+    def sample(self, theta, size, rng):
         phi, beta = self._check_theta(theta)
-        return rng.normal(phi, np.sqrt(beta), size=n)
+        return rng.normal(phi, np.sqrt(beta), size=size)
 
     def validate_data(self, data):
         x = np.asarray(data, dtype=float)
@@ -126,22 +126,15 @@ class NormalMeanTest(ModelFamily):
                                       A1_phi=0.0, A1_phibeta=0.0,
                                       A2_phi=0.0, A2_phibeta=-18.0)
 
-    def batch_statistics(self, theta, theta10, n, rngs, count):
-        phi, beta = self._check_theta(theta)
+    def batch_statistics(self, data, theta10):
         phi0 = float(np.atleast_1d(theta10)[0])
-        sd = np.sqrt(beta)
-        x = np.empty((count, n))
-        for i, rng in zip(range(count), rngs):
-            x[i] = rng.normal(phi, sd, size=n)
+        x = np.asarray(data, dtype=float)
         xbar = x.mean(axis=1)
         t1 = (xbar - phi0) ** 2
         t2 = ((x - xbar[:, None]) ** 2).mean(axis=1)
         tot = t1 + t2
-        bad = ~(tot > 0.0)
         with np.errstate(invalid="ignore", divide="ignore"):
-            S = n * t1 / tot
-        S[bad] = np.nan
-        return S, int(bad.sum())
+            return batch_result(x.shape[1] * t1 / tot, ~(tot > 0.0))
 
 
 class TwoSampleExponential(ModelFamily):
@@ -171,14 +164,19 @@ class TwoSampleExponential(ModelFamily):
         x1, x2 = self._split(data)
         return len(x1) + len(x2)
 
-    def sample(self, theta, n, rng):
+    def sample(self, theta, size, rng):
+        """A pair of samples for size = n; for size = (k, n) a matrix whose
+        rows hold sample 1 in the first n/2 columns, sample 2 in the rest."""
         phi, beta = self._check_theta(theta)
+        n = np.atleast_1d(size)[-1]
         if n % 2 != 0:
             raise ValueError(f"total sample size must be even, got {n}")
         m = n // 2
         rp = np.sqrt(phi)
-        return (rng.exponential(beta / rp, size=m),
-                rng.exponential(beta * rp, size=m))
+        x = rng.standard_exponential(size)
+        x[..., :m] *= beta / rp
+        x[..., m:] *= beta * rp
+        return (x[:m], x[m:]) if x.ndim == 1 else x
 
     def validate_data(self, data):
         x1, x2 = self._split(data)
@@ -268,20 +266,18 @@ class TwoSampleExponential(ModelFamily):
                                       A1_phi=24.0, A1_phibeta=0.0,
                                       A2_phi=72.0, A2_phibeta=-9.0)
 
-    def batch_statistics(self, theta, theta10, n, rngs, count):
-        phi, beta = self._check_theta(theta)
+    def batch_statistics(self, data, theta10):
         phi0 = float(np.atleast_1d(theta10)[0])
+        x = np.asarray(data, dtype=float)
+        n = x.shape[1]
         if n % 2 != 0:
             raise ValueError(f"total sample size must be even, got {n}")
-        m = n // 2
-        rp_true = np.sqrt(phi)
-        m1 = np.empty(count)
-        m2 = np.empty(count)
-        for i, rng in zip(range(count), rngs):
-            m1[i] = rng.exponential(beta / rp_true, size=m).mean()
-            m2[i] = rng.exponential(beta * rp_true, size=m).mean()
+        m1 = x[:, :n // 2].mean(axis=1)
+        m2 = x[:, n // 2:].mean(axis=1)
         rp = np.sqrt(phi0)
         bt = 0.5 * (m1 * rp + m2 / rp)
-        u_phi = (-m1 / rp + m2 / (phi0 * rp)) / (4.0 * bt)
-        S = n * u_phi * (m2 / m1 - phi0)
-        return np.maximum(S, 0.0), 0
+        with np.errstate(invalid="ignore", divide="ignore"):
+            u_phi = (-m1 / rp + m2 / (phi0 * rp)) / (4.0 * bt)
+            raw = n * u_phi * (m2 / m1 - phi0)
+        # the scalar fits reject a nonpositive sample mean
+        return batch_result(raw, ~((m1 > 0.0) & (m2 > 0.0)))

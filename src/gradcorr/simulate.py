@@ -4,11 +4,19 @@ Two experiments: rejection rates of the uncorrected and corrected tests
 across sample sizes (size study), and the empirical null CDF of S
 against its first-order and order-1/n approximations (CDF study).
 
-Reproducibility.  Replicate r at sample size n draws from a dedicated
-Philox stream keyed by (seed, n, r), so the replicate set is a pure
-function of the configuration: chunking and worker count affect neither
-values nor, thanks to integer-count reduction, aggregates.  Workers
-default to 1; set GRADCORR_THREADS to parallelize over chunks.
+Reproducibility.  Replicates come in blocks of BLOCK = 4096: replicate r
+at sample size n is row r % BLOCK of block r // BLOCK, whose (BLOCK, n)
+data matrix is drawn in C order from the Philox stream keyed by
+(seed, n, block) (Salmon et al., "Parallel random numbers: as easy as
+1, 2, 3", SC'11).  Replicate r is thus a pure function of (seed, n, r),
+whatever the replicate count.  A block is drawn and reduced by
+batch_statistics in row groups of at most _GROUP_VALUES values, each
+continuing the block's stream, so the group size bounds memory without
+moving a draw; blocks are the unit of work for the workers.  Group
+size and worker count therefore affect neither values nor, thanks to
+integer-count reduction, aggregates.  Seeded results differ from
+versions that keyed one stream per replicate.  Workers default to 1;
+set GRADCORR_THREADS to parallelize over blocks.
 
 Coefficients for the corrected procedures are the analytic-route values
 evaluated at the null point (tested components at theta10, nuisance at
@@ -34,15 +42,17 @@ from .expansion import ExpansionCoefficients
 from .models import ModelFamily, make_model
 from .special import chi2_cdf, chi2_quantile
 
-__all__ = ["PROCEDURES", "SimulationConfig", "SizeRow", "SimulationResult",
-           "CdfStudy", "SimulationError", "run_size_study", "run_cdf_study",
+__all__ = ["PROCEDURES", "BLOCK", "SimulationConfig", "SizeRow",
+           "SimulationResult", "CdfStudy", "SimulationError",
+           "replicate_statistics", "run_size_study", "run_cdf_study",
            "write_size_csv", "write_cdf_csv"]
 
 PROCEDURES = ("uncorrected", "corrected_statistic", "expanded_cdf",
               "modified_quantile")
 
+BLOCK = 4096                      # replicates per stream key
+_GROUP_VALUES = 1 << 20           # cap on replicates*n drawn at once
 _MAX_FAILURE_RATE = 0.05
-_CHUNK_VALUES = 20_000_000        # cap on replicates*n held in memory at once
 
 
 class SimulationError(RuntimeError):
@@ -77,8 +87,8 @@ class SimulationConfig:
             raise ValueError(f"sample sizes must all be >= 2, got {self.sizes}")
         if not self.alphas or any(not 0.0 < a < 1.0 for a in self.alphas):
             raise ValueError(f"levels must lie in (0,1), got {self.alphas}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError(f"seed must be a 64-bit integer, got {self.seed}")
+        for n in self.sizes:
+            _check_key(int(self.seed), n)
         bad = [p for p in self.procedures if p not in PROCEDURES]
         if bad or not self.procedures:
             raise ValueError(f"procedures must be a nonempty subset of "
@@ -108,23 +118,88 @@ class SimulationResult:
 
 @dataclass(frozen=True)
 class CdfStudy:
+    """Empirical null CDF of S on the grid x.  The chi-square and expanded
+    CDFs on the grid are evaluated when read, not stored, so a study kept
+    in memory holds two curves rather than four."""
+
     x: np.ndarray
     f_empirical: np.ndarray
-    f_chisq: np.ndarray
-    f_expanded: np.ndarray
     sup_chisq: float
     sup_expanded: float
     n: int
     replicates: int
     failures: int
+    q: int
+    coefficients: ExpansionCoefficients
+
+    @property
+    def f_chisq(self) -> np.ndarray:
+        return chi2_cdf(self.x, self.q)
+
+    @property
+    def f_expanded(self) -> np.ndarray:
+        return 1.0 - _expanded_sf(self.x, self.coefficients, self.q, self.n)
 
 
-def _stream(seed: int, n: int, r: int) -> np.random.Generator:
-    return np.random.Generator(np.random.Philox(key=[seed, (n << 32) | r]))
+def _check_key(seed, n) -> None:
+    """The stream key packs seed into one 64-bit word, (n, block) into
+    the other."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be a 64-bit integer, got {seed}")
+    if not n < 2**32:
+        raise ValueError(f"sample size n={n} must be below 2**32")
 
 
-def _streams(seed: int, n: int, r0: int, r1: int):
-    return (_stream(seed, n, r) for r in range(r0, r1))
+def _blocks(replicates: int) -> list:
+    """(block, rows) for the blocks holding replicates 0..replicates-1."""
+    return [(b, min(BLOCK, replicates - b * BLOCK))
+            for b in range(-(-replicates // BLOCK))]
+
+
+def _block_statistics(model: ModelFamily, theta, theta10, n: int,
+                      seed: int, block: int, rows: int) -> tuple:
+    """S and failure count of the first ``rows`` replicates of a block."""
+    rng = np.random.Generator(np.random.Philox(key=[seed,
+                                                    (n << 32) | block]))
+    step = max(1, _GROUP_VALUES // n)
+    S = np.empty(rows)
+    failed = 0
+    for lo in range(0, rows, step):
+        hi = min(lo + step, rows)
+        S[lo:hi], f = model.batch_statistics(
+            model.sample(theta, (hi - lo, n), rng), theta10)
+        failed += f
+    return S, failed
+
+
+def replicate_statistics(model: ModelFamily, theta, theta10, n: int,
+                         replicates: int, seed: int) -> tuple:
+    """S of replicates 0..replicates-1 at sample size n (NaN where a fit
+    failed) and the number of failed fits."""
+    n, seed = int(n), int(seed)
+    _check_key(seed, n)
+    S = np.empty(replicates)
+    failed = 0
+    for block, rows in _blocks(replicates):
+        r0 = block * BLOCK
+        S[r0:r0 + rows], f = _block_statistics(model, theta, theta10, n,
+                                               seed, block, rows)
+        failed += f
+    return S, failed
+
+
+def _workers(tasks: int) -> int:
+    """Worker processes from GRADCORR_THREADS (default 1), clamped to
+    the CPU count and the number of tasks."""
+    raw = os.environ.get("GRADCORR_THREADS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        raise ValueError(f"GRADCORR_THREADS must be an integer, "
+                         f"got {raw!r}") from None
+    if workers < 1:
+        raise ValueError(f"GRADCORR_THREADS must be at least 1, got {workers}")
+    return min(workers, os.cpu_count() or 1, tasks)
 
 
 def _null_point(model: ModelFamily, theta, theta10) -> np.ndarray:
@@ -172,16 +247,12 @@ def _rejections(S, coef, q, n, alphas, procedures) -> dict:
     return counts
 
 
-def _chunk_size(n: int) -> int:
-    return max(1, min(20_000, _CHUNK_VALUES // max(n, 1)))
-
-
-def _size_chunk(args) -> tuple:
-    (model_id, constants, theta, theta10, n, seed, r0, r1, alphas,
+def _size_block(args) -> tuple:
+    (model_id, constants, theta, theta10, n, seed, block, rows, alphas,
      procedures, a_triple, q) = args
     model = make_model(model_id, **constants)
-    S, failed = model.batch_statistics(theta, theta10, n,
-                                       _streams(seed, n, r0, r1), r1 - r0)
+    S, failed = _block_statistics(model, theta, theta10, n, seed, block,
+                                  rows)
     S = S[np.isfinite(S)]
     coef = ExpansionCoefficients(*a_triple)
     return n, _rejections(S, coef, q, n, alphas, procedures), failed
@@ -195,26 +266,24 @@ def run_size_study(cfg: SimulationConfig) -> SimulationResult:
 
     tasks = []
     for n in cfg.sizes:
-        step = _chunk_size(n)
-        for r0 in range(0, cfg.replicates, step):
+        for block, rows in _blocks(cfg.replicates):
             tasks.append((cfg.model_id, cfg.constants, cfg.theta,
-                          cfg.theta10, n, int(cfg.seed), r0,
-                          min(r0 + step, cfg.replicates), cfg.alphas,
-                          cfg.procedures, a_triple, model.q))
+                          cfg.theta10, n, int(cfg.seed), block, rows,
+                          cfg.alphas, cfg.procedures, a_triple, model.q))
 
-    workers = int(os.environ.get("GRADCORR_THREADS", "1"))
-    if workers > 1 and len(tasks) > 1:
+    workers = _workers(len(tasks))
+    if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_size_chunk, tasks))
+            partials = list(pool.map(_size_block, tasks))
     else:
-        partials = [_size_chunk(t) for t in tasks]
+        partials = [_size_block(t) for t in tasks]
 
     counts = {(n, a, p): 0 for n in cfg.sizes for a in cfg.alphas
               for p in cfg.procedures}
     failures = {n: 0 for n in cfg.sizes}
-    for n, chunk_counts, failed in partials:
+    for n, block_counts, failed in partials:
         failures[n] += failed
-        for (a, p), c in chunk_counts.items():
+        for (a, p), c in block_counts.items():
             counts[(n, a, p)] += c
 
     rows = []
@@ -236,6 +305,18 @@ def run_size_study(cfg: SimulationConfig) -> SimulationResult:
                             failures=tuple(sorted(failures.items())))
 
 
+def _sup_distance(cdf, S) -> float:
+    """Exact sup distance of ``cdf`` from the empirical CDF of the sorted
+    sample S, evaluated at the jump points one block of S at a time."""
+    m = len(S)
+    worst = -np.inf
+    for lo in range(0, m, BLOCK):
+        at = cdf(S[lo:lo + BLOCK])
+        i = np.arange(lo, lo + len(at))
+        worst = max(worst, np.max(at - i / m), np.max((i + 1) / m - at))
+    return float(worst)
+
+
 def run_cdf_study(model, theta, theta10, n: int, replicates: int,
                   seed: int, grid_points: int = 512) -> CdfStudy:
     """Empirical null CDF of S against G_q and the order-1/n expansion."""
@@ -248,38 +329,25 @@ def run_cdf_study(model, theta, theta10, n: int, replicates: int,
     coef = _null_coefficients(model, theta, theta10)
     q = model.q
 
-    values = []
-    failed = 0
-    step = _chunk_size(n)
-    for r0 in range(0, replicates, step):
-        r1 = min(r0 + step, replicates)
-        S, f = model.batch_statistics(theta, theta10, n,
-                                      _streams(int(seed), n, r0, r1), r1 - r0)
-        failed += f
-        values.append(S[np.isfinite(S)])
+    S, failed = replicate_statistics(model, theta, theta10, n, replicates,
+                                     seed)
     if failed > _MAX_FAILURE_RATE * replicates:
         raise SimulationError(f"{failed} of {replicates} fits failed "
                               f"(> {_MAX_FAILURE_RATE:.0%})")
-    S = np.sort(np.concatenate(values))
+    S = S[np.isfinite(S)]
+    S.sort()
     m = len(S)
 
-    # exact sup-distance of each approximation from the empirical CDF,
-    # evaluated at the jump points
     grid_hi = max(chi2_quantile(0.999, q), float(np.quantile(S, 0.999)))
-    steps = np.arange(m + 1) / m
-    sup = {}
-    approx = {"chisq": lambda x: chi2_cdf(x, q),
-              "expanded": lambda x: 1.0 - _expanded_sf(x, coef, q, n)}
-    for name, fn in approx.items():
-        at = fn(S)
-        sup[name] = float(max(np.max(at - steps[:-1]), np.max(steps[1:] - at)))
-
     x = np.linspace(0.0, grid_hi, grid_points)
     f_emp = np.searchsorted(S, x, side="right") / m
-    return CdfStudy(x=x, f_empirical=f_emp, f_chisq=approx["chisq"](x),
-                    f_expanded=approx["expanded"](x),
-                    sup_chisq=sup["chisq"], sup_expanded=sup["expanded"],
-                    n=int(n), replicates=int(replicates), failures=failed)
+    return CdfStudy(x=x, f_empirical=f_emp,
+                    sup_chisq=_sup_distance(lambda v: chi2_cdf(v, q), S),
+                    sup_expanded=_sup_distance(
+                        lambda v: 1.0 - _expanded_sf(v, coef, q, n), S),
+                    n=int(n),
+                    replicates=int(replicates), failures=failed, q=q,
+                    coefficients=coef)
 
 
 def _fmt(v) -> str:

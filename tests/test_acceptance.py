@@ -13,8 +13,9 @@ from scipy import special as sp
 
 from gradcorr.correction import approximate_moments, bartlett_factors
 from gradcorr.models import make_model
-from gradcorr.simulate import (SimulationConfig, _streams, run_cdf_study,
-                               run_size_study, write_cdf_csv, write_size_csv)
+from gradcorr.simulate import (SimulationConfig, replicate_statistics,
+                               run_cdf_study, run_size_study, write_cdf_csv,
+                               write_size_csv)
 from helpers import cancellation_derivative
 from conftest import MODEL_IDS
 
@@ -129,8 +130,7 @@ def test_criterion_2_correction_polynomials(model_id, constants, theta, poly):
 def test_criterion_3_exponential_exact_moments():
     m = make_model("exponential")
     n, reps = 10, 1_000_000
-    S, failed = m.batch_statistics([1.0], [1.0], n,
-                                   _streams(SEED, n, 0, reps), reps)
+    S, failed = replicate_statistics(m, [1.0], [1.0], n, reps, SEED)
     assert failed == 0
     m1 = S.mean()
     c = S - m1
@@ -160,8 +160,7 @@ def test_criterion_3_exponential_exact_moments():
 def test_criterion_4_scaled_statistic_beta_law():
     m = make_model("two-parameter-normal")
     n, reps = 12, 100_000
-    S, failed = m.batch_statistics([0.0, 1.0], [0.0], n,
-                                   _streams(SEED, n, 0, reps), reps)
+    S, failed = replicate_statistics(m, [0.0, 1.0], [0.0], n, reps, SEED)
     assert failed == 0
     u = np.sort(S / n)
     cdf = sp.betainc(0.5, (n - 1) / 2.0, u)

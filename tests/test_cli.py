@@ -283,3 +283,35 @@ def test_cdf_study_rejects_size_list(capsys, tmp_path):
                            "--n", "9,12", "--reps", "10", "--seed", "3",
                            "--out", str(tmp_path / "x.csv"))
     assert code == 2 and "single" in err
+
+
+@pytest.mark.parametrize("flags", (("--seed", "-1", "--n", "9"),
+                                   ("--seed", "3", "--n", str(2**32))))
+def test_cdf_study_rejects_stream_key_overflow(capsys, tmp_path, flags):
+    code, _, err = run_cli(capsys, "cdf-study", "--model", "exponential",
+                           "--reps", "10", "--out", str(tmp_path / "x.csv"),
+                           *flags)
+    assert code == 2 and ("seed" in err or "n=4294967296" in err)
+
+
+def test_simulate_rejects_sample_size_beyond_stream_key(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "simulate", "--model", "exponential",
+                           "--n", str(2**32), "--reps", "10", "--seed", "3",
+                           "--out", str(tmp_path / "x.csv"))
+    assert code == 2 and "n=4294967296" in err
+
+
+def test_simulate_rejects_bad_worker_count(capsys, tmp_path, monkeypatch):
+    monkeypatch.setenv("GRADCORR_THREADS", "abc")
+    code, _, err = run_cli(capsys, "simulate", "--model", "exponential",
+                           "--n", "6", "--reps", "10", "--seed", "3",
+                           "--out", str(tmp_path / "x.csv"))
+    assert code == 2 and "GRADCORR_THREADS" in err
+
+
+def test_simulate_rejects_odd_two_sample_size(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "simulate", "--model",
+                           "two-sample-exponential", "--n", "5", "--reps",
+                           "10", "--seed", "3", "--out",
+                           str(tmp_path / "x.csv"))
+    assert code == 2 and "even" in err

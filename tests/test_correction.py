@@ -133,6 +133,18 @@ def test_approximate_moments_zero_coefficients():
     assert approximate_moments(ZERO, q=3, n=50) == (3.0, 6.0, 24.0)
 
 
+@pytest.mark.parametrize("S", (np.nan, np.inf))
+def test_corrected_statistic_rejects_nonfinite(S):
+    with pytest.raises(ValueError, match="finite"):
+        corrected_statistic(S, EXP, 1, 20)
+
+
+@pytest.mark.parametrize("S", (np.nan, np.inf))
+def test_run_test_rejects_nonfinite(S):
+    with pytest.raises(ValueError, match="finite"):
+        run_test(S, EXP, 1, 20)
+
+
 def test_run_test_zero_coefficients_collapses():
     r = run_test(2.5, ZERO, q=1, n=30)
     assert r.S_star == 2.5

@@ -212,3 +212,19 @@ def test_one_param_route_rejects_nonnegative_information():
     with pytest.raises(ValueError):
         coefficients_one_param(OneParamCumulants(
             kpp=0.0, kppp=0.0, kpppp=0.0, kpp_p=0.0, kppp_p=0.0, kpp_pp=0.0))
+
+
+def test_one_param_route_rejects_nonfinite_cumulants():
+    # an explicit error, not an assert that -O strips
+    with pytest.raises(ValueError, match="A3"):
+        coefficients_one_param(OneParamCumulants(
+            kpp=-1.0, kppp=np.nan, kpppp=0.0, kpp_p=0.0, kppp_p=0.0,
+            kpp_pp=0.0))
+
+
+def test_orthogonal_route_rejects_nonfinite_cumulants():
+    with pytest.raises(ValueError, match="A3"):
+        coefficients_orthogonal(OrthogonalCumulants(
+            kpp=-1.0, kppp=np.inf, kpppp=0.0, kpp_p=0.0, kppp_p=0.0,
+            kpp_pp=0.0, kbb=-1.0, kbbb=0.0, kpbb=0.0, kppb=0.0, kppbb=0.0,
+            kpp_b=0.0, kppb_b=0.0, kpbb_p=0.0, kbb_b=0.0, kbb_p=0.0))

@@ -9,6 +9,7 @@ from gradcorr.models import (FitError, builtin_models, gradient_statistic,
                              make_model)
 from gradcorr.models.base import ModelFamily
 from gradcorr.models.birnbaum_saunders import fit_birnbaum_saunders
+from gradcorr.simulate import replicate_statistics
 
 SEED = 20260814
 
@@ -373,8 +374,7 @@ def test_exponential_statistic_moments_match_exact_values():
     # run must bracket all three (the full-size run lives in acceptance)
     m = make_model("exponential")
     n, reps = 10, 200_000
-    rngs = (np.random.default_rng([SEED, i]) for i in range(reps))
-    S, failed = m.batch_statistics([1.0], [1.0], n, rngs, reps)
+    S, failed = replicate_statistics(m, [1.0], [1.0], n, reps, SEED)
     assert failed == 0
     m1 = S.mean()
     c = S - m1
@@ -394,8 +394,7 @@ def test_normal_mean_scaled_statistic_is_beta_distributed():
     from scipy import special as sp
     m = make_model("two-parameter-normal")
     n, reps = 12, 20_000
-    rngs = (np.random.default_rng([SEED, i]) for i in range(reps))
-    S, failed = m.batch_statistics([0.0, 1.0], [0.0], n, rngs, reps)
+    S, failed = replicate_statistics(m, [0.0, 1.0], [0.0], n, reps, SEED)
     assert failed == 0
     u = np.sort(S / n)
     cdf = sp.betainc(0.5, (n - 1) / 2.0, u)
@@ -404,17 +403,33 @@ def test_normal_mean_scaled_statistic_is_beta_distributed():
     assert ks < 1.62762 / math.sqrt(reps)   # 1% critical value
 
 
+def _flat(data):
+    return np.concatenate(data) if isinstance(data, tuple) else data
+
+
+def test_sample_matrix_rows_are_successive_draws(model):
+    theta = np.asarray(model.default_theta, dtype=float)
+    k, n = 7, 12
+    matrix = model.sample(theta, (k, n), np.random.default_rng(SEED))
+    assert matrix.shape == (k, n)
+    rng = np.random.default_rng(SEED)
+    for row in matrix:
+        assert np.array_equal(row, _flat(model.sample(theta, n, rng)))
+
+
 def test_batch_statistics_agree_with_generic_loop(model):
+    # row r of a (k, n) draw is the r-th of k successive size-n draws
     theta = np.asarray(model.default_theta, dtype=float)
     theta10 = theta[:model.q]
     n, count = 12, 40
     fast, fast_failed = model.batch_statistics(
-        theta, theta10, n, (np.random.default_rng([SEED, i])
-                            for i in range(count)), count)
+        model.sample(theta, (count, n), np.random.default_rng(SEED)),
+        theta10)
     slow = np.empty(count)
     slow_failed = 0
+    rng = np.random.default_rng(SEED)
     for i in range(count):
-        data = model.sample(theta, n, np.random.default_rng([SEED, i]))
+        data = model.sample(theta, n, rng)
         try:
             slow[i] = gradient_statistic(model, data, theta10).value
         except FitError:
@@ -424,3 +439,16 @@ def test_batch_statistics_agree_with_generic_loop(model):
     ok = ~np.isnan(slow)
     assert np.allclose(fast[ok], slow[ok], rtol=1e-9, atol=1e-11)
     assert np.array_equal(np.isnan(fast), np.isnan(slow))
+
+
+def test_two_sample_batch_counts_failed_fits():
+    m = make_model("two-sample-exponential")
+    x = np.array([[1.0, 2.0, 0.5, 1.5],
+                  [0.0, 0.0, 0.5, 1.5],
+                  [1.0, 3.0, 0.0, 0.0]])
+    S, failed = m.batch_statistics(x, [1.0])
+    assert failed == 2
+    assert np.isfinite(S[0]) and np.isnan(S[1:]).all()
+    for row in x[1:]:
+        with pytest.raises(FitError):
+            gradient_statistic(m, (row[:2], row[2:]), [1.0])

@@ -9,7 +9,9 @@ from gradcorr.correction import bartlett_factors, expanded_cdf
 from gradcorr.expansion import ExpansionCoefficients
 from gradcorr.models import make_model
 from gradcorr.models.base import ModelFamily
-from gradcorr.simulate import (PROCEDURES, SimulationConfig, SimulationError,
+import gradcorr.simulate as sim
+from gradcorr.simulate import (BLOCK, PROCEDURES, SimulationConfig,
+                               SimulationError, replicate_statistics,
                                run_cdf_study, run_size_study, write_cdf_csv,
                                write_size_csv)
 from gradcorr.special import chi2_quantile
@@ -36,6 +38,10 @@ def test_config_validation():
         _config(alphas=(1.0,))
     with pytest.raises(ValueError):
         _config(procedures=("uncorrected", "bonferroni"))
+    with pytest.raises(ValueError, match="seed"):
+        _config(seed=-1)
+    with pytest.raises(ValueError, match="n=4294967296"):
+        _config(sizes=(8, 2**32))
     assert set(_config(procedures=PROCEDURES).procedures) == set(PROCEDURES)
 
 
@@ -80,8 +86,7 @@ def test_expanded_cdf_and_modified_quantile_rules_cohere():
     m = make_model("exponential")
     coef = m.specialized_coefficients(np.array([1.0]))
     n, reps = 30, 4000
-    rngs = (np.random.default_rng([SEED, i]) for i in range(reps))
-    S, _ = m.batch_statistics([1.0], [1.0], n, rngs, reps)
+    S, _ = replicate_statistics(m, [1.0], [1.0], n, reps, SEED)
     f = bartlett_factors(coef, 1, n)
     p_exp = np.array([1.0 - expanded_cdf(s, coef, 1, n) for s in S])
     for alpha in (0.05, 0.10):
@@ -114,6 +119,65 @@ def test_cdf_study_rejects_bad_replicates():
                       seed=SEED)
 
 
+@pytest.mark.parametrize("seed", (-1, 2**64))
+def test_cdf_study_rejects_seed_outside_64_bits(seed):
+    with pytest.raises(ValueError, match="seed"):
+        run_cdf_study("exponential", (1.0,), (1.0,), n=9, replicates=10,
+                      seed=seed)
+
+
+def test_cdf_study_rejects_sample_size_beyond_stream_key():
+    with pytest.raises(ValueError, match="n=4294967296"):
+        run_cdf_study("exponential", (1.0,), (1.0,), n=2**32, replicates=1,
+                      seed=SEED)
+
+
+def test_replicates_are_a_prefix_of_larger_runs():
+    m = make_model("birnbaum-saunders")
+    small, _ = replicate_statistics(m, (1.0, 1.0), (1.0,), 6, 5000, SEED)
+    large, _ = replicate_statistics(m, (1.0, 1.0), (1.0,), 6, 3 * BLOCK,
+                                    SEED)
+    assert np.array_equal(small, large[:5000])
+
+
+def test_csvs_do_not_depend_on_row_groups(tmp_path, monkeypatch):
+    cfg = _config(replicates=2 * BLOCK + 100, procedures=PROCEDURES)
+
+    def csvs(tag):
+        size, cdf = tmp_path / f"size-{tag}.csv", tmp_path / f"cdf-{tag}.csv"
+        write_size_csv(run_size_study(cfg), size)
+        write_cdf_csv(run_cdf_study("two-parameter-normal", (0.0, 1.0),
+                                    (0.0,), n=12, replicates=3 * BLOCK,
+                                    seed=SEED), cdf)
+        return size.read_bytes(), cdf.read_bytes()
+
+    monkeypatch.delenv("GRADCORR_THREADS", raising=False)
+    default = csvs("default")
+    # 1,000 to 1,625 rows per group: several groups per block, the last
+    # one short, each continuing its block's stream
+    monkeypatch.setattr(sim, "_GROUP_VALUES", 13_000)
+    assert csvs("grouped") == default
+
+
+@pytest.mark.parametrize("raw", ("abc", "2.5", "", "0", "-3"))
+def test_worker_count_rejects_bad_values(monkeypatch, raw):
+    monkeypatch.setenv("GRADCORR_THREADS", raw)
+    with pytest.raises(ValueError, match="GRADCORR_THREADS"):
+        sim._workers(10)
+
+
+def test_worker_count_is_clamped(monkeypatch):
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
+    monkeypatch.delenv("GRADCORR_THREADS", raising=False)
+    assert sim._workers(10) == 1
+    monkeypatch.setenv("GRADCORR_THREADS", "64")
+    assert sim._workers(10) == 4
+    assert sim._workers(3) == 3
+    monkeypatch.setenv("GRADCORR_THREADS", "2")
+    assert sim._workers(10) == 2
+    assert sim._workers(1) == 1
+
+
 class _FlakyModel(ModelFamily):
     """Stub whose fits fail at a controlled rate."""
 
@@ -122,8 +186,8 @@ class _FlakyModel(ModelFamily):
     def __init__(self, fail_every: int):
         self.fail_every = fail_every
 
-    def sample(self, theta, n, rng):
-        return rng.exponential(1.0, size=n)
+    def sample(self, theta, size, rng):
+        return rng.exponential(1.0, size=size)
 
     def fit_unrestricted(self, data):
         return np.array([float(np.mean(data))])
@@ -140,8 +204,8 @@ class _FlakyModel(ModelFamily):
     def specialized_coefficients(self, theta):
         return ExpansionCoefficients(A1=0.0, A2=0.0, A3=0.0)
 
-    def batch_statistics(self, theta, theta10, n, rngs, count):
-        S = np.array([rng.chisquare(1) for _, rng in zip(range(count), rngs)])
+    def batch_statistics(self, data, theta10):
+        S = 2.0 * data[:, 0]            # chi-square with 2 df
         S[::self.fail_every] = np.nan
         return S, int(np.isnan(S).sum())
 
