@@ -207,15 +207,6 @@ def _locate(message: str, sources) -> str:
     return f"{path}, line {lines[idx]}: " + message[m.end():].lstrip(": ")
 
 
-def _coefficients(model, theta, route: str):
-    if route == "general":
-        return model.general_coefficients(theta)
-    try:
-        return model.specialized_coefficients(theta)
-    except NotImplementedError:
-        return model.general_coefficients(theta)
-
-
 def _report_fields(report) -> list:
     return [("S", report.S), ("S_star", report.S_star),
             ("p_asymptotic", report.p_asymptotic),
@@ -239,11 +230,10 @@ def cmd_test(args) -> int:
         raise CliError(_locate(str(exc), sources)) from None
     try:
         stat = gradient_statistic(model, data, theta10)
-        theta_tilde = model.fit_restricted(data, theta10)
     except FitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    coef = _coefficients(model, theta_tilde, route="closed")
+    coef = model.coefficients(stat.theta_tilde)
     report = run_test(stat.value, coef, model.q, stat.n, gamma=args.gamma)
     fields = _report_fields(report)
     if args.format == "json":
@@ -274,7 +264,7 @@ def cmd_coeffs(args) -> int:
     model, _, _, theta = _model_and_theta(args.model, args.params)
     try:
         general = model.general_coefficients(theta)
-        closed = _coefficients(model, theta, route="closed")
+        closed = model.coefficients(theta)
     except (ValueError, NotImplementedError) as exc:
         raise CliError(str(exc)) from None
     shown = general if args.route == "general" else closed

@@ -20,6 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 from .expansion import ExpansionCoefficients
 from .special import chi2_cdf, chi2_quantile
 
@@ -37,6 +39,23 @@ class BartlettFactors:
     c: float
     n: int
     q: int
+
+    def _sum(self, lead, x):
+        # lead + c + bx + ax^2 summed left to right, scalar or elementwise;
+        # 1 + poly(x) would round z differently in the last bit
+        return lead + self.c + self.b * x + self.a * x * x
+
+    def poly(self, x):
+        """The correction polynomial c + bx + ax^2."""
+        return self._sum(0.0, x)
+
+    def corrected(self, S):
+        """The corrected statistic S{1 - (c + bS + aS^2)}, unchecked."""
+        return S * (1.0 - self.poly(S))
+
+    def modified(self, x):
+        """The modified percentile x{1 + (c + bx + ax^2)}."""
+        return x * self._sum(1.0, x)
 
 
 @dataclass(frozen=True)
@@ -64,11 +83,11 @@ def bartlett_factors(coef: ExpansionCoefficients, q: int,
     return BartlettFactors(a=a, b=b, c=c, n=n, q=q)
 
 
-def expanded_cdf(x: float, coef: ExpansionCoefficients, q: int,
-                 n: int) -> float:
-    """Null CDF of S to order 1/n; returned raw (may slightly exit [0,1])."""
-    if x < 0:
-        raise ValueError(f"x must be >= 0, got {x}")
+def expanded_cdf(x, coef: ExpansionCoefficients, q: int, n: int):
+    """Null CDF of S to order 1/n at a scalar or elementwise on an array;
+    returned raw (may slightly exit [0,1])."""
+    if not np.all(np.asarray(x) >= 0):
+        raise ValueError(f"x must be >= 0 (not NaN), got {x}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     tail = sum(r * chi2_cdf(x, q + 2 * i)
@@ -88,8 +107,8 @@ def corrected_statistic(S: float, coef: ExpansionCoefficients, q: int,
     """S* = S{1 - (c + bS + aS^2)}, unclamped, with regime warnings."""
     _check_statistic(S)
     f = bartlett_factors(coef, q, n)
-    poly = f.c + f.b * S + f.a * S * S
-    s_star = S * (1.0 - poly)
+    poly = f.poly(S)
+    s_star = f.corrected(S)
     warnings = []
     if abs(poly) > 0.5:
         warnings.append(f"correction polynomial {poly:.3g} outside "
@@ -105,8 +124,7 @@ def modified_quantile(gamma: float, coef: ExpansionCoefficients, q: int,
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0,1), got {gamma}")
     x = chi2_quantile(1.0 - gamma, q)
-    f = bartlett_factors(coef, q, n)
-    return x * (1.0 + f.c + f.b * x + f.a * x * x)
+    return bartlett_factors(coef, q, n).modified(x)
 
 
 def approximate_moments(coef: ExpansionCoefficients, q: int,

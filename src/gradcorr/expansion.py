@@ -9,7 +9,10 @@ Three routes compute the same triple:
   forms for p = q = 1 models.
 * ``coefficients_orthogonal`` -- closed forms for two-parameter models
   with block-diagonal information (kappa_phibeta = 0), testing phi with
-  beta as nuisance.
+  beta as nuisance, on scalars indexed from the cumulant arrays.
+
+``ModelFamily.coefficients`` picks a family's scalar route where one
+applies, the general route otherwise.
 
 The general contraction was pinned down against the divergence form of
 the coefficients (exact rational arithmetic, random bundles over p <= 4
@@ -128,6 +131,20 @@ class OrthogonalCumulants:
     kpbb_p: float
     kbb_b: float
     kbb_p: float
+
+    @classmethod
+    def from_arrays(cls, kappa2, kappa3, kappa4, d_kappa2, d_kappa3,
+                    dd_kappa2) -> "OrthogonalCumulants":
+        """Index the scalars from a p = 2 model's cumulant arrays (the
+        CumulantBundle layouts, phi first, beta second)."""
+        return cls(kpp=kappa2[0, 0], kppp=kappa3[0, 0, 0],
+                   kpppp=kappa4[0, 0, 0, 0], kpp_p=d_kappa2[0, 0, 0],
+                   kppp_p=d_kappa3[0, 0, 0, 0], kpp_pp=dd_kappa2[0, 0, 0, 0],
+                   kbb=kappa2[1, 1], kbbb=kappa3[1, 1, 1],
+                   kpbb=kappa3[0, 1, 1], kppb=kappa3[0, 0, 1],
+                   kppbb=kappa4[0, 0, 1, 1], kpp_b=d_kappa2[0, 0, 1],
+                   kppb_b=d_kappa3[1, 0, 0, 1], kpbb_p=d_kappa3[0, 0, 1, 1],
+                   kbb_b=d_kappa2[1, 1, 1], kbb_p=d_kappa2[1, 1, 0])
 
     def phi_part(self) -> OneParamCumulants:
         return OneParamCumulants(kpp=self.kpp, kppp=self.kppp,
@@ -251,8 +268,8 @@ def coefficients_expfam(a1: float, a2: float, a3: float,
 def coefficients_orthogonal(c: OrthogonalCumulants) -> OrthogonalCoefficients:
     """Closed forms for orthogonal (phi, beta) models testing phi.
 
-    Orthogonality kappa_phibeta = 0 is assumed by contract, not checked;
-    the formulas are invalid without it.
+    They are invalid unless kappa_phibeta = 0, which the scalars do not
+    carry; ``ModelFamily.specialized_coefficients`` checks it.
     """
     if c.kpp >= 0 or c.kbb >= 0:
         raise ValueError("kappa_phiphi and kappa_betabeta must be negative")

@@ -29,10 +29,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..cumulants import CumulantBundle, HypothesisSpec
-from ..expansion import (ExpansionCoefficients, coefficients_general)
+from ..expansion import (ExpansionCoefficients, OrthogonalCumulants,
+                         coefficients_general, coefficients_orthogonal)
 
 __all__ = ["ModelFamily", "GradientStatistic", "FitError",
-           "gradient_statistic"]
+           "gradient_statistic", "check_observations", "POSITIVE"]
 
 
 class FitError(RuntimeError):
@@ -41,11 +42,13 @@ class FitError(RuntimeError):
 
 @dataclass(frozen=True)
 class GradientStatistic:
-    """Gradient test statistic with its sample size."""
+    """Gradient test statistic with its sample size and the restricted
+    MLE it was evaluated at."""
 
     value: float
     n: int
     raw: float
+    theta_tilde: np.ndarray
     clamped: bool = False
 
 
@@ -82,17 +85,38 @@ class ModelFamily(ABC):
     def score(self, data, theta) -> np.ndarray:
         """Per-observation-scale score vector U(theta)."""
 
-    @abstractmethod
+    def cumulant_arrays(self, theta) -> tuple:
+        """The six arrays of ``cumulants`` in CumulantBundle field order,
+        without the bundle's shape, symmetry and definiteness checks."""
+        raise NotImplementedError(f"{self.name} has no cumulant arrays")
+
     def cumulants(self, theta) -> CumulantBundle:
         """Analytic per-observation cumulant arrays at theta."""
+        return CumulantBundle(*self.cumulant_arrays(theta))
 
     def closed_form_coefficients(self, theta) -> ExpansionCoefficients:
         """Hard-coded coefficient values, where known in closed form."""
         raise NotImplementedError(f"{self.name} has no closed-form coefficients")
 
     def specialized_coefficients(self, theta) -> ExpansionCoefficients:
-        """The scalar-formula route (one-parameter or orthogonal)."""
-        raise NotImplementedError(f"{self.name} has no specialized route")
+        """The scalar route: here the orthogonal closed forms (p = 2, q = 1,
+        kappa_phibeta = 0), which one-parameter families override."""
+        if (self.p, self.q) != (2, 1):
+            raise NotImplementedError(f"{self.name} has no specialized route")
+        arrays = self.cumulant_arrays(theta)
+        if arrays[0][0, 1] != 0.0:
+            raise NotImplementedError(f"{self.name}: parameters are not "
+                                      "orthogonal")
+        return coefficients_orthogonal(
+            OrthogonalCumulants.from_arrays(*arrays))
+
+    def coefficients(self, theta) -> ExpansionCoefficients:
+        """The specialized route where the family has one, else the
+        general route."""
+        try:
+            return self.specialized_coefficients(theta)
+        except NotImplementedError:
+            return self.general_coefficients(theta)
 
     def validate_data(self, data) -> None:
         """Raise ValueError naming the first offending observation."""
@@ -107,10 +131,8 @@ class ModelFamily(ABC):
     def general_coefficients(self, theta) -> ExpansionCoefficients:
         """Full tensor-contraction route on this family's cumulants."""
         theta = np.atleast_1d(np.asarray(theta, dtype=float))
-        dummy_null = tuple(theta[:self.q])
         return coefficients_general(self.cumulants(theta),
-                                    HypothesisSpec(p=self.p, q=self.q,
-                                                   theta10=dummy_null))
+                                    self.hypothesis(theta[:self.q]))
 
     def batch_statistics(self, data, theta10):
         """S per row of a (k, n) data matrix from ``sample`` and the number
@@ -120,6 +142,29 @@ class ModelFamily(ABC):
         with ``gradient_statistic`` on that row's data set.
         """
         raise NotImplementedError(f"{self.name} has no batch statistic")
+
+
+# (support predicate, reason) for check_observations
+POSITIVE = (lambda x: x > 0.0, "must be positive")
+
+
+def check_observations(name, data, support=None, reason="",
+                       prefix="") -> np.ndarray:
+    """data as a 1-D float array; else ValueError naming the first
+    observation that is not finite or, where ``support`` (an elementwise
+    predicate) is given, lies outside it for ``reason``."""
+    x = np.asarray(data, dtype=float)
+    if x.ndim != 1:
+        raise ValueError(f"{name}: data must be one-dimensional")
+    ok = np.isfinite(x)
+    if support is not None:
+        ok &= support(x)
+    if not ok.all():
+        i = int(np.flatnonzero(~ok)[0])
+        v = x[i]
+        why = reason if np.isfinite(v) else "not finite"
+        raise ValueError(f"{prefix}observation {i + 1}: {why} ({v})")
+    return x
 
 
 def batch_result(raw, failed) -> tuple:
@@ -140,6 +185,5 @@ def gradient_statistic(model: ModelFamily, data, theta10) -> GradientStatistic:
     theta_hat = np.atleast_1d(model.fit_unrestricted(data))
     u1 = np.atleast_1d(model.score(data, theta_tilde))[:model.q]
     raw = float(n * u1 @ (theta_hat[:model.q] - theta10))
-    if raw < 0.0:
-        return GradientStatistic(value=0.0, n=n, raw=raw, clamped=True)
-    return GradientStatistic(value=raw, n=n, raw=raw, clamped=False)
+    return GradientStatistic(value=max(raw, 0.0), n=n, raw=raw,
+                             theta_tilde=theta_tilde, clamped=raw < 0.0)

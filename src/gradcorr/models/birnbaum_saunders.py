@@ -34,12 +34,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..cumulants import CumulantBundle
-from ..expansion import (OrthogonalCoefficients, OrthogonalCumulants,
-                         coefficients_orthogonal)
+from ..expansion import OrthogonalCoefficients
 from ..special import std_normal_tail_scaled
 from ._build import pair_fill, sym_fill
-from .base import FitError, ModelFamily, batch_result
+from .base import (POSITIVE, FitError, ModelFamily, batch_result,
+                   check_observations)
 
 __all__ = ["BirnbaumSaunders", "fit_birnbaum_saunders"]
 
@@ -90,15 +89,7 @@ class BirnbaumSaunders(ModelFamily):
         return beta * (t + np.sqrt(t * t + 1.0)) ** 2
 
     def validate_data(self, data):
-        x = np.asarray(data, dtype=float)
-        if x.ndim != 1:
-            raise ValueError(f"{self.name}: data must be one-dimensional")
-        for i, v in enumerate(x):
-            if not np.isfinite(v):
-                raise ValueError(f"observation {i + 1}: not finite ({v})")
-            if not v > 0.0:
-                raise ValueError(f"observation {i + 1}: must be positive ({v})")
-        if len(x) < 2:
+        if len(check_observations(self.name, data, *POSITIVE)) < 2:
             raise ValueError(f"{self.name}: need at least 2 observations")
 
     @staticmethod
@@ -176,26 +167,7 @@ class BirnbaumSaunders(ModelFamily):
             - 0.5 / beta + float(np.mean(1.0 / (x + beta)))
         return np.array([u_phi, u_beta])
 
-    def orthogonal_cumulants(self, theta) -> OrthogonalCumulants:
-        f, b = self._check_theta(theta)
-        R = std_normal_tail_scaled(2.0 / f)
-        T = f**2 - _SQRT_2PI * f * R + 2.0
-        return OrthogonalCumulants(
-            kpp=-2.0 / f**2, kppp=10.0 / f**3, kpppp=-54.0 / f**4,
-            kpp_p=4.0 / f**3, kppp_p=-30.0 / f**4, kpp_pp=-12.0 / f**4,
-            kbb=-T / (2.0 * b**2 * f**2),
-            kbbb=1.5 * T / (b**3 * f**2),
-            kpbb=(f**2 + 2.0) / (b**2 * f**3),
-            kppb=0.0,
-            kppbb=-3.0 * (f**2 + 2.0) / (b**2 * f**4),
-            kpp_b=0.0,
-            kppb_b=0.0,
-            kpbb_p=-(f**2 + 6.0) / (b**2 * f**4),
-            kbb_b=T / (b**3 * f**2),
-            kbb_p=(-_SQRT_2PI * f**2 * R + 6.0 * f - 4.0 * _SQRT_2PI * R)
-            / (2.0 * b**2 * f**4))
-
-    def cumulants(self, theta) -> CumulantBundle:
+    def cumulant_arrays(self, theta) -> tuple:
         f, b = self._check_theta(theta)
         R = std_normal_tail_scaled(2.0 / f)
         T = f**2 - _SQRT_2PI * f * R + 2.0
@@ -236,11 +208,7 @@ class BirnbaumSaunders(ModelFamily):
                   (_SQRT_2PI * f**2 * R - 6.0 * f + 4.0 * _SQRT_2PI * R)
                   / (b**3 * f**4))
         pair_fill(dd2, (1, 1), (1, 1), -3.0 * T / (b**4 * f**2))
-        return CumulantBundle(kappa2=k2, kappa3=k3, kappa4=k4,
-                              d_kappa2=d2, d_kappa3=d3, dd_kappa2=dd2)
-
-    def specialized_coefficients(self, theta) -> OrthogonalCoefficients:
-        return coefficients_orthogonal(self.orthogonal_cumulants(theta))
+        return k2, k3, k4, d2, d3, dd2
 
     def closed_form_coefficients(self, theta) -> OrthogonalCoefficients:
         f, _ = self._check_theta(theta)

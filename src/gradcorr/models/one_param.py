@@ -27,7 +27,8 @@ import numpy as np
 from ..cumulants import CumulantBundle
 from ..expansion import (ExpansionCoefficients, OneParamCumulants,
                          coefficients_one_param)
-from .base import FitError, ModelFamily, batch_result
+from .base import (POSITIVE, FitError, ModelFamily, batch_result,
+                   check_observations)
 
 __all__ = ["OneParamExpFamily", "exponential", "normal_mean_known",
            "normal_variance_known", "inverse_normal_mean_known",
@@ -46,7 +47,8 @@ class _FamilySpec:
     mle_from_dbar: Callable[[np.ndarray], np.ndarray]   # elementwise
     sampler: Callable[[float, object, np.random.Generator], np.ndarray]
     closed_A: Callable[[float], tuple]
-    data_error: Callable[[float], str]        # reason string, or ""
+    # (predicate, reason) for check_observations; None: the real line
+    support: tuple = (None, "")
     phi_min: float = 0.0                      # open lower bound for phi
     param_name: str = "phi"
     default_phi: float = 1.0
@@ -75,15 +77,7 @@ class OneParamExpFamily(ModelFamily):
         return self._spec.sampler(self._check_phi(theta), size, rng)
 
     def validate_data(self, data):
-        x = np.asarray(data, dtype=float)
-        if x.ndim != 1:
-            raise ValueError(f"{self.name}: data must be one-dimensional")
-        for i, v in enumerate(x):
-            if not np.isfinite(v):
-                raise ValueError(f"observation {i + 1}: not finite ({v})")
-            reason = self._spec.data_error(v)
-            if reason:
-                raise ValueError(f"observation {i + 1}: {reason} ({v})")
+        check_observations(self.name, data, *self._spec.support)
 
     def _mle(self, dbar):
         # NaN marks a mean outside the range the MLE inverts
@@ -148,14 +142,6 @@ class OneParamExpFamily(ModelFamily):
                             * (spec.beta(phi0) + dbar), bad)
 
 
-def _positive(v: float) -> str:
-    return "" if v > 0.0 else "must be positive"
-
-
-def _any_finite(v: float) -> str:
-    return ""
-
-
 def exponential() -> OneParamExpFamily:
     """Exponential with mean phi."""
     return OneParamExpFamily(_FamilySpec(
@@ -167,7 +153,7 @@ def exponential() -> OneParamExpFamily:
         mle_from_dbar=lambda dbar: dbar,
         sampler=lambda phi, size, rng: rng.exponential(phi, size=size),
         closed_A=lambda phi: (0.0, 18.0, 20.0),
-        data_error=_positive,
+        support=POSITIVE,
     ))
 
 
@@ -183,7 +169,6 @@ def normal_mean_known(mu: float = 0.0) -> OneParamExpFamily:
         sampler=lambda phi, size, rng: rng.normal(mu, np.sqrt(phi),
                                                   size=size),
         closed_A=lambda phi: (0.0, 36.0, 40.0),
-        data_error=_any_finite,
     ))
 
 
@@ -201,7 +186,6 @@ def normal_variance_known(variance: float = 1.0) -> OneParamExpFamily:
         sampler=lambda mu, size, rng: rng.normal(mu, np.sqrt(variance),
                                                  size=size),
         closed_A=lambda mu: (0.0, 0.0, 0.0),
-        data_error=_any_finite,
         phi_min=-np.inf,
         param_name="mu",
         default_phi=0.0,
@@ -221,7 +205,7 @@ def inverse_normal_mean_known(mu: float = 1.0) -> OneParamExpFamily:
         mle_from_dbar=lambda dbar: np.where(dbar > 0.0, 0.5 / dbar, np.nan),
         sampler=lambda phi, size, rng: rng.wald(mu, phi, size=size),
         closed_A=lambda phi: (24.0, 30.0, 10.0),
-        data_error=_positive,
+        support=POSITIVE,
     ))
 
 
@@ -239,7 +223,7 @@ def inverse_normal_shape_known(shape: float = 1.0) -> OneParamExpFamily:
         mle_from_dbar=lambda dbar: dbar,
         sampler=lambda mu, size, rng: rng.wald(mu, shape, size=size),
         closed_A=lambda mu: (0.0, 45.0 * mu / shape, 45.0 * mu / shape),
-        data_error=_positive,
+        support=POSITIVE,
         param_name="mu",
     ))
 
@@ -258,7 +242,7 @@ def gamma_rate(k: float = 1.0) -> OneParamExpFamily:
         mle_from_dbar=lambda dbar: np.where(dbar > 0.0, k / dbar, np.nan),
         sampler=lambda phi, size, rng: rng.gamma(k, 1.0 / phi, size=size),
         closed_A=lambda phi: (12.0 / k, 15.0 / k, 5.0 / k),
-        data_error=_positive,
+        support=POSITIVE,
     ))
 
 
@@ -279,7 +263,7 @@ def truncated_extreme_value() -> OneParamExpFamily:
         # the exponential (0, 18, 20).  The printed polynomial's S term does
         # not even follow from the printed A2 = 12, which gives -14/18.
         closed_A=lambda phi: (0.0, 18.0, 20.0),
-        data_error=_positive,
+        support=POSITIVE,
     ))
 
 
@@ -298,7 +282,7 @@ def pareto_shape(k: float = 1.0) -> OneParamExpFamily:
         sampler=lambda phi, size, rng: k * np.exp(
             rng.exponential(1.0 / phi, size=size)),
         closed_A=lambda phi: (12.0, 15.0, 5.0),
-        data_error=lambda v: "" if v > k else f"must exceed the scale {k}",
+        support=(lambda x: x > k, f"must exceed the scale {k}"),
     ))
 
 
@@ -318,8 +302,8 @@ def power_shape(theta: float = 1.0) -> OneParamExpFamily:
         sampler=lambda phi, size, rng: theta * np.exp(
             -rng.exponential(1.0 / phi, size=size)),
         closed_A=lambda phi: (12.0, 15.0, 5.0),
-        data_error=lambda v: ("" if 0.0 < v < theta
-                              else f"must lie strictly inside (0, {theta})"),
+        support=(lambda x: (0.0 < x) & (x < theta),
+                 f"must lie strictly inside (0, {theta})"),
     ))
 
 
@@ -336,6 +320,5 @@ def laplace_scale(center: float = 0.0) -> OneParamExpFamily:
         sampler=lambda theta, size, rng: rng.laplace(center, theta,
                                                      size=size),
         closed_A=lambda theta: (0.0, 18.0, 20.0),
-        data_error=_any_finite,
         param_name="theta",
     ))

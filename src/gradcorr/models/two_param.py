@@ -22,11 +22,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..cumulants import CumulantBundle
-from ..expansion import (OrthogonalCoefficients, OrthogonalCumulants,
-                         coefficients_orthogonal)
+from ..expansion import OrthogonalCoefficients
 from ._build import pair_fill, sym_fill
-from .base import FitError, ModelFamily, batch_result
+from .base import (POSITIVE, FitError, ModelFamily, batch_result,
+                   check_observations)
 
 __all__ = ["NormalMeanTest", "TwoSampleExponential"]
 
@@ -52,13 +51,7 @@ class NormalMeanTest(ModelFamily):
         return rng.normal(phi, np.sqrt(beta), size=size)
 
     def validate_data(self, data):
-        x = np.asarray(data, dtype=float)
-        if x.ndim != 1:
-            raise ValueError(f"{self.name}: data must be one-dimensional")
-        for i, v in enumerate(x):
-            if not np.isfinite(v):
-                raise ValueError(f"observation {i + 1}: not finite ({v})")
-        if len(x) < 2:
+        if len(check_observations(self.name, data)) < 2:
             raise ValueError(f"{self.name}: need at least 2 observations")
 
     def fit_unrestricted(self, data):
@@ -84,17 +77,7 @@ class NormalMeanTest(ModelFamily):
         return np.array([(x.mean() - phi) / beta,
                          0.5 * (m2 / beta - 1.0) / beta])
 
-    def orthogonal_cumulants(self, theta) -> OrthogonalCumulants:
-        _, b = self._check_theta(theta)
-        return OrthogonalCumulants(
-            kpp=-1.0 / b, kppp=0.0, kpppp=0.0,
-            kpp_p=0.0, kppp_p=0.0, kpp_pp=0.0,
-            kbb=-0.5 / b**2, kbbb=2.0 / b**3,
-            kpbb=0.0, kppb=1.0 / b**2, kppbb=-2.0 / b**3,
-            kpp_b=1.0 / b**2, kppb_b=-2.0 / b**3, kpbb_p=0.0,
-            kbb_b=1.0 / b**3, kbb_p=0.0)
-
-    def cumulants(self, theta) -> CumulantBundle:
+    def cumulant_arrays(self, theta) -> tuple:
         _, b = self._check_theta(theta)
         k2 = np.zeros((2, 2))
         k2[0, 0] = -1.0 / b
@@ -114,11 +97,7 @@ class NormalMeanTest(ModelFamily):
         dd2 = np.zeros((2, 2, 2, 2))              # [j,r,s,u] = D_j D_r kappa_{su}
         pair_fill(dd2, (1, 1), (0, 0), -2.0 / b**3)
         pair_fill(dd2, (1, 1), (1, 1), -3.0 / b**4)
-        return CumulantBundle(kappa2=k2, kappa3=k3, kappa4=k4,
-                              d_kappa2=d2, d_kappa3=d3, dd_kappa2=dd2)
-
-    def specialized_coefficients(self, theta) -> OrthogonalCoefficients:
-        return coefficients_orthogonal(self.orthogonal_cumulants(theta))
+        return k2, k3, k4, d2, d3, dd2
 
     def closed_form_coefficients(self, theta) -> OrthogonalCoefficients:
         self._check_theta(theta)
@@ -184,13 +163,7 @@ class TwoSampleExponential(ModelFamily):
             raise ValueError(f"{self.name}: samples must have equal length "
                              f"({len(x1)} vs {len(x2)})")
         for label, x in (("sample 1", x1), ("sample 2", x2)):
-            for i, v in enumerate(x):
-                if not np.isfinite(v):
-                    raise ValueError(f"{label}, observation {i + 1}: "
-                                     f"not finite ({v})")
-                if not v > 0.0:
-                    raise ValueError(f"{label}, observation {i + 1}: "
-                                     f"must be positive ({v})")
+            check_observations(self.name, x, *POSITIVE, prefix=f"{label}, ")
 
     def fit_unrestricted(self, data):
         x1, x2 = self._split(data)
@@ -219,17 +192,7 @@ class TwoSampleExponential(ModelFamily):
             (-m1 / rp + m2 / (phi * rp)) / (4.0 * beta),
             -1.0 / beta + (m1 * rp + m2 / rp) / (2.0 * beta**2)])
 
-    def orthogonal_cumulants(self, theta) -> OrthogonalCumulants:
-        f, b = self._check_theta(theta)
-        return OrthogonalCumulants(
-            kpp=-0.25 / f**2, kppp=0.75 / f**3, kpppp=-45.0 / (16.0 * f**4),
-            kpp_p=0.5 / f**3, kppp_p=-2.25 / f**4, kpp_pp=-1.5 / f**4,
-            kbb=-1.0 / b**2, kbbb=4.0 / b**3,
-            kpbb=0.0, kppb=0.25 / (b * f**2), kppbb=-0.5 / (b**2 * f**2),
-            kpp_b=0.0, kppb_b=-0.25 / (b**2 * f**2), kpbb_p=0.0,
-            kbb_b=2.0 / b**3, kbb_p=0.0)
-
-    def cumulants(self, theta) -> CumulantBundle:
+    def cumulant_arrays(self, theta) -> tuple:
         f, b = self._check_theta(theta)
         k2 = np.zeros((2, 2))
         k2[0, 0] = -0.25 / f**2
@@ -254,11 +217,7 @@ class TwoSampleExponential(ModelFamily):
         dd2 = np.zeros((2, 2, 2, 2))
         pair_fill(dd2, (0, 0), (0, 0), -1.5 / f**4)
         pair_fill(dd2, (1, 1), (1, 1), -6.0 / b**4)
-        return CumulantBundle(kappa2=k2, kappa3=k3, kappa4=k4,
-                              d_kappa2=d2, d_kappa3=d3, dd_kappa2=dd2)
-
-    def specialized_coefficients(self, theta) -> OrthogonalCoefficients:
-        return coefficients_orthogonal(self.orthogonal_cumulants(theta))
+        return k2, k3, k4, d2, d3, dd2
 
     def closed_form_coefficients(self, theta) -> OrthogonalCoefficients:
         self._check_theta(theta)

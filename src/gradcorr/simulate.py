@@ -18,11 +18,12 @@ integer-count reduction, aggregates.  Seeded results differ from
 versions that keyed one stream per replicate.  Workers default to 1;
 set GRADCORR_THREADS to parallelize over blocks.
 
-Coefficients for the corrected procedures are the analytic-route values
+Coefficients for the corrected procedures are ``ModelFamily.coefficients``
 evaluated at the null point (tested components at theta10, nuisance at
 the configured truth).  For every built-in family the A's depend only on
 components that are fixed under the null, so this equals the plug-in at
-the per-replicate restricted MLE exactly.
+the per-replicate restricted MLE exactly.  The procedures call the
+correction algebra of ``correction`` on arrays of S.
 
 Non-convergent fits are excluded and counted, never redrawn (the
 replicate-to-stream mapping stays pure); a failure rate above 5% at any
@@ -37,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correction import bartlett_factors
+from .correction import bartlett_factors, expanded_cdf
 from .expansion import ExpansionCoefficients
 from .models import ModelFamily, make_model
 from .special import chi2_cdf, chi2_quantile
@@ -138,7 +139,7 @@ class CdfStudy:
 
     @property
     def f_expanded(self) -> np.ndarray:
-        return 1.0 - _expanded_sf(self.x, self.coefficients, self.q, self.n)
+        return expanded_cdf(self.x, self.coefficients, self.q, self.n)
 
 
 def _check_key(seed, n) -> None:
@@ -208,32 +209,16 @@ def _null_point(model: ModelFamily, theta, theta10) -> np.ndarray:
     return th
 
 
-def _null_coefficients(model: ModelFamily, theta,
-                       theta10) -> ExpansionCoefficients:
-    th = _null_point(model, theta, theta10)
-    try:
-        return model.specialized_coefficients(th)
-    except NotImplementedError:
-        return model.general_coefficients(th)
-
-
-def _expanded_sf(S, coef: ExpansionCoefficients, q: int, n: int):
-    """1 - expanded CDF, vectorized, raw (no clamping)."""
-    tail = sum(r * chi2_cdf(S, q + 2 * i)
-               for i, r in enumerate((coef.R0, coef.R1, coef.R2, coef.R3)))
-    return 1.0 - (chi2_cdf(S, q) + tail / (24.0 * n))
-
-
 def _rejections(S, coef, q, n, alphas, procedures) -> dict:
     """Per-(alpha, procedure) rejection counts over finite S values."""
     f = bartlett_factors(coef, q, n)
-    s_star = S * (1.0 - (f.c + S * (f.b + f.a * S)))
-    p_exp = (_expanded_sf(S, coef, q, n)
+    s_star = f.corrected(S)
+    p_exp = (1.0 - expanded_cdf(S, coef, q, n)
              if "expanded_cdf" in procedures else None)
     counts = {}
     for alpha in alphas:
         crit = chi2_quantile(1.0 - alpha, q)
-        z_mod = crit * (1.0 + f.c + crit * (f.b + f.a * crit))
+        z_mod = f.modified(crit)
         for proc in procedures:
             if proc == "uncorrected":
                 rej = S > crit
@@ -261,7 +246,7 @@ def _size_block(args) -> tuple:
 def run_size_study(cfg: SimulationConfig) -> SimulationResult:
     """Null rejection rates per (n, alpha, procedure)."""
     model = make_model(cfg.model_id, **cfg.constants)
-    coef = _null_coefficients(model, cfg.theta, cfg.theta10)
+    coef = model.coefficients(_null_point(model, cfg.theta, cfg.theta10))
     a_triple = coef.as_tuple()
 
     tasks = []
@@ -326,7 +311,7 @@ def run_cdf_study(model, theta, theta10, n: int, replicates: int,
         raise ValueError(f"replicates must be >= 1, got {replicates}")
     theta = tuple(float(v) for v in np.atleast_1d(theta))
     theta10 = tuple(float(v) for v in np.atleast_1d(theta10))
-    coef = _null_coefficients(model, theta, theta10)
+    coef = model.coefficients(_null_point(model, theta, theta10))
     q = model.q
 
     S, failed = replicate_statistics(model, theta, theta10, n, replicates,
@@ -344,7 +329,7 @@ def run_cdf_study(model, theta, theta10, n: int, replicates: int,
     return CdfStudy(x=x, f_empirical=f_emp,
                     sup_chisq=_sup_distance(lambda v: chi2_cdf(v, q), S),
                     sup_expanded=_sup_distance(
-                        lambda v: 1.0 - _expanded_sf(v, coef, q, n), S),
+                        lambda v: expanded_cdf(v, coef, q, n), S),
                     n=int(n),
                     replicates=int(replicates), failures=failed, q=q,
                     coefficients=coef)

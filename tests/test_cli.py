@@ -1,13 +1,15 @@
 """Command-line front end, driven in process through main(argv)."""
 
 import json
+import shlex
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from gradcorr.cli import main
+from gradcorr.cli import ALIASES, build_parser, main
 from gradcorr.correction import run_test
-from gradcorr.models import gradient_statistic, make_model
+from gradcorr.models import builtin_models, gradient_statistic, make_model
 from gradcorr.simulate import SimulationConfig, run_size_study, write_size_csv
 from conftest import MODEL_IDS
 
@@ -61,6 +63,22 @@ def test_test_command_matches_library_composition(capsys, exp_data):
     assert payload["p_expanded"] == report.p_expanded
     assert payload["p_corrected"] == report.p_corrected
     assert payload["z_modified"] == report.z_modified
+
+
+def test_test_command_fits_restricted_model_once(capsys, tmp_path,
+                                                monkeypatch):
+    bs = type(make_model("birnbaum-saunders"))
+    fit, calls = bs.fit_restricted, []
+
+    def counted(self, data, theta10):
+        calls.append(theta10)
+        return fit(self, data, theta10)
+
+    monkeypatch.setattr(bs, "fit_restricted", counted)
+    path = _write(tmp_path / "bs.txt", "0.6\n1.1\n0.9\n1.7\n0.4\n")
+    code, _, _ = run_cli(capsys, "test", "--model", "bs", "--data", path,
+                         "--theta10", "1")
+    assert code == 0 and len(calls) == 1
 
 
 def test_test_command_text_and_csv_formats(capsys, exp_data):
@@ -315,3 +333,15 @@ def test_simulate_rejects_odd_two_sample_size(capsys, tmp_path):
                            "10", "--seed", "3", "--out",
                            str(tmp_path / "x.csv"))
     assert code == 2 and "even" in err
+
+
+def test_readme_commands_parse():
+    # every documented command line must still parse and name a known model
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = [shlex.split(line)[1:]
+                for line in text.replace("\\\n", " ").splitlines()
+                if line.strip().startswith("gradcorr ")]
+    assert len(commands) >= 6
+    for argv in commands:
+        args = build_parser().parse_args(argv)
+        assert args.model in ALIASES or args.model in builtin_models(), argv

@@ -59,6 +59,18 @@ def test_expanded_cdf_rejects_negative_argument():
         expanded_cdf(-1.0, EXP, q=1, n=10)
 
 
+@pytest.mark.parametrize("x", [math.nan, [1.0, math.nan], [0.5, -1.0]])
+def test_expanded_cdf_rejects_nan_and_negative_entries(x):
+    with pytest.raises(ValueError, match="x must be >= 0"):
+        expanded_cdf(x, EXP, q=1, n=10)
+
+
+def test_expanded_cdf_is_elementwise_on_arrays():
+    x = np.linspace(0.0, 20.0, 41)
+    want = [expanded_cdf(float(v), EXP, q=1, n=10) for v in x]
+    assert np.array_equal(expanded_cdf(x, EXP, q=1, n=10), want)
+
+
 def test_expanded_cdf_within_mixture_bound():
     # |expanded - G_q| <= sum_i |R_i| / (24 n) since each G term is in [0,1]
     for coef in (EXP, TPN, ExpansionCoefficients(A1=24.0, A2=63.0, A3=45.0)):

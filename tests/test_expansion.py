@@ -18,7 +18,7 @@ from gradcorr.expansion import (ExpansionCoefficients, OneParamCumulants,
                                 OrthogonalCumulants, coefficients_expfam,
                                 coefficients_general, coefficients_one_param,
                                 coefficients_orthogonal)
-from gradcorr.models import make_model
+from gradcorr.models import NormalMeanTest, make_model
 from oracles import (bundle_to_float_arrays, divergence_coefficients,
                      random_integer_bundle)
 
@@ -113,7 +113,8 @@ def test_expfam_route_gamma_values():
 
 def test_orthogonal_route_two_sample_exponential():
     m = make_model("two-sample-exponential")
-    c = coefficients_orthogonal(m.orthogonal_cumulants(np.array([1.0, 1.0])))
+    c = coefficients_orthogonal(OrthogonalCumulants.from_arrays(
+        *m.cumulant_arrays(np.array([1.0, 1.0]))))
     assert np.allclose(c.as_tuple(), (24.0, 63.0, 45.0), rtol=1e-12)
     assert abs(c.A2_phi - 72.0) <= 1e-10
     assert abs(c.A2_phibeta + 9.0) <= 1e-10
@@ -163,11 +164,69 @@ def test_general_engine_matches_orthogonal_route(model_id):
     m = make_model(model_id)
     for phi in (0.5, 1.0, 2.0):
         theta = np.array([phi, 1.0])
-        want = coefficients_orthogonal(m.orthogonal_cumulants(theta))
+        want = m.specialized_coefficients(theta)
         got = coefficients_general(m.cumulants(theta),
                                    m.hypothesis(theta[:1]))
         for g, w in zip(got.as_tuple(), want.as_tuple()):
             assert abs(g - w) <= 1e-8 * max(1.0, abs(w))
+
+
+# The sixteen scalars at theta = (0.7, 1.3), evaluated from closed forms
+# written out independently of each family's cumulant arrays; they pin the
+# entries the orthogonal route indexes, which the engine-agreement test
+# above cannot, as both routes read the same arrays.
+ORTHOGONAL_AT_07_13 = {
+    "two-parameter-normal": dict(
+        kpp=-0.7692307692307692, kppp=0.0, kpppp=0.0, kpp_p=0.0,
+        kppp_p=0.0, kpp_pp=0.0, kbb=-0.29585798816568043,
+        kbbb=0.9103322712790168, kpbb=0.0, kppb=0.5917159763313609,
+        kppbb=-0.9103322712790168, kpp_b=0.5917159763313609,
+        kppb_b=-0.9103322712790168, kpbb_p=0.0, kbb_b=0.4551661356395084,
+        kbb_p=0.0),
+    "two-sample-exponential": dict(
+        kpp=-0.5102040816326532, kppp=2.1865889212827994,
+        kpppp=-11.713869221157854, kpp_p=1.4577259475218662,
+        kppp_p=-9.371095376926283, kpp_pp=-6.247396917950855,
+        kbb=-0.5917159763313609, kbbb=1.8206645425580337, kpbb=0.0,
+        kppb=0.39246467817896397, kppbb=-0.6037918125830214, kpp_b=0.0,
+        kppb_b=-0.3018959062915107, kpbb_p=0.0, kbb_b=0.9103322712790168,
+        kbb_p=0.0),
+    "birnbaum-saunders": dict(
+        kpp=-4.0816326530612255, kppp=29.154518950437325,
+        kpppp=-224.90628904623077, kpp_p=11.66180758017493,
+        kppp_p=-124.9479383590171, kpp_pp=-49.97917534360684,
+        kbb=-1.3692934200260267, kbbb=3.159907892367754,
+        kpbb=4.295547466662066, kppb=0.0, kppbb=-18.409489142837426,
+        kpp_b=0.0, kppb_b=0.0, kpbb_p=-15.994321892505345,
+        kbb_b=2.1066052615785025, kbb_p=3.419307699858616),
+}
+
+
+@pytest.mark.parametrize("model_id", TWO_PARAM)
+def test_orthogonal_scalars_match_independent_values(model_id):
+    m = make_model(model_id)
+    got = OrthogonalCumulants.from_arrays(
+        *m.cumulant_arrays(np.array([0.7, 1.3])))
+    for name, want in ORTHOGONAL_AT_07_13[model_id].items():
+        assert abs(getattr(got, name) - want) <= 1e-14 * max(1.0, abs(want)), \
+            name
+
+
+class _Correlated(NormalMeanTest):
+    """The two-parameter normal with a nonzero kappa_phibeta."""
+
+    def cumulant_arrays(self, theta):
+        k2, *rest = super().cumulant_arrays(theta)
+        k2[0, 1] = k2[1, 0] = 0.1
+        return (k2, *rest)
+
+
+def test_orthogonal_route_requires_orthogonal_parameters():
+    m = _Correlated()
+    theta = np.array([0.0, 1.0])
+    with pytest.raises(NotImplementedError, match="orthogonal"):
+        m.specialized_coefficients(theta)
+    assert m.coefficients(theta) == m.general_coefficients(theta)
 
 
 def _scaled(c: OneParamCumulants, s: float) -> OneParamCumulants:

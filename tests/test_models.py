@@ -369,6 +369,53 @@ def test_validate_data_names_offending_observation():
         ts.validate_data((np.array([1.0]), np.array([1.0, 2.0])))
 
 
+@pytest.mark.parametrize("model_id, kwargs, data, message", [
+    ("exponential", {}, [1.0, -3.0, 2.0],
+     "observation 2: must be positive (-3.0)"),
+    ("exponential", {}, [np.nan, -1.0], "observation 1: not finite (nan)"),
+    ("exponential", {}, [-1.0, np.nan],
+     "observation 1: must be positive (-1.0)"),
+    ("pareto-shape", {"k": 2.0}, [3.0, 1.5],
+     "observation 2: must exceed the scale 2.0 (1.5)"),
+    ("power-shape", {"theta": 2.0}, [0.5, 2.0],
+     "observation 2: must lie strictly inside (0, 2.0) (2.0)"),
+    ("laplace-scale", {}, [-5.0, np.inf], "observation 2: not finite (inf)"),
+    ("two-parameter-normal", {}, [-3.0, -np.inf],
+     "observation 2: not finite (-inf)"),
+    ("two-parameter-normal", {}, [1.0],
+     "two-parameter-normal: need at least 2 observations"),
+    ("birnbaum-saunders", {}, [1e-300, -0.0],
+     "observation 2: must be positive (-0.0)"),
+    ("birnbaum-saunders", {}, [np.nan],
+     "observation 1: not finite (nan)"),
+])
+def test_validate_data_messages(model_id, kwargs, data, message):
+    # cli._locate rewrites "observation i" as a file and line number
+    with pytest.raises(ValueError) as exc:
+        make_model(model_id, **kwargs).validate_data(np.array(data))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("x1, x2, message", [
+    ([np.nan, -1.0], [1.0, 1.0], "sample 1, observation 1: not finite (nan)"),
+    ([1.0, 0.0], [np.inf, 1.0],
+     "sample 1, observation 2: must be positive (0.0)"),
+    ([1.0, 2.0], [1.0, np.nan], "sample 2, observation 2: not finite (nan)"),
+])
+def test_two_sample_validate_data_messages(x1, x2, message):
+    ts = make_model("two-sample-exponential")
+    with pytest.raises(ValueError) as exc:
+        ts.validate_data((np.array(x1), np.array(x2)))
+    assert str(exc.value) == message
+
+
+def test_gradient_statistic_carries_restricted_fit():
+    m = make_model("birnbaum-saunders")
+    data = m.sample(np.array([1.2, 0.8]), 15, np.random.default_rng(SEED))
+    stat = gradient_statistic(m, data, [1.0])
+    assert np.array_equal(stat.theta_tilde, m.fit_restricted(data, [1.0]))
+
+
 def test_exponential_statistic_moments_match_exact_values():
     # exact moments of S at n = 10 are 1, 2.6, and 20.4; a light seeded
     # run must bracket all three (the full-size run lives in acceptance)

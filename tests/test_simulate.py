@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from gradcorr.correction import bartlett_factors, expanded_cdf
+from gradcorr.correction import expanded_cdf, modified_quantile, run_test
 from gradcorr.expansion import ExpansionCoefficients
 from gradcorr.models import make_model
 from gradcorr.models.base import ModelFamily
@@ -87,13 +87,37 @@ def test_expanded_cdf_and_modified_quantile_rules_cohere():
     coef = m.specialized_coefficients(np.array([1.0]))
     n, reps = 30, 4000
     S, _ = replicate_statistics(m, [1.0], [1.0], n, reps, SEED)
-    f = bartlett_factors(coef, 1, n)
-    p_exp = np.array([1.0 - expanded_cdf(s, coef, 1, n) for s in S])
+    p_exp = 1.0 - expanded_cdf(S, coef, 1, n)
     for alpha in (0.05, 0.10):
-        crit = chi2_quantile(1.0 - alpha, 1)
-        z = crit * (1.0 + f.c + crit * (f.b + f.a * crit))
+        z = modified_quantile(alpha, coef, 1, n)
         decided = np.abs(p_exp - alpha) > 10.0 / n ** 2
         assert np.array_equal((p_exp < alpha)[decided], (S > z)[decided])
+
+
+def test_size_study_decisions_match_run_test():
+    # each rejection the study counts is the decision run_test and
+    # modified_quantile reach on the same S
+    model_id, theta, reps, alphas = "birnbaum-saunders", (1.0, 1.0), 600, \
+        (0.01, 0.05, 0.10)
+    m = make_model(model_id)
+    coef = m.coefficients(np.array(theta))
+    res = run_size_study(_config(model_id=model_id, theta=theta,
+                                 sizes=(6, 9), replicates=reps,
+                                 alphas=alphas, procedures=PROCEDURES))
+    counts = {(r.n, r.alpha, r.procedure): r.rejections for r in res.rows}
+    for n in (6, 9):
+        S, _ = replicate_statistics(m, theta, theta[:1], n, reps, SEED)
+        reports = [run_test(s, coef, 1, n) for s in S[np.isfinite(S)]]
+        for alpha in alphas:
+            crit = chi2_quantile(1.0 - alpha, 1)
+            z = modified_quantile(alpha, coef, 1, n)
+            want = {
+                "uncorrected": sum(r.S > crit for r in reports),
+                "corrected_statistic": sum(r.S_star > crit for r in reports),
+                "expanded_cdf": sum(r.p_expanded < alpha for r in reports),
+                "modified_quantile": sum(r.S > z for r in reports)}
+            for proc, count in want.items():
+                assert counts[(n, alpha, proc)] == count, (n, alpha, proc)
 
 
 def test_cdf_study_single_replicate_is_unit_step():
