@@ -106,7 +106,10 @@ def corrected_statistic(S: float, coef: ExpansionCoefficients, q: int,
                         n: int) -> tuple[float, tuple[str, ...]]:
     """S* = S{1 - (c + bS + aS^2)}, unclamped, with regime warnings."""
     _check_statistic(S)
-    f = bartlett_factors(coef, q, n)
+    return _corrected(S, bartlett_factors(coef, q, n))
+
+
+def _corrected(S: float, f: BartlettFactors) -> tuple[float, tuple[str, ...]]:
     poly = f.poly(S)
     s_star = f.corrected(S)
     warnings = []
@@ -121,10 +124,14 @@ def corrected_statistic(S: float, coef: ExpansionCoefficients, q: int,
 def modified_quantile(gamma: float, coef: ExpansionCoefficients, q: int,
                       n: int) -> float:
     """Upper-gamma critical value z such that Pr(S > z) ~ gamma to order 1/n."""
+    x = _percentile(gamma, q)
+    return bartlett_factors(coef, q, n).modified(x)
+
+
+def _percentile(gamma: float, q: int) -> float:
     if not 0.0 < gamma < 1.0:
         raise ValueError(f"gamma must lie in (0,1), got {gamma}")
-    x = chi2_quantile(1.0 - gamma, q)
-    return bartlett_factors(coef, q, n).modified(x)
+    return chi2_quantile(1.0 - gamma, q)
 
 
 def approximate_moments(coef: ExpansionCoefficients, q: int,
@@ -150,8 +157,9 @@ def run_test(S: float, coef: ExpansionCoefficients, q: int, n: int,
              gamma: float = 0.05) -> TestReport:
     """Assemble all three improved procedures plus the first-order p-value."""
     _check_statistic(S)
+    f = bartlett_factors(coef, q, n)
     warnings: list[str] = []
-    s_star, w = corrected_statistic(S, coef, q, n)
+    s_star, w = _corrected(S, f)
     warnings.extend(w)
     raw = expanded_cdf(S, coef, q, n)
     p_asym = 1.0 - chi2_cdf(S, q)
@@ -162,7 +170,7 @@ def run_test(S: float, coef: ExpansionCoefficients, q: int, n: int,
     p_corr, clamped = _clamp(1.0 - chi2_cdf(max(s_star, 0.0), q))
     if clamped:
         warnings.append("corrected p-value clamped to [0,1]")
-    z = modified_quantile(gamma, coef, q, n)
+    z = f.modified(_percentile(gamma, q))
     return TestReport(S=S, S_star=s_star, p_asymptotic=p_asym,
                       p_expanded=p_exp, p_corrected=p_corr, z_modified=z,
                       coefficients=coef, expanded_cdf_raw=raw,

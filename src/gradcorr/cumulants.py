@@ -30,6 +30,7 @@ the expression above was pinned down by exact rational arithmetic.)
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -61,15 +62,11 @@ class HypothesisSpec:
 
 
 def _sym_ok(arr: np.ndarray, axes: tuple[int, ...]) -> bool:
-    """True when arr is symmetric under every transposition of the given axes."""
-    for i in range(len(axes)):
-        for k in range(i + 1, len(axes)):
-            perm = list(range(arr.ndim))
-            perm[axes[i]], perm[axes[k]] = perm[axes[k]], perm[axes[i]]
-            if not np.allclose(arr, arr.transpose(perm), atol=_SYM_TOL,
-                               rtol=_SYM_TOL):
-                return False
-    return True
+    """True when arr is symmetric under every transposition of the given
+    axes, to _SYM_TOL absolute plus _SYM_TOL relative; arr is finite."""
+    t = np.stack([arr.swapaxes(i, k)
+                  for i, k in itertools.combinations(axes, 2)])
+    return bool(np.all(np.abs(arr - t) <= _SYM_TOL + _SYM_TOL * np.abs(t)))
 
 
 @dataclass(frozen=True)
@@ -92,6 +89,8 @@ class CumulantBundle:
             arr = np.asarray(getattr(self, name), dtype=float)
             if arr.shape != want:
                 raise ValueError(f"{name} has shape {arr.shape}, expected {want}")
+            if not np.isfinite(arr).all():
+                raise ValueError(f"{name} has non-finite entries")
             object.__setattr__(self, name, arr)
         checks = [("kappa2", (0, 1)), ("kappa3", (0, 1, 2)),
                   ("kappa4", (0, 1, 2, 3)), ("d_kappa2", (0, 1)),

@@ -3,8 +3,14 @@
 Three routes compute the same triple:
 
 * ``coefficients_general`` -- the full tensor contraction over a
-  CumulantBundle for any p, q.  O(p^6) explicit loops, no symmetry
-  pruning; p <= 10 in every intended use, so simplicity wins.
+  CumulantBundle for any p, q.  Every six-index term joins two
+  three-index tensors (kappa3 or d_kappa2) through three of Kinv, A, M,
+  and is evaluated pairwise in one of two shapes: traced, where one
+  matrix traces each tensor to a vector and the third joins the vectors
+  (O(p^3)); or crossing, where every index runs from one tensor to the
+  other, so the matrices are applied one axis at a time before the
+  inner product (O(p^4)).  The four-index terms are single einsums,
+  also O(p^4).
 * ``coefficients_one_param`` / ``coefficients_expfam`` -- scalar closed
   forms for p = q = 1 models.
 * ``coefficients_orthogonal`` -- closed forms for two-parameter models
@@ -29,7 +35,7 @@ so that Pr(S <= x) = G_q(x) + (1/24n) sum_i Ri G_{q+2i}(x).
 
 from __future__ import annotations
 
-import itertools
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -152,12 +158,61 @@ class OrthogonalCumulants:
                                  kppp_p=self.kppp_p, kpp_pp=self.kpp_pp)
 
 
+@functools.lru_cache(maxsize=None)
+def _plan(subscripts: str) -> tuple:
+    """The einsum steps of ``_pairwise``: x steps, y steps and the last
+    step, each a (matrix slot, subscripts) pair.  Cached without bound:
+    the keys are the subscript literals of ``coefficients_general``."""
+    xs, *links, ys = subscripts.split(",")
+    x_steps, y_steps, cross = [], [], []
+
+    def trace(subs, slot, ab, steps):
+        out = "".join(c for c in subs if c not in ab)
+        steps.append((slot, f"{subs},{ab}->{out}"))
+        return out
+
+    for slot, ab in enumerate(links):
+        if set(ab) <= set(xs):
+            xs = trace(xs, slot, ab, x_steps)
+        elif set(ab) <= set(ys):
+            ys = trace(ys, slot, ab, y_steps)
+        else:
+            cross.append((slot, ab))
+    *carry, (last, join) = cross
+    for slot, link in carry:
+        old, new = link if link[0] in xs else link[::-1]
+        out = xs.replace(old, new)
+        x_steps.append((slot, f"{xs},{link}->{out}"))
+        xs = out
+    return tuple(x_steps), tuple(y_steps), (last, f"{xs},{join},{ys}->")
+
+
+def _pairwise(subscripts: str, x, *operands) -> float:
+    """np.einsum(subscripts + "->", x, P, Q, R, y) for one six-index shape,
+    evaluated pairwise in O(p^4).
+
+    ``subscripts`` reads "jrs,ab,cd,ef,klu": two three-index tensors x and
+    y joined through three matrices.  A matrix whose indices both belong
+    to x (or both to y) traces it; every other matrix carries one index
+    of x over to y, applied to x one axis at a time.  The last one joins
+    what is left of x to y in a single einsum over at most four indices.
+    """
+    *mats, y = operands
+    x_steps, y_steps, (last, final) = _plan(subscripts)
+    for slot, subs in x_steps:
+        x = np.einsum(subs, x, mats[slot])
+    for slot, subs in y_steps:
+        y = np.einsum(subs, y, mats[slot])
+    return float(np.einsum(final, x, mats[last], y))
+
+
 def coefficients_general(b: CumulantBundle,
                          h: HypothesisSpec) -> ExpansionCoefficients:
     """Full contraction of the cumulant arrays against Kinv, A, M.
 
-    Evaluates the three A-sums term by term.  Two details in the A1 sum
-    are easy to get wrong and are fixed here by the divergence-form
+    Evaluates the three A-sums term by term, each six-index term as the
+    einsum its subscripts spell, contracted pairwise.  Two details in the
+    A1 sum are easy to get wrong and are fixed here by the divergence-form
     oracle (tests/test_expansion.py): the first summand carries
     m^{jr}(m^{sk} + 2 a^{sk}), not kappa^{s,k} in place of m^{sk}, and
     the kappa_{jrs,u} m^{jr} a^{su} term enters with a minus sign.
@@ -168,65 +223,51 @@ def coefficients_general(b: CumulantBundle,
     d2 = b.d_kappa2                                   # [k,l,u] = D_u k_{kl}
     mix = derive_mixed_cumulants(b)
     k31 = mix.kappa_31                                # [j,r,s,u] = k_{jrs,u}
-    p = b.p
-    idx6 = list(itertools.product(range(p), repeat=6))
-    idx4 = list(itertools.product(range(p), repeat=4))
+    six = _pairwise
 
     # k_{jrsu} + k_{j,rsu} + k_{jsu,r} + (k_{ju,rs} + k_{j,u,rs}), the
     # cumulant mix multiplying the final A1 factor
     five = k4 + mix.kappa_13 + k31.transpose(0, 3, 1, 2) + mix.T
+    k4k31 = k4 + k31
+    # k_{jrs} m^{jr} against (k_{klu} + k_{kl,u}) through a^{sk} a^{lu}
+    # and kappa^{s,k} kappa^{l,u}: both A1 and A2 carry these two
+    mAA = six("jrs,jr,sk,lu,klu", k3, Mm, Am, Am, d2)
+    mKK = six("jrs,jr,sk,lu,klu", k3, Mm, Ki, Ki, d2)
 
-    A1 = 0.0
-    for j, r, s, k, l, u in idx6:
-        c = k3[j, r, s] * k3[k, l, u] * Am[l, u]
-        if c != 0.0:
-            A1 += 3.0 * c * (3.0 * Mm[j, k] * Am[r, s]
-                             + Mm[j, r] * (Mm[s, k] + 2.0 * Am[s, k]))
-    for j, r, s, u in idx4:
-        A1 -= 6.0 * k31[j, r, s, u] * Mm[j, r] * Am[s, u]
-        A1 -= 6.0 * (k4[j, r, s, u] + k31[j, r, s, u]) * (
-            Mm[j, r] * Ki[s, u] + 2.0 * Mm[j, u] * Am[r, s])
-        A1 += 12.0 * five[j, r, s, u] * (Ki[j, s] * Ki[u, r]
-                                         - Am[j, s] * Am[u, r])
-    for j, r, s, k, l, u in idx6:
-        dklu = d2[k, l, u]                            # k_{klu} + k_{kl,u}
-        if dklu == 0.0:
-            continue
-        inner = 2.0 * d2[j, r, s] * (
-            Ki[s, j] * Ki[r, k] * Ki[l, u] - Am[s, j] * Am[r, k] * Am[l, u]
-            + Ki[s, k] * Ki[l, j] * Ki[r, u] - Am[s, k] * Am[l, j] * Am[r, u])
-        inner -= k3[j, r, s] * (
-            (Ki[s, u] + Am[s, u]) * (Ki[j, k] * Ki[l, r] - Am[j, k] * Am[l, r])
-            + Mm[j, r] * (Am[s, k] * Am[l, u] + Ki[s, k] * Ki[l, u])
-            + 2.0 * Am[r, s] * (Ki[j, k] * Ki[l, u] - Am[j, k] * Am[l, u])
-            + 2.0 * Am[r, k] * Am[l, s] * Mm[j, u])
-        A1 += 6.0 * dklu * inner
+    A3 = (0.75 * six("jrs,jr,sk,lu,klu", k3, Mm, Mm, Mm, k3)
+          + 0.5 * six("jrs,jk,rl,su,klu", k3, Mm, Mm, Mm, k3))
 
-    A2 = 0.0
-    for j, r, s, k, l, u in idx6:
-        c = k3[j, r, s]
-        if c == 0.0:
-            continue
-        A2 -= 3.0 * c * (
-            k3[k, l, u] * (Mm[j, r] * (Mm[s, k] * Am[l, u]
-                                       + 0.75 * Mm[s, k] * Mm[l, u]
-                                       + 3.0 * Mm[k, l] * Am[s, u])
-                           + 0.5 * Mm[j, k] * Mm[r, l] * Mm[s, u])
-            - 2.0 * d2[k, l, u] * (
-                Mm[s, u] * (Ki[j, k] * Ki[l, r] - Am[j, k] * Am[l, r])
-                + Mm[j, r] * (Ki[s, k] * Ki[l, u] - Am[s, k] * Am[l, u])))
-    for j, r, s, u in idx4:
-        A2 += 3.0 * (k4[j, r, s, u] + 2.0 * k31[j, r, s, u]) \
-            * Mm[j, r] * Mm[s, u]
+    # 3 k_{jrs} k_{klu} a^{lu} (3 m^{jk} a^{rs} + m^{jr}(m^{sk} + 2 a^{sk}))
+    A1 = (9.0 * six("jrs,jk,rs,lu,klu", k3, Mm, Am, Am, k3)
+          + 3.0 * six("jrs,jr,sk,lu,klu", k3, Mm, Mm + 2.0 * Am, Am, k3))
+    A1 -= 6.0 * np.einsum("jrsu,jr,su->", k31, Mm, Am)
+    A1 -= 6.0 * (np.einsum("jrsu,jr,su->", k4k31, Mm, Ki)
+                 + 2.0 * np.einsum("jrsu,ju,rs->", k4k31, Mm, Am))
+    A1 += 12.0 * (np.einsum("jrsu,js,ur->", five, Ki, Ki)
+                  - np.einsum("jrsu,js,ur->", five, Am, Am))
+    # 6 (k_{klu} + k_{kl,u}) times the bracket of the d_kappa2 sum
+    A1 += 12.0 * (six("jrs,sj,rk,lu,klu", d2, Ki, Ki, Ki, d2)
+                  - six("jrs,sj,rk,lu,klu", d2, Am, Am, Am, d2)
+                  + six("jrs,sk,lj,ru,klu", d2, Ki, Ki, Ki, d2)
+                  - six("jrs,sk,lj,ru,klu", d2, Am, Am, Am, d2))
+    A1 -= 6.0 * (six("jrs,su,jk,lr,klu", k3, Ki + Am, Ki, Ki, d2)
+                 - six("jrs,su,jk,lr,klu", k3, Ki + Am, Am, Am, d2)
+                 + mAA + mKK
+                 + 2.0 * six("jrs,rs,jk,lu,klu", k3, Am, Ki, Ki, d2)
+                 - 2.0 * six("jrs,rs,jk,lu,klu", k3, Am, Am, Am, d2)
+                 + 2.0 * six("jrs,rk,ls,ju,klu", k3, Am, Am, Mm, d2))
 
-    A3 = 0.0
-    for j, r, s, k, l, u in idx6:
-        c = k3[j, r, s] * k3[k, l, u]
-        if c != 0.0:
-            A3 += (c / 12.0) * (9.0 * Mm[j, r] * Mm[s, k] * Mm[l, u]
-                                + 6.0 * Mm[j, k] * Mm[r, l] * Mm[s, u])
+    # the k_{jrs} k_{klu} m^{jr} (3/4 m^{sk} m^{lu}) and
+    # (1/2) m^{jk} m^{rl} m^{su} terms of A2 are -3 A3
+    A2 = -3.0 * (six("jrs,jr,sk,lu,klu", k3, Mm, Mm, Am, k3)
+                 + 3.0 * six("jrs,jr,kl,su,klu", k3, Mm, Mm, Am, k3)
+                 + A3)
+    A2 += 6.0 * (six("jrs,su,jk,lr,klu", k3, Mm, Ki, Ki, d2)
+                 - six("jrs,su,jk,lr,klu", k3, Mm, Am, Am, d2)
+                 + mKK - mAA)
+    A2 += 3.0 * np.einsum("jrsu,jr,su->", k4 + 2.0 * k31, Mm, Mm)
 
-    return ExpansionCoefficients(A1=A1, A2=A2, A3=A3)
+    return ExpansionCoefficients(A1=float(A1), A2=float(A2), A3=float(A3))
 
 
 def coefficients_one_param(c: OneParamCumulants) -> ExpansionCoefficients:

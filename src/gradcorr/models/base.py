@@ -148,11 +148,12 @@ class ModelFamily(ABC):
 POSITIVE = (lambda x: x > 0.0, "must be positive")
 
 
-def check_observations(name, data, support=None, reason="",
-                       prefix="") -> np.ndarray:
+def check_observations(name, data, support=None, reason="", prefix="",
+                       least=1) -> np.ndarray:
     """data as a 1-D float array; else ValueError naming the first
     observation that is not finite or, where ``support`` (an elementwise
-    predicate) is given, lies outside it for ``reason``."""
+    predicate) is given, lies outside it for ``reason``, or saying that
+    there are fewer than ``least`` observations."""
     x = np.asarray(data, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"{name}: data must be one-dimensional")
@@ -164,6 +165,10 @@ def check_observations(name, data, support=None, reason="",
         v = x[i]
         why = reason if np.isfinite(v) else "not finite"
         raise ValueError(f"{prefix}observation {i + 1}: {why} ({v})")
+    if len(x) < least:
+        plural = "s" if least > 1 else ""
+        raise ValueError(f"{name}: {prefix}need at least {least} "
+                         f"observation{plural}")
     return x
 
 

@@ -89,8 +89,7 @@ class BirnbaumSaunders(ModelFamily):
         return beta * (t + np.sqrt(t * t + 1.0)) ** 2
 
     def validate_data(self, data):
-        if len(check_observations(self.name, data, *POSITIVE)) < 2:
-            raise ValueError(f"{self.name}: need at least 2 observations")
+        check_observations(self.name, data, *POSITIVE, least=2)
 
     @staticmethod
     def _means(data) -> tuple:

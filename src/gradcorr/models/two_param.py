@@ -51,8 +51,7 @@ class NormalMeanTest(ModelFamily):
         return rng.normal(phi, np.sqrt(beta), size=size)
 
     def validate_data(self, data):
-        if len(check_observations(self.name, data)) < 2:
-            raise ValueError(f"{self.name}: need at least 2 observations")
+        check_observations(self.name, data, least=2)
 
     def fit_unrestricted(self, data):
         x = np.asarray(data, dtype=float)

@@ -182,6 +182,21 @@ def test_run_test_exponential_fixture():
     assert r.warnings == ()
 
 
+def test_run_test_builds_bartlett_factors_once(monkeypatch):
+    import gradcorr.correction as corr
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return bartlett_factors(*args)
+
+    monkeypatch.setattr(corr, "bartlett_factors", counted)
+    r = run_test(3.841459, EXP, q=1, n=20, gamma=0.05)
+    assert calls == [(EXP, 1, 20)]
+    assert (r.S_star, r.warnings) == corrected_statistic(3.841459, EXP, 1, 20)
+    assert r.z_modified == modified_quantile(0.05, EXP, 1, 20)
+
+
 def test_run_test_flags_clamped_expanded_pvalue():
     big = ExpansionCoefficients(A1=1000.0, A2=0.0, A3=0.0)
     r = run_test(1.0, big, q=1, n=1)

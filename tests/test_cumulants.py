@@ -54,6 +54,19 @@ def test_bundle_rejects_broken_symmetry():
         _bundle(2, dd_kappa2=badd)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("name, shape", [
+    ("kappa2", (2, 2)), ("kappa3", (2, 2, 2)), ("kappa4", (2, 2, 2, 2)),
+    ("d_kappa2", (2, 2, 2)), ("d_kappa3", (2, 2, 2, 2)),
+    ("dd_kappa2", (2, 2, 2, 2))])
+def test_bundle_rejects_nonfinite_entries(name, shape, bad):
+    # every entry set, so the array keeps its index symmetry
+    arr = np.full(shape, bad)
+    with pytest.raises(ValueError) as exc:
+        _bundle(2, **{name: arr})
+    assert str(exc.value) == f"{name} has non-finite entries"
+
+
 def test_bundle_requires_negative_definite_kappa2():
     with pytest.raises(ValueError):
         _bundle(2, kappa2=np.eye(2))

@@ -17,7 +17,7 @@ from gradcorr.cumulants import CumulantBundle, HypothesisSpec
 from gradcorr.expansion import (ExpansionCoefficients, OneParamCumulants,
                                 OrthogonalCumulants, coefficients_expfam,
                                 coefficients_general, coefficients_one_param,
-                                coefficients_orthogonal)
+                                coefficients_orthogonal, _pairwise)
 from gradcorr.models import NormalMeanTest, make_model
 from oracles import (bundle_to_float_arrays, divergence_coefficients,
                      random_integer_bundle)
@@ -37,15 +37,65 @@ def test_mixture_weights_follow_from_a1_a2_a3(a1, a2, a3):
 
 def test_general_engine_matches_divergence_oracle():
     rng = random.Random(20260814)
-    for p, q in [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 2)]:
-        for _ in range(3):
-            raw = random_integer_bundle(p, rng)
-            want = divergence_coefficients(raw, q)
-            b = CumulantBundle(**bundle_to_float_arrays(raw))
-            got = coefficients_general(b, HypothesisSpec(p=p, q=q))
-            for g, w in zip(got.as_tuple(), want):
-                w = float(w)
-                assert abs(g - w) <= 1e-10 * max(1.0, abs(w))
+    # three bundles per shape up to p = 4, then one each at larger p
+    # (the exact oracle takes about 2 s at p = 5)
+    small = [(1, 1), (2, 1), (2, 2), (3, 1), (3, 2), (3, 3), (4, 2)]
+    shapes = [pq for pq in small for _ in range(3)]
+    for p, q in shapes + [(4, 1), (4, 3), (4, 4), (5, 2)]:
+        raw = random_integer_bundle(p, rng)
+        want = divergence_coefficients(raw, q)
+        b = CumulantBundle(**bundle_to_float_arrays(raw))
+        got = coefficients_general(b, HypothesisSpec(p=p, q=q))
+        for g, w in zip(got.as_tuple(), want):
+            w = float(w)
+            assert abs(g - w) <= 1e-10 * max(1.0, abs(w))
+
+
+def _matchings(letters):
+    """Every split of ``letters`` into pairs."""
+    if not letters:
+        yield []
+        return
+    first, rest = letters[0], letters[1:]
+    for i, other in enumerate(rest):
+        for tail in _matchings(rest[:i] + rest[i + 1:]):
+            yield [first + other] + tail
+
+
+def test_pairwise_contraction_equals_einsum_for_every_shape():
+    # all 15 ways to join x[jrs] and y[klu] through three matrices, on
+    # arrays with no symmetry at all, each matrix in a random orientation
+    rng = np.random.default_rng(20260814)
+    p = 3
+    x, y = rng.standard_normal((2, p, p, p))
+    shapes = list(_matchings("jrsklu"))
+    assert len(shapes) == 15
+    for links in shapes:
+        links = [ab[::-1] if rng.random() < 0.5 else ab for ab in links]
+        subs = ",".join(["jrs", *links, "klu"])
+        mats = rng.standard_normal((3, p, p))
+        want = np.einsum(subs + "->", x, *mats, y)
+        got = _pairwise(subs, x, *mats, y)
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), subs
+
+
+@pytest.mark.parametrize("p, q", [(6, 2), (7, 3), (8, 1), (8, 4)])
+def test_general_engine_invariant_under_relabelling(p, q):
+    # permuting the tested indices among themselves and the nuisance
+    # indices among themselves is a relabelling of theta: A1-A3 stay put
+    raw = bundle_to_float_arrays(random_integer_bundle(p, random.Random(p)))
+    rng = np.random.default_rng(100 * p + q)
+    perm = np.concatenate([rng.permutation(q), q + rng.permutation(p - q)])
+    assert not np.array_equal(perm, np.arange(p))
+    h = HypothesisSpec(p=p, q=q)
+    base = coefficients_general(CumulantBundle(**raw), h).as_tuple()
+    moved = coefficients_general(CumulantBundle(
+        **{k: v[np.ix_(*[perm] * v.ndim)] for k, v in raw.items()}),
+        h).as_tuple()
+    scale = max(abs(v) for v in base)
+    assert scale > 0.0
+    for a, b in zip(base, moved):
+        assert abs(a - b) <= 1e-12 * scale
 
 
 def _general(model_id, theta):

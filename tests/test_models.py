@@ -388,6 +388,9 @@ def test_validate_data_names_offending_observation():
      "observation 2: must be positive (-0.0)"),
     ("birnbaum-saunders", {}, [np.nan],
      "observation 1: not finite (nan)"),
+    ("exponential", {}, [], "exponential: need at least 1 observation"),
+    ("birnbaum-saunders", {}, [],
+     "birnbaum-saunders: need at least 2 observations"),
 ])
 def test_validate_data_messages(model_id, kwargs, data, message):
     # cli._locate rewrites "observation i" as a file and line number
@@ -401,6 +404,7 @@ def test_validate_data_messages(model_id, kwargs, data, message):
     ([1.0, 0.0], [np.inf, 1.0],
      "sample 1, observation 2: must be positive (0.0)"),
     ([1.0, 2.0], [1.0, np.nan], "sample 2, observation 2: not finite (nan)"),
+    ([], [], "two-sample-exponential: sample 1, need at least 1 observation"),
 ])
 def test_two_sample_validate_data_messages(x1, x2, message):
     ts = make_model("two-sample-exponential")
