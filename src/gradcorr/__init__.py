@@ -25,8 +25,7 @@ from .expansion import (ExpansionCoefficients, OneParamCumulants,
                         coefficients_one_param, coefficients_orthogonal)
 from .models import (BirnbaumSaunders, FitError, GradientStatistic,
                      ModelFamily, NormalMeanTest, TwoSampleExponential,
-                     builtin_models, fit_birnbaum_saunders,
-                     gradient_statistic, make_model)
+                     builtin_models, gradient_statistic, make_model)
 from .special import (chi2_cdf, chi2_pdf, chi2_quantile, std_normal_cdf,
                       std_normal_tail_scaled)
 
@@ -45,7 +44,7 @@ __all__ = [
     "coefficients_one_param", "coefficients_orthogonal",
     "BirnbaumSaunders", "FitError", "GradientStatistic", "ModelFamily",
     "NormalMeanTest", "TwoSampleExponential", "builtin_models",
-    "fit_birnbaum_saunders", "gradient_statistic", "make_model",
+    "gradient_statistic", "make_model",
     "chi2_cdf", "chi2_pdf", "chi2_quantile", "std_normal_cdf",
     "std_normal_tail_scaled",
     "__version__",

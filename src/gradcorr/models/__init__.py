@@ -1,6 +1,6 @@
 from .base import (FitError, GradientStatistic, ModelFamily,
                    gradient_statistic)
-from .birnbaum_saunders import BirnbaumSaunders, fit_birnbaum_saunders
+from .birnbaum_saunders import BirnbaumSaunders
 from .catalog import builtin_models, make_model
 from .one_param import (OneParamExpFamily, exponential, gamma_rate,
                         inverse_normal_mean_known,
@@ -11,7 +11,7 @@ from .two_param import NormalMeanTest, TwoSampleExponential
 
 __all__ = [
     "FitError", "GradientStatistic", "ModelFamily", "gradient_statistic",
-    "BirnbaumSaunders", "fit_birnbaum_saunders",
+    "BirnbaumSaunders",
     "builtin_models", "make_model",
     "OneParamExpFamily", "exponential", "gamma_rate",
     "inverse_normal_mean_known", "inverse_normal_shape_known",

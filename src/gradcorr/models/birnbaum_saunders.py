@@ -15,15 +15,22 @@ Fitting.  The restricted scale solves H(b) = 0 where
 
     H(b) = (s - b^2/r)/phi0^2 - b + 2 b^2 mean(1/(x+b)),
 
-which is 2 b^2 / n times the beta-score; H(0+) = s/phi0^2 > 0 and
-H -> -inf, so a sign change always exists.  The unrestricted fit profiles
-out phi via phi^2 = s/b + b/r - 2 (the phi-score identity), leaving
+which is 2 b^2 / n times the beta-score; H(0) = s/phi0^2 > 0 and H < 0
+from b = phi0^2 r + sqrt(s r) on, so the root lies between 0 and a
+doubling of max(s, phi0^2 + s + r).  The unrestricted fit profiles out
+phi via phi^2 = s/b + b/r - 2 (the phi-score identity), leaving
 
     G(b) = b^2 - b (K + 2 r) + r (K + s),   K(b) = 1/mean(1/(x+b)),
 
 with G(r) >= 0 >= G(s), so beta_hat is bracketed by the harmonic and
-arithmetic means.  Both equations are solved by safeguarded Newton
-(bisection fallback) to relative tolerance 1e-10 in at most 200 steps.
+arithmetic means.  Each equation is written once, for a (k, n) matrix
+of data sets, and solved row by row from sqrt(s r) by one safeguarded
+Newton: a step is taken when it stays inside the shrinking bracket, its
+ends included, and the bracket is bisected otherwise, until a step moves
+the root by at most 1e-13 relative, in at most 200 steps.  A fit on one
+data set is the one-row case.  A row that does not converge is a failed
+fit: ``FitError`` for a single data set, a failed row in
+``batch_statistics``.
 
 Cumulants involve the scaled normal tail R = e^{2/phi^2}(1 - Phi(2/phi))
 only through kappa_betabeta and its relatives; everything is assembled
@@ -40,30 +47,67 @@ from ._build import pair_fill, sym_fill
 from .base import (POSITIVE, FitError, ModelFamily, batch_result,
                    check_observations)
 
-__all__ = ["BirnbaumSaunders", "fit_birnbaum_saunders"]
+__all__ = ["BirnbaumSaunders"]
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
+_REL_TOL = 1e-13
 
 
-def _safeguarded_newton(f, fprime, lo, hi, x0, what, rel_tol=1e-10,
-                        max_iter=200):
-    """Root of f on [lo, hi] with f(lo) > 0 > f(hi), Newton when it stays
-    inside the shrinking bracket, bisection otherwise."""
-    x = min(max(x0, lo), hi)
-    for _ in range(max_iter):
-        fx = f(x)
-        if fx > 0.0:
-            lo = x
-        else:
-            hi = x
-        d = fprime(x)
-        x_new = x - fx / d if d != 0.0 else np.inf
-        if not lo < x_new < hi:
-            x_new = 0.5 * (lo + hi)
-        if abs(x_new - x) <= rel_tol * abs(x_new):
-            return x_new
-        x = x_new
-    raise FitError(what)
+def _safeguarded_newton(f, lo, hi, x0):
+    """Row-wise root of f on [lo, hi] with f(lo) > 0 >= f(hi), where f(x)
+    gives f and f' per row: Newton while the step stays inside the
+    shrinking bracket, ends included, bisection otherwise.  Returns the
+    roots and which rows converged; a converged row stays where it is."""
+    x = np.clip(x0, lo, hi)
+    done = np.zeros(x.shape, dtype=bool)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(200):
+            fx, d = f(x)
+            above = fx > 0.0
+            lo = np.where(above, x, lo)
+            hi = np.where(above, hi, x)
+            step = x - fx / d
+            step = np.where((lo <= step) & (step <= hi), step,
+                            0.5 * (lo + hi))
+            x_new = np.where(done, x, step)
+            done |= np.abs(x_new - x) <= _REL_TOL * np.abs(x_new)
+            x = x_new
+            if done.all():
+                break
+    return x, done
+
+
+def _inverse_means(x, b):
+    """mean(1/(x+b)) and mean(1/(x+b)^2) per row of x, from one pass."""
+    u = 1.0 / (x + b[:, None])
+    return u.sum(axis=1) / x.shape[1], (u * u).sum(axis=1) / x.shape[1]
+
+
+def _restricted_scale(x, s, r, phi0):
+    """Root of H per row of the (k, n) matrix x and whether it converged."""
+    def H(b):
+        m1, m2 = _inverse_means(x, b)
+        return ((s - b * b / r) / phi0**2 - b + 2.0 * b * b * m1,
+                -2.0 * b / (r * phi0**2) - 1.0 + 4.0 * b * m1
+                - 2.0 * b * b * m2)
+
+    hi = np.maximum(s, phi0**2 + s + r)
+    grow = H(hi)[0] > 0.0
+    while grow.any():           # ends: H < 0 from phi0^2 r + sqrt(s r) on
+        hi = np.where(grow, 2.0 * hi, hi)
+        grow = H(hi)[0] > 0.0
+    return _safeguarded_newton(H, np.zeros_like(s), hi, np.sqrt(s * r))
+
+
+def _unrestricted_scale(x, s, r):
+    """Root of G per row of the (k, n) matrix x and whether it converged."""
+    def G(b):
+        m1, m2 = _inverse_means(x, b)
+        K = 1.0 / m1
+        return (b * b - b * (K + 2.0 * r) + r * (K + s),
+                2.0 * b - K - 2.0 * r + (r - b) * (m2 / m1**2))
+
+    return _safeguarded_newton(G, r, s, np.sqrt(s * r))
 
 
 class BirnbaumSaunders(ModelFamily):
@@ -93,73 +137,36 @@ class BirnbaumSaunders(ModelFamily):
 
     @staticmethod
     def _means(data) -> tuple:
-        x = np.asarray(data, dtype=float)
-        s = float(x.mean())
-        r = 1.0 / float((1.0 / x).mean())
-        return x, s, r
+        """Data as a (k, n) matrix with the row means s and the row
+        harmonic means r."""
+        x = np.atleast_2d(np.asarray(data, dtype=float))
+        n = x.shape[1]
+        return x, x.sum(axis=1) / n, 1.0 / ((1.0 / x).sum(axis=1) / n)
 
     def fit_restricted(self, data, theta10):
-        x, s, r = self._means(data)
         phi0 = float(np.atleast_1d(theta10)[0])
         if not phi0 > 0.0:
             raise ValueError(f"null shape must be positive, got {phi0}")
-
-        def H(b):
-            return ((s - b * b / r) / phi0**2 - b
-                    + 2.0 * b * b * np.mean(1.0 / (x + b)))
-
-        def Hp(b):
-            m1 = np.mean(1.0 / (x + b))
-            m2 = np.mean(1.0 / (x + b) ** 2)
-            return -2.0 * b / (r * phi0**2) - 1.0 + 4.0 * b * m1 \
-                - 2.0 * b * b * m2
-
-        lo, hi = float(x.min()), float(x.max())
-        for _ in range(2000):
-            if H(lo) > 0.0:
-                break
-            lo *= 0.5
-        else:
-            raise FitError(f"{self.name}: no lower bracket for the "
-                           "restricted scale")
-        for _ in range(2000):
-            if H(hi) < 0.0:
-                break
-            hi *= 2.0
-        else:
-            raise FitError(f"{self.name}: no upper bracket for the "
-                           "restricted scale")
-        beta = _safeguarded_newton(
-            H, Hp, lo, hi, np.sqrt(s * r),
-            f"{self.name}: restricted fit did not converge")
-        return np.array([phi0, beta])
+        beta, ok = _restricted_scale(*self._means(data), phi0)
+        if not ok[0]:
+            raise FitError(f"{self.name}: restricted fit did not converge")
+        return np.array([phi0, beta[0]])
 
     def fit_unrestricted(self, data):
         x, s, r = self._means(data)
-        if not s > r:
+        if not s[0] > r[0]:
             raise FitError(f"{self.name}: degenerate sample, all "
                            "observations equal")
-
-        def G(b):
-            K = 1.0 / np.mean(1.0 / (x + b))
-            return b * b - b * (K + 2.0 * r) + r * (K + s)
-
-        def Gp(b):
-            m1 = np.mean(1.0 / (x + b))
-            K = 1.0 / m1
-            Kp = np.mean(1.0 / (x + b) ** 2) / m1**2
-            return 2.0 * b - K - 2.0 * r + (r - b) * Kp
-
-        beta = _safeguarded_newton(
-            G, Gp, r, s, np.sqrt(s * r),
-            f"{self.name}: unrestricted fit did not converge")
-        phi_sq = s / beta + beta / r - 2.0
+        beta, ok = _unrestricted_scale(x, s, r)
+        if not ok[0]:
+            raise FitError(f"{self.name}: unrestricted fit did not converge")
+        phi_sq = s[0] / beta[0] + beta[0] / r[0] - 2.0
         if not phi_sq > 0.0:
             raise FitError(f"{self.name}: shape estimate collapsed to 0")
-        return np.array([np.sqrt(phi_sq), beta])
+        return np.array([np.sqrt(phi_sq), beta[0]])
 
     def score(self, data, theta):
-        x, s, r = self._means(data)
+        x, (s,), (r,) = self._means(data)
         phi, beta = self._check_theta(theta)
         u_phi = (s / beta + beta / r - 2.0 - phi**2) / phi**3
         u_beta = (s / beta**2 - 1.0 / r) / (2.0 * phi**2) \
@@ -235,56 +242,11 @@ class BirnbaumSaunders(ModelFamily):
 
     def batch_statistics(self, data, theta10):
         phi0 = float(np.atleast_1d(theta10)[0])
-        x = np.asarray(data, dtype=float)
-        count, n = x.shape
-        s = x.mean(axis=1)
-        r = 1.0 / (1.0 / x).mean(axis=1)
-
-        # restricted scale: vectorized bisection on H, 100 halvings from a
-        # grown bracket reach ~1e-15 relative
-        lo = np.full(count, 1e-12)
-        hi = np.maximum(s, phi0**2 + s + r)
-
-        def H(b):
-            m1 = (1.0 / (x + b[:, None])).mean(axis=1)
-            return (s - b * b / r) / phi0**2 - b + 2.0 * b * b * m1
-
-        for _ in range(200):
-            bad = H(hi) > 0.0
-            if not bad.any():
-                break
-            hi[bad] *= 2.0
-        bt = np.sqrt(s * r)
-        for _ in range(100):
-            hb = H(bt)
-            lo = np.where(hb > 0.0, bt, lo)
-            hi = np.where(hb > 0.0, hi, bt)
-            bt = 0.5 * (lo + hi)
-
-        # unrestricted scale: bisection on G over [r, s]
-        glo, ghi = r.copy(), s.copy()
-        for _ in range(100):
-            b = 0.5 * (glo + ghi)
-            K = 1.0 / (1.0 / (x + b[:, None])).mean(axis=1)
-            gb = b * b - b * (K + 2.0 * r) + r * (K + s)
-            glo = np.where(gb >= 0.0, b, glo)
-            ghi = np.where(gb >= 0.0, ghi, b)
-        bh = 0.5 * (glo + ghi)
+        x, s, r = self._means(data)
+        bt, ok_t = _restricted_scale(x, s, r, phi0)
+        bh, ok_h = _unrestricted_scale(x, s, r)
         phi_sq = s / bh + bh / r - 2.0
-        degenerate = ~(phi_sq > 0.0)
-        ph = np.sqrt(np.where(degenerate, np.nan, phi_sq))
-        return batch_result(n * (ph - phi0) / phi0**3
-                            * (s / bt + bt / r - (2.0 + phi0**2)), degenerate)
-
-
-def fit_birnbaum_saunders(data, mode: str = "unrestricted",
-                          phi0: float | None = None) -> np.ndarray:
-    """Convenience wrapper: (phi, beta) estimate in either mode."""
-    model = BirnbaumSaunders()
-    if mode == "unrestricted":
-        return model.fit_unrestricted(data)
-    if mode == "restricted":
-        if phi0 is None:
-            raise ValueError("restricted fit needs phi0")
-        return model.fit_restricted(data, phi0)
-    raise ValueError(f"unknown mode {mode!r}")
+        failed = ~(ok_t & ok_h & (s > r) & (phi_sq > 0.0))
+        ph = np.sqrt(np.where(failed, np.nan, phi_sq))
+        return batch_result(x.shape[1] * (ph - phi0) / phi0**3
+                            * (s / bt + bt / r - (2.0 + phi0**2)), failed)

@@ -112,9 +112,31 @@ class SizeRow:
 
 @dataclass(frozen=True)
 class SimulationResult:
+    """Rejection counts of a size study, one per (n, alpha, procedure) cell
+    in config order.  The rows are built when read, not stored, so a
+    result kept in memory holds one integer per cell."""
+
     config: SimulationConfig
-    rows: tuple
+    rejections: tuple
     failures: tuple          # (n, non-converged count) per sample size
+
+    @property
+    def rows(self) -> tuple:
+        cfg = self.config
+        failures = dict(self.failures)
+        cells = iter(self.rejections)
+        rows = []
+        for n in cfg.sizes:
+            effective = cfg.replicates - failures[n]
+            for a in cfg.alphas:
+                for p in cfg.procedures:
+                    rej = next(cells)
+                    rate = rej / effective
+                    rows.append(SizeRow(
+                        n=n, alpha=a, procedure=p, rejections=rej,
+                        replicates=effective, rate=rate, distortion=rate - a,
+                        se=float(np.sqrt(rate * (1.0 - rate) / effective))))
+        return tuple(rows)
 
 
 @dataclass(frozen=True)
@@ -271,23 +293,15 @@ def run_size_study(cfg: SimulationConfig) -> SimulationResult:
         for (a, p), c in block_counts.items():
             counts[(n, a, p)] += c
 
-    rows = []
     for n in cfg.sizes:
         if failures[n] > _MAX_FAILURE_RATE * cfg.replicates:
             raise SimulationError(
                 f"{failures[n]} of {cfg.replicates} fits failed at n={n} "
                 f"(> {_MAX_FAILURE_RATE:.0%})")
-        effective = cfg.replicates - failures[n]
-        for a in cfg.alphas:
-            for p in cfg.procedures:
-                rej = counts[(n, a, p)]
-                rate = rej / effective
-                rows.append(SizeRow(
-                    n=n, alpha=a, procedure=p, rejections=rej,
-                    replicates=effective, rate=rate, distortion=rate - a,
-                    se=float(np.sqrt(rate * (1.0 - rate) / effective))))
-    return SimulationResult(config=cfg, rows=tuple(rows),
-                            failures=tuple(sorted(failures.items())))
+    return SimulationResult(
+        config=cfg, failures=tuple(sorted(failures.items())),
+        rejections=tuple(counts[(n, a, p)] for n in cfg.sizes
+                         for a in cfg.alphas for p in cfg.procedures))
 
 
 def _sup_distance(cdf, S) -> float:

@@ -8,7 +8,6 @@ import pytest
 from gradcorr.models import (FitError, builtin_models, gradient_statistic,
                              make_model)
 from gradcorr.models.base import ModelFamily
-from gradcorr.models.birnbaum_saunders import fit_birnbaum_saunders
 from gradcorr.simulate import replicate_statistics
 
 SEED = 20260814
@@ -108,8 +107,9 @@ def _closed_form_statistic(model_id, data, theta10):
         n = len(x)
         s = float(x.mean())
         r = 1.0 / float(np.mean(1.0 / x))
-        beta_t = fit_birnbaum_saunders(x, "restricted", phi0)[1]
-        phi_h = fit_birnbaum_saunders(x, "unrestricted")[0]
+        m = make_model(model_id)
+        beta_t = m.fit_restricted(x, phi0)[1]
+        phi_h = m.fit_unrestricted(x)[0]
         raw = (n * (phi_h - phi0) / phi0 ** 3
                * (s / beta_t + beta_t / r - (2.0 + phi0 ** 2)))
         return max(raw, 0.0)
@@ -356,6 +356,37 @@ def test_birnbaum_saunders_degenerate_data():
         m.fit_unrestricted(data)
 
 
+def test_birnbaum_saunders_fits_take_few_solver_evaluations(monkeypatch):
+    # the Newton step is kept when it lands on a bracket end, so a fit
+    # near its root does not fall back to bisection
+    from gradcorr.models import birnbaum_saunders as bs
+    solve, counts = bs._safeguarded_newton, []
+
+    def counted(f, lo, hi, x0):
+        calls = [0]
+
+        def f_counted(x):
+            calls[0] += 1
+            return f(x)
+
+        root = solve(f_counted, lo, hi, x0)
+        counts.append(calls[0])
+        return root
+
+    monkeypatch.setattr(bs, "_safeguarded_newton", counted)
+    m = make_model("birnbaum-saunders")
+    rng = np.random.default_rng(SEED)
+    for n in (5, 10, 20, 50, 200):
+        for phi in (1.0, 0.7):
+            for _ in range(30):
+                data = m.sample(np.array([phi, 1.0]), n, rng)
+                for phi0 in (1.0, 0.7):
+                    m.fit_restricted(data, phi0)
+                m.fit_unrestricted(data)
+    assert len(counts) == 900
+    assert max(counts) <= 8
+
+
 def test_validate_data_names_offending_observation():
     m = make_model("exponential")
     with pytest.raises(ValueError, match="observation 2"):
@@ -472,24 +503,26 @@ def test_batch_statistics_agree_with_generic_loop(model):
     # row r of a (k, n) draw is the r-th of k successive size-n draws
     theta = np.asarray(model.default_theta, dtype=float)
     theta10 = theta[:model.q]
-    n, count = 12, 40
-    fast, fast_failed = model.batch_statistics(
-        model.sample(theta, (count, n), np.random.default_rng(SEED)),
-        theta10)
-    slow = np.empty(count)
-    slow_failed = 0
-    rng = np.random.default_rng(SEED)
-    for i in range(count):
-        data = model.sample(theta, n, rng)
-        try:
-            slow[i] = gradient_statistic(model, data, theta10).value
-        except FitError:
-            slow[i] = np.nan
-            slow_failed += 1
-    assert fast_failed == slow_failed
-    ok = ~np.isnan(slow)
-    assert np.allclose(fast[ok], slow[ok], rtol=1e-9, atol=1e-11)
-    assert np.array_equal(np.isnan(fast), np.isnan(slow))
+    count = 40
+    for n in (5, 12, 50):
+        n += n % model.samples          # a two-sample row splits in halves
+        fast, fast_failed = model.batch_statistics(
+            model.sample(theta, (count, n), np.random.default_rng(SEED)),
+            theta10)
+        slow = np.empty(count)
+        slow_failed = 0
+        rng = np.random.default_rng(SEED)
+        for i in range(count):
+            data = model.sample(theta, n, rng)
+            try:
+                slow[i] = gradient_statistic(model, data, theta10).value
+            except FitError:
+                slow[i] = np.nan
+                slow_failed += 1
+        assert fast_failed == slow_failed, n
+        ok = ~np.isnan(slow)
+        assert np.allclose(fast[ok], slow[ok], rtol=1e-11, atol=1e-11), n
+        assert np.array_equal(np.isnan(fast), np.isnan(slow)), n
 
 
 def test_two_sample_batch_counts_failed_fits():
