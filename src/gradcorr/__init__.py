@@ -21,8 +21,8 @@ from .cumulants import (CumulantBundle, DerivedCumulants, FisherGeometry,
                         build_geometry, derive_mixed_cumulants)
 from .expansion import (ExpansionCoefficients, OneParamCumulants,
                         OrthogonalCoefficients, OrthogonalCumulants,
-                        coefficients_expfam, coefficients_general,
-                        coefficients_one_param, coefficients_orthogonal)
+                        coefficients_general, coefficients_one_param,
+                        coefficients_orthogonal)
 from .models import (BirnbaumSaunders, FitError, GradientStatistic,
                      ModelFamily, NormalMeanTest, TwoSampleExponential,
                      builtin_models, gradient_statistic, make_model)
@@ -40,8 +40,8 @@ __all__ = [
     "build_geometry", "derive_mixed_cumulants",
     "ExpansionCoefficients", "OneParamCumulants",
     "OrthogonalCoefficients", "OrthogonalCumulants",
-    "coefficients_expfam", "coefficients_general",
-    "coefficients_one_param", "coefficients_orthogonal",
+    "coefficients_general", "coefficients_one_param",
+    "coefficients_orthogonal",
     "BirnbaumSaunders", "FitError", "GradientStatistic", "ModelFamily",
     "NormalMeanTest", "TwoSampleExponential", "builtin_models",
     "gradient_statistic", "make_model",

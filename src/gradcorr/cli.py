@@ -71,15 +71,22 @@ def _parse_params(pairs: str) -> dict:
             out[key] = float(value)
         except ValueError:
             out[key] = value      # mode selectors stay strings
+        else:
+            if not np.isfinite(out[key]):
+                raise CliError(f"--params {key} must be finite, "
+                               f"got {value!r}")
     return out
 
 
 def _parse_floats(text: str, flag: str) -> np.ndarray:
     try:
-        return np.array([float(v) for v in text.split(",")])
+        values = np.array([float(v) for v in text.split(",")])
     except ValueError:
         raise CliError(f"{flag} must be a comma list of numbers, "
                        f"got {text!r}") from None
+    if not np.isfinite(values).all():
+        raise CliError(f"{flag} values must be finite, got {text!r}")
+    return values
 
 
 def _parse_sizes(text: str) -> tuple:
@@ -230,10 +237,15 @@ def cmd_test(args) -> int:
         raise CliError(_locate(str(exc), sources)) from None
     try:
         stat = gradient_statistic(model, data, theta10)
+        coef = model.coefficients(stat.theta_tilde)
     except FitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    coef = model.coefficients(stat.theta_tilde)
+    except ValueError as exc:
+        raise CliError(str(exc)) from None
+    except OverflowError:
+        raise CliError(f"numeric overflow at --theta10 "
+                       f"{args.theta10}") from None
     report = run_test(stat.value, coef, model.q, stat.n, gamma=args.gamma)
     fields = _report_fields(report)
     if args.format == "json":
@@ -264,18 +276,20 @@ def cmd_coeffs(args) -> int:
     model, _, _, theta = _model_and_theta(args.model, args.params)
     try:
         general = model.general_coefficients(theta)
-        closed = model.coefficients(theta)
+        specialized = model.coefficients(theta)
     except (ValueError, NotImplementedError) as exc:
         raise CliError(str(exc)) from None
-    shown = general if args.route == "general" else closed
+    # "closed" is the older name of the specialized route
+    route = "general" if args.route == "general" else "specialized"
+    shown = general if route == "general" else specialized
     delta = max(abs(g - c) for g, c in zip(
         (general.A1, general.A2, general.A3),
-        (closed.A1, closed.A2, closed.A3)))
-    print(f"model: {model.name}   route: {args.route}   theta = "
+        (specialized.A1, specialized.A2, specialized.A3)))
+    print(f"model: {model.name}   route: {route}   theta = "
           + ",".join(_fmt(v) for v in theta))
     for key in ("A1", "A2", "A3", "R0", "R1", "R2", "R3"):
         print(f"  {key} = {_fmt(getattr(shown, key))}")
-    print(f"  route agreement: max |general - closed| = {_fmt(delta)}")
+    print(f"  route agreement: max |general - specialized| = {_fmt(delta)}")
     return 0
 
 
@@ -377,10 +391,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_coeffs = sub.add_parser("coeffs", help="print expansion coefficients")
     _add_model_flags(p_coeffs)
-    p_coeffs.add_argument("--route", choices=("general", "closed"),
-                          default="closed",
-                          help="tensor-contraction engine or the scalar "
-                               "closed-form route")
+    p_coeffs.add_argument("--route",
+                          choices=("general", "specialized", "closed"),
+                          default="specialized",
+                          help="tensor-contraction engine or the "
+                               "specialized closed-form route that the "
+                               "test uses (closed: the same)")
     p_coeffs.set_defaults(func=cmd_coeffs)
 
     p_sim = sub.add_parser("simulate", help="null rejection-rate study")

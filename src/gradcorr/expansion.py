@@ -11,8 +11,7 @@ Three routes compute the same triple:
   other, so the matrices are applied one axis at a time before the
   inner product (O(p^4)).  The four-index terms are single einsums,
   also O(p^4).
-* ``coefficients_one_param`` / ``coefficients_expfam`` -- scalar closed
-  forms for p = q = 1 models.
+* ``coefficients_one_param`` -- scalar closed forms for p = q = 1 models.
 * ``coefficients_orthogonal`` -- closed forms for two-parameter models
   with block-diagonal information (kappa_phibeta = 0), testing phi with
   beta as nuisance, on scalars indexed from the cumulant arrays.
@@ -46,7 +45,7 @@ from .cumulants import (CumulantBundle, HypothesisSpec, build_geometry,
 __all__ = ["ExpansionCoefficients", "OrthogonalCoefficients",
            "OneParamCumulants", "OrthogonalCumulants",
            "coefficients_general", "coefficients_one_param",
-           "coefficients_expfam", "coefficients_orthogonal"]
+           "coefficients_orthogonal"]
 
 
 @dataclass(frozen=True)
@@ -283,26 +282,6 @@ def coefficients_one_param(c: OneParamCumulants) -> ExpansionCoefficients:
     A3 = -5.0 * c.kppp ** 2 / (4.0 * k2c)
     if not 0.0 <= A3 < np.inf:
         raise ValueError(f"A3 must be finite and nonnegative, got {A3}")
-    return ExpansionCoefficients(A1=A1, A2=A2, A3=A3)
-
-
-def coefficients_expfam(a1: float, a2: float, a3: float,
-                        b1: float, b2: float, b3: float) -> ExpansionCoefficients:
-    """Closed forms for the one-parameter exponential family.
-
-    Density exp{-alpha(phi) d(x) + v(x)} / xi(phi); the arguments are
-    alpha', alpha'', alpha''' and beta', beta'', beta''' at phi0, where
-    beta = xi'/(xi alpha') = -E d(x).
-    """
-    if a1 == 0.0 or b1 == 0.0:
-        raise ValueError("alpha' and beta' must both be nonzero")
-    ra = a2 / a1
-    rb = b2 / b1
-    A1 = 6.0 / (a1 * b1) * (2.0 * rb ** 2 + ra * rb - b3 / b1)
-    A2 = 3.0 / (a1 * b1) * (rb * (4.0 * ra - rb / 4.0)
-                            + 3.0 * (ra ** 2 + rb ** 2)
-                            - (a3 / a1 + b3 / b1))
-    A3 = 5.0 / (a1 * b1) * (ra + rb / 2.0) ** 2
     return ExpansionCoefficients(A1=A1, A2=A2, A3=A3)
 
 

@@ -1,9 +1,8 @@
 """Model family interface and the gradient statistic.
 
 A family bundles everything a test or a simulation needs: a sampler, the
-two maximum likelihood fits, the per-observation score, the analytic
-cumulant arrays, and (where available) hard-coded closed-form expansion
-coefficients.  Data is a 1-D float array for one-sample families; the
+two maximum likelihood fits, the per-observation score and the analytic
+cumulant arrays.  Data is a 1-D float array for one-sample families; the
 two-sample family takes a pair of equal-length arrays and counts both
 samples in n.  The Monte Carlo path hands ``batch_statistics`` a (k, n)
 matrix holding one data set per row; a two-sample row is sample 1 in
@@ -93,10 +92,6 @@ class ModelFamily(ABC):
     def cumulants(self, theta) -> CumulantBundle:
         """Analytic per-observation cumulant arrays at theta."""
         return CumulantBundle(*self.cumulant_arrays(theta))
-
-    def closed_form_coefficients(self, theta) -> ExpansionCoefficients:
-        """Hard-coded coefficient values, where known in closed form."""
-        raise NotImplementedError(f"{self.name} has no closed-form coefficients")
 
     def specialized_coefficients(self, theta) -> ExpansionCoefficients:
         """The scalar route: here the orthogonal closed forms (p = 2, q = 1,

@@ -41,7 +41,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..expansion import OrthogonalCoefficients
 from ..special import std_normal_tail_scaled
 from ._build import pair_fill, sym_fill
 from .base import (POSITIVE, FitError, ModelFamily, batch_result,
@@ -215,30 +214,6 @@ class BirnbaumSaunders(ModelFamily):
                   / (b**3 * f**4))
         pair_fill(dd2, (1, 1), (1, 1), -3.0 * T / (b**4 * f**2))
         return k2, k3, k4, d2, d3, dd2
-
-    def closed_form_coefficients(self, theta) -> OrthogonalCoefficients:
-        f, _ = self._check_theta(theta)
-        R = std_normal_tail_scaled(2.0 / f)
-        h = f * np.sqrt(0.5 * np.pi) - np.pi * R
-        den = 1.0 + f * h / _SQRT_2PI
-        # The printed interaction terms read
-        #   A1_phibeta = -3(7f^4 + 6f^2 + 16)/(2f^2 den)
-        #                + 3(f^2 + 2)(2f^4 + 3f^2 + 4)/(f^2 den^2),
-        #   A2_phibeta = -45(2 + f^2)/(2 den).
-        # Both are replaced by the reduction of coefficients_orthogonal on
-        # this family's cumulants.  The printed A2_phibeta is 3 times
-        # 3 kpbb kppp/(kpp^2 kbb).  With the printed A1_phibeta, the mean
-        # 1 + A1/(12n) of S lies 20 standard errors from a 400,000-replicate
-        # simulated mean at phi = beta = 1, n = 20 (10 at n = 40); with the
-        # derived one it lies within 1.
-        a1pb = -3.0 * (9.0 * f**4 + 18.0 * f**2 + 32.0) / (2.0 * f**2 * den) \
-            + 3.0 * (f**2 + 2.0) * (5.0 * f**4 + 6.0 * f**2 + 16.0) \
-            / (2.0 * f**2 * den**2)
-        a2pb = -7.5 * (2.0 + f**2) / den
-        return OrthogonalCoefficients(A1=-3.0 + a1pb, A2=69.0 / 8.0 + a2pb,
-                                      A3=125.0 / 8.0,
-                                      A1_phi=-3.0, A1_phibeta=a1pb,
-                                      A2_phi=69.0 / 8.0, A2_phibeta=a2pb)
 
     def batch_statistics(self, data, theta10):
         phi0 = float(np.atleast_1d(theta10)[0])

@@ -46,7 +46,6 @@ class _FamilySpec:
     beta_derivs: Callable[[float], tuple]     # (b1, b2, b3) at phi
     mle_from_dbar: Callable[[np.ndarray], np.ndarray]   # elementwise
     sampler: Callable[[float, object, np.random.Generator], np.ndarray]
-    closed_A: Callable[[float], tuple]
     # (predicate, reason) for check_observations; None: the real line
     support: tuple = (None, "")
     phi_min: float = 0.0                      # open lower bound for phi
@@ -114,21 +113,11 @@ class OneParamExpFamily(ModelFamily):
             kpp_pp=-(a3 * b1 + 2.0 * a2 * b2 + a1 * b3),
         )
 
-    def alpha_beta_derivatives(self, theta) -> tuple:
-        """(alpha', alpha'', alpha''', beta', beta'', beta''') at theta."""
-        phi = self._check_phi(theta)
-        return self._spec.alpha_derivs(phi) + self._spec.beta_derivs(phi)
-
     def cumulants(self, theta) -> CumulantBundle:
         return self.scalar_cumulants(theta).to_bundle()
 
     def specialized_coefficients(self, theta) -> ExpansionCoefficients:
         return coefficients_one_param(self.scalar_cumulants(theta))
-
-    def closed_form_coefficients(self, theta) -> ExpansionCoefficients:
-        phi = self._check_phi(theta)
-        a1, a2, a3 = self._spec.closed_A(phi)
-        return ExpansionCoefficients(A1=a1, A2=a2, A3=a3)
 
     def batch_statistics(self, data, theta10):
         phi0 = self._check_phi(theta10)
@@ -152,7 +141,6 @@ def exponential() -> OneParamExpFamily:
         beta_derivs=lambda phi: (-1.0, 0.0, 0.0),
         mle_from_dbar=lambda dbar: dbar,
         sampler=lambda phi, size, rng: rng.exponential(phi, size=size),
-        closed_A=lambda phi: (0.0, 18.0, 20.0),
         support=POSITIVE,
     ))
 
@@ -168,7 +156,6 @@ def normal_mean_known(mu: float = 0.0) -> OneParamExpFamily:
         mle_from_dbar=lambda dbar: dbar,
         sampler=lambda phi, size, rng: rng.normal(mu, np.sqrt(phi),
                                                   size=size),
-        closed_A=lambda phi: (0.0, 36.0, 40.0),
     ))
 
 
@@ -185,7 +172,6 @@ def normal_variance_known(variance: float = 1.0) -> OneParamExpFamily:
         mle_from_dbar=lambda dbar: dbar,
         sampler=lambda mu, size, rng: rng.normal(mu, np.sqrt(variance),
                                                  size=size),
-        closed_A=lambda mu: (0.0, 0.0, 0.0),
         phi_min=-np.inf,
         param_name="mu",
         default_phi=0.0,
@@ -204,7 +190,6 @@ def inverse_normal_mean_known(mu: float = 1.0) -> OneParamExpFamily:
         beta_derivs=lambda phi: (0.5 / phi**2, -1.0 / phi**3, 3.0 / phi**4),
         mle_from_dbar=lambda dbar: np.where(dbar > 0.0, 0.5 / dbar, np.nan),
         sampler=lambda phi, size, rng: rng.wald(mu, phi, size=size),
-        closed_A=lambda phi: (24.0, 30.0, 10.0),
         support=POSITIVE,
     ))
 
@@ -222,7 +207,6 @@ def inverse_normal_shape_known(shape: float = 1.0) -> OneParamExpFamily:
         beta_derivs=lambda mu: (-1.0, 0.0, 0.0),
         mle_from_dbar=lambda dbar: dbar,
         sampler=lambda mu, size, rng: rng.wald(mu, shape, size=size),
-        closed_A=lambda mu: (0.0, 45.0 * mu / shape, 45.0 * mu / shape),
         support=POSITIVE,
         param_name="mu",
     ))
@@ -241,7 +225,6 @@ def gamma_rate(k: float = 1.0) -> OneParamExpFamily:
                                  6.0 * k / phi**4),
         mle_from_dbar=lambda dbar: np.where(dbar > 0.0, k / dbar, np.nan),
         sampler=lambda phi, size, rng: rng.gamma(k, 1.0 / phi, size=size),
-        closed_A=lambda phi: (12.0 / k, 15.0 / k, 5.0 / k),
         support=POSITIVE,
     ))
 
@@ -257,12 +240,6 @@ def truncated_extreme_value() -> OneParamExpFamily:
         mle_from_dbar=lambda dbar: dbar,
         sampler=lambda phi, size, rng: np.log1p(rng.exponential(phi,
                                                                 size=size)),
-        # The printed row reads (0, 12, 20), with correction polynomial
-        # (12 - 15 S + 2 S^2)/(18 n).  Both are replaced: in phi the
-        # log-likelihood is the exponential one in expm1(x), so the row is
-        # the exponential (0, 18, 20).  The printed polynomial's S term does
-        # not even follow from the printed A2 = 12, which gives -14/18.
-        closed_A=lambda phi: (0.0, 18.0, 20.0),
         support=POSITIVE,
     ))
 
@@ -281,7 +258,6 @@ def pareto_shape(k: float = 1.0) -> OneParamExpFamily:
                                             1.0 / (dbar - np.log(k)), np.nan),
         sampler=lambda phi, size, rng: k * np.exp(
             rng.exponential(1.0 / phi, size=size)),
-        closed_A=lambda phi: (12.0, 15.0, 5.0),
         support=(lambda x: x > k, f"must exceed the scale {k}"),
     ))
 
@@ -301,7 +277,6 @@ def power_shape(theta: float = 1.0) -> OneParamExpFamily:
                                             np.nan),
         sampler=lambda phi, size, rng: theta * np.exp(
             -rng.exponential(1.0 / phi, size=size)),
-        closed_A=lambda phi: (12.0, 15.0, 5.0),
         support=(lambda x: (0.0 < x) & (x < theta),
                  f"must lie strictly inside (0, {theta})"),
     ))
@@ -319,6 +294,5 @@ def laplace_scale(center: float = 0.0) -> OneParamExpFamily:
         mle_from_dbar=lambda dbar: np.where(dbar > 0.0, dbar, np.nan),
         sampler=lambda theta, size, rng: rng.laplace(center, theta,
                                                      size=size),
-        closed_A=lambda theta: (0.0, 18.0, 20.0),
         param_name="theta",
     ))

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..expansion import OrthogonalCoefficients
 from ._build import pair_fill, sym_fill
 from .base import (POSITIVE, FitError, ModelFamily, batch_result,
                    check_observations)
@@ -97,12 +96,6 @@ class NormalMeanTest(ModelFamily):
         pair_fill(dd2, (1, 1), (0, 0), -2.0 / b**3)
         pair_fill(dd2, (1, 1), (1, 1), -3.0 / b**4)
         return k2, k3, k4, d2, d3, dd2
-
-    def closed_form_coefficients(self, theta) -> OrthogonalCoefficients:
-        self._check_theta(theta)
-        return OrthogonalCoefficients(A1=0.0, A2=-18.0, A3=0.0,
-                                      A1_phi=0.0, A1_phibeta=0.0,
-                                      A2_phi=0.0, A2_phibeta=-18.0)
 
     def batch_statistics(self, data, theta10):
         phi0 = float(np.atleast_1d(theta10)[0])
@@ -217,12 +210,6 @@ class TwoSampleExponential(ModelFamily):
         pair_fill(dd2, (0, 0), (0, 0), -1.5 / f**4)
         pair_fill(dd2, (1, 1), (1, 1), -6.0 / b**4)
         return k2, k3, k4, d2, d3, dd2
-
-    def closed_form_coefficients(self, theta) -> OrthogonalCoefficients:
-        self._check_theta(theta)
-        return OrthogonalCoefficients(A1=24.0, A2=63.0, A3=45.0,
-                                      A1_phi=24.0, A1_phibeta=0.0,
-                                      A2_phi=72.0, A2_phibeta=-9.0)
 
     def batch_statistics(self, data, theta10):
         phi0 = float(np.atleast_1d(theta10)[0])

@@ -6,7 +6,10 @@ is Gauss-Legendre quadrature of the density, quantiles come from
 bisection, derivatives from central differences, and the expansion
 coefficients from the divergence form of the order-n^{-1} term in exact
 Fraction arithmetic, a different algebraic lineage than the production
-tensor contractions.
+tensor contractions.  Two closed forms written in their own variables
+stand beside it: the one-parameter exponential-family formula in the
+derivatives of alpha and beta, and the Birnbaum-Saunders coefficients
+in the shape alone.
 """
 
 from __future__ import annotations
@@ -313,3 +316,52 @@ def divergence_coefficients(bundle: dict, q: int):
 def bundle_to_float_arrays(bundle: dict) -> dict:
     return {key: np.array(value, dtype=float)
             for key, value in bundle.items()}
+
+
+# ---------------------------------------------------- closed-form oracles
+
+def expfam_coefficients(a1: float, a2: float, a3: float,
+                        b1: float, b2: float, b3: float) -> tuple:
+    """(A1, A2, A3) of the one-parameter exponential family.
+
+    Density exp{-alpha(phi) d(x) + v(x)} / xi(phi); the arguments are
+    alpha', alpha'', alpha''' and beta', beta'', beta''' at phi, where
+    beta = xi'/(xi alpha') = -E d(X).
+    """
+    ra = a2 / a1
+    rb = b2 / b1
+    A1 = 6.0 / (a1 * b1) * (2.0 * rb ** 2 + ra * rb - b3 / b1)
+    A2 = 3.0 / (a1 * b1) * (rb * (4.0 * ra - rb / 4.0)
+                            + 3.0 * (ra ** 2 + rb ** 2)
+                            - (a3 / a1 + b3 / b1))
+    A3 = 5.0 / (a1 * b1) * (ra + rb / 2.0) ** 2
+    return A1, A2, A3
+
+
+def birnbaum_saunders_coefficients(f: float) -> dict:
+    """The Birnbaum-Saunders shape test's coefficients at shape f in the
+    printed closed form: the phi part (-3, 69/8, 125/8) plus the phi-beta
+    interaction terms, through h(f) = f sqrt(pi/2) - pi R with
+    R = e^{2/f^2}(1 - Phi(2/f)) from math.erfc.
+
+    The printed interaction terms read
+      A1_phibeta = -3(7f^4 + 6f^2 + 16)/(2f^2 den)
+                   + 3(f^2 + 2)(2f^4 + 3f^2 + 4)/(f^2 den^2),
+      A2_phibeta = -45(2 + f^2)/(2 den),
+    den = 1 + f h/sqrt(2 pi).  Both are replaced here by the reduction of
+    the orthogonal route on this family's cumulants.  The printed
+    A2_phibeta is 3 times 3 kpbb kppp/(kpp^2 kbb).  With the printed
+    A1_phibeta, the mean 1 + A1/(12n) of S lies 20 standard errors from a
+    400,000-replicate simulated mean at phi = beta = 1, n = 20 (10 at
+    n = 40); with the derived one it lies within 1.
+    """
+    R = 0.5 * math.exp(2.0 / f**2) * math.erfc(math.sqrt(2.0) / f)
+    h = f * math.sqrt(0.5 * math.pi) - math.pi * R
+    den = 1.0 + f * h / math.sqrt(2.0 * math.pi)
+    a1pb = -3.0 * (9.0 * f**4 + 18.0 * f**2 + 32.0) / (2.0 * f**2 * den) \
+        + 3.0 * (f**2 + 2.0) * (5.0 * f**4 + 6.0 * f**2 + 16.0) \
+        / (2.0 * f**2 * den**2)
+    a2pb = -7.5 * (2.0 + f**2) / den
+    return dict(A1=-3.0 + a1pb, A2=69.0 / 8.0 + a2pb, A3=125.0 / 8.0,
+                A1_phi=-3.0, A1_phibeta=a1pb,
+                A2_phi=69.0 / 8.0, A2_phibeta=a2pb)

@@ -27,6 +27,11 @@ def _close(got, want, rel):
 
 
 # --- 1: printed coefficient tables ------------------------------------
+#
+# The printed (A1, A2, A3) rows, checked against the specialized route
+# (the closed forms ``ModelFamily.coefficients`` takes) and the general
+# engine.  The Birnbaum-Saunders row is a formula in the shape, kept as
+# ``oracles.birnbaum_saunders_coefficients``.
 
 COEFF_ROWS = [
     ("exponential", {}, (1.0,), (0.0, 18.0, 20.0)),
@@ -50,6 +55,8 @@ COEFF_ROWS = [
     ("laplace-scale", {}, (1.0,), (0.0, 18.0, 20.0)),
     ("two-parameter-normal", {}, (0.0, 1.0), (0.0, -18.0, 0.0)),
     ("two-sample-exponential", {}, (1.0, 1.0), (24.0, 63.0, 45.0)),
+    ("pareto-shape", {}, (1.0,), (12.0, 15.0, 5.0)),
+    ("power-shape", {}, (1.0,), (12.0, 15.0, 5.0)),
 ]
 
 IDS = [f"{row[0]}-{i}" for i, row in enumerate(COEFF_ROWS)]
@@ -58,7 +65,7 @@ IDS = [f"{row[0]}-{i}" for i, row in enumerate(COEFF_ROWS)]
 @pytest.mark.parametrize("model_id,constants,theta,want", COEFF_ROWS, ids=IDS)
 def test_criterion_1_closed_route(model_id, constants, theta, want):
     m = make_model(model_id, **constants)
-    got = m.closed_form_coefficients(np.array(theta)).as_tuple()
+    got = m.specialized_coefficients(np.array(theta)).as_tuple()
     for g, w in zip(got, want):
         assert _close(g, w, 1e-12)
 
@@ -74,7 +81,7 @@ def test_criterion_1_general_engine(model_id, constants, theta, want):
 def test_criterion_1_birnbaum_saunders_closed_route():
     m = make_model("birnbaum-saunders")
     for phi in (0.5, 1.0, 2.0):
-        c = m.closed_form_coefficients(np.array([phi, 1.0]))
+        c = m.specialized_coefficients(np.array([phi, 1.0]))
         assert _close(c.A1_phi, -3.0, 1e-12)
         assert _close(c.A2_phi, 69.0 / 8.0, 1e-12)
         assert _close(c.A3, 125.0 / 8.0, 1e-12)
@@ -116,7 +123,7 @@ POLY_ROWS = [
                          ids=[f"{r[0]}-{i}" for i, r in enumerate(POLY_ROWS)])
 def test_criterion_2_correction_polynomials(model_id, constants, theta, poly):
     m = make_model(model_id, **constants)
-    coef = m.closed_form_coefficients(np.array(theta))
+    coef = m.coefficients(np.array(theta))
     c0, c1, c2 = poly
     for n in (7, 20, 113):
         f = bartlett_factors(coef, m.q, n)

@@ -197,7 +197,7 @@ def test_coeffs_birnbaum_saunders_example(capsys):
 
 @pytest.mark.parametrize("model_id", MODEL_IDS)
 def test_coeffs_route_agreement_below_threshold(capsys, model_id):
-    for route in ("general", "closed"):
+    for route in ("general", "specialized"):
         code, out, _ = run_cli(capsys, "coeffs", "--model", model_id,
                                "--route", route)
         assert code == 0
@@ -208,12 +208,42 @@ def test_coeffs_route_agreement_below_threshold(capsys, model_id):
 
 def test_coeffs_output_is_thin_wrapper(capsys):
     code, out, _ = run_cli(capsys, "coeffs", "--model", "exponential",
-                           "--route", "closed")
+                           "--route", "specialized")
     assert code == 0
+    assert "route agreement: max |general - specialized|" in out
+    # the default, and "closed", the route's older name, print the same
+    for older in ((), ("--route", "closed")):
+        assert run_cli(capsys, "coeffs", "--model", "exponential",
+                       *older) == (0, out, "")
     got = _parse_coeffs(out)
     coef = make_model("exponential").specialized_coefficients(np.array([1.0]))
     for key in ("A1", "A2", "A3", "R0", "R1", "R2", "R3"):
         assert got[key] == getattr(coef, key)
+
+
+@pytest.mark.parametrize("argv", [
+    *(("test", "--model", m, "--theta10", v)
+      for m, v in [("exponential", "-1"), ("exponential", "nan"),
+                   ("exponential", "inf"), ("birnbaum-saunders", "-1"),
+                   ("birnbaum-saunders", "inf"),
+                   ("two-parameter-normal", "inf"),
+                   ("two-parameter-normal", "nan"),
+                   ("two-sample-exponential", "-1"),
+                   ("gamma-rate", "1e308")]),
+    ("coeffs", "--model", "two-parameter-normal", "--params", "phi=nan"),
+], ids=lambda argv: " ".join(argv[2:]))
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_bad_parameter_values_exit_2(capsys, tmp_path, argv):
+    # non-finite numbers stop at the parser; out-of-range ones are library
+    # errors that the command reports instead of a traceback
+    if argv[0] == "test":
+        rows = ("1.1,0.8", "0.4,1.9", "2.3,0.7", "0.9,1.2", "1.7,2.5")
+        if argv[2] != "two-sample-exponential":
+            rows = [r.partition(",")[0] for r in rows]
+        argv += ("--data", _write(tmp_path / "x.csv", "\n".join(rows)))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
 
 
 def test_coeffs_inverse_normal_known_shape(capsys):

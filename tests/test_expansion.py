@@ -15,12 +15,12 @@ from hypothesis import strategies as st
 
 from gradcorr.cumulants import CumulantBundle, HypothesisSpec
 from gradcorr.expansion import (ExpansionCoefficients, OneParamCumulants,
-                                OrthogonalCumulants, coefficients_expfam,
-                                coefficients_general, coefficients_one_param,
+                                OrthogonalCumulants, coefficients_general,
+                                coefficients_one_param,
                                 coefficients_orthogonal, _pairwise)
 from gradcorr.models import NormalMeanTest, make_model
 from oracles import (bundle_to_float_arrays, divergence_coefficients,
-                     random_integer_bundle)
+                     expfam_coefficients, random_integer_bundle)
 
 finite = st.floats(-5.0, 5.0, allow_nan=False)
 
@@ -143,16 +143,26 @@ def test_one_param_route_truncated_extreme_value_quoted_values():
     assert np.allclose(c.as_tuple(), (0.0, 18.0, 20.0), rtol=1e-10)
 
 
+# (model, constants, phi, alpha' .. alpha''' and beta' .. beta''' at phi),
+# differentiated by hand from each density exp{-alpha d(x) + v(x)} / xi:
+# gamma alpha = phi, beta = -k/phi; Pareto alpha = phi,
+# beta = -1/phi - log k; Laplace alpha = 1/phi, beta = -phi
+EXPFAM_DERIVATIVES = [
+    ("gamma-rate", {"k": 2.0}, 1.3,
+     (1.0, 0.0, 0.0, 2.0 / 1.3**2, -4.0 / 1.3**3, 12.0 / 1.3**4)),
+    ("pareto-shape", {"k": 1.5}, 0.8,
+     (1.0, 0.0, 0.0, 1.0 / 0.8**2, -2.0 / 0.8**3, 6.0 / 0.8**4)),
+    ("laplace-scale", {}, 2.0,
+     (-1.0 / 2.0**2, 2.0 / 2.0**3, -6.0 / 2.0**4, -1.0, 0.0, 0.0)),
+]
+
+
 def test_expfam_route_matches_scalar_route():
-    for model_id, kwargs, phi in [("gamma-rate", {"k": 2.0}, 1.3),
-                                  ("pareto-shape", {"k": 1.5}, 0.8),
-                                  ("laplace-scale", {}, 2.0)]:
+    for model_id, kwargs, phi, derivatives in EXPFAM_DERIVATIVES:
         m = make_model(model_id, **kwargs)
-        theta = np.array([phi])
-        a1, a2, a3, b1, b2, b3 = m.alpha_beta_derivatives(theta)
-        got = coefficients_expfam(a1, a2, a3, b1, b2, b3)
-        want = coefficients_one_param(m.scalar_cumulants(theta))
-        assert np.allclose(got.as_tuple(), want.as_tuple(), rtol=1e-12)
+        got = expfam_coefficients(*derivatives)
+        want = coefficients_one_param(m.scalar_cumulants(np.array([phi])))
+        assert np.allclose(got, want.as_tuple(), rtol=1e-12)
 
 
 def test_expfam_route_gamma_values():

@@ -9,6 +9,7 @@ from gradcorr.models import (FitError, builtin_models, gradient_statistic,
                              make_model)
 from gradcorr.models.base import ModelFamily
 from gradcorr.simulate import replicate_statistics
+from oracles import birnbaum_saunders_coefficients
 
 SEED = 20260814
 
@@ -213,16 +214,11 @@ def test_derivative_arrays_match_finite_differences(model):
     assert np.allclose(b.dd_kappa2, fd_dd2, rtol=1e-5, atol=1e-5)
 
 
-def test_printed_coefficients_match_derivation_routes(model):
-    # every printed (A1, A2, A3) table must agree with both the general
-    # contraction engine and the specialized scalar route at the same point
+def test_every_family_takes_its_specialized_route(model):
+    # a family added without a specialized route would otherwise fall back
+    # to the general engine unnoticed
     theta = np.asarray(model.default_theta, dtype=float)
-    printed = model.closed_form_coefficients(theta).as_tuple()
-    for route in (model.general_coefficients, model.specialized_coefficients):
-        got = route(theta).as_tuple()
-        for g, w in zip(got, printed):
-            assert abs(g - w) <= 1e-8 * max(1.0, abs(w)), \
-                f"{model.name}: printed {printed} vs {route.__name__} {got}"
+    assert model.coefficients(theta) == model.specialized_coefficients(theta)
 
 
 def test_birnbaum_saunders_printed_nuisance_interaction_value():
@@ -230,17 +226,17 @@ def test_birnbaum_saunders_printed_nuisance_interaction_value():
     # h(1) = 0.72520612521905 frozen from the quadrature oracle.  The
     # printed -45/2 in front was 3 times the derived 3 kpbb kppp/(kpp^2 kbb)
     m = make_model("birnbaum-saunders")
-    c = m.closed_form_coefficients(np.array([1.0, 1.0]))
     h1 = 0.72520612521905
     want = -15.0 * 3.0 / (2.0 * (1.0 + h1 / math.sqrt(2.0 * math.pi)))
-    assert abs(c.A2_phibeta - want) <= 1e-10
-    assert abs(c.A2_phibeta - (-17.451121933046565)) <= 1e-10
+    for got in (birnbaum_saunders_coefficients(1.0)["A2_phibeta"],
+                m.specialized_coefficients(np.array([1.0, 1.0])).A2_phibeta):
+        assert abs(got - want) <= 1e-10
+        assert abs(got - (-17.451121933046565)) <= 1e-10
 
 
 def test_birnbaum_saunders_coefficients_ignore_scale():
     m = make_model("birnbaum-saunders")
-    for route in (m.closed_form_coefficients, m.specialized_coefficients,
-                  m.general_coefficients):
+    for route in (m.specialized_coefficients, m.general_coefficients):
         at2 = route(np.array([1.0, 2.0])).as_tuple()
         at7 = route(np.array([1.0, 7.0])).as_tuple()
         assert np.allclose(at2, at7, rtol=1e-12, atol=1e-12)
@@ -253,14 +249,17 @@ def test_birnbaum_saunders_closed_form_matches_routes_across_shape(beta):
     m = make_model("birnbaum-saunders")
     for phi in (0.3, 0.5, 1.0, 2.0, 5.0):
         theta = np.array([phi, beta])
-        closed = m.closed_form_coefficients(theta)
+        closed = birnbaum_saunders_coefficients(phi)
         split = m.specialized_coefficients(theta)
         for name in ("A1_phibeta", "A2_phibeta"):
             want = getattr(split, name)
-            assert abs(getattr(closed, name) - want) <= 1e-10 * abs(want)
+            assert abs(closed[name] - want) <= 1e-10 * abs(want)
         for route in (m.general_coefficients, m.specialized_coefficients):
-            for g, w in zip(closed.as_tuple(), route(theta).as_tuple()):
-                assert abs(g - w) <= 1e-10 * abs(w), (phi, route.__name__)
+            got = route(theta)
+            for name in ("A1", "A2", "A3"):
+                w = getattr(got, name)
+                assert abs(closed[name] - w) <= 1e-10 * abs(w), \
+                    (phi, route.__name__)
 
 
 def _bs_loglik_derivative(x, phi, beta, i, j):
@@ -322,8 +321,8 @@ def test_truncated_extreme_value_is_exponential_in_expm1(phi):
         want = gradient_statistic(exp, np.expm1(x), 1.0).value
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
     theta = np.array([phi])
-    want = exp.closed_form_coefficients(theta).as_tuple()
-    for route in (tev.closed_form_coefficients, tev.specialized_coefficients,
+    want = (0.0, 18.0, 20.0)        # the exponential row, at every phi
+    for route in (exp.specialized_coefficients, tev.specialized_coefficients,
                   tev.general_coefficients):
         got = route(theta).as_tuple()
         assert np.allclose(got, want, rtol=1e-10, atol=1e-10), route.__name__
