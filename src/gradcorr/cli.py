@@ -243,9 +243,6 @@ def cmd_test(args) -> int:
         return 3
     except ValueError as exc:
         raise CliError(str(exc)) from None
-    except OverflowError:
-        raise CliError(f"numeric overflow at --theta10 "
-                       f"{args.theta10}") from None
     report = run_test(stat.value, coef, model.q, stat.n, gamma=args.gamma)
     fields = _report_fields(report)
     if args.format == "json":
@@ -439,6 +436,11 @@ def main(argv=None) -> int:
         return args.func(args)
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OverflowError:
+        # float powers of a parameter or an observation near the float limit
+        print("error: numeric overflow; a parameter or an observation is "
+              "too large", file=sys.stderr)
         return 2
 
 

@@ -4,9 +4,14 @@ A family bundles everything a test or a simulation needs: a sampler, the
 two maximum likelihood fits, the per-observation score and the analytic
 cumulant arrays.  Data is a 1-D float array for one-sample families; the
 two-sample family takes a pair of equal-length arrays and counts both
-samples in n.  The Monte Carlo path hands ``batch_statistics`` a (k, n)
-matrix holding one data set per row; a two-sample row is sample 1 in
-its first n/2 columns and sample 2 in the rest.
+samples in n.
+
+Each family writes its two fits and its statistic once, row-wise on a
+(k, n) data matrix holding one data set per row; a two-sample row is
+sample 1 in its first n/2 columns and sample 2 in the rest.
+``batch_statistics`` reduces the Monte Carlo matrix.  ``gradient_statistic``
+is its one-row case, and ``fit_restricted`` and ``fit_unrestricted`` are
+one-row views of the fits; they raise ``FitError`` where the row fails.
 
 The statistic itself is the inner product of the restricted score with
 the tested-component estimate shift,
@@ -22,6 +27,7 @@ clamped to zero with a flag and the raw number kept.
 
 from __future__ import annotations
 
+import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 
@@ -73,12 +79,22 @@ class ModelFamily(ABC):
         """
 
     @abstractmethod
-    def fit_unrestricted(self, data) -> np.ndarray:
-        """Full MLE theta_hat."""
+    def summarize(self, x):
+        """Per-row summaries of the (k, n) data matrix x."""
 
     @abstractmethod
-    def fit_restricted(self, data, theta10) -> np.ndarray:
-        """MLE theta_tilde with the first q components fixed at theta10."""
+    def restricted_rows(self, m, theta10) -> np.ndarray:
+        """(k, p) MLEs theta_tilde from summaries m, the first q components
+        fixed at theta10; NaN where a fit failed, ValueError for a theta10
+        outside the parameter space."""
+
+    @abstractmethod
+    def unrestricted_rows(self, m) -> np.ndarray:
+        """(k, p) full MLEs theta_hat from summaries m, NaN if failed."""
+
+    @abstractmethod
+    def raw_statistic(self, m, theta10, theta_tilde, theta_hat):
+        """Unclamped S = n U_1(theta_tilde)'(theta_hat_1 - theta10) per row."""
 
     @abstractmethod
     def score(self, data, theta) -> np.ndarray:
@@ -116,9 +132,6 @@ class ModelFamily(ABC):
     def validate_data(self, data) -> None:
         """Raise ValueError naming the first offending observation."""
 
-    def nobs(self, data) -> int:
-        return len(data)
-
     def hypothesis(self, theta10) -> HypothesisSpec:
         theta10 = np.atleast_1d(np.asarray(theta10, dtype=float))
         return HypothesisSpec(p=self.p, q=self.q, theta10=tuple(theta10))
@@ -129,14 +142,58 @@ class ModelFamily(ABC):
         return coefficients_general(self.cumulants(theta),
                                     self.hypothesis(theta[:self.q]))
 
-    def batch_statistics(self, data, theta10):
-        """S per row of a (k, n) data matrix from ``sample`` and the number
-        of rows whose fit failed.
+    @staticmethod
+    def _as_row(data) -> np.ndarray:
+        """One data set as a (1, n) data matrix; a pair of equal-length
+        samples becomes sample 1 followed by sample 2."""
+        return np.asarray(data, dtype=float).reshape(1, -1)
 
-        S is clamped at zero and NaN where a fit failed; each row agrees
-        with ``gradient_statistic`` on that row's data set.
-        """
-        raise NotImplementedError(f"{self.name} has no batch statistic")
+    def _null(self, theta10) -> np.ndarray:
+        theta10 = np.atleast_1d(np.asarray(theta10, dtype=float))
+        if theta10.shape != (self.q,):
+            raise ValueError(f"theta10 must have length q={self.q}")
+        return theta10
+
+    def _one_row(self, fit, which) -> np.ndarray:
+        # over p values a Python loop is cheaper than a numpy reduction
+        if any(map(math.isnan, fit[0].tolist())):
+            raise FitError(f"{self.name}: {which} fit failed")
+        return fit[0]
+
+    def _statistic_rows(self, x, theta10) -> tuple:
+        """theta_tilde, theta_hat and raw S per row of the data matrix x."""
+        theta10 = self._null(theta10)
+        # failed fits and overflow come back as NaN and inf, not warnings
+        with np.errstate(all="ignore"):
+            m = self.summarize(x)
+            theta_tilde = self.restricted_rows(m, theta10)
+            theta_hat = self.unrestricted_rows(m)
+            return (theta_tilde, theta_hat,
+                    self.raw_statistic(m, theta10, theta_tilde, theta_hat))
+
+    def batch_statistics(self, data, theta10) -> tuple:
+        """S per row of a (k, n) data matrix from ``sample``, clamped at zero
+        and NaN where a fit failed or S is not finite, and the number of
+        such rows."""
+        theta_tilde, theta_hat, raw = self._statistic_rows(
+            np.asarray(data, dtype=float), theta10)
+        failed = (np.isnan(theta_tilde).any(axis=1)
+                  | np.isnan(theta_hat).any(axis=1) | ~np.isfinite(raw))
+        S = np.where(failed, np.nan, np.where(raw < 0.0, 0.0, raw))
+        return S, int(np.count_nonzero(failed))
+
+    def fit_restricted(self, data, theta10) -> np.ndarray:
+        """MLE theta_tilde of one data set, first q components at theta10."""
+        with np.errstate(all="ignore"):
+            fit = self.restricted_rows(self.summarize(self._as_row(data)),
+                                       self._null(theta10))
+        return self._one_row(fit, "restricted")
+
+    def fit_unrestricted(self, data) -> np.ndarray:
+        """Full MLE theta_hat of one data set."""
+        with np.errstate(all="ignore"):
+            fit = self.unrestricted_rows(self.summarize(self._as_row(data)))
+        return self._one_row(fit, "unrestricted")
 
 
 # (support predicate, reason) for check_observations
@@ -167,23 +224,16 @@ def check_observations(name, data, support=None, reason="", prefix="",
     return x
 
 
-def batch_result(raw, failed) -> tuple:
-    """(S clamped at zero, NaN where ``failed`` or raw is not finite;
-    the number of such rows)."""
-    failed = failed | ~np.isfinite(raw)
-    S = np.where(failed, np.nan, np.where(raw < 0.0, 0.0, raw))
-    return S, int(np.count_nonzero(failed))
-
-
 def gradient_statistic(model: ModelFamily, data, theta10) -> GradientStatistic:
-    """S = n U_1(theta_tilde)'(theta_hat_1 - theta10), clamped at zero."""
-    theta10 = np.atleast_1d(np.asarray(theta10, dtype=float))
-    if theta10.shape != (model.q,):
-        raise ValueError(f"theta10 must have length q={model.q}")
-    n = model.nobs(data)
-    theta_tilde = np.atleast_1d(model.fit_restricted(data, theta10))
-    theta_hat = np.atleast_1d(model.fit_unrestricted(data))
-    u1 = np.atleast_1d(model.score(data, theta_tilde))[:model.q]
-    raw = float(n * u1 @ (theta_hat[:model.q] - theta10))
-    return GradientStatistic(value=max(raw, 0.0), n=n, raw=raw,
+    """S = n U_1(theta_tilde)'(theta_hat_1 - theta10) of one data set,
+    clamped at zero: the one-row case of ``batch_statistics``.  FitError
+    where a fit fails, OverflowError where S does not fit in a float."""
+    x = model._as_row(data)
+    theta_tilde, theta_hat, raw = model._statistic_rows(x, theta10)
+    theta_tilde = model._one_row(theta_tilde, "restricted")
+    model._one_row(theta_hat, "unrestricted")
+    raw = float(raw[0])
+    if not math.isfinite(raw):
+        raise OverflowError(f"{model.name}: the statistic overflowed")
+    return GradientStatistic(value=max(raw, 0.0), n=x.shape[1], raw=raw,
                              theta_tilde=theta_tilde, clamped=raw < 0.0)

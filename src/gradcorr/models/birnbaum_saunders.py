@@ -27,10 +27,8 @@ arithmetic means.  Each equation is written once, for a (k, n) matrix
 of data sets, and solved row by row from sqrt(s r) by one safeguarded
 Newton: a step is taken when it stays inside the shrinking bracket, its
 ends included, and the bracket is bisected otherwise, until a step moves
-the root by at most 1e-13 relative, in at most 200 steps.  A fit on one
-data set is the one-row case.  A row that does not converge is a failed
-fit: ``FitError`` for a single data set, a failed row in
-``batch_statistics``.
+the root by at most 1e-13 relative, in at most 200 steps.  A row that
+does not converge is a failed fit.
 
 Cumulants involve the scaled normal tail R = e^{2/phi^2}(1 - Phi(2/phi))
 only through kappa_betabeta and its relatives; everything is assembled
@@ -43,8 +41,7 @@ import numpy as np
 
 from ..special import std_normal_tail_scaled
 from ._build import pair_fill, sym_fill
-from .base import (POSITIVE, FitError, ModelFamily, batch_result,
-                   check_observations)
+from .base import POSITIVE, ModelFamily, check_observations
 
 __all__ = ["BirnbaumSaunders"]
 
@@ -59,20 +56,19 @@ def _safeguarded_newton(f, lo, hi, x0):
     roots and which rows converged; a converged row stays where it is."""
     x = np.clip(x0, lo, hi)
     done = np.zeros(x.shape, dtype=bool)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for _ in range(200):
-            fx, d = f(x)
-            above = fx > 0.0
-            lo = np.where(above, x, lo)
-            hi = np.where(above, hi, x)
-            step = x - fx / d
-            step = np.where((lo <= step) & (step <= hi), step,
-                            0.5 * (lo + hi))
-            x_new = np.where(done, x, step)
-            done |= np.abs(x_new - x) <= _REL_TOL * np.abs(x_new)
-            x = x_new
-            if done.all():
-                break
+    for _ in range(200):
+        fx, d = f(x)
+        above = fx > 0.0
+        lo = np.where(above, x, lo)
+        hi = np.where(above, hi, x)
+        step = x - fx / d
+        step = np.where((lo <= step) & (step <= hi), step,
+                        0.5 * (lo + hi))
+        x_new = np.where(done, x, step)
+        done |= np.abs(x_new - x) <= _REL_TOL * np.abs(x_new)
+        x = x_new
+        if done.all():
+            break
     return x, done
 
 
@@ -80,33 +76,6 @@ def _inverse_means(x, b):
     """mean(1/(x+b)) and mean(1/(x+b)^2) per row of x, from one pass."""
     u = 1.0 / (x + b[:, None])
     return u.sum(axis=1) / x.shape[1], (u * u).sum(axis=1) / x.shape[1]
-
-
-def _restricted_scale(x, s, r, phi0):
-    """Root of H per row of the (k, n) matrix x and whether it converged."""
-    def H(b):
-        m1, m2 = _inverse_means(x, b)
-        return ((s - b * b / r) / phi0**2 - b + 2.0 * b * b * m1,
-                -2.0 * b / (r * phi0**2) - 1.0 + 4.0 * b * m1
-                - 2.0 * b * b * m2)
-
-    hi = np.maximum(s, phi0**2 + s + r)
-    grow = H(hi)[0] > 0.0
-    while grow.any():           # ends: H < 0 from phi0^2 r + sqrt(s r) on
-        hi = np.where(grow, 2.0 * hi, hi)
-        grow = H(hi)[0] > 0.0
-    return _safeguarded_newton(H, np.zeros_like(s), hi, np.sqrt(s * r))
-
-
-def _unrestricted_scale(x, s, r):
-    """Root of G per row of the (k, n) matrix x and whether it converged."""
-    def G(b):
-        m1, m2 = _inverse_means(x, b)
-        K = 1.0 / m1
-        return (b * b - b * (K + 2.0 * r) + r * (K + s),
-                2.0 * b - K - 2.0 * r + (r - b) * (m2 / m1**2))
-
-    return _safeguarded_newton(G, r, s, np.sqrt(s * r))
 
 
 class BirnbaumSaunders(ModelFamily):
@@ -134,38 +103,56 @@ class BirnbaumSaunders(ModelFamily):
     def validate_data(self, data):
         check_observations(self.name, data, *POSITIVE, least=2)
 
-    @staticmethod
-    def _means(data) -> tuple:
-        """Data as a (k, n) matrix with the row means s and the row
-        harmonic means r."""
-        x = np.atleast_2d(np.asarray(data, dtype=float))
+    def summarize(self, x):
+        """x with its row means s and row harmonic means r."""
         n = x.shape[1]
         return x, x.sum(axis=1) / n, 1.0 / ((1.0 / x).sum(axis=1) / n)
 
-    def fit_restricted(self, data, theta10):
-        phi0 = float(np.atleast_1d(theta10)[0])
+    def restricted_rows(self, m, theta10):
+        x, s, r = m
+        phi0 = float(theta10[0])
         if not phi0 > 0.0:
             raise ValueError(f"null shape must be positive, got {phi0}")
-        beta, ok = _restricted_scale(*self._means(data), phi0)
-        if not ok[0]:
-            raise FitError(f"{self.name}: restricted fit did not converge")
-        return np.array([phi0, beta[0]])
 
-    def fit_unrestricted(self, data):
-        x, s, r = self._means(data)
-        if not s[0] > r[0]:
-            raise FitError(f"{self.name}: degenerate sample, all "
-                           "observations equal")
-        beta, ok = _unrestricted_scale(x, s, r)
-        if not ok[0]:
-            raise FitError(f"{self.name}: unrestricted fit did not converge")
-        phi_sq = s[0] / beta[0] + beta[0] / r[0] - 2.0
-        if not phi_sq > 0.0:
-            raise FitError(f"{self.name}: shape estimate collapsed to 0")
-        return np.array([np.sqrt(phi_sq), beta[0]])
+        def H(b):
+            m1, m2 = _inverse_means(x, b)
+            return ((s - b * b / r) / phi0**2 - b + 2.0 * b * b * m1,
+                    -2.0 * b / (r * phi0**2) - 1.0 + 4.0 * b * m1
+                    - 2.0 * b * b * m2)
+
+        hi = np.maximum(s, phi0**2 + s + r)
+        grow = H(hi)[0] > 0.0
+        while grow.any():       # ends: H < 0 from phi0^2 r + sqrt(s r) on
+            hi = np.where(grow, 2.0 * hi, hi)
+            grow = H(hi)[0] > 0.0
+        beta, ok = _safeguarded_newton(H, np.zeros_like(s), hi,
+                                       np.sqrt(s * r))
+        return np.array([np.full_like(beta, phi0),
+                         np.where(ok, beta, np.nan)]).T
+
+    def unrestricted_rows(self, m):
+        x, s, r = m
+
+        def G(b):
+            m1, m2 = _inverse_means(x, b)
+            K = 1.0 / m1
+            return (b * b - b * (K + 2.0 * r) + r * (K + s),
+                    2.0 * b - K - 2.0 * r + (r - b) * (m2 / m1**2))
+
+        beta, ok = _safeguarded_newton(G, r, s, np.sqrt(s * r))
+        phi_sq = s / beta + beta / r - 2.0
+        ok &= (s > r) & (phi_sq > 0.0)
+        return np.where(ok[:, None],
+                        np.array([np.sqrt(phi_sq), beta]).T, np.nan)
+
+    def raw_statistic(self, m, theta10, theta_tilde, theta_hat):
+        x, s, r = m
+        phi0, bt = float(theta10[0]), theta_tilde[:, 1]
+        return (x.shape[1] * (theta_hat[:, 0] - phi0) / phi0**3
+                * (s / bt + bt / r - (2.0 + phi0**2)))
 
     def score(self, data, theta):
-        x, (s,), (r,) = self._means(data)
+        x, (s,), (r,) = self.summarize(self._as_row(data))
         phi, beta = self._check_theta(theta)
         u_phi = (s / beta + beta / r - 2.0 - phi**2) / phi**3
         u_beta = (s / beta**2 - 1.0 / r) / (2.0 * phi**2) \
@@ -214,14 +201,3 @@ class BirnbaumSaunders(ModelFamily):
                   / (b**3 * f**4))
         pair_fill(dd2, (1, 1), (1, 1), -3.0 * T / (b**4 * f**2))
         return k2, k3, k4, d2, d3, dd2
-
-    def batch_statistics(self, data, theta10):
-        phi0 = float(np.atleast_1d(theta10)[0])
-        x, s, r = self._means(data)
-        bt, ok_t = _restricted_scale(x, s, r, phi0)
-        bh, ok_h = _unrestricted_scale(x, s, r)
-        phi_sq = s / bh + bh / r - 2.0
-        failed = ~(ok_t & ok_h & (s > r) & (phi_sq > 0.0))
-        ph = np.sqrt(np.where(failed, np.nan, phi_sq))
-        return batch_result(x.shape[1] * (ph - phi0) / phi0**3
-                            * (s / bt + bt / r - (2.0 + phi0**2)), failed)

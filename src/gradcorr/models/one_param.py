@@ -27,8 +27,7 @@ import numpy as np
 from ..cumulants import CumulantBundle
 from ..expansion import (ExpansionCoefficients, OneParamCumulants,
                          coefficients_one_param)
-from .base import (POSITIVE, FitError, ModelFamily, batch_result,
-                   check_observations)
+from .base import POSITIVE, ModelFamily, check_observations
 
 __all__ = ["OneParamExpFamily", "exponential", "normal_mean_known",
            "normal_variance_known", "inverse_normal_mean_known",
@@ -78,21 +77,23 @@ class OneParamExpFamily(ModelFamily):
     def validate_data(self, data):
         check_observations(self.name, data, *self._spec.support)
 
-    def _mle(self, dbar):
-        # NaN marks a mean outside the range the MLE inverts
-        with np.errstate(divide="ignore", invalid="ignore"):
-            return self._spec.mle_from_dbar(np.asarray(dbar, dtype=float))
+    def summarize(self, x):
+        # sum / n is mean(axis=1) to the bit, without its per-call overhead
+        return x.shape[1], self._spec.d(x).sum(axis=1) / x.shape[1]
 
-    def fit_unrestricted(self, data):
-        dbar = float(np.mean(self._spec.d(np.asarray(data, dtype=float))))
-        phi_hat = float(self._mle(dbar))
-        if not np.isfinite(phi_hat) or not phi_hat > self._spec.phi_min:
-            raise FitError(f"{self.name}: MLE left the parameter space "
-                           f"(dbar={dbar})")
-        return np.array([phi_hat])
+    def restricted_rows(self, m, theta10):
+        return np.full((len(m[1]), 1), self._check_phi(theta10))
 
-    def fit_restricted(self, data, theta10):
-        return np.array([self._check_phi(theta10)])
+    def unrestricted_rows(self, m):
+        phi_hat = self._spec.mle_from_dbar(m[1])
+        ok = np.isfinite(phi_hat) & (phi_hat > self._spec.phi_min)
+        return np.where(ok, phi_hat, np.nan)[:, None]
+
+    def raw_statistic(self, m, theta10, theta_tilde, theta_hat):
+        n, dbar = m
+        phi0, spec = float(theta10[0]), self._spec
+        return (n * (phi0 - theta_hat[:, 0]) * spec.alpha_derivs(phi0)[0]
+                * (spec.beta(phi0) + dbar))
 
     def score(self, data, theta):
         phi = self._check_phi(theta)
@@ -118,17 +119,6 @@ class OneParamExpFamily(ModelFamily):
 
     def specialized_coefficients(self, theta) -> ExpansionCoefficients:
         return coefficients_one_param(self.scalar_cumulants(theta))
-
-    def batch_statistics(self, data, theta10):
-        phi0 = self._check_phi(theta10)
-        spec = self._spec
-        x = np.asarray(data, dtype=float)
-        dbar = spec.d(x).mean(axis=1)
-        phi_hat = self._mle(dbar)
-        bad = ~(np.isfinite(phi_hat) & (phi_hat > spec.phi_min))
-        a1 = spec.alpha_derivs(phi0)[0]
-        return batch_result(x.shape[1] * (phi0 - phi_hat) * a1
-                            * (spec.beta(phi0) + dbar), bad)
 
 
 def exponential() -> OneParamExpFamily:

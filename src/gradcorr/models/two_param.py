@@ -23,8 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from ._build import pair_fill, sym_fill
-from .base import (POSITIVE, FitError, ModelFamily, batch_result,
-                   check_observations)
+from .base import POSITIVE, ModelFamily, check_observations
 
 __all__ = ["NormalMeanTest", "TwoSampleExponential"]
 
@@ -52,21 +51,25 @@ class NormalMeanTest(ModelFamily):
     def validate_data(self, data):
         check_observations(self.name, data, least=2)
 
-    def fit_unrestricted(self, data):
-        x = np.asarray(data, dtype=float)
-        mu = float(x.mean())
-        var = float(np.mean((x - mu) ** 2))
-        if not var > 0.0:
-            raise FitError(f"{self.name}: degenerate sample, variance 0")
-        return np.array([mu, var])
+    def summarize(self, x):
+        n = x.shape[1]
+        xbar = x.sum(axis=1) / n
+        return n, xbar, ((x - xbar[:, None]) ** 2).sum(axis=1) / n
 
-    def fit_restricted(self, data, theta10):
-        x = np.asarray(data, dtype=float)
-        phi0 = float(np.atleast_1d(theta10)[0])
-        var = float(np.mean((x - phi0) ** 2))
-        if not var > 0.0:
-            raise FitError(f"{self.name}: degenerate sample, variance 0")
-        return np.array([phi0, var])
+    def restricted_rows(self, m, theta10):
+        _, xbar, t2 = m
+        phi0 = float(theta10[0])
+        var = (xbar - phi0) ** 2 + t2
+        return np.array([np.full_like(var, phi0),
+                         np.where(var > 0.0, var, np.nan)]).T
+
+    def unrestricted_rows(self, m):
+        _, xbar, t2 = m
+        return np.array([xbar, np.where(t2 > 0.0, t2, np.nan)]).T
+
+    def raw_statistic(self, m, theta10, theta_tilde, theta_hat):
+        n, xbar, _ = m
+        return n * (xbar - float(theta10[0])) ** 2 / theta_tilde[:, 1]
 
     def score(self, data, theta):
         x = np.asarray(data, dtype=float)
@@ -97,16 +100,6 @@ class NormalMeanTest(ModelFamily):
         pair_fill(dd2, (1, 1), (1, 1), -3.0 / b**4)
         return k2, k3, k4, d2, d3, dd2
 
-    def batch_statistics(self, data, theta10):
-        phi0 = float(np.atleast_1d(theta10)[0])
-        x = np.asarray(data, dtype=float)
-        xbar = x.mean(axis=1)
-        t1 = (xbar - phi0) ** 2
-        t2 = ((x - xbar[:, None]) ** 2).mean(axis=1)
-        tot = t1 + t2
-        with np.errstate(invalid="ignore", divide="ignore"):
-            return batch_result(x.shape[1] * t1 / tot, ~(tot > 0.0))
-
 
 class TwoSampleExponential(ModelFamily):
     """Exponential mean ratio test on two independent balanced samples."""
@@ -126,15 +119,6 @@ class TwoSampleExponential(ModelFamily):
                              f"got ({phi}, {beta})")
         return phi, beta
 
-    @staticmethod
-    def _split(data) -> tuple:
-        x1, x2 = data
-        return np.asarray(x1, dtype=float), np.asarray(x2, dtype=float)
-
-    def nobs(self, data) -> int:
-        x1, x2 = self._split(data)
-        return len(x1) + len(x2)
-
     def sample(self, theta, size, rng):
         """A pair of samples for size = n; for size = (k, n) a matrix whose
         rows hold sample 1 in the first n/2 columns, sample 2 in the rest."""
@@ -150,35 +134,46 @@ class TwoSampleExponential(ModelFamily):
         return (x[:m], x[m:]) if x.ndim == 1 else x
 
     def validate_data(self, data):
-        x1, x2 = self._split(data)
+        x1, x2 = (np.asarray(x, dtype=float) for x in data)
         if len(x1) != len(x2):
             raise ValueError(f"{self.name}: samples must have equal length "
                              f"({len(x1)} vs {len(x2)})")
         for label, x in (("sample 1", x1), ("sample 2", x2)):
             check_observations(self.name, x, *POSITIVE, prefix=f"{label}, ")
 
-    def fit_unrestricted(self, data):
-        x1, x2 = self._split(data)
-        m1, m2 = float(x1.mean()), float(x2.mean())
-        if not (m1 > 0.0 and m2 > 0.0):
-            raise FitError(f"{self.name}: nonpositive sample mean")
-        return np.array([m2 / m1, np.sqrt(m1 * m2)])
+    def summarize(self, x):
+        n = x.shape[1]
+        if n % 2 != 0:
+            raise ValueError(f"total sample size must be even, got {n}")
+        h = n // 2
+        return n, x[:, :h].sum(axis=1) / h, x[:, h:].sum(axis=1) / h
 
-    def fit_restricted(self, data, theta10):
-        x1, x2 = self._split(data)
-        phi0 = float(np.atleast_1d(theta10)[0])
+    def restricted_rows(self, m, theta10):
+        _, m1, m2 = m
+        phi0 = float(theta10[0])
         if not phi0 > 0.0:
             raise ValueError(f"null ratio must be positive, got {phi0}")
         rp = np.sqrt(phi0)
-        beta = 0.5 * (float(x1.mean()) * rp + float(x2.mean()) / rp)
-        if not beta > 0.0:
-            raise FitError(f"{self.name}: nonpositive pooled scale")
-        return np.array([phi0, beta])
+        beta = 0.5 * (m1 * rp + m2 / rp)
+        return np.array([np.full_like(beta, phi0),
+                         np.where(beta > 0.0, beta, np.nan)]).T
+
+    def unrestricted_rows(self, m):
+        _, m1, m2 = m
+        ok = (m1 > 0.0) & (m2 > 0.0)
+        return np.where(ok[:, None],
+                        np.array([m2 / m1, np.sqrt(m1 * m2)]).T, np.nan)
+
+    def raw_statistic(self, m, theta10, theta_tilde, theta_hat):
+        n, m1, m2 = m
+        phi0 = float(theta10[0])
+        rp = np.sqrt(phi0)
+        u_phi = (-m1 / rp + m2 / (phi0 * rp)) / (4.0 * theta_tilde[:, 1])
+        return n * u_phi * (theta_hat[:, 0] - phi0)
 
     def score(self, data, theta):
-        x1, x2 = self._split(data)
+        _, (m1,), (m2,) = self.summarize(self._as_row(data))
         phi, beta = self._check_theta(theta)
-        m1, m2 = float(x1.mean()), float(x2.mean())
         rp = np.sqrt(phi)
         return np.array([
             (-m1 / rp + m2 / (phi * rp)) / (4.0 * beta),
@@ -210,19 +205,3 @@ class TwoSampleExponential(ModelFamily):
         pair_fill(dd2, (0, 0), (0, 0), -1.5 / f**4)
         pair_fill(dd2, (1, 1), (1, 1), -6.0 / b**4)
         return k2, k3, k4, d2, d3, dd2
-
-    def batch_statistics(self, data, theta10):
-        phi0 = float(np.atleast_1d(theta10)[0])
-        x = np.asarray(data, dtype=float)
-        n = x.shape[1]
-        if n % 2 != 0:
-            raise ValueError(f"total sample size must be even, got {n}")
-        m1 = x[:, :n // 2].mean(axis=1)
-        m2 = x[:, n // 2:].mean(axis=1)
-        rp = np.sqrt(phi0)
-        bt = 0.5 * (m1 * rp + m2 / rp)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            u_phi = (-m1 / rp + m2 / (phi0 * rp)) / (4.0 * bt)
-            raw = n * u_phi * (m2 / m1 - phi0)
-        # the scalar fits reject a nonpositive sample mean
-        return batch_result(raw, ~((m1 > 0.0) & (m2 > 0.0)))

@@ -9,7 +9,10 @@ Fraction arithmetic, a different algebraic lineage than the production
 tensor contractions.  Two closed forms written in their own variables
 stand beside it: the one-parameter exponential-family formula in the
 derivatives of alpha and beta, and the Birnbaum-Saunders coefficients
-in the shape alone.
+in the shape alone.  One reference does call the package: the gradient
+statistic rebuilt from its definition, the score at the restricted fit
+times the estimate shift, out of a family's one-data-set fits and score
+instead of its row-wise statistic.
 """
 
 from __future__ import annotations
@@ -365,3 +368,17 @@ def birnbaum_saunders_coefficients(f: float) -> dict:
     return dict(A1=-3.0 + a1pb, A2=69.0 / 8.0 + a2pb, A3=125.0 / 8.0,
                 A1_phi=-3.0, A1_phibeta=a1pb,
                 A2_phi=69.0 / 8.0, A2_phibeta=a2pb)
+
+
+# ------------------------------------------------------------ statistic
+
+def gradient_statistic_reference(model, data, theta10) -> float:
+    """Unclamped S = n U_1(theta_tilde)'(theta_hat_1 - theta10) of one data
+    set from the model's two fits and its score; FitError where a fit
+    fails."""
+    theta10 = np.atleast_1d(np.asarray(theta10, dtype=float))
+    n = sum(map(len, data)) if isinstance(data, tuple) else len(data)
+    theta_tilde = np.atleast_1d(model.fit_restricted(data, theta10))
+    theta_hat = np.atleast_1d(model.fit_unrestricted(data))
+    u1 = np.atleast_1d(model.score(data, theta_tilde))[:model.q]
+    return float(n * u1 @ (theta_hat[:model.q] - theta10))

@@ -68,13 +68,13 @@ def test_test_command_matches_library_composition(capsys, exp_data):
 def test_test_command_fits_restricted_model_once(capsys, tmp_path,
                                                 monkeypatch):
     bs = type(make_model("birnbaum-saunders"))
-    fit, calls = bs.fit_restricted, []
+    fit, calls = bs.restricted_rows, []
 
-    def counted(self, data, theta10):
+    def counted(self, m, theta10):
         calls.append(theta10)
-        return fit(self, data, theta10)
+        return fit(self, m, theta10)
 
-    monkeypatch.setattr(bs, "fit_restricted", counted)
+    monkeypatch.setattr(bs, "restricted_rows", counted)
     path = _write(tmp_path / "bs.txt", "0.6\n1.1\n0.9\n1.7\n0.4\n")
     code, _, _ = run_cli(capsys, "test", "--model", "bs", "--data", path,
                          "--theta10", "1")
@@ -231,16 +231,23 @@ def test_coeffs_output_is_thin_wrapper(capsys):
                    ("two-sample-exponential", "-1"),
                    ("gamma-rate", "1e308")]),
     ("coeffs", "--model", "two-parameter-normal", "--params", "phi=nan"),
+    *((cmd, "--model", "gamma-rate", "--params", "phi=1e308", *flags)
+      for cmd, flags in [("coeffs", ()),
+                         ("simulate", ("--n", "5:6", "--reps", "10")),
+                         ("cdf-study", ("--n", "6", "--reps", "10"))]),
 ], ids=lambda argv: " ".join(argv[2:]))
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_bad_parameter_values_exit_2(capsys, tmp_path, argv):
-    # non-finite numbers stop at the parser; out-of-range ones are library
-    # errors that the command reports instead of a traceback
+    # non-finite numbers stop at the parser; out-of-range ones and overflow
+    # are library errors that the command reports instead of a traceback
+    # or a numpy warning
     if argv[0] == "test":
         rows = ("1.1,0.8", "0.4,1.9", "2.3,0.7", "0.9,1.2", "1.7,2.5")
         if argv[2] != "two-sample-exponential":
             rows = [r.partition(",")[0] for r in rows]
         argv += ("--data", _write(tmp_path / "x.csv", "\n".join(rows)))
+    elif argv[0] != "coeffs":
+        argv += ("--seed", "1", "--out", str(tmp_path / "x.csv"))
     code, out, err = run_cli(capsys, *argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: ")

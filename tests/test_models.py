@@ -9,7 +9,8 @@ from gradcorr.models import (FitError, builtin_models, gradient_statistic,
                              make_model)
 from gradcorr.models.base import ModelFamily
 from gradcorr.simulate import replicate_statistics
-from oracles import birnbaum_saunders_coefficients
+from oracles import (birnbaum_saunders_coefficients,
+                     gradient_statistic_reference)
 
 SEED = 20260814
 
@@ -68,11 +69,18 @@ class _NegativeRawStub(ModelFamily):
     def sample(self, theta, n, rng):
         return np.zeros(n)
 
-    def fit_unrestricted(self, data):
-        return np.array([2.0])
+    def summarize(self, x):
+        return x
 
-    def fit_restricted(self, data, theta10):
-        return np.atleast_1d(np.asarray(theta10, dtype=float))
+    def restricted_rows(self, m, theta10):
+        return np.full((len(m), 1), theta10[0])
+
+    def unrestricted_rows(self, m):
+        return np.full((len(m), 1), 2.0)
+
+    def raw_statistic(self, m, theta10, theta_tilde, theta_hat):
+        # the score below at theta_tilde
+        return m.shape[1] * -1.0 * (theta_hat[:, 0] - theta10[0])
 
     def score(self, data, theta):
         return np.array([-1.0])
@@ -499,7 +507,9 @@ def test_sample_matrix_rows_are_successive_draws(model):
 
 
 def test_batch_statistics_agree_with_generic_loop(model):
-    # row r of a (k, n) draw is the r-th of k successive size-n draws
+    # row r of a (k, n) draw is the r-th of k successive size-n draws; the
+    # batch rows and the one-row gradient_statistic both match S built from
+    # the two fits and the score
     theta = np.asarray(model.default_theta, dtype=float)
     theta10 = theta[:model.q]
     count = 40
@@ -509,19 +519,46 @@ def test_batch_statistics_agree_with_generic_loop(model):
             model.sample(theta, (count, n), np.random.default_rng(SEED)),
             theta10)
         slow = np.empty(count)
+        one = np.empty(count)
         slow_failed = 0
         rng = np.random.default_rng(SEED)
         for i in range(count):
             data = model.sample(theta, n, rng)
             try:
-                slow[i] = gradient_statistic(model, data, theta10).value
+                slow[i] = max(gradient_statistic_reference(model, data,
+                                                           theta10), 0.0)
             except FitError:
-                slow[i] = np.nan
+                slow[i] = one[i] = np.nan
                 slow_failed += 1
+                with pytest.raises(FitError):
+                    gradient_statistic(model, data, theta10)
+                continue
+            one[i] = gradient_statistic(model, data, theta10).value
         assert fast_failed == slow_failed, n
         ok = ~np.isnan(slow)
         assert np.allclose(fast[ok], slow[ok], rtol=1e-11, atol=1e-11), n
+        assert np.allclose(one[ok], slow[ok], rtol=1e-11, atol=1e-11), n
         assert np.array_equal(np.isnan(fast), np.isnan(slow)), n
+
+
+BOUNDED_NULL = sorted(set(builtin_models())
+                      - {"normal-variance-known", "two-parameter-normal"})
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0])
+@pytest.mark.parametrize("model_id", BOUNDED_NULL)
+def test_out_of_range_null_fails_alike_on_both_paths(model_id, bad):
+    m = make_model(model_id)
+    theta = np.asarray(m.default_theta, dtype=float)
+    rng = np.random.default_rng(SEED)
+    data, matrix = m.sample(theta, 10, rng), m.sample(theta, (4, 10), rng)
+    with pytest.raises(ValueError) as want:
+        m.fit_restricted(data, bad)
+    for path in (lambda: m.batch_statistics(matrix, [bad]),
+                 lambda: gradient_statistic(m, data, [bad])):
+        with pytest.raises(ValueError) as got:
+            path()
+        assert str(got.value) == str(want.value)
 
 
 def test_two_sample_batch_counts_failed_fits():

@@ -203,7 +203,7 @@ def test_worker_count_is_clamped(monkeypatch):
 
 
 class _FlakyModel(ModelFamily):
-    """Stub whose fits fail at a controlled rate."""
+    """Stub whose unrestricted fit fails at a controlled rate."""
 
     name = "flaky-stub"
 
@@ -213,11 +213,19 @@ class _FlakyModel(ModelFamily):
     def sample(self, theta, size, rng):
         return rng.exponential(1.0, size=size)
 
-    def fit_unrestricted(self, data):
-        return np.array([float(np.mean(data))])
+    def summarize(self, x):
+        return x[:, 0]
 
-    def fit_restricted(self, data, theta10):
-        return np.atleast_1d(np.asarray(theta10, dtype=float))
+    def restricted_rows(self, m, theta10):
+        return np.full((len(m), 1), theta10[0])
+
+    def unrestricted_rows(self, m):
+        fit = m[:, None].copy()
+        fit[::self.fail_every] = np.nan
+        return fit
+
+    def raw_statistic(self, m, theta10, theta_tilde, theta_hat):
+        return 2.0 * m                  # chi-square with 2 df
 
     def score(self, data, theta):
         return np.array([0.0])
@@ -227,11 +235,6 @@ class _FlakyModel(ModelFamily):
 
     def specialized_coefficients(self, theta):
         return ExpansionCoefficients(A1=0.0, A2=0.0, A3=0.0)
-
-    def batch_statistics(self, data, theta10):
-        S = 2.0 * data[:, 0]            # chi-square with 2 df
-        S[::self.fail_every] = np.nan
-        return S, int(np.isnan(S).sum())
 
 
 def test_failure_rate_above_threshold_aborts_cdf_study():
