@@ -20,10 +20,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-import numpy as np
-
 from .expansion import ExpansionCoefficients
-from .special import chi2_cdf, chi2_quantile
+from .special import _chi2_ladder, chi2_cdf, chi2_quantile
 
 __all__ = ["BartlettFactors", "TestReport", "bartlett_factors",
            "expanded_cdf", "corrected_statistic", "modified_quantile",
@@ -86,13 +84,12 @@ def bartlett_factors(coef: ExpansionCoefficients, q: int,
 def expanded_cdf(x, coef: ExpansionCoefficients, q: int, n: int):
     """Null CDF of S to order 1/n at a scalar or elementwise on an array;
     returned raw (may slightly exit [0,1])."""
-    if not np.all(np.asarray(x) >= 0):
-        raise ValueError(f"x must be >= 0 (not NaN), got {x}")
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    tail = sum(r * chi2_cdf(x, q + 2 * i)
-               for i, r in enumerate((coef.R0, coef.R1, coef.R2, coef.R3)))
-    return chi2_cdf(x, q) + tail / (24.0 * n)
+    rungs = _chi2_ladder(x, q, 4)
+    tail = sum(r * g for r, g in zip((coef.R0, coef.R1, coef.R2, coef.R3),
+                                      rungs))
+    return rungs[0] + tail / (24.0 * n)
 
 
 def _check_statistic(S: float) -> None:

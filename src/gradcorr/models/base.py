@@ -152,6 +152,8 @@ class ModelFamily(ABC):
         theta10 = np.atleast_1d(np.asarray(theta10, dtype=float))
         if theta10.shape != (self.q,):
             raise ValueError(f"theta10 must have length q={self.q}")
+        if not np.isfinite(theta10).all():
+            raise ValueError(f"theta10 must be finite, got {tuple(theta10)}")
         return theta10
 
     def _one_row(self, fit, which) -> np.ndarray:

@@ -141,12 +141,15 @@ class SimulationResult:
 
 @dataclass(frozen=True)
 class CdfStudy:
-    """Empirical null CDF of S on the grid x.  The chi-square and expanded
-    CDFs on the grid are evaluated when read, not stored, so a study kept
-    in memory holds two curves rather than four."""
+    """Empirical null CDF of S on the grid x, evenly spaced over
+    [0, grid_end].  A study stores the grid end and, per grid point, the
+    count of finite S at or below it, in the smallest unsigned dtype that
+    holds the count; the grid and the empirical, chi-square and expanded
+    CDFs on it are built when read, so a study kept in memory holds a
+    few bytes per grid point."""
 
-    x: np.ndarray
-    f_empirical: np.ndarray
+    grid_end: float
+    counts: np.ndarray
     sup_chisq: float
     sup_expanded: float
     n: int
@@ -154,6 +157,15 @@ class CdfStudy:
     failures: int
     q: int
     coefficients: ExpansionCoefficients
+
+    @property
+    def x(self) -> np.ndarray:
+        return np.linspace(0.0, self.grid_end, len(self.counts))
+
+    @property
+    def f_empirical(self) -> np.ndarray:
+        # every replicate whose fit did not fail has a finite S
+        return self.counts / (self.replicates - self.failures)
 
     @property
     def f_chisq(self) -> np.ndarray:
@@ -337,10 +349,11 @@ def run_cdf_study(model, theta, theta10, n: int, replicates: int,
     S.sort()
     m = len(S)
 
-    grid_hi = max(chi2_quantile(0.999, q), float(np.quantile(S, 0.999)))
-    x = np.linspace(0.0, grid_hi, grid_points)
-    f_emp = np.searchsorted(S, x, side="right") / m
-    return CdfStudy(x=x, f_empirical=f_emp,
+    grid_end = max(chi2_quantile(0.999, q), float(np.quantile(S, 0.999)))
+    counts = np.searchsorted(S, np.linspace(0.0, grid_end, grid_points),
+                             side="right")
+    return CdfStudy(grid_end=grid_end,
+                    counts=counts.astype(np.min_scalar_type(m)),
                     sup_chisq=_sup_distance(lambda v: chi2_cdf(v, q), S),
                     sup_expanded=_sup_distance(
                         lambda v: expanded_cdf(v, coef, q, n), S),

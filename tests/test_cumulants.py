@@ -52,6 +52,13 @@ def test_bundle_rejects_broken_symmetry():
     badd[0, 0, 0, 1] = 1.0  # dd_kappa2 symmetric in its last two axes
     with pytest.raises(ValueError):
         _bundle(2, dd_kappa2=badd)
+    # p = 7 and 8 lie beyond every built-in family (p <= 6)
+    for p in (7, 8):
+        bad4 = np.zeros((p, p, p, p))
+        bad4[1, 2, 3, p - 1] = 1.0  # kappa4 must be fully symmetric
+        with pytest.raises(ValueError, match="kappa4 violates"):
+            _bundle(p, kappa4=bad4)
+        _bundle(p, kappa4=np.ones((p, p, p, p)))
 
 
 @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])

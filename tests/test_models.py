@@ -561,6 +561,21 @@ def test_out_of_range_null_fails_alike_on_both_paths(model_id, bad):
         assert str(got.value) == str(want.value)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_nonfinite_null_is_rejected_on_every_path(model, bad):
+    theta = np.asarray(model.default_theta, dtype=float)
+    rng = np.random.default_rng(SEED)
+    data, matrix = model.sample(theta, 10, rng), model.sample(theta, (4, 10),
+                                                              rng)
+    null = theta[:model.q].copy()
+    null[-1] = bad
+    for path in (lambda: gradient_statistic(model, data, null),
+                 lambda: model.fit_restricted(data, null),
+                 lambda: model.batch_statistics(matrix, null)):
+        with pytest.raises(ValueError, match="theta10 must be finite"):
+            path()
+
+
 def test_two_sample_batch_counts_failed_fits():
     m = make_model("two-sample-exponential")
     x = np.array([[1.0, 2.0, 0.5, 1.5],

@@ -2,19 +2,132 @@
 
 Expected values marked as frozen were produced by tests/oracles.py
 (hand-rolled incomplete gamma, quadrature normal CDF, bisection
-quantiles) and pasted here as literals.
+quantiles) and pasted here as literals.  scipy, a test-only dependency,
+is the second oracle.
 """
 
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import special as sp
 
-from gradcorr.special import (chi2_cdf, chi2_pdf, chi2_quantile,
-                              std_normal_cdf, std_normal_tail_scaled)
+from gradcorr.special import (_chi2_ladder, chi2_cdf, chi2_pdf,
+                              chi2_quantile, std_normal_cdf,
+                              std_normal_tail_scaled)
 from oracles import chi2_cdf_oracle, chi2_quantile_oracle, normal_cdf_oracle
+
+# x = 2h with sqrt(h) in each of Cody's regions (<= 0.46875, <= 4, > 4)
+# and at their edges, in the power-series region h < 0.01 and at its edge,
+# at 0, at subnormal and tiny x, and at x >= 700 where e^{-x/2} underflows
+CDF_GRID = np.concatenate([
+    [0.0, 5e-324, 2e-218, 1e-300, 1e-12, 1e-6, 0.019999, 0.02, 0.020001,
+     2 * 0.46875 ** 2, np.nextafter(2 * 0.46875 ** 2, 1.0), 31.99, 32.0,
+     32.01, 700.0, 745.0, 1000.0, 1500.0, 1e5, 1e300],
+    np.geomspace(1e-9, 0.02, 25), np.linspace(0.0, 40.0, 161),
+    np.linspace(40.0, 120.0, 41)])
+
+
+def test_import_leaves_scipy_out():
+    src = Path(__file__).resolve().parent.parent / "src"
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "import gradcorr.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == "
+            "'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code, str(src)],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
+@pytest.mark.parametrize("df", range(1, 13))
+def test_chi2_cdf_scalar_and_array_paths_are_bit_identical(df):
+    arr = chi2_cdf(CDF_GRID, df)
+    assert np.array_equal(arr, [chi2_cdf(float(v), df) for v in CDF_GRID])
+    # expanded_cdf's four rungs are the same numbers as four chi2_cdf calls
+    for g, step in zip(_chi2_ladder(CDF_GRID, df, 4), range(4)):
+        assert np.array_equal(g, chi2_cdf(CDF_GRID, df + 2 * step))
+
+
+@pytest.mark.parametrize("df", range(1, 17))
+def test_chi2_cdf_matches_scipy_on_grid(df):
+    got = chi2_cdf(CDF_GRID, df)
+    want = sp.gammainc(df / 2.0, CDF_GRID / 2.0)
+    assert np.max(np.abs(got - want)) <= 1e-13
+    assert np.all((0.0 <= got) & (got <= 1.0))
+    assert chi2_cdf(math.inf, df) == 1.0
+    # the power series keeps small values accurate relative to themselves
+    small = (CDF_GRID < 0.02) & (want > 1e-300)
+    assert np.max(np.abs(got[small] / want[small] - 1.0)) <= 1e-13
+
+
+@pytest.mark.parametrize("df", range(1, 9))
+def test_chi2_cdf_is_elementwise_on_nd_arrays(df):
+    # small-x entries off the first row and next to large ones: every
+    # rung of the ladder must treat them one element at a time
+    x = np.array([[3.0, 40.0, 0.5, 9.0],
+                  [1e-6, 12.0, 2e-218, 0.0],
+                  [7.5, 0.011, 150.0, 1e-3]])
+    flat = _chi2_ladder(x.ravel(), df, 4)
+    for g, want in zip(_chi2_ladder(x, df, 4), flat):
+        assert g.shape == x.shape
+        assert np.array_equal(g.ravel(), want)
+    assert np.array_equal(chi2_cdf(x[None], df)[0], chi2_cdf(x, df))
+
+
+@pytest.mark.parametrize("df", [100, 331, 999, 1000])
+def test_chi2_cdf_matches_scipy_at_large_df(df):
+    # e^{-x/2} is subnormal above x = 1417 and 0 above x = 1490
+    x = np.concatenate([np.linspace(0.0, 2.5 * df, 1001),
+                        np.linspace(1400.0, 1500.0, 401), [1600.0, 1e5]])
+    got = chi2_cdf(x, df)
+    assert np.max(np.abs(got - sp.gammainc(df / 2.0, x / 2.0))) <= 1e-13
+    assert np.array_equal(got[::50], [chi2_cdf(float(v), df)
+                                      for v in x[::50]])
+
+
+def test_df_above_the_ladder_limit_is_rejected():
+    with pytest.raises(ValueError, match="df must lie in"):
+        chi2_cdf(1600.0, 2000)
+    with pytest.raises(ValueError, match="df must lie in"):
+        chi2_quantile(0.5, 1001)
+    with pytest.raises(ValueError, match="df must lie in"):
+        chi2_pdf(1.0, 1001)
+    # the ladder's top rung counts too: expanded_cdf walks up to q + 6
+    with pytest.raises(ValueError, match="df must lie in"):
+        _chi2_ladder(1.0, 996, 4)
+    assert len(_chi2_ladder(1.0, 994, 4)) == 4
+
+
+@pytest.mark.parametrize("df", range(1, 11))
+def test_chi2_quantile_matches_scipy(df):
+    probs = np.concatenate([np.geomspace(1e-6, 0.5, 40),
+                            1.0 - np.geomspace(1e-9, 0.5, 40)])
+    for p in probs:
+        got = chi2_quantile(float(p), df)
+        want = sp.chdtri(df, 1.0 - p)
+        assert abs(sp.chdtr(df, got) - sp.chdtr(df, want)) <= 1e-12, p
+
+
+def test_chi2_quantile_cache_keeps_the_type_checks():
+    chi2_quantile(0.95, 1)
+    for df in (True, 1.0):
+        with pytest.raises(TypeError):
+            chi2_quantile(0.95, df)
+
+
+def test_scaled_tail_matches_scipy_across_cody_regions():
+    # v / sqrt(2) on both sides of +-0.46875 and 4, and large; e^{v^2/2}
+    # overflows far below -37
+    for v in (-6.0, -0.66, -0.5, 0.0, 0.5, 0.66, 0.67, 3.0, 5.65,
+              5.66, 8.0, 40.0, 1e4, 1e8):
+        want = 0.5 * sp.erfcx(v / math.sqrt(2.0))
+        assert abs(std_normal_tail_scaled(v) - want) <= 1e-14 * want, v
+    assert std_normal_tail_scaled(-40.0) == math.inf
 
 
 def test_chi2_cdf_at_origin():
