@@ -13,12 +13,19 @@ expansion coefficients:
 The polynomial factors a, b, c already carry the 1/n.  The duality
 between (i) and (iii) -- same polynomial, opposite sign -- is exactly
 what makes the three rules agree to the expansion's order.
+
+``bartlett_factors`` and ``expanded_cdf`` also take an integer array n,
+applied elementwise in the same operations and order as a scalar n, so
+a Monte Carlo study can decide values of several sample sizes at once
+and reach the decisions the per-size calls reach, bit for bit.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .expansion import ExpansionCoefficients
 from .special import _chi2_ladder, chi2_cdf, chi2_quantile
@@ -30,7 +37,8 @@ __all__ = ["BartlettFactors", "TestReport", "bartlett_factors",
 
 @dataclass(frozen=True)
 class BartlettFactors:
-    """Coefficients of the correction polynomial c + b*S + a*S^2 (1/n included)."""
+    """Coefficients of the correction polynomial c + b*S + a*S^2 (1/n
+    included): floats for an integer n, arrays for an array of n."""
 
     a: float
     b: float
@@ -71,25 +79,39 @@ class TestReport:
     warnings: tuple[str, ...] = field(default_factory=tuple)
 
 
+def _check_n(n) -> None:
+    """n >= 1, for an integer or elementwise for an array.  An integer
+    takes a plain comparison: np.any on it would cost a single test more
+    than the rest of the check."""
+    if (n < 1).any() if isinstance(n, np.ndarray) else n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+
+
 def bartlett_factors(coef: ExpansionCoefficients, q: int,
-                     n: int) -> BartlettFactors:
-    if n < 1 or q < 1:
-        raise ValueError("n and q must be positive")
+                     n) -> BartlettFactors:
+    if q < 1:
+        raise ValueError(f"q must be >= 1, got {q}")
+    _check_n(n)
     a = coef.A3 / (12.0 * n * q * (q + 2) * (q + 4))
     b = (coef.A2 - 2.0 * coef.A3) / (12.0 * n * q * (q + 2))
     c = (coef.A1 - coef.A2 + coef.A3) / (12.0 * n * q)
     return BartlettFactors(a=a, b=b, c=c, n=n, q=q)
 
 
-def expanded_cdf(x, coef: ExpansionCoefficients, q: int, n: int):
-    """Null CDF of S to order 1/n at a scalar or elementwise on an array;
-    returned raw (may slightly exit [0,1])."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+def expanded_cdf(x, coef: ExpansionCoefficients, q: int, n):
+    """Null CDF of S to order 1/n at a scalar or elementwise on an array
+    (n an integer, or an integer array broadcasting with x); returned
+    raw (may slightly exit [0,1])."""
+    return _null_cdfs(x, coef, q, n)[1]
+
+
+def _null_cdfs(x, coef: ExpansionCoefficients, q: int, n) -> tuple:
+    """(G_q(x), expanded CDF at x) from one ladder: G_q is its first rung."""
+    _check_n(n)
     rungs = _chi2_ladder(x, q, 4)
     tail = sum(r * g for r, g in zip((coef.R0, coef.R1, coef.R2, coef.R3),
                                       rungs))
-    return rungs[0] + tail / (24.0 * n)
+    return rungs[0], rungs[0] + tail / (24.0 * n)
 
 
 def _check_statistic(S: float) -> None:
@@ -134,8 +156,7 @@ def _percentile(gamma: float, q: int) -> float:
 def approximate_moments(coef: ExpansionCoefficients, q: int,
                         n: int) -> tuple[float, float, float]:
     """(mean, central mu2, central mu3) of S to order 1/n."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+    _check_n(n)
     mu1 = q + coef.A1 / (12.0 * n)
     mu2 = 2.0 * q + (coef.A1 + coef.A2) / (3.0 * n)
     mu3 = 8.0 * q + 2.0 * (coef.A1 + 2.0 * coef.A2 + coef.A3) / n
@@ -158,8 +179,8 @@ def run_test(S: float, coef: ExpansionCoefficients, q: int, n: int,
     warnings: list[str] = []
     s_star, w = _corrected(S, f)
     warnings.extend(w)
-    raw = expanded_cdf(S, coef, q, n)
-    p_asym = 1.0 - chi2_cdf(S, q)
+    g, raw = _null_cdfs(S, coef, q, n)
+    p_asym = 1.0 - g
     p_exp, clamped = _clamp(1.0 - raw)
     if clamped:
         warnings.append("expanded-CDF p-value clamped to [0,1]")

@@ -15,9 +15,10 @@ Fitting.  The restricted scale solves H(b) = 0 where
 
     H(b) = (s - b^2/r)/phi0^2 - b + 2 b^2 mean(1/(x+b)),
 
-which is 2 b^2 / n times the beta-score; H(0) = s/phi0^2 > 0 and H < 0
-from b = phi0^2 r + sqrt(s r) on, so the root lies between 0 and a
-doubling of max(s, phi0^2 + s + r).  The unrestricted fit profiles out
+which is 2 b^2 / n times the beta-score.  H(0) = s/phi0^2 > 0, and the
+root lies below hi = phi0^2 r + sqrt(s r): as mean(1/(x+b)) < 1/b,
+H(b) < (s - b^2/r)/phi0^2 + b, which equals -sqrt(s r) at b = hi, so
+H(hi) < -sqrt(s r) < 0.  The unrestricted fit profiles out
 phi via phi^2 = s/b + b/r - 2 (the phi-score identity), leaving
 
     G(b) = b^2 - b (K + 2 r) + r (K + s),   K(b) = 1/mean(1/(x+b)),
@@ -62,9 +63,10 @@ def _safeguarded_newton(f, lo, hi, x0):
         lo = np.where(above, x, lo)
         hi = np.where(above, hi, x)
         step = x - fx / d
-        step = np.where((lo <= step) & (step <= hi), step,
-                        0.5 * (lo + hi))
-        x_new = np.where(done, x, step)
+        inside = (lo <= step) & (step <= hi)
+        if not inside.all():
+            step = np.where(inside, step, 0.5 * (lo + hi))
+        x_new = np.where(done, x, step) if done.any() else step
         done |= np.abs(x_new - x) <= _REL_TOL * np.abs(x_new)
         x = x_new
         if done.all():
@@ -120,13 +122,9 @@ class BirnbaumSaunders(ModelFamily):
                     -2.0 * b / (r * phi0**2) - 1.0 + 4.0 * b * m1
                     - 2.0 * b * b * m2)
 
-        hi = np.maximum(s, phi0**2 + s + r)
-        grow = H(hi)[0] > 0.0
-        while grow.any():       # ends: H < 0 from phi0^2 r + sqrt(s r) on
-            hi = np.where(grow, 2.0 * hi, hi)
-            grow = H(hi)[0] > 0.0
-        beta, ok = _safeguarded_newton(H, np.zeros_like(s), hi,
-                                       np.sqrt(s * r))
+        root_sr = np.sqrt(s * r)
+        beta, ok = _safeguarded_newton(H, np.zeros_like(s),
+                                       phi0**2 * r + root_sr, root_sr)
         return np.array([np.full_like(beta, phi0),
                          np.where(ok, beta, np.nan)]).T
 

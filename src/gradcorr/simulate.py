@@ -12,11 +12,18 @@ data matrix is drawn in C order from the Philox stream keyed by
 whatever the replicate count.  A block is drawn and reduced by
 batch_statistics in row groups of at most _GROUP_VALUES values, each
 continuing the block's stream, so the group size bounds memory without
-moving a draw; blocks are the unit of work for the workers.  Group
+moving a draw.  The size study's unit of work is a count group: the
+consecutive (n, block) pieces, sizes in config order and blocks in
+order within a size, gathered until they hold at least BLOCK
+replicates (the last group may hold fewer).  Its finite S are decided
+at once, each value carrying its own n, and counted per sample size,
+so the fixed cost of the rules is paid per group, not per size; a
+group spans sizes when blocks are short.  Row-group size, count-group
 size and worker count therefore affect neither values nor, thanks to
 integer-count reduction, aggregates.  Seeded results differ from
 versions that keyed one stream per replicate.  Workers default to 1;
-set GRADCORR_THREADS to parallelize over blocks.
+set GRADCORR_THREADS to parallelize over count groups (CDF studies
+run serially).
 
 Coefficients for the corrected procedures are ``ModelFamily.coefficients``
 evaluated at the null point (tested components at theta10, nuisance at
@@ -38,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .correction import bartlett_factors, expanded_cdf
+from .correction import _null_cdfs, bartlett_factors, expanded_cdf
 from .expansion import ExpansionCoefficients
 from .models import ModelFamily, make_model
 from .special import chi2_cdf, chi2_quantile
@@ -53,6 +60,7 @@ PROCEDURES = ("uncorrected", "corrected_statistic", "expanded_cdf",
 
 BLOCK = 4096                      # replicates per stream key
 _GROUP_VALUES = 1 << 20           # cap on replicates*n drawn at once
+_COUNT_REPLICATES = BLOCK         # replicates decided at once, at least
 _MAX_FAILURE_RATE = 0.05
 
 
@@ -94,6 +102,13 @@ class SimulationConfig:
         if bad or not self.procedures:
             raise ValueError(f"procedures must be a nonempty subset of "
                              f"{PROCEDURES}, got {self.procedures}")
+        # a repeated value would count its replicates twice in one row,
+        # or write the same row twice
+        for what, values in (("sample sizes", self.sizes),
+                             ("levels", self.alphas),
+                             ("procedures", self.procedures)):
+            if len(set(values)) != len(values):
+                raise ValueError(f"{what} must not repeat, got {values}")
 
 
 @dataclass(frozen=True)
@@ -243,89 +258,114 @@ def _null_point(model: ModelFamily, theta, theta10) -> np.ndarray:
     return th
 
 
-def _rejections(S, coef, q, n, alphas, procedures) -> dict:
-    """Per-(alpha, procedure) rejection counts over finite S values."""
+def _groups(sizes, replicates: int) -> list:
+    """The size study's count groups: consecutive (size index, n, block,
+    rows) pieces gathered until a group holds _COUNT_REPLICATES
+    replicates or more; the last group may hold fewer."""
+    groups, group, held = [], [], 0
+    for i, n in enumerate(sizes):
+        for block, rows in _blocks(replicates):
+            group.append((i, n, block, rows))
+            held += rows
+            if held >= _COUNT_REPLICATES:
+                groups.append(group)
+                group, held = [], 0
+    if group:
+        groups.append(group)
+    return groups
+
+
+def _rejections(S, coef, q, n, alphas, procedures) -> np.ndarray:
+    """Rejection decisions over finite S, value i at sample size n[i]:
+    one boolean row per (alpha, procedure) cell, in config order."""
     f = bartlett_factors(coef, q, n)
     s_star = f.corrected(S)
     p_exp = (1.0 - expanded_cdf(S, coef, q, n)
              if "expanded_cdf" in procedures else None)
-    counts = {}
+    rej = np.empty((len(alphas) * len(procedures), len(S)), dtype=bool)
+    rows = iter(rej)
     for alpha in alphas:
         crit = chi2_quantile(1.0 - alpha, q)
         z_mod = f.modified(crit)
         for proc in procedures:
+            row = next(rows)
             if proc == "uncorrected":
-                rej = S > crit
+                np.greater(S, crit, out=row)
             elif proc == "corrected_statistic":
-                rej = s_star > crit
+                np.greater(s_star, crit, out=row)
             elif proc == "expanded_cdf":
-                rej = p_exp < alpha
+                np.less(p_exp, alpha, out=row)
             else:
-                rej = S > z_mod
-            counts[(alpha, proc)] = int(np.count_nonzero(rej))
-    return counts
+                np.greater(S, z_mod, out=row)
+    return rej
 
 
-def _size_block(args) -> tuple:
-    (model_id, constants, theta, theta10, n, seed, block, rows, alphas,
+def _size_group(args) -> tuple:
+    """Rejection counts per (size, cell) and failures per size of one
+    count group, zero for the sizes the group does not hold."""
+    (model_id, constants, theta, theta10, seed, pieces, sizes, alphas,
      procedures, a_triple, q) = args
     model = make_model(model_id, **constants)
-    S, failed = _block_statistics(model, theta, theta10, n, seed, block,
-                                  rows)
-    S = S[np.isfinite(S)]
-    coef = ExpansionCoefficients(*a_triple)
-    return n, _rejections(S, coef, q, n, alphas, procedures), failed
+    failures = np.zeros(len(sizes), dtype=np.int64)
+    values, runs = [], []     # finite S per piece; (size index, count)
+    for i, n, block, rows in pieces:
+        S, failed = _block_statistics(model, theta, theta10, n, seed, block,
+                                      rows)
+        failures[i] += failed
+        values.append(S[np.isfinite(S)])
+        runs.append((i, len(values[-1])))
+    S = np.concatenate(values)
+    n = np.repeat([sizes[i] for i, _ in runs], [m for _, m in runs])
+    rej = _rejections(S, ExpansionCoefficients(*a_triple), q, n, alphas,
+                      procedures)
+    counts = np.zeros((len(sizes), len(rej)), dtype=np.int64)
+    lo = 0
+    for i, m in runs:
+        counts[i] += np.count_nonzero(rej[:, lo:lo + m], axis=1)
+        lo += m
+    return counts, failures
 
 
 def run_size_study(cfg: SimulationConfig) -> SimulationResult:
     """Null rejection rates per (n, alpha, procedure)."""
     model = make_model(cfg.model_id, **cfg.constants)
     coef = model.coefficients(_null_point(model, cfg.theta, cfg.theta10))
-    a_triple = coef.as_tuple()
-
-    tasks = []
-    for n in cfg.sizes:
-        for block, rows in _blocks(cfg.replicates):
-            tasks.append((cfg.model_id, cfg.constants, cfg.theta,
-                          cfg.theta10, n, int(cfg.seed), block, rows,
-                          cfg.alphas, cfg.procedures, a_triple, model.q))
+    tasks = [(cfg.model_id, cfg.constants, cfg.theta, cfg.theta10,
+              int(cfg.seed), pieces, cfg.sizes, cfg.alphas, cfg.procedures,
+              coef.as_tuple(), model.q)
+             for pieces in _groups(cfg.sizes, cfg.replicates)]
 
     workers = _workers(len(tasks))
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_size_block, tasks))
+            partials = list(pool.map(_size_group, tasks))
     else:
-        partials = [_size_block(t) for t in tasks]
-
-    counts = {(n, a, p): 0 for n in cfg.sizes for a in cfg.alphas
-              for p in cfg.procedures}
-    failures = {n: 0 for n in cfg.sizes}
-    for n, block_counts, failed in partials:
-        failures[n] += failed
-        for (a, p), c in block_counts.items():
-            counts[(n, a, p)] += c
+        partials = [_size_group(t) for t in tasks]
+    counts = sum(c for c, _ in partials)
+    failures = dict(zip(cfg.sizes, sum(f for _, f in partials).tolist()))
 
     for n in cfg.sizes:
         if failures[n] > _MAX_FAILURE_RATE * cfg.replicates:
             raise SimulationError(
                 f"{failures[n]} of {cfg.replicates} fits failed at n={n} "
                 f"(> {_MAX_FAILURE_RATE:.0%})")
-    return SimulationResult(
-        config=cfg, failures=tuple(sorted(failures.items())),
-        rejections=tuple(counts[(n, a, p)] for n in cfg.sizes
-                         for a in cfg.alphas for p in cfg.procedures))
+    return SimulationResult(config=cfg,
+                            failures=tuple(sorted(failures.items())),
+                            rejections=tuple(counts.ravel().tolist()))
 
 
-def _sup_distance(cdf, S) -> float:
-    """Exact sup distance of ``cdf`` from the empirical CDF of the sorted
-    sample S, evaluated at the jump points one block of S at a time."""
+def _sup_distances(S, coef, q, n) -> tuple:
+    """Exact sup distances of G_q and of the expanded CDF from the
+    empirical CDF of the sorted sample S, evaluated at the jump points
+    from one ladder per block of S."""
     m = len(S)
-    worst = -np.inf
+    worst = [-np.inf, -np.inf]
     for lo in range(0, m, BLOCK):
-        at = cdf(S[lo:lo + BLOCK])
-        i = np.arange(lo, lo + len(at))
-        worst = max(worst, np.max(at - i / m), np.max((i + 1) / m - at))
-    return float(worst)
+        i = np.arange(lo, min(lo + BLOCK, m))
+        for k, at in enumerate(_null_cdfs(S[lo:lo + BLOCK], coef, q, n)):
+            worst[k] = max(worst[k], np.max(at - i / m),
+                           np.max((i + 1) / m - at))
+    return float(worst[0]), float(worst[1])
 
 
 def run_cdf_study(model, theta, theta10, n: int, replicates: int,
@@ -352,11 +392,10 @@ def run_cdf_study(model, theta, theta10, n: int, replicates: int,
     grid_end = max(chi2_quantile(0.999, q), float(np.quantile(S, 0.999)))
     counts = np.searchsorted(S, np.linspace(0.0, grid_end, grid_points),
                              side="right")
+    sup_chisq, sup_expanded = _sup_distances(S, coef, q, n)
     return CdfStudy(grid_end=grid_end,
                     counts=counts.astype(np.min_scalar_type(m)),
-                    sup_chisq=_sup_distance(lambda v: chi2_cdf(v, q), S),
-                    sup_expanded=_sup_distance(
-                        lambda v: expanded_cdf(v, coef, q, n), S),
+                    sup_chisq=sup_chisq, sup_expanded=sup_expanded,
                     n=int(n),
                     replicates=int(replicates), failures=failed, q=q,
                     coefficients=coef)

@@ -320,6 +320,18 @@ def test_simulate_rejects_malformed_grid(capsys, tmp_path):
     assert code == 2 and "--n" in err
 
 
+@pytest.mark.parametrize("flags", (
+    ("--n", "8,8"), ("--n", "8,13", "--alpha", "0.05,0.1,0.05"),
+    ("--n", "8", "--procedures", "uncorrected,uncorrected")))
+def test_simulate_rejects_repeated_values(capsys, tmp_path, flags):
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli(capsys, "simulate", "--model", "exponential",
+                           "--reps", "400", "--seed", "1", "--out", str(out),
+                           *flags)
+    assert code == 2 and "must not repeat" in err
+    assert not out.exists()
+
+
 def test_cdf_study_writes_grid(capsys, tmp_path):
     out = tmp_path / "cdf.csv"
     code, msg, _ = run_cli(capsys, "cdf-study", "--model", "exponential",

@@ -45,6 +45,33 @@ def test_bartlett_factors_reject_bad_sizes():
         bartlett_factors(EXP, q=1, n=0)
 
 
+def test_array_n_matches_scalar_calls():
+    # a study decides values of several sample sizes at once; each value
+    # must meet the arithmetic of its own scalar n, bit for bit
+    n = np.array([1, 5, 7, 13, 40, 5, 1000])
+    S = np.array([0.0, 0.3, 1.7, 3.841459, 9.0, 25.0, 2.5])
+    for coef, q in ((EXP, 1), (TPN, 2), (EXP, 3)):
+        f = bartlett_factors(coef, q, n)
+        crit = chi2_quantile(0.95, q)
+        cdf = expanded_cdf(S, coef, q, n)
+        star, z = f.corrected(S), f.modified(crit)
+        for k, (nk, sk) in enumerate(zip(n.tolist(), S.tolist())):
+            g = bartlett_factors(coef, q, nk)
+            assert (f.a[k], f.b[k], f.c[k]) == (g.a, g.b, g.c)
+            assert cdf[k] == expanded_cdf(sk, coef, q, nk)
+            assert star[k] == g.corrected(sk)
+            assert z[k] == g.modified(crit)
+
+
+@pytest.mark.parametrize("n", (np.array([5, 0, 7]), np.array([-3]),
+                               np.array([[4, 9], [1, 0]])))
+def test_array_n_rejects_any_size_below_one(n):
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        bartlett_factors(EXP, q=1, n=n)
+    with pytest.raises(ValueError, match="n must be >= 1"):
+        expanded_cdf(np.ones(n.shape), EXP, q=1, n=n)
+
+
 def test_expanded_cdf_zero_coefficients_is_chisquare():
     for x in (0.0, 0.5, 2.0, 5.0, 12.0):
         assert expanded_cdf(x, ZERO, q=1, n=7) == chi2_cdf(x, 1)
@@ -195,6 +222,13 @@ def test_run_test_builds_bartlett_factors_once(monkeypatch):
     assert calls == [(EXP, 1, 20)]
     assert (r.S_star, r.warnings) == corrected_statistic(3.841459, EXP, 1, 20)
     assert r.z_modified == modified_quantile(0.05, EXP, 1, 20)
+
+
+@pytest.mark.parametrize("q", (1, 2, 3, 6))
+def test_run_test_asymptotic_pvalue_is_the_ladder_first_rung(q):
+    for S in (0.0, 1e-9, 0.004, 0.5, 3.841459, 12.0, 60.0, 800.0):
+        r = run_test(S, EXP, q=q, n=15)
+        assert r.p_asymptotic == 1.0 - chi2_cdf(S, q)
 
 
 def test_run_test_flags_clamped_expanded_pvalue():

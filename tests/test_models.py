@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcorr.models import (FitError, builtin_models, gradient_statistic,
                              make_model)
@@ -392,6 +394,31 @@ def test_birnbaum_saunders_fits_take_few_solver_evaluations(monkeypatch):
                 m.fit_unrestricted(data)
     assert len(counts) == 900
     assert max(counts) <= 8
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.floats(1e-3, 1e3), min_size=2, max_size=30),
+       st.floats(0.02, 50.0))
+def test_birnbaum_saunders_restricted_bracket_end_is_past_the_root(data,
+                                                                   phi0):
+    # mean(1/(x+b)) < 1/b gives H(b) < (s - b^2/r)/phi0^2 + b, which is
+    # -sqrt(s r) at b = phi0^2 r + sqrt(s r), the closed-form bracket end
+    from gradcorr.models import birnbaum_saunders as bs
+    solve, ends = bs._safeguarded_newton, []
+
+    def spy(f, lo, hi, x0):
+        ends.append((f(hi)[0], hi, x0))
+        return solve(f, lo, hi, x0)
+
+    m = make_model("birnbaum-saunders")
+    summary = m.summarize(np.array([data]))
+    _, (s,), (r,) = summary
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(bs, "_safeguarded_newton", spy)
+        m.restricted_rows(summary, (phi0,))
+    (h,), (hi,), (root_sr,) = ends[0]
+    assert hi == phi0**2 * r + np.sqrt(s * r) and root_sr == np.sqrt(s * r)
+    assert h < -root_sr < 0.0
 
 
 def test_validate_data_names_offending_observation():

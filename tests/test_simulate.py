@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from gradcorr.correction import expanded_cdf, modified_quantile, run_test
+from gradcorr.correction import (bartlett_factors, expanded_cdf,
+                                 modified_quantile, run_test)
 from gradcorr.expansion import ExpansionCoefficients
 from gradcorr.models import make_model
 from gradcorr.models.base import ModelFamily
@@ -14,7 +15,7 @@ from gradcorr.simulate import (BLOCK, PROCEDURES, SimulationConfig,
                                SimulationError, replicate_statistics,
                                run_cdf_study, run_size_study, write_cdf_csv,
                                write_size_csv)
-from gradcorr.special import chi2_quantile
+from gradcorr.special import chi2_cdf, chi2_quantile
 
 SEED = 20260814
 
@@ -43,6 +44,51 @@ def test_config_validation():
     with pytest.raises(ValueError, match="n=4294967296"):
         _config(sizes=(8, 2**32))
     assert set(_config(procedures=PROCEDURES).procedures) == set(PROCEDURES)
+
+
+@pytest.mark.parametrize("field, values", (
+    ("sizes", (8, 8)), ("sizes", (8, 13, 8)), ("alphas", (0.05, 0.05)),
+    ("procedures", ("uncorrected", "corrected_statistic", "uncorrected"))))
+def test_config_rejects_repeated_values(field, values):
+    # a repeated size would count its replicates twice in each of its
+    # rows (24 of 400 reported as 48); a repeated level or procedure
+    # would write the same rows twice
+    with pytest.raises(ValueError, match="must not repeat"):
+        _config(**{field: values})
+
+
+@pytest.mark.parametrize("sizes, reps", (
+    ((8,), 1), ((5, 6, 7), 500), ((13, 6, 9), BLOCK + 300),
+    ((6, 9), 3 * BLOCK), ((6, 7, 8, 9), 2 * BLOCK - 1)))
+def test_count_groups_cover_every_piece_in_order(sizes, reps):
+    groups = sim._groups(sizes, reps)
+    pieces = [(i, n, block, rows) for i, n in enumerate(sizes)
+              for block, rows in sim._blocks(reps)]
+    assert [p for g in groups for p in g] == pieces
+    held = [sum(rows for *_, rows in g) for g in groups]
+    # every group but the last reaches the floor, and none holds a piece
+    # more than it needs to reach it
+    assert all(h >= sim._COUNT_REPLICATES for h in held[:-1])
+    assert all(h - g[-1][3] < sim._COUNT_REPLICATES
+               for h, g in zip(held, groups))
+
+
+def test_size_study_builds_bartlett_factors_once_per_count_group(monkeypatch):
+    # 18 sizes of 500 replicates fill two groups of at least 4,096
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return bartlett_factors(*args)
+
+    monkeypatch.setattr(sim, "bartlett_factors", counted)
+    monkeypatch.delenv("GRADCORR_THREADS", raising=False)
+    run_size_study(_config(model_id="birnbaum-saunders", theta=(1.0, 1.0),
+                           sizes=tuple(range(5, 23)), replicates=500,
+                           alphas=(0.01, 0.05, 0.10), procedures=PROCEDURES))
+    assert len(calls) == 2
+    assert [sorted(set(n.tolist())) for _, _, n in calls] == [
+        list(range(5, 14)), list(range(14, 23))]
 
 
 def test_size_study_rows_are_complete_and_consistent():
@@ -96,17 +142,24 @@ def test_expanded_cdf_and_modified_quantile_rules_cohere():
 
 def test_size_study_decisions_match_run_test():
     # each rejection the study counts is the decision run_test and
-    # modified_quantile reach on the same S
-    model_id, theta, reps, alphas = "birnbaum-saunders", (1.0, 1.0), 600, \
+    # modified_quantile reach on the same S; sizes out of order and a
+    # replicate count off the block size make count groups that hold a
+    # size's 300-replicate tail with the next size's full block
+    model_id, theta, alphas = "birnbaum-saunders", (1.0, 1.0), \
         (0.01, 0.05, 0.10)
+    sizes, reps = (13, 6, 9), BLOCK + 300
+    assert any(len({i for i, *_ in g}) > 1 for g in sim._groups(sizes, reps))
     m = make_model(model_id)
     coef = m.coefficients(np.array(theta))
     res = run_size_study(_config(model_id=model_id, theta=theta,
-                                 sizes=(6, 9), replicates=reps,
+                                 sizes=sizes, replicates=reps,
                                  alphas=alphas, procedures=PROCEDURES))
     counts = {(r.n, r.alpha, r.procedure): r.rejections for r in res.rows}
-    for n in (6, 9):
-        S, _ = replicate_statistics(m, theta, theta[:1], n, reps, SEED)
+    assert [r.n for r in res.rows[::len(alphas) * len(PROCEDURES)]] == \
+        list(sizes)
+    for n in sizes:
+        S, failed = replicate_statistics(m, theta, theta[:1], n, reps, SEED)
+        assert (n, failed) in res.failures
         reports = [run_test(s, coef, 1, n) for s in S[np.isfinite(S)]]
         for alpha in alphas:
             crit = chi2_quantile(1.0 - alpha, 1)
@@ -181,6 +234,10 @@ def test_csvs_do_not_depend_on_row_groups(tmp_path, monkeypatch):
     # one short, each continuing its block's stream
     monkeypatch.setattr(sim, "_GROUP_VALUES", 13_000)
     assert csvs("grouped") == default
+    # count groups of one piece each, and of up to three blocks
+    for floor in (1, 2 * BLOCK + 1):
+        monkeypatch.setattr(sim, "_COUNT_REPLICATES", floor)
+        assert csvs(f"counted-{floor}") == default
 
 
 @pytest.mark.parametrize("raw", ("abc", "2.5", "", "0", "-3"))
@@ -271,6 +328,22 @@ def test_size_study_deterministic_across_worker_counts(tmp_path, monkeypatch):
     write_size_csv(serial, p1)
     write_size_csv(parallel, p2)
     assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_cdf_study_sup_distances_are_exact():
+    # one ladder per 4,096 sorted values gives the sup distances that
+    # whole-sample CDF calls give
+    m, n, reps = make_model("birnbaum-saunders"), 10, 2 * BLOCK + 50
+    study = run_cdf_study(m, (1.0, 1.0), (1.0,), n=n, replicates=reps,
+                          seed=SEED)
+    S, _ = replicate_statistics(m, (1.0, 1.0), (1.0,), n, reps, SEED)
+    S = np.sort(S[np.isfinite(S)])
+    i = np.arange(len(S))
+    for cdf, got in ((chi2_cdf(S, 1), study.sup_chisq),
+                     (expanded_cdf(S, study.coefficients, 1, n),
+                      study.sup_expanded)):
+        want = max(np.max(cdf - i / len(S)), np.max((i + 1) / len(S) - cdf))
+        assert got == want
 
 
 def test_cdf_study_deterministic_rerun():
