@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Every number printed here comes from a library call; no numeric logic
-lives in this module.  Exit codes: 0 success, 2 validation error (bad
-flags, unknown model, malformed data), 3 fit or simulation failure.
+lives in this module.  Exit codes: 0 success, 1 standard output closed
+early (say, piped into ``head``), 2 validation error (bad flags, unknown
+model, malformed data), 3 fit or simulation failure.
 
 Data files hold one observation per line (a single-column CSV with an
 optional header also works).  The two-sample model reads either two
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 
@@ -433,7 +435,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader left: send what is still buffered to devnull, so that
+        # the flush at interpreter exit does not raise again
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return 1
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -12,6 +12,8 @@ sample 1 in its first n/2 columns and sample 2 in the rest.
 ``batch_statistics`` reduces the Monte Carlo matrix.  ``gradient_statistic``
 is its one-row case, and ``fit_restricted`` and ``fit_unrestricted`` are
 one-row views of the fits; they raise ``FitError`` where the row fails.
+The statistic takes both fits from ``fit_rows``, which runs the two row
+fits in turn unless a family solves them together.
 
 The statistic itself is the inner product of the restricted score with
 the tested-component estimate shift,
@@ -92,6 +94,11 @@ class ModelFamily(ABC):
     def unrestricted_rows(self, m) -> np.ndarray:
         """(k, p) full MLEs theta_hat from summaries m, NaN if failed."""
 
+    def fit_rows(self, m, theta10) -> tuple:
+        """theta_tilde and theta_hat from summaries m: the two row fits,
+        which a family may solve together."""
+        return self.restricted_rows(m, theta10), self.unrestricted_rows(m)
+
     @abstractmethod
     def raw_statistic(self, m, theta10, theta_tilde, theta_hat):
         """Unclamped S = n U_1(theta_tilde)'(theta_hat_1 - theta10) per row."""
@@ -168,8 +175,7 @@ class ModelFamily(ABC):
         # failed fits and overflow come back as NaN and inf, not warnings
         with np.errstate(all="ignore"):
             m = self.summarize(x)
-            theta_tilde = self.restricted_rows(m, theta10)
-            theta_hat = self.unrestricted_rows(m)
+            theta_tilde, theta_hat = self.fit_rows(m, theta10)
             return (theta_tilde, theta_hat,
                     self.raw_statistic(m, theta10, theta_tilde, theta_hat))
 

@@ -25,11 +25,28 @@ phi via phi^2 = s/b + b/r - 2 (the phi-score identity), leaving
 
 with G(r) >= 0 >= G(s), so beta_hat is bracketed by the harmonic and
 arithmetic means.  Each equation is written once, for a (k, n) matrix
-of data sets, and solved row by row from sqrt(s r) by one safeguarded
-Newton: a step is taken when it stays inside the shrinking bracket, its
-ends included, and the bracket is bisected otherwise, until a step moves
-the root by at most 1e-13 relative, in at most 200 steps.  A row that
-does not converge is a failed fit.
+of data sets, and solved per data set from sqrt(s r) by one safeguarded
+Newton: a step is taken when it stays inside the shrinking bracket or
+lands on the end that the current iterate set, and the bracket is
+bisected otherwise, until a step moves the root by at most 1e-13
+relative, in at most 200 steps.  A step onto the other end, set by an
+earlier iterate, is bisected because near a double root of H it can
+cycle between the two ends of a collapsed bracket.  A data set that does
+not converge is a failed fit.
+
+Layout.  ``summarize`` keeps the block as a contiguous (n, k) copy, one
+data set per column.  ``fit_rows`` solves H and G in one Newton run over
+a (2, k) iterate, H in row 0 and G in row 1, so the two fits share one
+pass of bookkeeping per sweep and one (n, 2, k) buffer, which takes
+x + b, its reciprocal and its square in place.  ``restricted_rows`` and
+``unrestricted_rows``, the one-row views, run the same solver on one
+equation.  S is bit for bit what a row-per-data-set layout with one
+Newton run per fit gives: every element takes the same floating-point
+operations in the same order, a converged element stays where it is
+while the other fit goes on, and ``_pairwise_sum`` adds the n values of
+a column in the order in which numpy's pairwise summation adds a
+contiguous row.  Below 128 columns the buffer keeps each column
+contiguous instead and numpy sums it itself, which is faster there.
 
 Cumulants involve the scaled normal tail R = e^{2/phi^2}(1 - Phi(2/phi))
 only through kappa_betabeta and its relatives; everything is assembled
@@ -48,13 +65,15 @@ __all__ = ["BirnbaumSaunders"]
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _REL_TOL = 1e-13
+_NARROW = 128          # below this many columns, one per row of memory
 
 
 def _safeguarded_newton(f, lo, hi, x0):
-    """Row-wise root of f on [lo, hi] with f(lo) > 0 >= f(hi), where f(x)
-    gives f and f' per row: Newton while the step stays inside the
-    shrinking bracket, ends included, bisection otherwise.  Returns the
-    roots and which rows converged; a converged row stays where it is."""
+    """Elementwise root of f on [lo, hi] with f(lo) > 0 >= f(hi), where f(x)
+    gives f and f' per element: Newton while the step stays inside the
+    shrinking bracket or on the end x itself set, bisection otherwise.
+    Returns the roots and which elements converged; a converged element
+    stays where it is."""
     x = np.clip(x0, lo, hi)
     done = np.zeros(x.shape, dtype=bool)
     for _ in range(200):
@@ -63,7 +82,9 @@ def _safeguarded_newton(f, lo, hi, x0):
         lo = np.where(above, x, lo)
         hi = np.where(above, hi, x)
         step = x - fx / d
-        inside = (lo <= step) & (step <= hi)
+        # a step onto the far end, set by an earlier iterate, would cycle
+        # between the ends of a collapsed bracket: bisect instead
+        inside = (lo < step) & (step < hi) | (step == x)
         if not inside.all():
             step = np.where(inside, step, 0.5 * (lo + hi))
         x_new = np.where(done, x, step) if done.any() else step
@@ -74,10 +95,122 @@ def _safeguarded_newton(f, lo, hi, x0):
     return x, done
 
 
-def _inverse_means(x, b):
-    """mean(1/(x+b)) and mean(1/(x+b)^2) per row of x, from one pass."""
-    u = 1.0 / (x + b[:, None])
-    return u.sum(axis=1) / x.shape[1], (u * u).sum(axis=1) / x.shape[1]
+def _pairwise_sum(a):
+    """a.sum(axis=0) for an (n, ...) array, adding whole slices a[i] in the
+    order in which numpy's pairwise summation adds one contiguous row of n
+    values: sequentially below 8; up to 128, eight accumulators over
+    strides of 8, summed as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the
+    tail in turn; above 128, the two halves split at n/2 rounded down to
+    a multiple of 8.  So every element equals the row sum of the
+    transposed array bit for bit (a sum of negative zeros aside).
+
+    numpy itself reduces an axis that runs along memory pairwise and an
+    outer axis sequentially, so it does the work where that is the same
+    order: for a first axis along memory, below 8 and for the eight
+    accumulators."""
+    n = len(a)
+    if n < 8 or a.strides[0] == a.itemsize:
+        return np.add.reduce(a, axis=0)
+    if n > 128:
+        half = n // 2 - n // 2 % 8
+        return _pairwise_sum(a[:half]) + _pairwise_sum(a[half:])
+    whole = n - n % 8
+    acc = np.add.reduce(a[:whole].reshape((whole // 8, 8) + a.shape[1:]),
+                        axis=0) if whole > 8 else a[:8]
+    acc = acc[0::2] + acc[1::2]
+    acc = acc[0::2] + acc[1::2]
+    total = acc[0] + acc[1]
+    for i in range(whole, n):
+        total += a[i]
+    return total
+
+
+def _inverse_means(xv, b, buf):
+    """mean(1/(x+b)) and mean(1/(x+b)^2) per element of the iterate b,
+    from one pass through buf: x + b, its reciprocal, then its square.
+    xv is the (n, k) block shaped to broadcast against b, and buf has
+    shape (n,) + b.shape."""
+    n = len(xv)
+    u = np.add(xv, b, out=buf)
+    np.divide(1.0, u, out=u)
+    m1 = _pairwise_sum(u)
+    m1 /= n
+    np.multiply(u, u, out=u)
+    m2 = _pairwise_sum(u)
+    m2 /= n
+    return m1, m2
+
+
+def _restricted_equation(m, phi0):
+    """H and H' from the inverse means, with H's bracket [0, hi]."""
+    _, s, r = m
+    c = phi0**2
+    rc = r * c
+
+    def H(b, m1, m2):
+        bb2 = 2.0 * b * b
+        return ((s - b * b / r) / c - b + bb2 * m1,
+                -2.0 * b / rc - 1.0 + 4.0 * b * m1 - bb2 * m2)
+
+    return H, np.zeros_like(s), c * r + np.sqrt(s * r)
+
+
+def _unrestricted_equation(m):
+    """G and G' from the inverse means, with G's bracket [r, s]."""
+    _, s, r = m
+    r2 = 2.0 * r
+
+    def G(b, m1, m2):
+        K = 1.0 / m1
+        return (b * b - b * (K + r2) + r * (K + s),
+                2.0 * b - K - r2 + (r - b) * (m2 / m1**2))
+
+    return G, r, s
+
+
+def _both(restricted, unrestricted):
+    """H in row 0 and G in row 1 of a (2, k) iterate, with both brackets."""
+    (H, lo_h, hi_h), (G, lo_g, hi_g) = restricted, unrestricted
+
+    def HG(b, m1, m2):
+        (h, dh), (g, dg) = H(b[0], m1[0], m2[0]), G(b[1], m1[1], m2[1])
+        return np.array([h, g]), np.array([dh, dg])
+
+    return HG, np.array([lo_h, lo_g]), np.array([hi_h, hi_g])
+
+
+def _solve(m, equation):
+    """Roots b of f(b, inverse means) on [lo, hi], from sqrt(s r), and
+    which of them converged; lo and hi have shape (k,) or (j, k)."""
+    xc, s, r = m
+    f, lo, hi = equation
+    n = len(xc)
+    # shape (n,) + lo.shape; with few columns each column runs along
+    # memory, where numpy's own reduction sums it faster
+    buf = (np.empty(lo.shape[::-1] + (n,)).T if lo.size < _NARROW
+           else np.empty((n,) + lo.shape))
+    xv = xc if lo.ndim == 1 else xc[:, None, :]
+    return _safeguarded_newton(
+        lambda b: f(b, *_inverse_means(xv, b, buf)), lo, hi, np.sqrt(s * r))
+
+
+def _null_shape(theta10):
+    phi0 = float(theta10[0])
+    if not phi0 > 0.0:
+        raise ValueError(f"null shape must be positive, got {phi0}")
+    return phi0
+
+
+def _restricted_fit(phi0, beta, ok):
+    return np.array([np.full_like(beta, phi0),
+                     np.where(ok, beta, np.nan)]).T
+
+
+def _unrestricted_fit(m, beta, ok):
+    _, s, r = m
+    phi_sq = s / beta + beta / r - 2.0
+    ok = ok & (s > r) & (phi_sq > 0.0)
+    return np.where(ok[:, None], np.array([np.sqrt(phi_sq), beta]).T, np.nan)
 
 
 class BirnbaumSaunders(ModelFamily):
@@ -99,54 +232,45 @@ class BirnbaumSaunders(ModelFamily):
 
     def sample(self, theta, size, rng):
         phi, beta = self._check_theta(theta)
-        t = 0.5 * phi * rng.standard_normal(size)
-        return beta * (t + np.sqrt(t * t + 1.0)) ** 2
+        t = rng.standard_normal(size)
+        t *= 0.5 * phi
+        x = t * t                       # beta (t + sqrt(t^2 + 1))^2
+        x += 1.0
+        np.sqrt(x, out=x)
+        x += t
+        x *= x
+        x *= beta
+        return x
 
     def validate_data(self, data):
         check_observations(self.name, data, *POSITIVE, least=2)
 
     def summarize(self, x):
-        """x with its row means s and row harmonic means r."""
-        n = x.shape[1]
-        return x, x.sum(axis=1) / n, 1.0 / ((1.0 / x).sum(axis=1) / n)
+        """The (n, k) transposed copy of x, its row means s and its row
+        harmonic means r."""
+        xc = np.ascontiguousarray(x.T)
+        n = len(xc)
+        return xc, _pairwise_sum(xc) / n, 1.0 / (_pairwise_sum(1.0 / xc) / n)
 
     def restricted_rows(self, m, theta10):
-        x, s, r = m
-        phi0 = float(theta10[0])
-        if not phi0 > 0.0:
-            raise ValueError(f"null shape must be positive, got {phi0}")
-
-        def H(b):
-            m1, m2 = _inverse_means(x, b)
-            return ((s - b * b / r) / phi0**2 - b + 2.0 * b * b * m1,
-                    -2.0 * b / (r * phi0**2) - 1.0 + 4.0 * b * m1
-                    - 2.0 * b * b * m2)
-
-        root_sr = np.sqrt(s * r)
-        beta, ok = _safeguarded_newton(H, np.zeros_like(s),
-                                       phi0**2 * r + root_sr, root_sr)
-        return np.array([np.full_like(beta, phi0),
-                         np.where(ok, beta, np.nan)]).T
+        phi0 = _null_shape(theta10)
+        beta, ok = _solve(m, _restricted_equation(m, phi0))
+        return _restricted_fit(phi0, beta, ok)
 
     def unrestricted_rows(self, m):
-        x, s, r = m
+        beta, ok = _solve(m, _unrestricted_equation(m))
+        return _unrestricted_fit(m, beta, ok)
 
-        def G(b):
-            m1, m2 = _inverse_means(x, b)
-            K = 1.0 / m1
-            return (b * b - b * (K + 2.0 * r) + r * (K + s),
-                    2.0 * b - K - 2.0 * r + (r - b) * (m2 / m1**2))
-
-        beta, ok = _safeguarded_newton(G, r, s, np.sqrt(s * r))
-        phi_sq = s / beta + beta / r - 2.0
-        ok &= (s > r) & (phi_sq > 0.0)
-        return np.where(ok[:, None],
-                        np.array([np.sqrt(phi_sq), beta]).T, np.nan)
+    def fit_rows(self, m, theta10):
+        phi0 = _null_shape(theta10)
+        (bt, bh), (ok_t, ok_h) = _solve(m, _both(
+            _restricted_equation(m, phi0), _unrestricted_equation(m)))
+        return _restricted_fit(phi0, bt, ok_t), _unrestricted_fit(m, bh, ok_h)
 
     def raw_statistic(self, m, theta10, theta_tilde, theta_hat):
-        x, s, r = m
+        xc, s, r = m
         phi0, bt = float(theta10[0]), theta_tilde[:, 1]
-        return (x.shape[1] * (theta_hat[:, 0] - phi0) / phi0**3
+        return (len(xc) * (theta_hat[:, 0] - phi0) / phi0**3
                 * (s / bt + bt / r - (2.0 + phi0**2)))
 
     def score(self, data, theta):

@@ -1,7 +1,11 @@
 """Command-line front end, driven in process through main(argv)."""
 
+import hashlib
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -67,14 +71,15 @@ def test_test_command_matches_library_composition(capsys, exp_data):
 
 def test_test_command_fits_restricted_model_once(capsys, tmp_path,
                                                 monkeypatch):
-    bs = type(make_model("birnbaum-saunders"))
-    fit, calls = bs.restricted_rows, []
+    # the restricted fit runs in restricted_rows alone or, with the
+    # unrestricted one, in fit_rows; either counts as one restricted fit
+    bs, calls = type(make_model("birnbaum-saunders")), []
+    for hook in ("restricted_rows", "fit_rows"):
+        def counted(self, m, theta10, fit=getattr(bs, hook)):
+            calls.append(theta10)
+            return fit(self, m, theta10)
 
-    def counted(self, m, theta10):
-        calls.append(theta10)
-        return fit(self, m, theta10)
-
-    monkeypatch.setattr(bs, "restricted_rows", counted)
+        monkeypatch.setattr(bs, hook, counted)
     path = _write(tmp_path / "bs.txt", "0.6\n1.1\n0.9\n1.7\n0.4\n")
     code, _, _ = run_cli(capsys, "test", "--model", "bs", "--data", path,
                          "--theta10", "1")
@@ -343,6 +348,59 @@ def test_cdf_study_writes_grid(capsys, tmp_path):
     lines = out.read_text().splitlines()
     assert lines[0] == "x,f_empirical,f_chisq,f_expanded"
     assert len(lines) == 513
+
+
+def test_birnbaum_saunders_study_outputs_keep_their_bytes(capsys, tmp_path):
+    # digests of these seeded outputs as the row-per-data-set fits with one
+    # Newton run per fit wrote them; a change to the BS fits must keep
+    # every byte
+    size_csv, cdf_csv = tmp_path / "size.csv", tmp_path / "cdf.csv"
+    code, _, _ = run_cli(
+        capsys, "simulate", "--model", "birnbaum-saunders", "--n", "5:22",
+        "--reps", "500", "--alpha", "0.01,0.05,0.10", "--procedures",
+        "uncorrected,corrected_statistic,expanded_cdf,modified_quantile",
+        "--seed", "20260814", "--out", str(size_csv))
+    assert code == 0
+    assert hashlib.sha256(size_csv.read_bytes()).hexdigest() == (
+        "6d7cc835ff4e5d60198cf7caedd0676c4e279b57a5d966a5781d6ca87a343b95")
+    code, out, _ = run_cli(
+        capsys, "cdf-study", "--model", "birnbaum-saunders", "--n", "10",
+        "--reps", "20000", "--seed", "20260814", "--out", str(cdf_csv))
+    assert code == 0
+    assert hashlib.sha256(cdf_csv.read_bytes()).hexdigest() == (
+        "c5f6da32460faadd3bb69c5075f9bbb1ead75363c11aa5ebd6f58707337762c8")
+    assert out.splitlines()[1:] == [
+        "  sup |empirical - chisq|    = 0.036186063582449857",
+        "  sup |empirical - expanded| = 0.0066681179369829646"]
+
+
+def test_birnbaum_saunders_test_near_a_double_root_passes(capsys, tmp_path):
+    path = _write(tmp_path / "bs.txt", "437\n444\n")
+    for theta10 in ("2.0", "2.00001"):
+        code, out, err = run_cli(capsys, "test", "--model", "bs", "--data",
+                                 path, "--theta10", theta10)
+        assert code == 0 and err == "" and "S_star" in out, theta10
+
+
+def test_closed_stdout_exits_1_without_traceback(tmp_path):
+    # the read end closes before the command prints, as when its output
+    # is piped into a reader that has already quit
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    path = _write(tmp_path / "exp.txt", "1.0\n1.2\n1.8\n2.0\n")
+    for argv in (["test", "--model", "exponential", "--data", path,
+                  "--theta10", "1"],
+                 ["coeffs", "--model", "birnbaum-saunders"]):
+        read, write = os.pipe()
+        os.close(read)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "gradcorr.cli", *argv], stdout=write,
+                stderr=subprocess.PIPE, env=env, timeout=60)
+        finally:
+            os.close(write)
+        assert (done.returncode, done.stderr) == (1, b""), argv
 
 
 def test_cdf_study_rejects_size_list(capsys, tmp_path):

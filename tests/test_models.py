@@ -421,6 +421,106 @@ def test_birnbaum_saunders_restricted_bracket_end_is_past_the_root(data,
     assert h < -root_sr < 0.0
 
 
+def _bs_restricted_residual(data, phi0, beta):
+    """H(beta) / beta: the restricted scale equation, written from the
+    log-likelihood, relative to the scale."""
+    x = np.asarray(data, dtype=float)
+    s, r = x.mean(), 1.0 / np.mean(1.0 / x)
+    return ((s - beta**2 / r) / phi0**2 - beta
+            + 2.0 * beta**2 * np.mean(1.0 / (x + beta))) / beta
+
+
+def test_birnbaum_saunders_restricted_fit_leaves_a_collapsed_bracket():
+    # near a double root of H a Newton step from one end of the bracket
+    # landed exactly on the other and back, until the 200-step cap
+    m = make_model("birnbaum-saunders")
+    data = np.array([437.0, 444.0])
+    for phi0 in (2.0, 2.00001):
+        beta = m.fit_restricted(data, phi0)[1]
+        assert 437.0 < beta < 444.0
+        assert abs(_bs_restricted_residual(data, phi0, beta)) <= 1e-12
+        assert math.isfinite(gradient_statistic(m, data, phi0).value)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.floats(1e-3, 1e3),
+       st.lists(st.floats(-1e-2, 1e-2), min_size=2, max_size=30),
+       st.floats(-1e-4, 1e-4))
+def test_birnbaum_saunders_restricted_fit_near_a_double_root(scale, spread,
+                                                             shift):
+    # at constant data x = a and phi0 = 2, H(a t) = a (1 - t)^3 / (4 (1 + t)),
+    # so data close to constant with phi0 close to 2 puts up to three
+    # roots of H close together, where H is flat
+    m = make_model("birnbaum-saunders")
+    data = scale * (1.0 + np.array(spread))
+    phi0 = 2.0 * (1.0 + shift)
+    beta = m.fit_restricted(data, phi0)[1]
+    assert 0.0 < beta < math.inf
+    assert abs(_bs_restricted_residual(data, phi0, beta)) <= 1e-12
+
+
+def test_pairwise_sum_adds_in_numpys_row_order():
+    # _pairwise_sum reads numpy's order off its source; if a numpy release
+    # sums rows differently, this fails before any CSV moves
+    from gradcorr.models.birnbaum_saunders import _pairwise_sum
+    rng = np.random.default_rng(SEED)
+    for n in range(1, 301):
+        for k in (1, 2, 7, 500):
+            rows = (rng.choice([-1.0, 1.0], (k, n))
+                    * np.exp(rng.uniform(-30.0, 30.0, (k, n))))
+            want = rows.sum(axis=1)
+            # columns in memory (the wide path), rows in memory (numpy's
+            # own reduction) and a strided (n, 1, k) view
+            for a in (np.ascontiguousarray(rows.T), rows.T,
+                      rows.T.reshape(n, 1, k)):
+                got = _pairwise_sum(a).reshape(k)
+                assert np.array_equal(got, want), (n, k, a.strides)
+
+
+def _bs_blocks(k, n, seed):
+    """A seeded (k, n) Birnbaum-Saunders block with constant rows, where the
+    unrestricted fit fails, and for k > 1 a row alternating 437 and 444,
+    near a double root of H at phi0 = 2."""
+    m = make_model("birnbaum-saunders")
+    x = m.sample((1.0, 1.0), (k, n), np.random.default_rng(seed))
+    x[::29] = 1.3
+    if k > 1:
+        x[1] = 437.0 + 7.0 * (np.arange(n) % 2)
+    return m, x
+
+
+@pytest.mark.parametrize("k", [1, 37, 4096])
+@pytest.mark.parametrize("n", [2, 5, 8, 13, 22, 129, 200])
+def test_birnbaum_saunders_fused_fits_match_one_row_views(k, n):
+    m, x = _bs_blocks(k, n, SEED + n)
+    # at k = 4096 every row against the one-equation fits of the whole
+    # block, and every 61st row against the one-row views
+    rows = range(k) if k < 4096 else range(0, k, 61)
+    for phi0 in (1.0, 1.5, 2.00001):
+        S, failed = m.batch_statistics(x, (phi0,))
+        with np.errstate(all="ignore"):
+            summary = m.summarize(x)
+            tilde, hat = m.fit_rows(summary, (phi0,))
+            assert np.array_equal(tilde, m.restricted_rows(summary, (phi0,)),
+                                  equal_nan=True)
+            assert np.array_equal(hat, m.unrestricted_rows(summary),
+                                  equal_nan=True)
+        assert failed == np.count_nonzero(np.isnan(S))
+        for i in rows:
+            try:
+                want = gradient_statistic(m, x[i], phi0).value
+            except (FitError, OverflowError):
+                want = np.nan
+            assert np.array_equal(S[i], want, equal_nan=True), (i, phi0)
+            for fit, view in ((tilde, lambda: m.fit_restricted(x[i], phi0)),
+                              (hat, lambda: m.fit_unrestricted(x[i]))):
+                try:
+                    one = view()
+                except FitError:
+                    one = np.full(2, np.nan)
+                assert np.array_equal(fit[i], one, equal_nan=True), (i, phi0)
+
+
 def test_validate_data_names_offending_observation():
     m = make_model("exponential")
     with pytest.raises(ValueError, match="observation 2"):
