@@ -452,6 +452,11 @@ def main(argv=None) -> int:
         print("error: numeric overflow; a parameter or an observation is "
               "too large", file=sys.stderr)
         return 2
+    except ZeroDivisionError:
+        # the same powers underflowing to zero in a denominator
+        print("error: numeric underflow; a parameter or an observation is "
+              "too small", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -30,6 +30,7 @@ the expression above was pinned down by exact rational arithmetic.)
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -61,12 +62,31 @@ class HypothesisSpec:
             raise ValueError("theta10 must have length q")
 
 
-def _sym_ok(arr: np.ndarray, axes: tuple[int, ...]) -> bool:
-    """True when arr is symmetric under every transposition of the given
-    axes, to _SYM_TOL absolute plus _SYM_TOL relative; arr is finite."""
-    t = np.stack([arr.swapaxes(i, k)
-                  for i, k in itertools.combinations(axes, 2)])
-    return bool(np.all(np.abs(arr - t) <= _SYM_TOL + _SYM_TOL * np.abs(t)))
+# (field, rank, axes of its index symmetry), in field order
+_LAYOUT = (("kappa2", 2, (0, 1)), ("kappa3", 3, (0, 1, 2)),
+           ("kappa4", 4, (0, 1, 2, 3)), ("d_kappa2", 3, (0, 1)),
+           ("d_kappa3", 4, (1, 2, 3)), ("dd_kappa2", 4, (2, 3)))
+
+
+@functools.lru_cache(maxsize=8)
+def _symmetry_pairs(p: int) -> tuple:
+    """Flat indices (x, y), x < y, into the six raveled arrays laid end to
+    end, of every two entries that a required transposition of their
+    array's axes swaps, array by array; and the offset of each array."""
+    pairs, starts = [], [0]
+    for _, rank, axes in _LAYOUT:
+        idx = starts[-1] + np.arange(p ** rank).reshape((p,) * rank)
+        pairs += [np.stack([idx, idx.swapaxes(i, k)]).reshape(2, -1)
+                  for i, k in itertools.combinations(axes, 2)]
+        starts.append(starts[-1] + p ** rank)
+    x, y = np.concatenate(pairs, axis=1)
+    return x[x < y], y[x < y], np.array(starts[:-1])
+
+
+def _require_finite(arrays) -> None:
+    for (name, _, _), arr in zip(_LAYOUT, arrays):
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} has non-finite entries")
 
 
 @dataclass(frozen=True)
@@ -81,29 +101,38 @@ class CumulantBundle:
     dd_kappa2: np.ndarray
 
     def __post_init__(self):
-        p = self.p
-        shapes = {"kappa2": (p, p), "kappa3": (p, p, p),
-                  "kappa4": (p, p, p, p), "d_kappa2": (p, p, p),
-                  "d_kappa3": (p, p, p, p), "dd_kappa2": (p, p, p, p)}
-        for name, want in shapes.items():
+        """Shapes in field order, then finiteness and index symmetry in one
+        pass over all six arrays, naming the first that fails; kappa2 < 0."""
+        dims = np.shape(self.kappa2)
+        if not dims:
+            raise ValueError("kappa2 has shape (), expected (p, p)")
+        p, arrays = dims[0], []
+        for name, rank, _ in _LAYOUT:
             arr = np.asarray(getattr(self, name), dtype=float)
-            if arr.shape != want:
-                raise ValueError(f"{name} has shape {arr.shape}, expected {want}")
-            if not np.isfinite(arr).all():
-                raise ValueError(f"{name} has non-finite entries")
+            if arr.shape != (p,) * rank:
+                _require_finite(arrays)
+                raise ValueError(f"{name} has shape {arr.shape}, "
+                                 f"expected {(p,) * rank}")
+            arrays.append(arr)
             object.__setattr__(self, name, arr)
-        checks = [("kappa2", (0, 1)), ("kappa3", (0, 1, 2)),
-                  ("kappa4", (0, 1, 2, 3)), ("d_kappa2", (0, 1)),
-                  ("d_kappa3", (1, 2, 3)), ("dd_kappa2", (2, 3))]
-        for name, axes in checks:
-            if not _sym_ok(getattr(self, name), axes):
-                raise ValueError(f"{name} violates its index symmetry")
+        flat = np.concatenate([arr.ravel() for arr in arrays])
+        if not np.isfinite(flat).all():
+            _require_finite(arrays)
+        x, y, starts = _symmetry_pairs(p)
+        a, t = flat[x], flat[y]
+        # |a - t| <= tol + tol |t| and its mirror |t - a| <= tol + tol |a|
+        ok = np.abs(a - t) <= _SYM_TOL + _SYM_TOL * np.minimum(np.abs(a),
+                                                             np.abs(t))
+        if not ok.all():
+            name = _LAYOUT[np.searchsorted(starts, x[ok.argmin()], "right")
+                           - 1][0]
+            raise ValueError(f"{name} violates its index symmetry")
         if np.any(np.linalg.eigvalsh(self.kappa2) >= 0):
             raise ValueError("kappa2 must be negative definite")
 
     @property
     def p(self) -> int:
-        return np.asarray(self.kappa2).shape[0]
+        return self.kappa2.shape[0]
 
 
 @dataclass(frozen=True)

@@ -9,10 +9,12 @@ Fraction arithmetic, a different algebraic lineage than the production
 tensor contractions.  Two closed forms written in their own variables
 stand beside it: the one-parameter exponential-family formula in the
 derivatives of alpha and beta, and the Birnbaum-Saunders coefficients
-in the shape alone.  One reference does call the package: the gradient
-statistic rebuilt from its definition, the score at the restricted fit
-times the estimate shift, out of a family's one-data-set fits and score
-instead of its row-wise statistic.
+in the shape alone.  The checks a CumulantBundle makes are written out
+array by array and transposition by transposition, the rule the
+package's one-pass check must reproduce.  One reference does call the
+package: the gradient statistic rebuilt from its definition, the score
+at the restricted fit times the estimate shift, out of a family's
+one-data-set fits and score instead of its row-wise statistic.
 """
 
 from __future__ import annotations
@@ -314,6 +316,44 @@ def divergence_coefficients(bundle: dict, q: int):
             A3 += Fraction(1, 12) * c * (9 * M[j][r] * M[s][u] * M[v][w]
                                          + 6 * M[j][u] * M[r][v] * M[s][w])
     return A1, A2, A3
+
+
+# The checks CumulantBundle makes, written out array by array and
+# transposition by transposition: (field, rank, axes of its symmetry).
+BUNDLE_LAYOUT = (("kappa2", 2, (0, 1)), ("kappa3", 3, (0, 1, 2)),
+                 ("kappa4", 4, (0, 1, 2, 3)), ("d_kappa2", 3, (0, 1)),
+                 ("d_kappa3", 4, (1, 2, 3)), ("dd_kappa2", 4, (2, 3)))
+
+
+def symmetric_to_tolerance(arr: np.ndarray, axes: tuple) -> bool:
+    """arr equals its swap of every pair of the given axes, entry by
+    entry, to 1e-9 absolute plus 1e-9 relative to the swapped entry."""
+    for i, k in itertools.combinations(axes, 2):
+        t = arr.swapaxes(i, k)
+        if not np.all(np.abs(arr - t) <= 1e-9 + 1e-9 * np.abs(t)):
+            return False
+    return True
+
+
+def bundle_error(arrays: dict):
+    """The message CumulantBundle(**arrays) should raise, or None: each
+    array's shape and finiteness in field order, then each array's index
+    symmetry, then negative definite kappa2."""
+    p = np.shape(arrays["kappa2"])[0]
+    converted = {}
+    for name, rank, _ in BUNDLE_LAYOUT:
+        arr = np.asarray(arrays[name], dtype=float)
+        if arr.shape != (p,) * rank:
+            return f"{name} has shape {arr.shape}, expected {(p,) * rank}"
+        if not np.isfinite(arr).all():
+            return f"{name} has non-finite entries"
+        converted[name] = arr
+    for name, _, axes in BUNDLE_LAYOUT:
+        if not symmetric_to_tolerance(converted[name], axes):
+            return f"{name} violates its index symmetry"
+    if np.any(np.linalg.eigvalsh(converted["kappa2"]) >= 0):
+        return "kappa2 must be negative definite"
+    return None
 
 
 def bundle_to_float_arrays(bundle: dict) -> dict:

@@ -258,6 +258,23 @@ def test_bad_parameter_values_exit_2(capsys, tmp_path, argv):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("argv", [
+    ("coeffs", "--model", "exponential", "--params", "phi=1e-110"),
+    ("test", "--model", "exponential", "--theta10", "1e-110"),
+    ("coeffs", "--model", "gamma-rate", "--params", "phi=1e-300"),
+    ("coeffs", "--model", "birnbaum-saunders", "--params",
+     "phi=1e-120,beta=1"),
+], ids=lambda argv: " ".join(argv[2:]))
+def test_tiny_parameter_values_exit_2(capsys, tmp_path, argv):
+    # a power of the parameter underflows to zero in a family's cumulants
+    if argv[0] == "test":
+        argv += ("--data", _write(tmp_path / "x.csv", "1.1\n0.4\n2.3\n0.9"))
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == ("error: numeric underflow; a parameter or an observation "
+                   "is too small\n")
+
+
 def test_coeffs_inverse_normal_known_shape(capsys):
     code, out, _ = run_cli(capsys, "coeffs", "--model", "inverse-normal",
                            "--params", "known=shape,shape=2,mu=3")

@@ -1,15 +1,19 @@
 """Cumulant bundles, mixed-cumulant recovery, and information geometry."""
 
+import itertools
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gradcorr.cumulants import (CumulantBundle, HypothesisSpec,
                                 IllConditionedInformationError,
                                 build_geometry, derive_mixed_cumulants)
 from gradcorr.models import make_model
-from oracles import bundle_to_float_arrays, random_integer_bundle
+from oracles import (BUNDLE_LAYOUT, bundle_error, bundle_to_float_arrays,
+                     random_integer_bundle)
 
 
 def _bundle(p, kappa2=None, **overrides):
@@ -72,6 +76,103 @@ def test_bundle_rejects_nonfinite_entries(name, shape, bad):
     with pytest.raises(ValueError) as exc:
         _bundle(2, **{name: arr})
     assert str(exc.value) == f"{name} has non-finite entries"
+
+
+@pytest.mark.parametrize("kappa2", [np.float64(-1.0), -1.0, "abc"])
+def test_bundle_rejects_zero_dimensional_kappa2(kappa2):
+    with pytest.raises(ValueError) as exc:
+        CumulantBundle(kappa2=kappa2, kappa3=np.zeros((1, 1, 1)),
+                       kappa4=np.zeros((1, 1, 1, 1)),
+                       d_kappa2=np.zeros((1, 1, 1)),
+                       d_kappa3=np.zeros((1, 1, 1, 1)),
+                       dd_kappa2=np.zeros((1, 1, 1, 1)))
+    assert str(exc.value) == "kappa2 has shape (), expected (p, p)"
+
+
+def _symmetric_arrays(p, rng) -> dict:
+    """Entries uniform on (-1, 1), each array exactly symmetric in its
+    axes (entries read at sorted indices); kappa2 shifted to be negative
+    definite."""
+    arrays = {}
+    for name, rank, axes in BUNDLE_LAYOUT:
+        idx = np.indices((p,) * rank)
+        idx[list(axes)] = np.sort(idx[list(axes)], axis=0)
+        arrays[name] = rng.uniform(-1.0, 1.0, (p,) * rank)[tuple(idx)]
+    arrays["kappa2"] -= (p + 1) * np.eye(p)
+    return arrays
+
+
+def _corrupt(arr, axes, kind, nudge, rng):
+    """arr with one fault: a wrong shape, a non-finite entry, or one entry
+    moved off its transposed partner by nudge times 1e-9 + 1e-9 |partner|."""
+    if kind == "shape":
+        axis = rng.integers(arr.ndim)
+        return [arr[..., 0], arr[..., None],
+                np.concatenate([arr, arr.take([0], axis=axis)], axis=axis)
+                ][rng.integers(3)]
+    arr = arr.copy()
+    idx = tuple(rng.integers(arr.shape[0], size=arr.ndim))
+    if kind in ("inf", "-inf", "nan"):
+        arr[idx] = float(kind)
+        return arr
+    i, k = list(itertools.combinations(axes, 2))[
+        rng.integers(len(axes) * (len(axes) - 1) // 2)]
+    partner = list(idx)
+    partner[i], partner[k] = idx[k], idx[i]
+    t = arr[tuple(partner)]
+    arr[idx] = t + rng.choice([-1.0, 1.0]) * (1e-9 + 1e-9 * abs(t)) * nudge
+    return arr
+
+
+@settings(max_examples=300, deadline=None)
+@given(p=st.integers(1, 8), field=st.integers(0, 5),
+       kind=st.sampled_from(["none", "shape", "inf", "-inf", "nan", "above",
+                             "below"]),
+       nudge=st.just(0.0) | st.builds(lambda m, e: m * 10.0 ** e,
+                                      st.floats(1.0, 10.0),
+                                      st.integers(-14, -4)),
+       magnitude=st.integers(-3, 9),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_bundle_checks_match_the_per_transposition_oracle(
+        p, field, kind, nudge, magnitude, seed):
+    # one array scaled by 10^magnitude (so the relative part of the rule
+    # matters) and corrupted once, a symmetric pair moved apart by the
+    # tolerance times 1 +- nudge, nudge down to 1e-14; the bundle raises
+    # exactly when the array-by-array oracle names a fault, with the same
+    # message
+    rng = np.random.default_rng(seed)
+    arrays = _symmetric_arrays(p, rng)
+    name, _, axes = BUNDLE_LAYOUT[field]
+    arrays[name] = arrays[name] * 10.0 ** magnitude
+    if kind != "none":
+        factor = 1.0 + nudge if kind == "above" else 1.0 - nudge
+        arrays[name] = _corrupt(arrays[name], axes, kind, factor, rng)
+    want = bundle_error(arrays)
+    if want is None:
+        CumulantBundle(**arrays)
+    else:
+        with pytest.raises(ValueError) as exc:
+            CumulantBundle(**arrays)
+        assert str(exc.value) == want
+
+
+def test_bundle_names_the_first_fault_in_field_order():
+    # a non-finite array before a bad shape is named first, any non-finite
+    # entry before any broken symmetry, and the first of two broken arrays
+    rng = np.random.default_rng(5)
+    nan3 = np.full((2, 2, 2), np.nan)
+    skew3 = np.zeros((2, 2, 2))
+    skew3[0, 0, 1] = 1.0
+    skew4 = np.zeros((2, 2, 2, 2))
+    skew4[0, 1, 1, 1] = 1.0
+    for faults in [dict(kappa3=nan3, kappa4=np.zeros((2, 2, 2))),
+                   dict(kappa3=skew3, dd_kappa2=np.full((2,) * 4, np.inf)),
+                   dict(kappa4=skew4, kappa3=skew3),
+                   dict(kappa2=-np.eye(3), d_kappa2=nan3)]:
+        arrays = {**_symmetric_arrays(2, rng), **faults}
+        with pytest.raises(ValueError) as exc:
+            CumulantBundle(**arrays)
+        assert str(exc.value) == bundle_error(arrays)
 
 
 def test_bundle_requires_negative_definite_kappa2():

@@ -13,11 +13,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gradcorr.cumulants import CumulantBundle, HypothesisSpec
-from gradcorr.expansion import (ExpansionCoefficients, OneParamCumulants,
-                                OrthogonalCumulants, coefficients_general,
+from gradcorr import expansion
+from gradcorr.cumulants import (CumulantBundle, HypothesisSpec,
+                                build_geometry, derive_mixed_cumulants)
+from gradcorr.expansion import (A, K, M, U, W, ExpansionCoefficients,
+                                OneParamCumulants, OrthogonalCumulants,
+                                _tables, coefficients_general,
                                 coefficients_one_param,
-                                coefficients_orthogonal, _pairwise)
+                                coefficients_orthogonal)
 from gradcorr.models import NormalMeanTest, make_model
 from oracles import (bundle_to_float_arrays, divergence_coefficients,
                      expfam_coefficients, random_integer_bundle)
@@ -51,32 +54,99 @@ def test_general_engine_matches_divergence_oracle():
             assert abs(g - w) <= 1e-10 * max(1.0, abs(w))
 
 
-def _matchings(letters):
-    """Every split of ``letters`` into pairs."""
-    if not letters:
-        yield []
-        return
-    first, rest = letters[0], letters[1:]
-    for i, other in enumerate(rest):
-        for tail in _matchings(rest[:i] + rest[i + 1:]):
-            yield [first + other] + tail
+# Every entry coefficients_general reads from its tables, keyed by table
+# and index, as the literal einsum it stands for: subscripts and operand
+# names; k4k31 is kappa4 + kappa_31 and five the A1 cumulant mix.
+_SIX = "jrs,{},{},{},klu"
+TABLE_TERMS = {
+    ("traced", A, U + M, W + A): (_SIX.format("jr", "sk", "lu"),
+                                  "k3 M A A d2"),
+    ("traced", K, U + M, W + K): (_SIX.format("jr", "sk", "lu"),
+                                  "k3 M K K d2"),
+    ("traced", M, U + M, U + M): (_SIX.format("jr", "sk", "lu"),
+                                  "k3 M M M k3"),
+    ("traced", M, U + A, U + A): (_SIX.format("jk", "rs", "lu"),
+                                  "k3 M A A k3"),
+    ("traced", M, U + M, U + A): (_SIX.format("jr", "sk", "lu"),
+                                  "k3 M M A k3"),
+    ("traced", A, U + M, U + A): (_SIX.format("jr", "sk", "lu"),
+                                  "k3 M A A k3"),
+    ("traced", K, W + K, W + K): (_SIX.format("sj", "rk", "lu"),
+                                  "d2 K K K d2"),
+    ("traced", A, W + A, W + A): (_SIX.format("sj", "rk", "lu"),
+                                  "d2 A A A d2"),
+    ("traced", K, U + A, W + K): (_SIX.format("rs", "jk", "lu"),
+                                  "k3 A K K d2"),
+    ("traced", A, U + A, W + A): (_SIX.format("rs", "jk", "lu"),
+                                  "k3 A A A d2"),
+    ("traced", A, U + M, U + M): (_SIX.format("jr", "kl", "su"),
+                                  "k3 M M A k3"),
+    ("crossing", M, 1, M): (_SIX.format("jk", "rl", "su"), "k3 M M M k3"),
+    ("crossing", K, 2, K): (_SIX.format("sk", "lj", "ru"), "d2 K K K d2"),
+    ("crossing", A, 2, A): (_SIX.format("sk", "lj", "ru"), "d2 A A A d2"),
+    ("crossing", K, 0, K): (_SIX.format("su", "jk", "lr"), "k3 K K K d2"),
+    ("crossing", K, 0, A): (_SIX.format("su", "jk", "lr"), "k3 A K K d2"),
+    ("crossing", A, 0, K): (_SIX.format("su", "jk", "lr"), "k3 K A A d2"),
+    ("crossing", A, 0, A): (_SIX.format("su", "jk", "lr"), "k3 A A A d2"),
+    ("crossing", A, 0, M): (_SIX.format("rk", "ls", "ju"), "k3 A A M d2"),
+    ("crossing", K, 0, M): (_SIX.format("su", "jk", "lr"), "k3 M K K d2"),
+    ("four", 0, M, A): ("jrsu,jr,su", "k31 M A"),
+    ("four", 1, M, K): ("jrsu,jr,su", "k4 M K"),
+    ("four", 0, M, K): ("jrsu,jr,su", "k31 M K"),
+    ("four", 2, M, A): ("jrsu,ju,rs", "k4k31 M A"),
+    ("four", 3, K, K): ("jrsu,js,ur", "five K K"),
+    ("four", 3, A, A): ("jrsu,js,ur", "five A A"),
+    ("four", 1, M, M): ("jrsu,jr,su", "k4 M M"),
+    ("four", 0, M, M): ("jrsu,jr,su", "k31 M M"),
+}
 
 
-def test_pairwise_contraction_equals_einsum_for_every_shape():
-    # all 15 ways to join x[jrs] and y[klu] through three matrices, on
-    # arrays with no symmetry at all, each matrix in a random orientation
-    rng = np.random.default_rng(20260814)
-    p = 3
-    x, y = rng.standard_normal((2, p, p, p))
-    shapes = list(_matchings("jrsklu"))
-    assert len(shapes) == 15
-    for links in shapes:
-        links = [ab[::-1] if rng.random() < 0.5 else ab for ab in links]
-        subs = ",".join(["jrs", *links, "klu"])
-        mats = rng.standard_normal((3, p, p))
-        want = np.einsum(subs + "->", x, *mats, y)
-        got = _pairwise(subs, x, *mats, y)
-        assert abs(got - want) <= 1e-12 * max(1.0, abs(want)), subs
+class _Reads:
+    """A table that logs the index of every entry read from it."""
+
+    def __init__(self, name, table, log):
+        self.name, self.table, self.log = name, table, log
+
+    def __getitem__(self, index):
+        self.log.add((self.name, *index))
+        return self.table[index]
+
+
+def test_table_entries_equal_literal_einsums(monkeypatch):
+    # the engine reads exactly the entries listed above, and each equals
+    # np.einsum(subscripts + "->", ...) of its term, to rounding of the
+    # sum of absolute products, on random symmetric bundles at every (p, q)
+    read = set()
+
+    def logged(b, geo, mix):
+        return tuple(_Reads(name, t, read) for name, t in
+                     zip(("traced", "crossing", "four"),
+                         _tables(b, geo, mix)))
+
+    monkeypatch.setattr(expansion, "_tables", logged)
+    rng = random.Random(20260814)
+    for p in range(1, 9):
+        raw = bundle_to_float_arrays(random_integer_bundle(p, rng))
+        b = CumulantBundle(**raw)
+        mix = derive_mixed_cumulants(b)
+        k4, k31 = b.kappa4, mix.kappa_31
+        for q in range(1, p + 1):
+            geo = build_geometry(b, HypothesisSpec(p=p, q=q))
+            ops = dict(k3=b.kappa3, d2=b.d_kappa2, k4=k4, k31=k31,
+                       k4k31=k4 + k31, K=geo.Kinv, A=geo.A, M=geo.M,
+                       five=(k4 + mix.kappa_13 + k31.transpose(0, 3, 1, 2)
+                             + mix.T))
+            tables = dict(zip(("traced", "crossing", "four"),
+                              _tables(b, geo, mix)))
+            for (name, *index), (subs, names) in TABLE_TERMS.items():
+                args = [ops[n] for n in names.split()]
+                want = np.einsum(subs + "->", *args)
+                scale = np.einsum(subs + "->", *map(np.abs, args))
+                got = tables[name][tuple(index)]
+                assert abs(got - want) <= 1e-12 * max(1.0, scale), \
+                    (p, q, name, index)
+            coefficients_general(b, HypothesisSpec(p=p, q=q))
+    assert read == set(TABLE_TERMS)
 
 
 @pytest.mark.parametrize("p, q", [(6, 2), (7, 3), (8, 1), (8, 4)])
