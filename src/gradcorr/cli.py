@@ -3,7 +3,8 @@
 Every number printed here comes from a library call; no numeric logic
 lives in this module.  Exit codes: 0 success, 1 standard output closed
 early (say, piped into ``head``), 2 validation error (bad flags, unknown
-model, malformed data), 3 fit or simulation failure.
+model, malformed data, unwritable output), 3 fit or simulation failure.
+``main`` alone maps errors to these codes.
 
 Data files hold one observation per line (a single-column CSV with an
 optional header also works).  The two-sample model reads either two
@@ -69,6 +70,9 @@ def _parse_params(pairs: str) -> dict:
         value = value.strip()
         if not key:
             raise CliError(f"--params entry has an empty key: {item!r}")
+        if key in out:
+            raise CliError(f"--params key {key!r} must not repeat, "
+                           f"got {pairs!r}")
         try:
             out[key] = float(value)
         except ValueError:
@@ -126,8 +130,6 @@ def _model_and_theta(name: str, params: str):
     except TypeError:
         raise CliError(f"model {model_id!r} does not accept constants "
                        f"{sorted(constants)}") from None
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
     # modal factories (inverse-normal) rename the tested parameter, so the
     # final model decides which keys are theta components
     names = model.param_names
@@ -227,9 +229,6 @@ def _report_fields(report) -> list:
 def cmd_test(args) -> int:
     model, _, _, _ = _model_and_theta(args.model, args.params)
     theta10 = _parse_floats(args.theta10, "--theta10")
-    if theta10.shape != (model.q,):
-        raise CliError(f"--theta10 needs {model.q} value(s) for "
-                       f"{model.name}, got {len(theta10)}")
     if not 0.0 < args.gamma < 1.0:
         raise CliError(f"--gamma must lie in (0, 1), got {args.gamma}")
     data, sources = _read_data(model, args.data, args.data2)
@@ -237,14 +236,8 @@ def cmd_test(args) -> int:
         model.validate_data(data)
     except ValueError as exc:
         raise CliError(_locate(str(exc), sources)) from None
-    try:
-        stat = gradient_statistic(model, data, theta10)
-        coef = model.coefficients(stat.theta_tilde)
-    except FitError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+    stat = gradient_statistic(model, data, theta10)
+    coef = model.coefficients(stat.theta_tilde)
     report = run_test(stat.value, coef, model.q, stat.n, gamma=args.gamma)
     fields = _report_fields(report)
     if args.format == "json":
@@ -273,11 +266,8 @@ def cmd_test(args) -> int:
 
 def cmd_coeffs(args) -> int:
     model, _, _, theta = _model_and_theta(args.model, args.params)
-    try:
-        general = model.general_coefficients(theta)
-        specialized = model.coefficients(theta)
-    except (ValueError, NotImplementedError) as exc:
-        raise CliError(str(exc)) from None
+    general = model.general_coefficients(theta)
+    specialized = model.coefficients(theta)
     # "closed" is the older name of the specialized route
     route = "general" if args.route == "general" else "specialized"
     shown = general if route == "general" else specialized
@@ -292,38 +282,36 @@ def cmd_coeffs(args) -> int:
     return 0
 
 
-def _simulation_config(args) -> SimulationConfig:
+def _simulation_config(args, **options) -> tuple:
+    """The model and the checked study inputs of simulate or cdf-study;
+    options are further SimulationConfig fields."""
     model, model_id, constants, theta = _model_and_theta(args.model,
                                                          args.params)
     if args.theta is not None:
         theta = _parse_floats(args.theta, "--theta")
     theta10 = (theta[:model.q] if args.theta10 is None
                else _parse_floats(args.theta10, "--theta10"))
-    alphas = _parse_floats(args.alpha, "--alpha")
-    procedures = (tuple(args.procedures.split(","))
-                  if args.procedures else
-                  ("uncorrected", "corrected_statistic"))
-    sizes = _parse_sizes(args.n)
+    return model, SimulationConfig(
+        model_id=model_id, theta=theta, theta10=theta10,
+        sizes=_parse_sizes(args.n), replicates=args.reps, seed=args.seed,
+        constants=constants, **options)
+
+
+def _write_csv(write, result, path) -> None:
     try:
-        return SimulationConfig(model_id=model_id, theta=tuple(theta),
-                                theta10=tuple(theta10), sizes=sizes,
-                                replicates=args.reps, alphas=tuple(alphas),
-                                seed=args.seed, procedures=procedures,
-                                constants=constants)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
+        write(result, path)
+    except BrokenPipeError:
+        raise
+    except OSError as exc:
+        raise CliError(f"cannot write {path}: {exc.strerror}") from None
 
 
 def cmd_simulate(args) -> int:
-    config = _simulation_config(args)
-    try:
-        result = run_size_study(config)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    except SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    write_size_csv(result, args.out)
+    _, config = _simulation_config(
+        args, alphas=_parse_floats(args.alpha, "--alpha"),
+        procedures=tuple(args.procedures.split(",")))
+    result = run_size_study(config)
+    _write_csv(write_size_csv, result, args.out)
     print(f"wrote {len(result.rows)} rows to {args.out}")
     for n, count in result.failures:
         if count:
@@ -332,26 +320,13 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_cdf_study(args) -> int:
-    model, model_id, constants, theta = _model_and_theta(args.model,
-                                                         args.params)
-    if args.theta is not None:
-        theta = _parse_floats(args.theta, "--theta")
-    theta10 = (theta[:model.q] if args.theta10 is None
-               else _parse_floats(args.theta10, "--theta10"))
-    sizes = _parse_sizes(args.n)
-    if len(sizes) != 1:
+    model, config = _simulation_config(args)
+    if len(config.sizes) != 1:
         raise CliError(f"cdf-study takes a single --n, got {args.n!r}")
-    if args.reps < 1:
-        raise CliError("--reps must be at least 1")
-    try:
-        study = run_cdf_study(model, theta, theta10, n=sizes[0],
-                              replicates=args.reps, seed=args.seed)
-    except ValueError as exc:
-        raise CliError(str(exc)) from None
-    except SimulationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
-    write_cdf_csv(study, args.out)
+    study = run_cdf_study(model, config.theta, config.theta10,
+                          n=config.sizes[0], replicates=config.replicates,
+                          seed=config.seed)
+    _write_csv(write_cdf_csv, study, args.out)
     print(f"wrote {len(study.x)} rows to {args.out}")
     print(f"  sup |empirical - chisq|    = {_fmt(study.sup_chisq)}")
     print(f"  sup |empirical - expanded| = {_fmt(study.sup_expanded)}")
@@ -366,6 +341,19 @@ def _add_model_flags(sub) -> None:
     sub.add_argument("--params", default="",
                      help="comma list key=value: family constants and "
                           "parameter components (e.g. k=2 or phi=1)")
+
+
+def _add_study_flags(sub, n_help: str) -> None:
+    _add_model_flags(sub)
+    sub.add_argument("--theta", default=None,
+                     help="true parameter vector (comma list)")
+    sub.add_argument("--theta10", default=None,
+                     help="null value(s); default: tested part of --theta")
+    sub.add_argument("--n", required=True, help=n_help)
+    sub.add_argument("--reps", type=int, required=True,
+                     help="replicates per sample size")
+    sub.add_argument("--seed", type=int, required=True)
+    sub.add_argument("--out", required=True, help="output CSV path")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -399,34 +387,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_coeffs.set_defaults(func=cmd_coeffs)
 
     p_sim = sub.add_parser("simulate", help="null rejection-rate study")
-    _add_model_flags(p_sim)
-    p_sim.add_argument("--theta", default=None,
-                       help="true parameter vector (comma list)")
-    p_sim.add_argument("--theta10", default=None,
-                       help="null value(s); default: tested part of --theta")
-    p_sim.add_argument("--n", required=True,
-                       help="sample sizes: lo:hi[:step] or comma list")
-    p_sim.add_argument("--reps", type=int, required=True,
-                       help="replicates per sample size")
+    _add_study_flags(p_sim, "sample sizes: lo:hi[:step] or comma list")
     p_sim.add_argument("--alpha", default="0.05",
                        help="nominal levels (comma list)")
-    p_sim.add_argument("--procedures", default=None,
+    p_sim.add_argument("--procedures",
+                       default="uncorrected,corrected_statistic",
                        help="comma list from: " + ", ".join(PROCEDURES))
-    p_sim.add_argument("--seed", type=int, required=True)
-    p_sim.add_argument("--out", required=True, help="output CSV path")
     p_sim.set_defaults(func=cmd_simulate)
 
     p_cdf = sub.add_parser("cdf-study",
                            help="empirical vs expanded null CDF")
-    _add_model_flags(p_cdf)
-    p_cdf.add_argument("--theta", default=None,
-                       help="true parameter vector (comma list)")
-    p_cdf.add_argument("--theta10", default=None,
-                       help="null value(s); default: tested part of --theta")
-    p_cdf.add_argument("--n", required=True, help="sample size")
-    p_cdf.add_argument("--reps", type=int, required=True)
-    p_cdf.add_argument("--seed", type=int, required=True)
-    p_cdf.add_argument("--out", required=True, help="output CSV path")
+    _add_study_flags(p_cdf, "sample size")
     p_cdf.set_defaults(func=cmd_cdf_study)
     return parser
 
@@ -444,9 +415,12 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except CliError as exc:
+    except (CliError, ValueError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (FitError, SimulationError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
     except OverflowError:
         # float powers of a parameter or an observation near the float limit
         print("error: numeric overflow; a parameter or an observation is "

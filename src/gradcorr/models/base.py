@@ -158,7 +158,8 @@ class ModelFamily(ABC):
     def _null(self, theta10) -> np.ndarray:
         theta10 = np.atleast_1d(np.asarray(theta10, dtype=float))
         if theta10.shape != (self.q,):
-            raise ValueError(f"theta10 must have length q={self.q}")
+            raise ValueError(f"theta10 must have {self.q} value(s) for "
+                             f"{self.name}, got {theta10.size}")
         if not np.isfinite(theta10).all():
             raise ValueError(f"theta10 must be finite, got {tuple(theta10)}")
         return theta10

@@ -42,6 +42,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
+from numbers import Integral
 
 import numpy as np
 
@@ -83,21 +84,18 @@ class SimulationConfig:
     constants: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "theta", tuple(float(v) for v in self.theta))
-        object.__setattr__(self, "theta10",
-                           tuple(float(v) for v in self.theta10))
-        object.__setattr__(self, "sizes", tuple(int(v) for v in self.sizes))
-        object.__setattr__(self, "alphas",
-                           tuple(float(v) for v in self.alphas))
-        object.__setattr__(self, "procedures", tuple(self.procedures))
-        if self.replicates < 1:
-            raise ValueError(f"replicates must be >= 1, got {self.replicates}")
-        if not self.sizes or any(n < 2 for n in self.sizes):
-            raise ValueError(f"sample sizes must all be >= 2, got {self.sizes}")
+        model = make_model(self.model_id, **self.constants)
+        theta, theta10, _ = _null_point(model, self.theta, self.theta10)
+        sizes, replicates, seed = _draws(self.sizes, self.replicates,
+                                         self.seed)
+        checked = dict(theta=theta, theta10=theta10, sizes=sizes,
+                       replicates=replicates, seed=seed,
+                       alphas=tuple(float(v) for v in self.alphas),
+                       procedures=tuple(self.procedures))
+        for name, value in checked.items():
+            object.__setattr__(self, name, value)
         if not self.alphas or any(not 0.0 < a < 1.0 for a in self.alphas):
             raise ValueError(f"levels must lie in (0,1), got {self.alphas}")
-        for n in self.sizes:
-            _check_key(int(self.seed), n)
         bad = [p for p in self.procedures if p not in PROCEDURES]
         if bad or not self.procedures:
             raise ValueError(f"procedures must be a nonempty subset of "
@@ -191,13 +189,39 @@ class CdfStudy:
         return expanded_cdf(self.x, self.coefficients, self.q, self.n)
 
 
-def _check_key(seed, n) -> None:
-    """The stream key packs seed into one 64-bit word, (n, block) into
-    the other."""
-    if not 0 <= seed < 2**64:
-        raise ValueError(f"seed must be a 64-bit integer, got {seed}")
-    if not n < 2**32:
-        raise ValueError(f"sample size n={n} must be below 2**32")
+def _is_int(value) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _draws(sizes, replicates, seed) -> tuple:
+    """What a study draws, checked and as Python ints: integer sizes of at
+    least 2, an integer replicate count of at least 1 (a bool or a float
+    is no integer), and a seed and sizes that fit the stream key, which
+    packs seed into one 64-bit word and (n, block) into the other."""
+    sizes = tuple(sizes)
+    if not sizes or not all(_is_int(n) and n >= 2 for n in sizes):
+        raise ValueError(f"sample sizes must be integers >= 2, got {sizes}")
+    if max(sizes) >= 2**32:
+        raise ValueError(f"sample size n={max(sizes)} must be below 2**32")
+    if not _is_int(replicates) or replicates < 1:
+        raise ValueError(f"replicates must be an integer >= 1, "
+                         f"got {replicates!r}")
+    if not _is_int(seed) or not 0 <= seed < 2**64:
+        raise ValueError(f"seed must be a 64-bit integer, got {seed!r}")
+    return tuple(map(int, sizes)), int(replicates), int(seed)
+
+
+def _null_point(model: ModelFamily, theta, theta10) -> tuple:
+    """theta and theta10 as float tuples of lengths p and q, and the
+    coefficients at the null point, theta with theta10 for its first q
+    components."""
+    theta = np.atleast_1d(np.asarray(theta, dtype=float))
+    if theta.shape != (model.p,):
+        raise ValueError(f"theta must have {model.p} value(s) for "
+                         f"{model.name}, got {theta.size}")
+    theta10 = model._null(theta10)
+    return (tuple(theta.tolist()), tuple(theta10.tolist()),
+            model.coefficients(np.concatenate([theta10, theta[model.q:]])))
 
 
 def _blocks(replicates: int) -> list:
@@ -226,8 +250,14 @@ def replicate_statistics(model: ModelFamily, theta, theta10, n: int,
                          replicates: int, seed: int) -> tuple:
     """S of replicates 0..replicates-1 at sample size n (NaN where a fit
     failed) and the number of failed fits."""
-    n, seed = int(n), int(seed)
-    _check_key(seed, n)
+    theta, theta10, _ = _null_point(model, theta, theta10)
+    (n,), replicates, seed = _draws((n,), replicates, seed)
+    return _statistics(model, theta, theta10, n, replicates, seed)
+
+
+def _statistics(model: ModelFamily, theta, theta10, n: int,
+                replicates: int, seed: int) -> tuple:
+    """replicate_statistics on checked inputs."""
     S = np.empty(replicates)
     failed = 0
     for block, rows in _blocks(replicates):
@@ -250,12 +280,6 @@ def _workers(tasks: int) -> int:
     if workers < 1:
         raise ValueError(f"GRADCORR_THREADS must be at least 1, got {workers}")
     return min(workers, os.cpu_count() or 1, tasks)
-
-
-def _null_point(model: ModelFamily, theta, theta10) -> np.ndarray:
-    th = np.array(theta, dtype=float)
-    th[:model.q] = theta10
-    return th
 
 
 def _groups(sizes, replicates: int) -> list:
@@ -329,9 +353,9 @@ def _size_group(args) -> tuple:
 def run_size_study(cfg: SimulationConfig) -> SimulationResult:
     """Null rejection rates per (n, alpha, procedure)."""
     model = make_model(cfg.model_id, **cfg.constants)
-    coef = model.coefficients(_null_point(model, cfg.theta, cfg.theta10))
+    _, _, coef = _null_point(model, cfg.theta, cfg.theta10)
     tasks = [(cfg.model_id, cfg.constants, cfg.theta, cfg.theta10,
-              int(cfg.seed), pieces, cfg.sizes, cfg.alphas, cfg.procedures,
+              cfg.seed, pieces, cfg.sizes, cfg.alphas, cfg.procedures,
               coef.as_tuple(), model.q)
              for pieces in _groups(cfg.sizes, cfg.replicates)]
 
@@ -373,15 +397,11 @@ def run_cdf_study(model, theta, theta10, n: int, replicates: int,
     """Empirical null CDF of S against G_q and the order-1/n expansion."""
     if isinstance(model, str):
         model = make_model(model)
-    if replicates < 1:
-        raise ValueError(f"replicates must be >= 1, got {replicates}")
-    theta = tuple(float(v) for v in np.atleast_1d(theta))
-    theta10 = tuple(float(v) for v in np.atleast_1d(theta10))
-    coef = model.coefficients(_null_point(model, theta, theta10))
+    theta, theta10, coef = _null_point(model, theta, theta10)
+    (n,), replicates, seed = _draws((n,), replicates, seed)
     q = model.q
 
-    S, failed = replicate_statistics(model, theta, theta10, n, replicates,
-                                     seed)
+    S, failed = _statistics(model, theta, theta10, n, replicates, seed)
     if failed > _MAX_FAILURE_RATE * replicates:
         raise SimulationError(f"{failed} of {replicates} fits failed "
                               f"(> {_MAX_FAILURE_RATE:.0%})")
@@ -396,8 +416,7 @@ def run_cdf_study(model, theta, theta10, n: int, replicates: int,
     return CdfStudy(grid_end=grid_end,
                     counts=counts.astype(np.min_scalar_type(m)),
                     sup_chisq=sup_chisq, sup_expanded=sup_expanded,
-                    n=int(n),
-                    replicates=int(replicates), failures=failed, q=q,
+                    n=n, replicates=replicates, failures=failed, q=q,
                     coefficients=coef)
 
 

@@ -11,10 +11,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import gradcorr.cli as cli
 from gradcorr.cli import ALIASES, build_parser, main
 from gradcorr.correction import run_test
-from gradcorr.models import builtin_models, gradient_statistic, make_model
-from gradcorr.simulate import SimulationConfig, run_size_study, write_size_csv
+from gradcorr.models import (FitError, builtin_models, gradient_statistic,
+                             make_model)
+from gradcorr.simulate import (SimulationConfig, SimulationError,
+                               run_size_study, write_size_csv)
 from conftest import MODEL_IDS
 
 SEED = 20260814
@@ -354,6 +357,67 @@ def test_simulate_rejects_repeated_values(capsys, tmp_path, flags):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ("simulate", "cdf-study"))
+@pytest.mark.parametrize("flags, message", (
+    (("--theta", "1,2"), "theta must have 1 value(s) for exponential, got 2"),
+    (("--model", "bs", "--theta", "1"),
+     "theta must have 2 value(s) for birnbaum-saunders, got 1"),
+    (("--theta10", "1,2"),
+     "theta10 must have 1 value(s) for exponential, got 2"),
+    *((("--n=" + n,), f"sample sizes must be integers >= 2, got ({n},)")
+      for n in ("0", "-3", "1")),
+    (("--reps", "0"), "replicates must be an integer >= 1, got 0"),
+    (("--seed", "-1"), "seed must be a 64-bit integer, got -1"),
+), ids=lambda v: " ".join(v) if isinstance(v, tuple) else None)
+def test_study_commands_reject_bad_inputs_alike(capsys, tmp_path, command,
+                                                flags, message):
+    out = tmp_path / "x.csv"
+    code, stdout, err = run_cli(capsys, command, "--model", "exponential",
+                                "--n", "6", "--reps", "10", "--seed", "1",
+                                "--out", str(out), *flags)
+    assert (code, stdout, err) == (2, "", f"error: {message}\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ("simulate", "cdf-study"))
+@pytest.mark.parametrize("where, reason", (
+    ("missing/x.csv", "No such file or directory"), ("", "Is a directory")))
+def test_study_commands_report_unwritable_output(capsys, tmp_path, command,
+                                                 where, reason):
+    path = str(tmp_path / where)
+    code, stdout, err = run_cli(capsys, command, "--model", "exponential",
+                                "--n", "6", "--reps", "10", "--seed", "1",
+                                "--out", path)
+    assert (code, stdout, err) == (2, "",
+                                   f"error: cannot write {path}: {reason}\n")
+
+
+@pytest.mark.parametrize("error, code", (
+    (ValueError, 2), (NotImplementedError, 2), (FitError, 3),
+    (SimulationError, 3)))
+def test_main_maps_library_errors_to_exit_codes(capsys, tmp_path,
+                                                monkeypatch, error, code):
+    def fail(*args, **kwargs):
+        raise error("no study")
+
+    monkeypatch.setattr(cli, "run_cdf_study", fail)
+    got = run_cli(capsys, "cdf-study", "--model", "exponential", "--n", "6",
+                  "--reps", "10", "--seed", "1",
+                  "--out", str(tmp_path / "x.csv"))
+    assert got == (code, "", "error: no study\n")
+
+
+@pytest.mark.parametrize("params", ("k=2,k=3", "phi=1,k=2,phi=2"))
+def test_repeated_params_key_exits_2(capsys, exp_data, params):
+    key = params.partition("=")[0]
+    for argv in (("coeffs",), ("test", "--data", exp_data, "--theta10", "1")):
+        code, stdout, err = run_cli(capsys, *argv, "--model", "gamma",
+                                    "--params", params)
+        assert (code, stdout) == (2, ""), argv
+        assert err == (f"error: --params key {key!r} must not repeat, "
+                       f"got {params!r}\n"), argv
+
+
 def test_cdf_study_writes_grid(capsys, tmp_path):
     out = tmp_path / "cdf.csv"
     code, msg, _ = run_cli(capsys, "cdf-study", "--model", "exponential",
@@ -408,7 +472,10 @@ def test_closed_stdout_exits_1_without_traceback(tmp_path):
     path = _write(tmp_path / "exp.txt", "1.0\n1.2\n1.8\n2.0\n")
     for argv in (["test", "--model", "exponential", "--data", path,
                   "--theta10", "1"],
-                 ["coeffs", "--model", "birnbaum-saunders"]):
+                 ["coeffs", "--model", "birnbaum-saunders"],
+                 # the CSV itself goes to the closed pipe
+                 ["cdf-study", "--model", "exponential", "--n", "6",
+                  "--reps", "10", "--seed", "1", "--out", "/dev/stdout"]):
         read, write = os.pipe()
         os.close(read)
         try:

@@ -43,6 +43,8 @@ def test_config_validation():
         _config(seed=-1)
     with pytest.raises(ValueError, match="n=4294967296"):
         _config(sizes=(8, 2**32))
+    with pytest.raises(ValueError, match=r"integers >= 2, got \(\)"):
+        _config(sizes=())
     assert set(_config(procedures=PROCEDURES).procedures) == set(PROCEDURES)
 
 
@@ -55,6 +57,70 @@ def test_config_rejects_repeated_values(field, values):
     # would write the same rows twice
     with pytest.raises(ValueError, match="must not repeat"):
         _config(**{field: values})
+
+
+_BAD_INPUTS = (
+    ("exponential", dict(theta=(1.0, 2.0)),
+     "theta must have 1 value(s) for exponential, got 2"),
+    ("birnbaum-saunders", dict(theta=(1.0,)),
+     "theta must have 2 value(s) for birnbaum-saunders, got 1"),
+    ("exponential", dict(theta10=(1.0, 2.0)),
+     "theta10 must have 1 value(s) for exponential, got 2"),
+    ("birnbaum-saunders", dict(theta10=(1.0, 1.0)),
+     "theta10 must have 1 value(s) for birnbaum-saunders, got 2"),
+    *(("exponential", dict(n=n),
+       f"sample sizes must be integers >= 2, got ({n},)")
+      for n in (0, -3, 1, 5.7, 9.5, True)),
+    ("exponential", dict(n=2**32),
+     "sample size n=4294967296 must be below 2**32"),
+    *(("exponential", dict(replicates=r),
+       f"replicates must be an integer >= 1, got {r!r}")
+      for r in (0, True, 10.5)),
+    *(("exponential", dict(seed=s),
+       f"seed must be a 64-bit integer, got {s!r}")
+      for s in (-1, 2**64, 3.0, True)),
+)
+
+
+@pytest.mark.parametrize("model_id, bad, message", _BAD_INPUTS,
+                         ids=lambda v: v if isinstance(v, str) else None)
+def test_every_study_entry_rejects_bad_input_alike(model_id, bad, message):
+    # a size study's config, the CDF study and replicate_statistics check
+    # their inputs through the same code, so each fault reads the same
+    m = make_model(model_id)
+    args = dict(theta=(1.0,) * m.p, theta10=(1.0,), n=6, replicates=10,
+                seed=SEED)
+    args.update(bad)
+    calls = {
+        "SimulationConfig": lambda: SimulationConfig(
+            model_id=model_id, theta=args["theta"], theta10=args["theta10"],
+            sizes=(args["n"],), replicates=args["replicates"],
+            seed=args["seed"]),
+        "run_cdf_study": lambda: run_cdf_study(m, **args),
+        "replicate_statistics": lambda: replicate_statistics(m, **args),
+    }
+    for name, call in calls.items():
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message, name
+
+
+def test_numpy_integer_study_inputs_are_accepted():
+    cfg = _config(sizes=np.array([8, 13]), replicates=np.int64(400),
+                  seed=np.uint64(SEED))
+    assert cfg == _config()
+    assert all(type(v) is int for v in (*cfg.sizes, cfg.replicates,
+                                        cfg.seed))
+    m = make_model("exponential")
+    a, _ = replicate_statistics(m, (1.0,), (1.0,), np.int32(9),
+                                np.int64(50), np.uint64(SEED))
+    b, _ = replicate_statistics(m, (1.0,), (1.0,), 9, 50, SEED)
+    assert np.array_equal(a, b)
+    study = run_cdf_study(m, np.array([1.0]), np.float64(1.0), n=np.int64(9),
+                          replicates=np.int16(50), seed=np.int64(SEED))
+    assert (study.n, study.replicates) == (9, 50)
+    assert np.array_equal(study.counts, run_cdf_study(
+        m, (1.0,), (1.0,), n=9, replicates=50, seed=SEED).counts)
 
 
 @pytest.mark.parametrize("sizes, reps", (
