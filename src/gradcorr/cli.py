@@ -14,6 +14,7 @@ files (--data and --data2) or one two-column CSV.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import re
@@ -147,29 +148,31 @@ def _read_column(path: str):
     """Numeric values plus their source line numbers."""
     values, lines = [], []
     try:
-        fh = open(path)
+        with open(path) as fh:
+            text = fh.read()
     except OSError as exc:
         raise CliError(f"cannot read {path}: {exc.strerror}") from None
-    with fh:
-        for lineno, line in enumerate(fh, start=1):
-            fields = [f.strip() for f in line.strip().split(",")]
-            fields = [f for f in fields if f]
-            if not fields:
-                continue
-            row = []
-            for field in fields:
-                try:
-                    row.append(float(field))
-                except ValueError:
-                    if lineno == 1:  # header row
-                        row = None
-                        break
-                    raise CliError(f"{path}, line {lineno}: could not parse "
-                                   f"{field!r} as a number") from None
-            if row is None:
-                continue
-            values.append(row)
-            lines.append(lineno)
+    except UnicodeDecodeError as exc:
+        raise CliError(f"{path}: not a text file ({exc})") from None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        fields = [f.strip() for f in line.strip().split(",")]
+        fields = [f for f in fields if f]
+        if not fields:
+            continue
+        row = []
+        for field in fields:
+            try:
+                row.append(float(field))
+            except ValueError:
+                if lineno == 1:  # header row
+                    row = None
+                    break
+                raise CliError(f"{path}, line {lineno}: could not parse "
+                               f"{field!r} as a number") from None
+        if row is None:
+            continue
+        values.append(row)
+        lines.append(lineno)
     if not values:
         raise CliError(f"{path}: no numeric data found")
     width = len(values[0])
@@ -297,20 +300,43 @@ def _simulation_config(args, **options) -> tuple:
         constants=constants, **options)
 
 
+def _cannot_write(path, exc) -> CliError:
+    return CliError(f"cannot write {path}: {exc.strerror}")
+
+
+@contextlib.contextmanager
+def _output_checked(path):
+    """Check that path can be written before the study in the block runs,
+    without truncating it; if the study fails, remove the file again where
+    the check made it."""
+    existed = os.path.exists(path)
+    try:
+        open(path, "a").close()
+    except OSError as exc:
+        raise _cannot_write(path, exc) from None
+    try:
+        yield
+    except BaseException:
+        if not existed:
+            os.remove(path)
+        raise
+
+
 def _write_csv(write, result, path) -> None:
     try:
         write(result, path)
     except BrokenPipeError:
         raise
     except OSError as exc:
-        raise CliError(f"cannot write {path}: {exc.strerror}") from None
+        raise _cannot_write(path, exc) from None
 
 
 def cmd_simulate(args) -> int:
     _, config = _simulation_config(
         args, alphas=_parse_floats(args.alpha, "--alpha"),
         procedures=tuple(args.procedures.split(",")))
-    result = run_size_study(config)
+    with _output_checked(args.out):
+        result = run_size_study(config)
     _write_csv(write_size_csv, result, args.out)
     print(f"wrote {len(result.rows)} rows to {args.out}")
     for n, count in result.failures:
@@ -323,9 +349,10 @@ def cmd_cdf_study(args) -> int:
     model, config = _simulation_config(args)
     if len(config.sizes) != 1:
         raise CliError(f"cdf-study takes a single --n, got {args.n!r}")
-    study = run_cdf_study(model, config.theta, config.theta10,
-                          n=config.sizes[0], replicates=config.replicates,
-                          seed=config.seed)
+    with _output_checked(args.out):
+        study = run_cdf_study(model, config.theta, config.theta10,
+                              n=config.sizes[0],
+                              replicates=config.replicates, seed=config.seed)
     _write_csv(write_cdf_csv, study, args.out)
     print(f"wrote {len(study.x)} rows to {args.out}")
     print(f"  sup |empirical - chisq|    = {_fmt(study.sup_chisq)}")

@@ -10,10 +10,9 @@ Each family writes its two fits and its statistic once, row-wise on a
 (k, n) data matrix holding one data set per row; a two-sample row is
 sample 1 in its first n/2 columns and sample 2 in the rest.
 ``batch_statistics`` reduces the Monte Carlo matrix.  ``gradient_statistic``
-is its one-row case, and ``fit_restricted`` and ``fit_unrestricted`` are
-one-row views of the fits; they raise ``FitError`` where the row fails.
-The statistic takes both fits from ``fit_rows``, which runs the two row
-fits in turn unless a family solves them together.
+is its one-row case.  ``fit_rows`` is the one fitting method: it writes
+both fits at once, and ``fit_restricted`` and ``fit_unrestricted`` are its
+one-row views, which raise ``FitError`` where the row fails.
 
 The statistic itself is the inner product of the restricted score with
 the tested-component estimate shift,
@@ -85,19 +84,11 @@ class ModelFamily(ABC):
         """Per-row summaries of the (k, n) data matrix x."""
 
     @abstractmethod
-    def restricted_rows(self, m, theta10) -> np.ndarray:
-        """(k, p) MLEs theta_tilde from summaries m, the first q components
-        fixed at theta10; NaN where a fit failed, ValueError for a theta10
-        outside the parameter space."""
-
-    @abstractmethod
-    def unrestricted_rows(self, m) -> np.ndarray:
-        """(k, p) full MLEs theta_hat from summaries m, NaN if failed."""
-
     def fit_rows(self, m, theta10) -> tuple:
-        """theta_tilde and theta_hat from summaries m: the two row fits,
-        which a family may solve together."""
-        return self.restricted_rows(m, theta10), self.unrestricted_rows(m)
+        """(k, p) MLEs theta_tilde, the first q components fixed at theta10,
+        and (k, p) full MLEs theta_hat from summaries m; NaN in a row where
+        that fit failed, ValueError for a theta10 outside the parameter
+        space.  theta_hat does not depend on theta10."""
 
     @abstractmethod
     def raw_statistic(self, m, theta10, theta_tilde, theta_hat):
@@ -191,18 +182,23 @@ class ModelFamily(ABC):
         S = np.where(failed, np.nan, np.where(raw < 0.0, 0.0, raw))
         return S, int(np.count_nonzero(failed))
 
+    def _fit_one(self, data, theta10, which) -> np.ndarray:
+        """Fit ``which`` of ``fit_rows`` (0 restricted, 1 unrestricted) of
+        one data set."""
+        with np.errstate(all="ignore"):
+            fits = self.fit_rows(self.summarize(self._as_row(data)),
+                                 self._null(theta10))
+        return self._one_row(fits[which],
+                             ("restricted", "unrestricted")[which])
+
     def fit_restricted(self, data, theta10) -> np.ndarray:
         """MLE theta_tilde of one data set, first q components at theta10."""
-        with np.errstate(all="ignore"):
-            fit = self.restricted_rows(self.summarize(self._as_row(data)),
-                                       self._null(theta10))
-        return self._one_row(fit, "restricted")
+        return self._fit_one(data, theta10, 0)
 
     def fit_unrestricted(self, data) -> np.ndarray:
-        """Full MLE theta_hat of one data set."""
-        with np.errstate(all="ignore"):
-            fit = self.unrestricted_rows(self.summarize(self._as_row(data)))
-        return self._one_row(fit, "unrestricted")
+        """Full MLE theta_hat of one data set, at the default null, which
+        theta_hat does not depend on."""
+        return self._fit_one(data, self.default_theta[:self.q], 1)
 
 
 # (support predicate, reason) for check_observations

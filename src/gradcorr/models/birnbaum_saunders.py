@@ -24,23 +24,23 @@ phi via phi^2 = s/b + b/r - 2 (the phi-score identity), leaving
     G(b) = b^2 - b (K + 2 r) + r (K + s),   K(b) = 1/mean(1/(x+b)),
 
 with G(r) >= 0 >= G(s), so beta_hat is bracketed by the harmonic and
-arithmetic means.  Each equation is written once, for a (k, n) matrix
-of data sets, and solved per data set from sqrt(s r) by one safeguarded
-Newton: a step is taken when it stays inside the shrinking bracket or
-lands on the end that the current iterate set, and the bracket is
-bisected otherwise, until a step moves the root by at most 1e-13
-relative, in at most 200 steps.  A step onto the other end, set by an
-earlier iterate, is bisected because near a double root of H it can
-cycle between the two ends of a collapsed bracket.  A data set that does
-not converge is a failed fit.
+arithmetic means.  The two are written as one equation, H in row 0 and
+G in row 1 of a (2, k) iterate for a (k, n) matrix of data sets, and
+solved per element from sqrt(s r) by one safeguarded Newton: a step is
+taken when it stays inside the shrinking bracket or lands on the end
+that the current iterate set, and the bracket is bisected otherwise,
+until a step moves the root by at most 1e-13 relative, in at most 200
+steps.  A step onto the other end, set by an earlier iterate, is
+bisected because near a double root of H it can cycle between the two
+ends of a collapsed bracket.  A data set that does not converge is a
+failed fit.
 
 Layout.  ``summarize`` keeps the block as a contiguous (n, k) copy, one
-data set per column.  ``fit_rows`` solves H and G in one Newton run over
-a (2, k) iterate, H in row 0 and G in row 1, so the two fits share one
-pass of bookkeeping per sweep and one (n, 2, k) buffer, which takes
-x + b, its reciprocal and its square in place.  ``restricted_rows`` and
-``unrestricted_rows``, the one-row views, run the same solver on one
-equation.  S is bit for bit what a row-per-data-set layout with one
+data set per column.  ``fit_rows`` solves H and G in one Newton run, so
+the two fits share one pass of bookkeeping per sweep and one (n, 2, k)
+buffer, which takes x + b, its reciprocal and its square in place; the
+one-row views ``fit_restricted`` and ``fit_unrestricted`` run it on a
+(2, 1) iterate.  S is bit for bit what a row-per-data-set layout with one
 Newton run per fit gives: every element takes the same floating-point
 operations in the same order, a converged element stays where it is
 while the other fit goes on, and ``_pairwise_sum`` adds the n values of
@@ -141,76 +141,35 @@ def _inverse_means(xv, b, buf):
     return m1, m2
 
 
-def _restricted_equation(m, phi0):
-    """H and H' from the inverse means, with H's bracket [0, hi]."""
-    _, s, r = m
+def _solve(m, phi0):
+    """The roots of H in row 0 and G in row 1 of a (2, k) iterate, on the
+    brackets [0, hi] and [r, s], from sqrt(s r), and which of them
+    converged."""
+    xc, s, r = m
+    n, xv = len(xc), xc[:, None, :]
     c = phi0**2
     rc = r * c
-
-    def H(b, m1, m2):
-        bb2 = 2.0 * b * b
-        return ((s - b * b / r) / c - b + bb2 * m1,
-                -2.0 * b / rc - 1.0 + 4.0 * b * m1 - bb2 * m2)
-
-    return H, np.zeros_like(s), c * r + np.sqrt(s * r)
-
-
-def _unrestricted_equation(m):
-    """G and G' from the inverse means, with G's bracket [r, s]."""
-    _, s, r = m
     r2 = 2.0 * r
-
-    def G(b, m1, m2):
-        K = 1.0 / m1
-        return (b * b - b * (K + r2) + r * (K + s),
-                2.0 * b - K - r2 + (r - b) * (m2 / m1**2))
-
-    return G, r, s
-
-
-def _both(restricted, unrestricted):
-    """H in row 0 and G in row 1 of a (2, k) iterate, with both brackets."""
-    (H, lo_h, hi_h), (G, lo_g, hi_g) = restricted, unrestricted
-
-    def HG(b, m1, m2):
-        (h, dh), (g, dg) = H(b[0], m1[0], m2[0]), G(b[1], m1[1], m2[1])
-        return np.array([h, g]), np.array([dh, dg])
-
-    return HG, np.array([lo_h, lo_g]), np.array([hi_h, hi_g])
-
-
-def _solve(m, equation):
-    """Roots b of f(b, inverse means) on [lo, hi], from sqrt(s r), and
-    which of them converged; lo and hi have shape (k,) or (j, k)."""
-    xc, s, r = m
-    f, lo, hi = equation
-    n = len(xc)
-    # shape (n,) + lo.shape; with few columns each column runs along
-    # memory, where numpy's own reduction sums it faster
+    lo = np.array([np.zeros_like(s), r])
+    hi = np.array([c * r + np.sqrt(s * r), s])
+    # shape (n, 2, k); with few columns each column runs along memory,
+    # where numpy's own reduction sums it faster
     buf = (np.empty(lo.shape[::-1] + (n,)).T if lo.size < _NARROW
            else np.empty((n,) + lo.shape))
-    xv = xc if lo.ndim == 1 else xc[:, None, :]
-    return _safeguarded_newton(
-        lambda b: f(b, *_inverse_means(xv, b, buf)), lo, hi, np.sqrt(s * r))
 
+    def HG(b):
+        """H and G with their derivatives."""
+        m1, m2 = _inverse_means(xv, b, buf)
+        bt, bh = b
+        bb2 = 2.0 * bt * bt
+        h = (s - bt * bt / r) / c - bt + bb2 * m1[0]
+        dh = -2.0 * bt / rc - 1.0 + 4.0 * bt * m1[0] - bb2 * m2[0]
+        K = 1.0 / m1[1]
+        g = bh * bh - bh * (K + r2) + r * (K + s)
+        dg = 2.0 * bh - K - r2 + (r - bh) * (m2[1] / m1[1]**2)
+        return np.array([h, g]), np.array([dh, dg])
 
-def _null_shape(theta10):
-    phi0 = float(theta10[0])
-    if not phi0 > 0.0:
-        raise ValueError(f"null shape must be positive, got {phi0}")
-    return phi0
-
-
-def _restricted_fit(phi0, beta, ok):
-    return np.array([np.full_like(beta, phi0),
-                     np.where(ok, beta, np.nan)]).T
-
-
-def _unrestricted_fit(m, beta, ok):
-    _, s, r = m
-    phi_sq = s / beta + beta / r - 2.0
-    ok = ok & (s > r) & (phi_sq > 0.0)
-    return np.where(ok[:, None], np.array([np.sqrt(phi_sq), beta]).T, np.nan)
+    return _safeguarded_newton(HG, lo, hi, np.sqrt(s * r))
 
 
 class BirnbaumSaunders(ModelFamily):
@@ -252,20 +211,18 @@ class BirnbaumSaunders(ModelFamily):
         n = len(xc)
         return xc, _pairwise_sum(xc) / n, 1.0 / (_pairwise_sum(1.0 / xc) / n)
 
-    def restricted_rows(self, m, theta10):
-        phi0 = _null_shape(theta10)
-        beta, ok = _solve(m, _restricted_equation(m, phi0))
-        return _restricted_fit(phi0, beta, ok)
-
-    def unrestricted_rows(self, m):
-        beta, ok = _solve(m, _unrestricted_equation(m))
-        return _unrestricted_fit(m, beta, ok)
-
     def fit_rows(self, m, theta10):
-        phi0 = _null_shape(theta10)
-        (bt, bh), (ok_t, ok_h) = _solve(m, _both(
-            _restricted_equation(m, phi0), _unrestricted_equation(m)))
-        return _restricted_fit(phi0, bt, ok_t), _unrestricted_fit(m, bh, ok_h)
+        _, s, r = m
+        phi0 = float(theta10[0])
+        if not phi0 > 0.0:
+            raise ValueError(f"null shape must be positive, got {phi0}")
+        (bt, bh), (ok_t, ok_h) = _solve(m, phi0)
+        phi_sq = s / bh + bh / r - 2.0
+        ok_h = ok_h & (s > r) & (phi_sq > 0.0)
+        return (np.array([np.full_like(bt, phi0),
+                          np.where(ok_t, bt, np.nan)]).T,
+                np.where(ok_h[:, None], np.array([np.sqrt(phi_sq), bh]).T,
+                         np.nan))
 
     def raw_statistic(self, m, theta10, theta_tilde, theta_hat):
         xc, s, r = m

@@ -81,13 +81,11 @@ class OneParamExpFamily(ModelFamily):
         # sum / n is mean(axis=1) to the bit, without its per-call overhead
         return x.shape[1], self._spec.d(x).sum(axis=1) / x.shape[1]
 
-    def restricted_rows(self, m, theta10):
-        return np.full((len(m[1]), 1), self._check_phi(theta10))
-
-    def unrestricted_rows(self, m):
+    def fit_rows(self, m, theta10):
+        theta_tilde = np.full((len(m[1]), 1), self._check_phi(theta10))
         phi_hat = self._spec.mle_from_dbar(m[1])
         ok = np.isfinite(phi_hat) & (phi_hat > self._spec.phi_min)
-        return np.where(ok, phi_hat, np.nan)[:, None]
+        return theta_tilde, np.where(ok, phi_hat, np.nan)[:, None]
 
     def raw_statistic(self, m, theta10, theta_tilde, theta_hat):
         n, dbar = m

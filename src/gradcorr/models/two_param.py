@@ -56,16 +56,13 @@ class NormalMeanTest(ModelFamily):
         xbar = x.sum(axis=1) / n
         return n, xbar, ((x - xbar[:, None]) ** 2).sum(axis=1) / n
 
-    def restricted_rows(self, m, theta10):
+    def fit_rows(self, m, theta10):
         _, xbar, t2 = m
         phi0 = float(theta10[0])
         var = (xbar - phi0) ** 2 + t2
-        return np.array([np.full_like(var, phi0),
-                         np.where(var > 0.0, var, np.nan)]).T
-
-    def unrestricted_rows(self, m):
-        _, xbar, t2 = m
-        return np.array([xbar, np.where(t2 > 0.0, t2, np.nan)]).T
+        return (np.array([np.full_like(var, phi0),
+                          np.where(var > 0.0, var, np.nan)]).T,
+                np.array([xbar, np.where(t2 > 0.0, t2, np.nan)]).T)
 
     def raw_statistic(self, m, theta10, theta_tilde, theta_hat):
         n, xbar, _ = m
@@ -148,21 +145,18 @@ class TwoSampleExponential(ModelFamily):
         h = n // 2
         return n, x[:, :h].sum(axis=1) / h, x[:, h:].sum(axis=1) / h
 
-    def restricted_rows(self, m, theta10):
+    def fit_rows(self, m, theta10):
         _, m1, m2 = m
         phi0 = float(theta10[0])
         if not phi0 > 0.0:
             raise ValueError(f"null ratio must be positive, got {phi0}")
         rp = np.sqrt(phi0)
         beta = 0.5 * (m1 * rp + m2 / rp)
-        return np.array([np.full_like(beta, phi0),
-                         np.where(beta > 0.0, beta, np.nan)]).T
-
-    def unrestricted_rows(self, m):
-        _, m1, m2 = m
         ok = (m1 > 0.0) & (m2 > 0.0)
-        return np.where(ok[:, None],
-                        np.array([m2 / m1, np.sqrt(m1 * m2)]).T, np.nan)
+        return (np.array([np.full_like(beta, phi0),
+                          np.where(beta > 0.0, beta, np.nan)]).T,
+                np.where(ok[:, None],
+                         np.array([m2 / m1, np.sqrt(m1 * m2)]).T, np.nan))
 
     def raw_statistic(self, m, theta10, theta_tilde, theta_hat):
         n, m1, m2 = m

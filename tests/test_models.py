@@ -74,11 +74,8 @@ class _NegativeRawStub(ModelFamily):
     def summarize(self, x):
         return x
 
-    def restricted_rows(self, m, theta10):
-        return np.full((len(m), 1), theta10[0])
-
-    def unrestricted_rows(self, m):
-        return np.full((len(m), 1), 2.0)
+    def fit_rows(self, m, theta10):
+        return np.full((len(m), 1), theta10[0]), np.full((len(m), 1), 2.0)
 
     def raw_statistic(self, m, theta10, theta_tilde, theta_hat):
         # the score below at theta_tilde
@@ -407,7 +404,8 @@ def test_birnbaum_saunders_restricted_bracket_end_is_past_the_root(data,
     solve, ends = bs._safeguarded_newton, []
 
     def spy(f, lo, hi, x0):
-        ends.append((f(hi)[0], hi, x0))
+        # H and its bracket are row 0 of the iterate
+        ends.append((f(hi)[0][0], hi[0], x0))
         return solve(f, lo, hi, x0)
 
     m = make_model("birnbaum-saunders")
@@ -415,19 +413,33 @@ def test_birnbaum_saunders_restricted_bracket_end_is_past_the_root(data,
     _, (s,), (r,) = summary
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bs, "_safeguarded_newton", spy)
-        m.restricted_rows(summary, (phi0,))
+        with np.errstate(all="ignore"):
+            m.fit_rows(summary, (phi0,))
     (h,), (hi,), (root_sr,) = ends[0]
     assert hi == phi0**2 * r + np.sqrt(s * r) and root_sr == np.sqrt(s * r)
     assert h < -root_sr < 0.0
 
 
+def _bs_means(data, beta):
+    """s, r and mean(1/(x + beta)) of each data set in the last axis."""
+    x = np.asarray(data, dtype=float)
+    return (x.mean(axis=-1), 1.0 / np.mean(1.0 / x, axis=-1),
+            np.mean(1.0 / (x + np.expand_dims(beta, -1)), axis=-1))
+
+
 def _bs_restricted_residual(data, phi0, beta):
     """H(beta) / beta: the restricted scale equation, written from the
     log-likelihood, relative to the scale."""
-    x = np.asarray(data, dtype=float)
-    s, r = x.mean(), 1.0 / np.mean(1.0 / x)
-    return ((s - beta**2 / r) / phi0**2 - beta
-            + 2.0 * beta**2 * np.mean(1.0 / (x + beta))) / beta
+    s, r, m1 = _bs_means(data, beta)
+    return ((s - beta**2 / r) / phi0**2 - beta + 2.0 * beta**2 * m1) / beta
+
+
+def _bs_unrestricted_residual(data, beta):
+    """G(beta) / beta^2: the beta-score with phi profiled out, written from
+    the log-likelihood, relative to the squared scale."""
+    s, r, m1 = _bs_means(data, beta)
+    K = 1.0 / m1
+    return (beta**2 - beta * (K + 2.0 * r) + r * (K + s)) / beta**2
 
 
 def test_birnbaum_saunders_restricted_fit_leaves_a_collapsed_bracket():
@@ -493,18 +505,21 @@ def _bs_blocks(k, n, seed):
 @pytest.mark.parametrize("n", [2, 5, 8, 13, 22, 129, 200])
 def test_birnbaum_saunders_fused_fits_match_one_row_views(k, n):
     m, x = _bs_blocks(k, n, SEED + n)
-    # at k = 4096 every row against the one-equation fits of the whole
-    # block, and every 61st row against the one-row views
+    # every converged root of the whole block solves its equation; at
+    # k = 4096 every 61st row against the one-row views
     rows = range(k) if k < 4096 else range(0, k, 61)
     for phi0 in (1.0, 1.5, 2.00001):
         S, failed = m.batch_statistics(x, (phi0,))
         with np.errstate(all="ignore"):
-            summary = m.summarize(x)
-            tilde, hat = m.fit_rows(summary, (phi0,))
-            assert np.array_equal(tilde, m.restricted_rows(summary, (phi0,)),
-                                  equal_nan=True)
-            assert np.array_equal(hat, m.unrestricted_rows(summary),
-                                  equal_nan=True)
+            tilde, hat = m.fit_rows(m.summarize(x), (phi0,))
+        assert not np.isnan(tilde).any()
+        assert (np.abs(_bs_restricted_residual(x, phi0, tilde[:, 1]))
+                <= 1e-12).all()
+        # the unrestricted fit may fail on the constant rows alone
+        ok = ~np.isnan(hat[:, 1])
+        assert ok[np.arange(k) % 29 != 0].all()
+        assert (np.abs(_bs_unrestricted_residual(x[ok], hat[ok, 1]))
+                <= 1e-12).all()
         assert failed == np.count_nonzero(np.isnan(S))
         for i in rows:
             try:
@@ -519,6 +534,20 @@ def test_birnbaum_saunders_fused_fits_match_one_row_views(k, n):
                 except FitError:
                     one = np.full(2, np.nan)
                 assert np.array_equal(fit[i], one, equal_nan=True), (i, phi0)
+
+
+@pytest.mark.parametrize("k", [1, 80])
+def test_unrestricted_fit_does_not_depend_on_the_null(model, k):
+    # fit_unrestricted reads theta_hat off fit_rows at the default null;
+    # 80 rows put Birnbaum-Saunders on its wide layout
+    x = model.sample(np.asarray(model.default_theta, dtype=float), (k, 8),
+                     np.random.default_rng(SEED))
+    x[::3] = 1.3                        # where some fits fail
+    null = np.asarray(model.default_theta[:model.q], dtype=float)
+    with np.errstate(all="ignore"):
+        m = model.summarize(x)
+        a, b = (model.fit_rows(m, t)[1] for t in (null, 1.5 * null + 0.25))
+    assert np.array_equal(a, b, equal_nan=True)
 
 
 def test_validate_data_names_offending_observation():
