@@ -9,10 +9,13 @@ samples in n.
 Each family writes its two fits and its statistic once, row-wise on a
 (k, n) data matrix holding one data set per row; a two-sample row is
 sample 1 in its first n/2 columns and sample 2 in the rest.
-``batch_statistics`` reduces the Monte Carlo matrix.  ``gradient_statistic``
-is its one-row case.  ``fit_rows`` is the one fitting method: it writes
-both fits at once, and ``fit_restricted`` and ``fit_unrestricted`` are its
-one-row views, which raise ``FitError`` where the row fails.
+``batch_statistics`` reduces the Monte Carlo matrix, or several of
+different n at once: their summaries are joined end to end, each row
+carrying its own n, so the fits and the statistic run once over all the
+rows.  ``gradient_statistic`` is its one-row case.  ``fit_rows`` is the
+one fitting method: it writes both fits at once, and ``fit_restricted``
+and ``fit_unrestricted`` are its one-row views, which raise ``FitError``
+where the row fails.
 
 The statistic itself is the inner product of the restricted score with
 the tested-component estimate shift,
@@ -81,7 +84,10 @@ class ModelFamily(ABC):
 
     @abstractmethod
     def summarize(self, x):
-        """Per-row summaries of the (k, n) data matrix x."""
+        """Per-row summaries of the (k, n) data matrix x: a tuple of n, then
+        arrays of one value per row, and any per-block items as a tuple,
+        which is how ``_summaries`` joins the summaries of several
+        matrices."""
 
     @abstractmethod
     def fit_rows(self, m, theta10) -> tuple:
@@ -151,7 +157,7 @@ class ModelFamily(ABC):
         if theta10.shape != (self.q,):
             raise ValueError(f"theta10 must have {self.q} value(s) for "
                              f"{self.name}, got {theta10.size}")
-        if not np.isfinite(theta10).all():
+        if not all(map(math.isfinite, theta10.tolist())):
             raise ValueError(f"theta10 must be finite, got {tuple(theta10)}")
         return theta10
 
@@ -161,22 +167,38 @@ class ModelFamily(ABC):
             raise FitError(f"{self.name}: {which} fit failed")
         return fit[0]
 
-    def _statistic_rows(self, x, theta10) -> tuple:
-        """theta_tilde, theta_hat and raw S per row of the data matrix x."""
+    def _summaries(self, blocks) -> tuple:
+        """``summarize`` of the rows of the data matrices in ``blocks``, end
+        to end: n per row, the per-row arrays joined, and the per-block
+        tuples joined.  One matrix keeps its own summaries, n a scalar."""
+        if len(blocks) == 1:
+            return self.summarize(blocks[0])
+        parts = [self.summarize(x) for x in blocks]
+        n = np.repeat([p[0] for p in parts], [len(x) for x in blocks])
+        return (n,) + tuple(sum(c, ()) if isinstance(c[0], tuple)
+                            else np.concatenate(c)
+                            for c in list(zip(*parts))[1:])
+
+    def _statistic_rows(self, blocks, theta10) -> tuple:
+        """theta_tilde, theta_hat and raw S per row of the data matrices in
+        ``blocks``, end to end."""
         theta10 = self._null(theta10)
         # failed fits and overflow come back as NaN and inf, not warnings
         with np.errstate(all="ignore"):
-            m = self.summarize(x)
+            m = self._summaries(blocks)
             theta_tilde, theta_hat = self.fit_rows(m, theta10)
             return (theta_tilde, theta_hat,
                     self.raw_statistic(m, theta10, theta_tilde, theta_hat))
 
     def batch_statistics(self, data, theta10) -> tuple:
-        """S per row of a (k, n) data matrix from ``sample``, clamped at zero
-        and NaN where a fit failed or S is not finite, and the number of
-        such rows."""
-        theta_tilde, theta_hat, raw = self._statistic_rows(
-            np.asarray(data, dtype=float), theta10)
+        """S per row of a (k, n) data matrix from ``sample``, or of a list of
+        such matrices, each with its own n, end to end; clamped at zero and
+        NaN where a fit failed or S is not finite; and the number of such
+        rows."""
+        blocks = ([np.asarray(x, dtype=float) for x in data]
+                  if isinstance(data, list) else
+                  [np.asarray(data, dtype=float)])
+        theta_tilde, theta_hat, raw = self._statistic_rows(blocks, theta10)
         failed = (np.isnan(theta_tilde).any(axis=1)
                   | np.isnan(theta_hat).any(axis=1) | ~np.isfinite(raw))
         S = np.where(failed, np.nan, np.where(raw < 0.0, 0.0, raw))
@@ -234,7 +256,7 @@ def gradient_statistic(model: ModelFamily, data, theta10) -> GradientStatistic:
     clamped at zero: the one-row case of ``batch_statistics``.  FitError
     where a fit fails, OverflowError where S does not fit in a float."""
     x = model._as_row(data)
-    theta_tilde, theta_hat, raw = model._statistic_rows(x, theta10)
+    theta_tilde, theta_hat, raw = model._statistic_rows([x], theta10)
     theta_tilde = model._one_row(theta_tilde, "restricted")
     model._one_row(theta_hat, "unrestricted")
     raw = float(raw[0])

@@ -33,20 +33,27 @@ until a step moves the root by at most 1e-13 relative, in at most 200
 steps.  A step onto the other end, set by an earlier iterate, is
 bisected because near a double root of H it can cycle between the two
 ends of a collapsed bracket.  A data set that does not converge is a
-failed fit.
+failed fit, and so is an unrestricted fit whose phi_hat^2 is within
+rounding of 0, as it is for data of one value (``fit_rows``).
 
-Layout.  ``summarize`` keeps the block as a contiguous (n, k) copy, one
-data set per column.  ``fit_rows`` solves H and G in one Newton run, so
-the two fits share one pass of bookkeeping per sweep and one (n, 2, k)
-buffer, which takes x + b, its reciprocal and its square in place; the
-one-row views ``fit_restricted`` and ``fit_unrestricted`` run it on a
-(2, 1) iterate.  S is bit for bit what a row-per-data-set layout with one
-Newton run per fit gives: every element takes the same floating-point
-operations in the same order, a converged element stays where it is
-while the other fit goes on, and ``_pairwise_sum`` adds the n values of
-a column in the order in which numpy's pairwise summation adds a
-contiguous row.  Below 128 columns the buffer keeps each column
-contiguous instead and numpy sums it itself, which is faster there.
+Layout.  ``summarize`` keeps a (k, n) block as a contiguous (n, k) copy,
+one data set per column; the summaries of several blocks of different n
+keep one copy per block and join s, r and n end to end.  ``fit_rows``
+solves H and G for all K data sets in one Newton run over a (2, K)
+iterate, so every block shares one pass of bookkeeping per sweep.  The
+column sums come block by block, through one (n, 2, k) buffer that
+serves each block in turn and takes x + b, its reciprocal and its
+square in place; once every element of a block has converged, the
+block's sums are kept rather than taken again.  The one-row views
+``fit_restricted`` and ``fit_unrestricted`` run the same solve on a
+(2, 1) iterate.  S is bit for bit what a row-per-data-set layout with
+one Newton run per fit and block gives: every element takes the same
+floating-point operations in the same order, a converged element stays
+where it is while the others go on, and ``_pairwise_sum`` adds the n
+values of a column in the order in which numpy's pairwise summation
+adds a contiguous row.  Below 128 columns of its buffer a block keeps
+each column contiguous instead and numpy sums it itself, which is
+faster there.
 
 Cumulants involve the scaled normal tail R = e^{2/phi^2}(1 - Phi(2/phi))
 only through kappa_betabeta and its relatives; everything is assembled
@@ -65,19 +72,21 @@ __all__ = ["BirnbaumSaunders"]
 
 _SQRT_2PI = np.sqrt(2.0 * np.pi)
 _REL_TOL = 1e-13
+_EPS = 2.0**-52
 _NARROW = 128          # below this many columns, one per row of memory
 
 
 def _safeguarded_newton(f, lo, hi, x0):
-    """Elementwise root of f on [lo, hi] with f(lo) > 0 >= f(hi), where f(x)
-    gives f and f' per element: Newton while the step stays inside the
-    shrinking bracket or on the end x itself set, bisection otherwise.
-    Returns the roots and which elements converged; a converged element
-    stays where it is."""
+    """Elementwise root of f on [lo, hi] with f(lo) > 0 >= f(hi), where
+    f(x, done) gives f and f' per element, any value at all for the
+    elements that ``done`` marks as converged: Newton while the step stays
+    inside the shrinking bracket or on the end x itself set, bisection
+    otherwise.  Returns the roots and which elements converged; a
+    converged element stays where it is."""
     x = np.clip(x0, lo, hi)
     done = np.zeros(x.shape, dtype=bool)
     for _ in range(200):
-        fx, d = f(x)
+        fx, d = f(x, done)
         above = fx > 0.0
         lo = np.where(above, x, lo)
         hi = np.where(above, hi, x)
@@ -125,51 +134,75 @@ def _pairwise_sum(a):
     return total
 
 
-def _inverse_means(xv, b, buf):
-    """mean(1/(x+b)) and mean(1/(x+b)^2) per element of the iterate b,
-    from one pass through buf: x + b, its reciprocal, then its square.
-    xv is the (n, k) block shaped to broadcast against b, and buf has
-    shape (n,) + b.shape."""
-    n = len(xv)
+def _block_sums(xv, b, buf):
+    """The column sums of 1/(x+b) and of 1/(x+b)^2 per element of the
+    iterate b, from one pass through buf: x + b, its reciprocal, then its
+    square.  xv is an (n, k) block shaped to broadcast against b, and buf
+    has shape (n,) + b.shape."""
     u = np.add(xv, b, out=buf)
     np.divide(1.0, u, out=u)
-    m1 = _pairwise_sum(u)
-    m1 /= n
+    s1 = _pairwise_sum(u)
     np.multiply(u, u, out=u)
-    m2 = _pairwise_sum(u)
-    m2 /= n
-    return m1, m2
+    return s1, _pairwise_sum(u)
+
+
+def _inverse_sums(blocks, b, done, sums):
+    """``_block_sums`` of the (2, K) iterate b over the data blocks, each
+    (xv, cols, buf) with cols the slice of its columns of b.  ``sums``
+    holds each block's pair from the sweep before: a block whose elements
+    ``done`` all marks as converged keeps it."""
+    if len(blocks) == 1:
+        (xv, _, buf), = blocks
+        return _block_sums(xv, b, buf)
+    settled = np.logical_and.reduceat(
+        done.all(axis=0), [cols.start for _, cols, _ in blocks]).tolist()
+    for i, (xv, cols, buf) in enumerate(blocks):
+        if not settled[i]:
+            sums[i] = _block_sums(xv, b[:, cols], buf)
+    s1, s2 = zip(*sums)
+    return np.concatenate(s1, axis=1), np.concatenate(s2, axis=1)
 
 
 def _solve(m, phi0):
-    """The roots of H in row 0 and G in row 1 of a (2, k) iterate, on the
+    """The roots of H in row 0 and G in row 1 of a (2, K) iterate, on the
     brackets [0, hi] and [r, s], from sqrt(s r), and which of them
     converged."""
-    xc, s, r = m
-    n, xv = len(xc), xc[:, None, :]
+    n, s, r, xcs = m
     c = phi0**2
     rc = r * c
     r2 = 2.0 * r
+    sr = np.sqrt(s * r)
     lo = np.array([np.zeros_like(s), r])
-    hi = np.array([c * r + np.sqrt(s * r), s])
-    # shape (n, 2, k); with few columns each column runs along memory,
-    # where numpy's own reduction sums it faster
-    buf = (np.empty(lo.shape[::-1] + (n,)).T if lo.size < _NARROW
-           else np.empty((n,) + lo.shape))
+    hi = np.array([rc + sr, s])
+    # one buffer serves every block in turn, so it stays in cache
+    scratch = np.empty(2 * max(xc.size for xc in xcs))
+    blocks, start = [], 0
+    for xc in xcs:
+        nb, k = xc.shape
+        # shape (n, 2, k); with few columns each column runs along memory,
+        # where numpy's own reduction sums it faster
+        buf = scratch[:2 * xc.size]
+        buf = (buf.reshape(k, 2, nb).T if 2 * k < _NARROW
+               else buf.reshape(nb, 2, k))
+        blocks.append((xc[:, None, :], slice(start, start + k), buf))
+        start += k
+    sums = [None] * len(blocks)
 
-    def HG(b):
-        """H and G with their derivatives."""
-        m1, m2 = _inverse_means(xv, b, buf)
+    def HG(b, done):
+        """H and G with their derivatives, stale where done."""
+        s1, s2 = _inverse_sums(blocks, b, done, sums)
+        m1t, m1h = s1 / n
+        m2t, m2h = s2 / n
         bt, bh = b
         bb2 = 2.0 * bt * bt
-        h = (s - bt * bt / r) / c - bt + bb2 * m1[0]
-        dh = -2.0 * bt / rc - 1.0 + 4.0 * bt * m1[0] - bb2 * m2[0]
-        K = 1.0 / m1[1]
+        h = (s - bt * bt / r) / c - bt + bb2 * m1t
+        dh = -2.0 * bt / rc - 1.0 + 4.0 * bt * m1t - bb2 * m2t
+        K = 1.0 / m1h
         g = bh * bh - bh * (K + r2) + r * (K + s)
-        dg = 2.0 * bh - K - r2 + (r - bh) * (m2[1] / m1[1]**2)
+        dg = 2.0 * bh - K - r2 + (r - bh) * (m2h / m1h**2)
         return np.array([h, g]), np.array([dh, dg])
 
-    return _safeguarded_newton(HG, lo, hi, np.sqrt(s * r))
+    return _safeguarded_newton(HG, lo, hi, sr)
 
 
 class BirnbaumSaunders(ModelFamily):
@@ -205,33 +238,43 @@ class BirnbaumSaunders(ModelFamily):
         check_observations(self.name, data, *POSITIVE, least=2)
 
     def summarize(self, x):
-        """The (n, k) transposed copy of x, its row means s and its row
-        harmonic means r."""
+        """n, the row means s and row harmonic means r of x, and its (n, k)
+        transposed copy as a block of one."""
         xc = np.ascontiguousarray(x.T)
         n = len(xc)
-        return xc, _pairwise_sum(xc) / n, 1.0 / (_pairwise_sum(1.0 / xc) / n)
+        return (n, _pairwise_sum(xc) / n,
+                1.0 / (_pairwise_sum(1.0 / xc) / n), (xc,))
 
     def fit_rows(self, m, theta10):
-        _, s, r = m
+        """Both fits from one Newton run.  The unrestricted fit fails where
+        phi_sq = s/b + b/r - 2 is within its own rounding error of 0, at or
+        below (n + 4) eps.  It is exactly 0 for data of one value, but the
+        computed s and r then carry relative errors of up to n u and
+        (n + 2) u (u = eps/2: n - 1 additions in any order, the division
+        by n and, for r, the reciprocals), so s/r - 1, the largest phi_sq
+        on [r, s], can reach (n + 1) eps; evaluating phi_sq adds 2 eps more,
+        to (n + 3) eps to first order, and the last eps covers the rest.
+        Such data cannot tell phi_hat from 0."""
+        n, s, r, _ = m
         phi0 = float(theta10[0])
         if not phi0 > 0.0:
             raise ValueError(f"null shape must be positive, got {phi0}")
         (bt, bh), (ok_t, ok_h) = _solve(m, phi0)
         phi_sq = s / bh + bh / r - 2.0
-        ok_h = ok_h & (s > r) & (phi_sq > 0.0)
+        ok_h = ok_h & (s > r) & (phi_sq > (n + 4) * _EPS)
         return (np.array([np.full_like(bt, phi0),
                           np.where(ok_t, bt, np.nan)]).T,
                 np.where(ok_h[:, None], np.array([np.sqrt(phi_sq), bh]).T,
                          np.nan))
 
     def raw_statistic(self, m, theta10, theta_tilde, theta_hat):
-        xc, s, r = m
+        n, s, r, _ = m
         phi0, bt = float(theta10[0]), theta_tilde[:, 1]
-        return (len(xc) * (theta_hat[:, 0] - phi0) / phi0**3
+        return (n * (theta_hat[:, 0] - phi0) / phi0**3
                 * (s / bt + bt / r - (2.0 + phi0**2)))
 
     def score(self, data, theta):
-        x, (s,), (r,) = self.summarize(self._as_row(data))
+        _, (s,), (r,), (x,) = self.summarize(self._as_row(data))
         phi, beta = self._check_theta(theta)
         u_phi = (s / beta + beta / r - 2.0 - phi**2) / phi**3
         u_beta = (s / beta**2 - 1.0 / r) / (2.0 * phi**2) \

@@ -9,21 +9,24 @@ at sample size n is row r % BLOCK of block r // BLOCK, whose (BLOCK, n)
 data matrix is drawn in C order from the Philox stream keyed by
 (seed, n, block) (Salmon et al., "Parallel random numbers: as easy as
 1, 2, 3", SC'11).  Replicate r is thus a pure function of (seed, n, r),
-whatever the replicate count.  A block is drawn and reduced by
-batch_statistics in row groups of at most _GROUP_VALUES values, each
-continuing the block's stream, so the group size bounds memory without
-moving a draw.  The size study's unit of work is a count group: the
+whatever the replicate count.  The unit of work is a count group: the
 consecutive (n, block) pieces, sizes in config order and blocks in
 order within a size, gathered until they hold at least BLOCK
-replicates (the last group may hold fewer).  Its finite S are decided
-at once, each value carrying its own n, and counted per sample size,
-so the fixed cost of the rules is paid per group, not per size; a
-group spans sizes when blocks are short.  Row-group size, count-group
-size and worker count therefore affect neither values nor, thanks to
-integer-count reduction, aggregates.  Seeded results differ from
-versions that keyed one stream per replicate.  Workers default to 1;
-set GRADCORR_THREADS to parallelize over count groups (CDF studies
-run serially).
+replicates (the last group may hold fewer), so a group spans sizes
+when blocks are short and is one block otherwise, as in a CDF study.
+A group's pieces are drawn, each from its own block's stream, and
+reduced together: one batch_statistics call (one Newton run for
+Birnbaum-Saunders) solves as many of its rows as fit in _GROUP_VALUES
+values, whatever their n, and a piece that does not fit continues its
+stream in the next solve, so the cap bounds memory without moving a
+draw.  A size study's finite S are then decided at once, each value
+carrying its own n, and counted per sample size, so the fixed costs of
+the fits and of the rules are paid per group, not per size.  Solve
+size, count-group size and worker count therefore affect neither values
+nor, thanks to integer-count reduction, aggregates.
+Seeded results differ from versions that keyed one stream per
+replicate.  Workers default to 1; set GRADCORR_THREADS to parallelize
+over count groups (CDF studies run serially).
 
 Coefficients for the corrected procedures are ``ModelFamily.coefficients``
 evaluated at the null point (tested components at theta10, nuisance at
@@ -60,7 +63,7 @@ PROCEDURES = ("uncorrected", "corrected_statistic", "expanded_cdf",
               "modified_quantile")
 
 BLOCK = 4096                      # replicates per stream key
-_GROUP_VALUES = 1 << 20           # cap on replicates*n drawn at once
+_GROUP_VALUES = 24 * BLOCK        # cap on replicates*n in one solve
 _COUNT_REPLICATES = BLOCK         # replicates decided at once, at least
 _MAX_FAILURE_RATE = 0.05
 
@@ -230,20 +233,28 @@ def _blocks(replicates: int) -> list:
             for b in range(-(-replicates // BLOCK))]
 
 
-def _block_statistics(model: ModelFamily, theta, theta10, n: int,
-                      seed: int, block: int, rows: int) -> tuple:
-    """S and failure count of the first ``rows`` replicates of a block."""
-    rng = np.random.Generator(np.random.Philox(key=[seed,
-                                                    (n << 32) | block]))
-    step = max(1, _GROUP_VALUES // n)
-    S = np.empty(rows)
-    failed = 0
-    for lo in range(0, rows, step):
-        hi = min(lo + step, rows)
-        S[lo:hi], f = model.batch_statistics(
-            model.sample(theta, (hi - lo, n), rng), theta10)
-        failed += f
-    return S, failed
+def _reduce(model: ModelFamily, theta, theta10, seed: int,
+            group) -> np.ndarray:
+    """S of the rows of a count group's (size index, n, block, rows)
+    pieces end to end, NaN where a fit failed.  A piece is the first
+    ``rows`` replicates of its block, drawn from the block's stream; the
+    pieces are reduced together by batch_statistics in solves of at most
+    _GROUP_VALUES values, and a piece that does not fit in one solve
+    continues its stream in the next."""
+    S, solve, held = [], [], 0
+    for _, n, block, rows in group:
+        rng = np.random.Generator(np.random.Philox(key=[seed,
+                                                        (n << 32) | block]))
+        while rows:
+            if solve and held + n > _GROUP_VALUES:
+                S.append(model.batch_statistics(solve, theta10)[0])
+                solve, held = [], 0
+            k = min(rows, max(1, (_GROUP_VALUES - held) // n))
+            solve.append(model.sample(theta, (k, n), rng))
+            held += k * n
+            rows -= k
+    S.append(model.batch_statistics(solve, theta10)[0])
+    return S[0] if len(S) == 1 else np.concatenate(S)
 
 
 def replicate_statistics(model: ModelFamily, theta, theta10, n: int,
@@ -258,14 +269,9 @@ def replicate_statistics(model: ModelFamily, theta, theta10, n: int,
 def _statistics(model: ModelFamily, theta, theta10, n: int,
                 replicates: int, seed: int) -> tuple:
     """replicate_statistics on checked inputs."""
-    S = np.empty(replicates)
-    failed = 0
-    for block, rows in _blocks(replicates):
-        r0 = block * BLOCK
-        S[r0:r0 + rows], f = _block_statistics(model, theta, theta10, n,
-                                               seed, block, rows)
-        failed += f
-    return S, failed
+    S = np.concatenate([_reduce(model, theta, theta10, seed, group)
+                        for group in _groups((n,), replicates)])
+    return S, int(np.count_nonzero(np.isnan(S)))
 
 
 def _workers(tasks: int) -> int:
@@ -330,15 +336,16 @@ def _size_group(args) -> tuple:
     (model_id, constants, theta, theta10, seed, pieces, sizes, alphas,
      procedures, a_triple, q) = args
     model = make_model(model_id, **constants)
+    S = _reduce(model, theta, theta10, seed, pieces)
+    finite = np.isfinite(S)
     failures = np.zeros(len(sizes), dtype=np.int64)
-    values, runs = [], []     # finite S per piece; (size index, count)
-    for i, n, block, rows in pieces:
-        S, failed = _block_statistics(model, theta, theta10, n, seed, block,
-                                      rows)
-        failures[i] += failed
-        values.append(S[np.isfinite(S)])
-        runs.append((i, len(values[-1])))
-    S = np.concatenate(values)
+    runs, lo = [], 0          # (size index, finite S) per piece
+    for i, _, _, rows in pieces:
+        m = int(np.count_nonzero(finite[lo:lo + rows]))
+        failures[i] += rows - m
+        runs.append((i, m))
+        lo += rows
+    S = S[finite]
     n = np.repeat([sizes[i] for i, _ in runs], [m for _, m in runs])
     rej = _rejections(S, ExpansionCoefficients(*a_triple), q, n, alphas,
                       procedures)

@@ -14,7 +14,8 @@ array by array and transposition by transposition, the rule the
 package's one-pass check must reproduce.  One reference does call the
 package: the gradient statistic rebuilt from its definition, the score
 at the restricted fit times the estimate shift, out of a family's
-one-data-set fits and score instead of its row-wise statistic.
+one-data-set fits and score instead of its row-wise statistic.  Exact
+null laws of S come from scipy.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import math
 from fractions import Fraction
 
 import numpy as np
+from scipy import special as sp
 
 # ------------------------------------------------------------ chi-square
 
@@ -422,3 +424,18 @@ def gradient_statistic_reference(model, data, theta10) -> float:
     theta_hat = np.atleast_1d(model.fit_unrestricted(data))
     u1 = np.atleast_1d(model.score(data, theta_tilde))[:model.q]
     return float(n * u1 @ (theta_hat[:model.q] - theta10))
+
+
+# ------------------------------------------------------------ exact laws
+
+def exact_null_cdf(model, x, n: int) -> np.ndarray:
+    """Pr(S <= x) under the null for a sample of n, exactly.
+
+    Exponential with mean phi: S = n (xbar/phi0 - 1)^2, and n xbar/phi0
+    is Gamma(n, 1) under the null, so S <= x exactly when n xbar/phi0
+    lies within sqrt(n x) of n.  Other families raise
+    NotImplementedError."""
+    if model.name != "exponential":
+        raise NotImplementedError(f"no exact null law for {model.name}")
+    d = np.sqrt(n * np.asarray(x, dtype=float))
+    return sp.gammainc(n, n + d) - sp.gammainc(n, np.maximum(n - d, 0.0))

@@ -11,12 +11,15 @@ import numpy as np
 import pytest
 from scipy import special as sp
 
-from gradcorr.correction import approximate_moments, bartlett_factors
+from gradcorr.correction import (approximate_moments, bartlett_factors,
+                                 expanded_cdf)
 from gradcorr.models import make_model
 from gradcorr.simulate import (SimulationConfig, replicate_statistics,
                                run_cdf_study, run_size_study, write_cdf_csv,
                                write_size_csv)
+from gradcorr.special import chi2_cdf
 from helpers import cancellation_derivative
+from oracles import exact_null_cdf
 from conftest import MODEL_IDS
 
 SEED = 20260814
@@ -174,6 +177,40 @@ def test_criterion_4_scaled_statistic_beta_law():
     k = np.arange(1, reps + 1)
     ks = max(np.max(k / reps - cdf), np.max(cdf - (k - 1) / reps))
     assert ks < 1.62762 / math.sqrt(reps)   # 1% critical value
+
+
+# --- 4b: exponential exact law ------------------------------------------
+#
+# n xbar is Gamma(n, 1) under the null, so the order claims of the
+# expansion can be checked without noise: the first-order error falls
+# as 1/n and the expanded CDF's as 1/n^2.
+
+def test_exponential_exact_law_matches_simulation():
+    m = make_model("exponential")
+    n, reps = 10, 20_000
+    S, failed = replicate_statistics(m, [1.0], [1.0], n, reps, SEED)
+    assert failed == 0
+    cdf = exact_null_cdf(m, np.sort(S), n)
+    k = np.arange(1, reps + 1)
+    ks = max(np.max(k / reps - cdf), np.max(cdf - (k - 1) / reps))
+    assert ks < 1.62762 / math.sqrt(reps)   # 1% critical value
+
+
+def test_exponential_exact_law_orders():
+    m = make_model("exponential")
+    coef = m.coefficients(np.array([1.0]))
+    x = np.linspace(0.0, 30.0, 30_001)
+    first, expanded = [], []
+    for n in (10, 20, 40, 80, 160, 320):
+        exact = exact_null_cdf(m, x, n)
+        first.append(np.max(np.abs(exact - chi2_cdf(x, 1))))
+        expanded.append(np.max(np.abs(exact - expanded_cdf(x, coef, 1, n))))
+        # measured: n sup 0.132 -> 0.127, n^2 sup 0.161 -> 0.150
+        assert 0.125 <= n * first[-1] <= 0.135, n
+        assert 0.148 <= n**2 * expanded[-1] <= 0.165, n
+    for i in range(1, len(first)):
+        assert 1.95 <= first[i - 1] / first[i] <= 2.1
+        assert 3.9 <= expanded[i - 1] / expanded[i] <= 4.2
 
 
 # --- 5: size distortions shrink under the correction --------------------

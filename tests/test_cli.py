@@ -90,6 +90,17 @@ def test_test_command_fits_restricted_model_once(capsys, tmp_path,
     assert code == 0 and len(calls) == 1
 
 
+def test_test_command_exits_3_on_constant_birnbaum_saunders_data(capsys,
+                                                                  tmp_path):
+    # phi_hat^2 is 0 up to rounding; at n = 13 it used to print S = 13.0
+    for n in range(2, 41):
+        path = _write(tmp_path / f"const-{n}.txt", "1.3\n" * n)
+        code, out, err = run_cli(capsys, "test", "--model", "bs", "--data",
+                                 path, "--theta10", "1")
+        assert (code, out) == (3, ""), n
+        assert "unrestricted fit failed" in err, n
+
+
 def test_test_command_text_and_csv_formats(capsys, exp_data):
     code, out, _ = run_cli(capsys, "test", "--model", "exponential",
                            "--data", exp_data, "--theta10", "1")

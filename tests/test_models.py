@@ -371,9 +371,9 @@ def test_birnbaum_saunders_fits_take_few_solver_evaluations(monkeypatch):
     def counted(f, lo, hi, x0):
         calls = [0]
 
-        def f_counted(x):
+        def f_counted(x, done):
             calls[0] += 1
-            return f(x)
+            return f(x, done)
 
         root = solve(f_counted, lo, hi, x0)
         counts.append(calls[0])
@@ -405,12 +405,12 @@ def test_birnbaum_saunders_restricted_bracket_end_is_past_the_root(data,
 
     def spy(f, lo, hi, x0):
         # H and its bracket are row 0 of the iterate
-        ends.append((f(hi)[0][0], hi[0], x0))
+        ends.append((f(hi, np.zeros(hi.shape, dtype=bool))[0][0], hi[0], x0))
         return solve(f, lo, hi, x0)
 
     m = make_model("birnbaum-saunders")
     summary = m.summarize(np.array([data]))
-    _, (s,), (r,) = summary
+    _, (s,), (r,), _ = summary
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(bs, "_safeguarded_newton", spy)
         with np.errstate(all="ignore"):
@@ -534,6 +534,46 @@ def test_birnbaum_saunders_fused_fits_match_one_row_views(k, n):
                 except FitError:
                     one = np.full(2, np.nan)
                 assert np.array_equal(fit[i], one, equal_nan=True), (i, phi0)
+
+
+@pytest.mark.parametrize("value", [1.3, 0.1, 7.0, 123.456, 1e-3])
+def test_birnbaum_saunders_constant_data_fail_the_unrestricted_fit(value):
+    # phi_hat^2 of data of one value is 0 up to rounding, which left
+    # phi_hat near 2e-8 at some n (S = 13.0 at n = 13) and failed at others
+    m = make_model("birnbaum-saunders")
+    for n in range(2, 41):
+        x = np.full(n, value)
+        with pytest.raises(FitError, match="unrestricted fit failed"):
+            gradient_statistic(m, x, 1.0)
+        with pytest.raises(FitError, match="unrestricted fit failed"):
+            m.fit_unrestricted(x)
+        assert math.isfinite(m.fit_restricted(x, 1.0)[1])
+    blocks = [np.full((3, n), value) for n in range(2, 41)]
+    S, failed = m.batch_statistics(blocks, (1.0,))
+    assert failed == len(S) == 3 * 39 and np.isnan(S).all()
+
+
+GROUP_SIZES = (2, 3, 5, 7, 8, 13, 16, 24, 100, 128, 129, 300)
+
+
+def test_grouped_blocks_give_the_per_block_statistics(model):
+    # one batch_statistics call over blocks of many sizes, of fewer and
+    # more than 128 data sets each, some rows constant, gives each block's
+    # own S to the bit, and the same count of failed fits
+    theta = np.asarray(model.default_theta, dtype=float)
+    null = theta[:model.q]
+    rng = np.random.default_rng(SEED)
+    blocks = []
+    for n in GROUP_SIZES:
+        n += n % model.samples          # a two-sample row splits in halves
+        for k in (50, 200):
+            x = model.sample(theta, (k, n), rng)
+            x[::17] = x[::17, :1]
+            blocks.append(x)
+    S, failed = model.batch_statistics(blocks, null)
+    alone = [model.batch_statistics(x, null) for x in blocks]
+    assert S.tobytes() == np.concatenate([s for s, _ in alone]).tobytes()
+    assert failed == sum(f for _, f in alone)
 
 
 @pytest.mark.parametrize("k", [1, 80])

@@ -157,6 +157,24 @@ def test_size_study_builds_bartlett_factors_once_per_count_group(monkeypatch):
         list(range(5, 14)), list(range(14, 23))]
 
 
+def test_size_study_fits_once_per_count_group(monkeypatch):
+    # the benchmark's study: each count group of 9 sizes x 500 replicates
+    # is one fit_rows call over all its rows
+    bs, calls = type(make_model("birnbaum-saunders")), []
+    fit_rows = bs.fit_rows
+
+    def counted(self, m, theta10):
+        calls.append(np.unique(m[0]).tolist())
+        return fit_rows(self, m, theta10)
+
+    monkeypatch.setattr(bs, "fit_rows", counted)
+    monkeypatch.delenv("GRADCORR_THREADS", raising=False)
+    run_size_study(_config(model_id="birnbaum-saunders", theta=(1.0, 1.0),
+                           sizes=tuple(range(5, 23)), replicates=500,
+                           alphas=(0.01, 0.05, 0.10), procedures=PROCEDURES))
+    assert calls == [list(range(5, 14)), list(range(14, 23))]
+
+
 def test_size_study_rows_are_complete_and_consistent():
     cfg = _config(alphas=(0.05, 0.10), procedures=PROCEDURES)
     res = run_size_study(cfg)
@@ -277,10 +295,13 @@ def test_csvs_do_not_depend_on_row_groups(tmp_path, monkeypatch):
 
     monkeypatch.delenv("GRADCORR_THREADS", raising=False)
     default = csvs("default")
-    # 1,000 to 1,625 rows per group: several groups per block, the last
-    # one short, each continuing its block's stream
-    monkeypatch.setattr(sim, "_GROUP_VALUES", 13_000)
-    assert csvs("grouped") == default
+    # 1,000 to 1,625 rows per solve: several solves per block, the last
+    # one short, each continuing its block's stream; and solves of 50,000
+    # values, one of which holds the 100-row tail at n = 8 and the first
+    # 3,784 rows of a block at n = 13, the next the rest of that block
+    for values in (13_000, 50_000):
+        monkeypatch.setattr(sim, "_GROUP_VALUES", values)
+        assert csvs(f"grouped-{values}") == default
     # count groups of one piece each, and of up to three blocks
     for floor in (1, 2 * BLOCK + 1):
         monkeypatch.setattr(sim, "_COUNT_REPLICATES", floor)
@@ -318,15 +339,15 @@ class _FlakyModel(ModelFamily):
         return rng.exponential(1.0, size=size)
 
     def summarize(self, x):
-        return x[:, 0]
+        return x.shape[1], x[:, 0]
 
     def fit_rows(self, m, theta10):
-        fit = m[:, None].copy()
+        fit = m[1][:, None].copy()
         fit[::self.fail_every] = np.nan
-        return np.full((len(m), 1), theta10[0]), fit
+        return np.full((len(fit), 1), theta10[0]), fit
 
     def raw_statistic(self, m, theta10, theta_tilde, theta_hat):
-        return 2.0 * m                  # chi-square with 2 df
+        return 2.0 * m[1]               # chi-square with 2 df
 
     def score(self, data, theta):
         return np.array([0.0])
