@@ -183,20 +183,22 @@ def build_geometry(b: CumulantBundle, h: HypothesisSpec) -> FisherGeometry:
     A is zero except for the lower-right (p-q)x(p-q) block, which holds
     the inverse of the nuisance sub-information K22; with q = p there is
     no nuisance block and A = 0, M = Kinv.
+
+    Each matrix is factored once, K = V diag(w) V^T, for its inverse
+    (V / w) V^T.  K > 0 (the bundle checks), so cond(K) = max w / min w;
+    by Cauchy interlacing cond(K22) <= cond(K), so K's check covers K22.
     """
     if h.p != b.p:
         raise ValueError(f"bundle has p={b.p} but hypothesis has p={h.p}")
     K = -b.kappa2
-    if np.linalg.cond(K) >= 1e12:
+    w, V = np.linalg.eigh(K)                  # w ascending
+    if w[-1] >= 1e12 * w[0]:
         raise IllConditionedInformationError(
             "information matrix condition number exceeds 1e12")
-    Kinv = np.linalg.inv(K)
+    Kinv = (V / w) @ V.T
     A = np.zeros_like(K)
     if h.q < h.p:
-        K22 = K[h.q:, h.q:]
-        if np.linalg.cond(K22) >= 1e12:
-            raise IllConditionedInformationError(
-                "nuisance information block condition number exceeds 1e12")
-        A[h.q:, h.q:] = np.linalg.inv(K22)
+        w, V = np.linalg.eigh(K[h.q:, h.q:])
+        A[h.q:, h.q:] = (V / w) @ V.T
     M = Kinv - A
     return FisherGeometry(K=K, Kinv=Kinv, A=A, M=M, q=h.q)

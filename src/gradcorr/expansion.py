@@ -99,16 +99,6 @@ class OneParamCumulants:
     kppp_p: float
     kpp_pp: float
 
-    def to_bundle(self) -> CumulantBundle:
-        """The equivalent p=1 CumulantBundle (for the general engine)."""
-        shape = lambda v, k: np.full((1,) * k, float(v))
-        return CumulantBundle(kappa2=shape(self.kpp, 2),
-                              kappa3=shape(self.kppp, 3),
-                              kappa4=shape(self.kpppp, 4),
-                              d_kappa2=shape(self.kpp_p, 3),
-                              d_kappa3=shape(self.kppp_p, 4),
-                              dd_kappa2=shape(self.kpp_pp, 4))
-
 
 @dataclass(frozen=True)
 class OrthogonalCumulants:

@@ -1,8 +1,8 @@
 """Model family interface and the gradient statistic.
 
 A family bundles everything a test or a simulation needs: a sampler, the
-two maximum likelihood fits, the per-observation score and the analytic
-cumulant arrays.  Data is a 1-D float array for one-sample families; the
+two maximum likelihood fits, the statistic and the analytic cumulant
+arrays.  Data is a 1-D float array for one-sample families; the
 two-sample family takes a pair of equal-length arrays and counts both
 samples in n.
 
@@ -99,10 +99,6 @@ class ModelFamily(ABC):
     @abstractmethod
     def raw_statistic(self, m, theta10, theta_tilde, theta_hat):
         """Unclamped S = n U_1(theta_tilde)'(theta_hat_1 - theta10) per row."""
-
-    @abstractmethod
-    def score(self, data, theta) -> np.ndarray:
-        """Per-observation-scale score vector U(theta)."""
 
     def cumulant_arrays(self, theta) -> tuple:
         """The six arrays of ``cumulants`` in CumulantBundle field order,

@@ -273,14 +273,6 @@ class BirnbaumSaunders(ModelFamily):
         return (n * (theta_hat[:, 0] - phi0) / phi0**3
                 * (s / bt + bt / r - (2.0 + phi0**2)))
 
-    def score(self, data, theta):
-        _, (s,), (r,), (x,) = self.summarize(self._as_row(data))
-        phi, beta = self._check_theta(theta)
-        u_phi = (s / beta + beta / r - 2.0 - phi**2) / phi**3
-        u_beta = (s / beta**2 - 1.0 / r) / (2.0 * phi**2) \
-            - 0.5 / beta + float(np.mean(1.0 / (x + beta)))
-        return np.array([u_phi, u_beta])
-
     def cumulant_arrays(self, theta) -> tuple:
         f, b = self._check_theta(theta)
         R = std_normal_tail_scaled(2.0 / f)

@@ -24,7 +24,6 @@ from typing import Callable
 
 import numpy as np
 
-from ..cumulants import CumulantBundle
 from ..expansion import (ExpansionCoefficients, OneParamCumulants,
                          coefficients_one_param)
 from .base import POSITIVE, ModelFamily, check_observations
@@ -93,12 +92,6 @@ class OneParamExpFamily(ModelFamily):
         return (n * (phi0 - theta_hat[:, 0]) * spec.alpha_derivs(phi0)[0]
                 * (spec.beta(phi0) + dbar))
 
-    def score(self, data, theta):
-        phi = self._check_phi(theta)
-        dbar = float(np.mean(self._spec.d(np.asarray(data, dtype=float))))
-        a1, _, _ = self._spec.alpha_derivs(phi)
-        return np.array([-a1 * (dbar + self._spec.beta(phi))])
-
     def scalar_cumulants(self, theta) -> OneParamCumulants:
         phi = self._check_phi(theta)
         a1, a2, a3 = self._spec.alpha_derivs(phi)
@@ -112,8 +105,11 @@ class OneParamExpFamily(ModelFamily):
             kpp_pp=-(a3 * b1 + 2.0 * a2 * b2 + a1 * b3),
         )
 
-    def cumulants(self, theta) -> CumulantBundle:
-        return self.scalar_cumulants(theta).to_bundle()
+    def cumulant_arrays(self, theta) -> tuple:
+        c = self.scalar_cumulants(theta)
+        return tuple(np.full((1,) * k, float(v)) for v, k in (
+            (c.kpp, 2), (c.kppp, 3), (c.kpppp, 4), (c.kpp_p, 3),
+            (c.kppp_p, 4), (c.kpp_pp, 4)))
 
     def specialized_coefficients(self, theta) -> ExpansionCoefficients:
         return coefficients_one_param(self.scalar_cumulants(theta))

@@ -68,13 +68,6 @@ class NormalMeanTest(ModelFamily):
         n, xbar, _ = m
         return n * (xbar - float(theta10[0])) ** 2 / theta_tilde[:, 1]
 
-    def score(self, data, theta):
-        x = np.asarray(data, dtype=float)
-        phi, beta = self._check_theta(theta)
-        m2 = float(np.mean((x - phi) ** 2))
-        return np.array([(x.mean() - phi) / beta,
-                         0.5 * (m2 / beta - 1.0) / beta])
-
     def cumulant_arrays(self, theta) -> tuple:
         _, b = self._check_theta(theta)
         k2 = np.zeros((2, 2))
@@ -164,14 +157,6 @@ class TwoSampleExponential(ModelFamily):
         rp = np.sqrt(phi0)
         u_phi = (-m1 / rp + m2 / (phi0 * rp)) / (4.0 * theta_tilde[:, 1])
         return n * u_phi * (theta_hat[:, 0] - phi0)
-
-    def score(self, data, theta):
-        _, (m1,), (m2,) = self.summarize(self._as_row(data))
-        phi, beta = self._check_theta(theta)
-        rp = np.sqrt(phi)
-        return np.array([
-            (-m1 / rp + m2 / (phi * rp)) / (4.0 * beta),
-            -1.0 / beta + (m1 * rp + m2 / rp) / (2.0 * beta**2)])
 
     def cumulant_arrays(self, theta) -> tuple:
         f, b = self._check_theta(theta)

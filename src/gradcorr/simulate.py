@@ -66,6 +66,7 @@ BLOCK = 4096                      # replicates per stream key
 _GROUP_VALUES = 24 * BLOCK        # cap on replicates*n in one solve
 _COUNT_REPLICATES = BLOCK         # replicates decided at once, at least
 _MAX_FAILURE_RATE = 0.05
+_GRID_POINTS = 512                # points of a CDF study's grid
 
 
 class SimulationError(RuntimeError):
@@ -333,12 +334,11 @@ def _rejections(S, coef, q, n, alphas, procedures) -> np.ndarray:
 def _size_group(args) -> tuple:
     """Rejection counts per (size, cell) and failures per size of one
     count group, zero for the sizes the group does not hold."""
-    (model_id, constants, theta, theta10, seed, pieces, sizes, alphas,
-     procedures, a_triple, q) = args
-    model = make_model(model_id, **constants)
-    S = _reduce(model, theta, theta10, seed, pieces)
+    cfg, pieces, coef = args
+    model = make_model(cfg.model_id, **cfg.constants)
+    S = _reduce(model, cfg.theta, cfg.theta10, cfg.seed, pieces)
     finite = np.isfinite(S)
-    failures = np.zeros(len(sizes), dtype=np.int64)
+    failures = np.zeros(len(cfg.sizes), dtype=np.int64)
     runs, lo = [], 0          # (size index, finite S) per piece
     for i, _, _, rows in pieces:
         m = int(np.count_nonzero(finite[lo:lo + rows]))
@@ -346,10 +346,9 @@ def _size_group(args) -> tuple:
         runs.append((i, m))
         lo += rows
     S = S[finite]
-    n = np.repeat([sizes[i] for i, _ in runs], [m for _, m in runs])
-    rej = _rejections(S, ExpansionCoefficients(*a_triple), q, n, alphas,
-                      procedures)
-    counts = np.zeros((len(sizes), len(rej)), dtype=np.int64)
+    n = np.repeat([cfg.sizes[i] for i, _ in runs], [m for _, m in runs])
+    rej = _rejections(S, coef, model.q, n, cfg.alphas, cfg.procedures)
+    counts = np.zeros((len(cfg.sizes), len(rej)), dtype=np.int64)
     lo = 0
     for i, m in runs:
         counts[i] += np.count_nonzero(rej[:, lo:lo + m], axis=1)
@@ -357,13 +356,20 @@ def _size_group(args) -> tuple:
     return counts, failures
 
 
+def _check_failures(failures_by_n: dict, replicates: int) -> None:
+    """SimulationError if any n lost more than _MAX_FAILURE_RATE of fits."""
+    for n, failed in failures_by_n.items():
+        if failed > _MAX_FAILURE_RATE * replicates:
+            raise SimulationError(
+                f"{failed} of {replicates} fits failed at n={n} "
+                f"(> {_MAX_FAILURE_RATE:.0%})")
+
+
 def run_size_study(cfg: SimulationConfig) -> SimulationResult:
     """Null rejection rates per (n, alpha, procedure)."""
     model = make_model(cfg.model_id, **cfg.constants)
     _, _, coef = _null_point(model, cfg.theta, cfg.theta10)
-    tasks = [(cfg.model_id, cfg.constants, cfg.theta, cfg.theta10,
-              cfg.seed, pieces, cfg.sizes, cfg.alphas, cfg.procedures,
-              coef.as_tuple(), model.q)
+    tasks = [(cfg, pieces, coef)
              for pieces in _groups(cfg.sizes, cfg.replicates)]
 
     workers = _workers(len(tasks))
@@ -374,12 +380,7 @@ def run_size_study(cfg: SimulationConfig) -> SimulationResult:
         partials = [_size_group(t) for t in tasks]
     counts = sum(c for c, _ in partials)
     failures = dict(zip(cfg.sizes, sum(f for _, f in partials).tolist()))
-
-    for n in cfg.sizes:
-        if failures[n] > _MAX_FAILURE_RATE * cfg.replicates:
-            raise SimulationError(
-                f"{failures[n]} of {cfg.replicates} fits failed at n={n} "
-                f"(> {_MAX_FAILURE_RATE:.0%})")
+    _check_failures(failures, cfg.replicates)
     return SimulationResult(config=cfg,
                             failures=tuple(sorted(failures.items())),
                             rejections=tuple(counts.ravel().tolist()))
@@ -400,7 +401,7 @@ def _sup_distances(S, coef, q, n) -> tuple:
 
 
 def run_cdf_study(model, theta, theta10, n: int, replicates: int,
-                  seed: int, grid_points: int = 512) -> CdfStudy:
+                  seed: int) -> CdfStudy:
     """Empirical null CDF of S against G_q and the order-1/n expansion."""
     if isinstance(model, str):
         model = make_model(model)
@@ -409,15 +410,13 @@ def run_cdf_study(model, theta, theta10, n: int, replicates: int,
     q = model.q
 
     S, failed = _statistics(model, theta, theta10, n, replicates, seed)
-    if failed > _MAX_FAILURE_RATE * replicates:
-        raise SimulationError(f"{failed} of {replicates} fits failed "
-                              f"(> {_MAX_FAILURE_RATE:.0%})")
+    _check_failures({n: failed}, replicates)
     S = S[np.isfinite(S)]
     S.sort()
     m = len(S)
 
     grid_end = max(chi2_quantile(0.999, q), float(np.quantile(S, 0.999)))
-    counts = np.searchsorted(S, np.linspace(0.0, grid_end, grid_points),
+    counts = np.searchsorted(S, np.linspace(0.0, grid_end, _GRID_POINTS),
                              side="right")
     sup_chisq, sup_expanded = _sup_distances(S, coef, q, n)
     return CdfStudy(grid_end=grid_end,

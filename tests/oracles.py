@@ -14,8 +14,8 @@ array by array and transposition by transposition, the rule the
 package's one-pass check must reproduce.  One reference does call the
 package: the gradient statistic rebuilt from its definition, the score
 at the restricted fit times the estimate shift, out of a family's
-one-data-set fits and score instead of its row-wise statistic.  Exact
-null laws of S come from scipy.
+one-data-set fits and the per-family score below instead of its
+row-wise statistic.  Exact null laws of S come from scipy.
 """
 
 from __future__ import annotations
@@ -414,15 +414,46 @@ def birnbaum_saunders_coefficients(f: float) -> dict:
 
 # ------------------------------------------------------------ statistic
 
+def score(model, data, theta) -> np.ndarray:
+    """Per-observation-scale score vector U(theta) of one data set, from
+    each built-in family's log-likelihood derivatives."""
+    if model.p == 1:
+        # U = -alpha'(phi) (dbar + beta(phi)), f = xi exp{-alpha d + gamma}
+        spec = model._spec
+        phi = model._check_phi(theta)
+        dbar = float(np.mean(spec.d(np.asarray(data, dtype=float))))
+        a1, _, _ = spec.alpha_derivs(phi)
+        return np.array([-a1 * (dbar + spec.beta(phi))])
+    phi, beta = model._check_theta(theta)
+    if model.name == "two-parameter-normal":
+        x = np.asarray(data, dtype=float)
+        m2 = float(np.mean((x - phi) ** 2))
+        return np.array([(x.mean() - phi) / beta,
+                         0.5 * (m2 / beta - 1.0) / beta])
+    if model.name == "two-sample-exponential":
+        _, (m1,), (m2,) = model.summarize(model._as_row(data))
+        rp = np.sqrt(phi)
+        return np.array([
+            (-m1 / rp + m2 / (phi * rp)) / (4.0 * beta),
+            -1.0 / beta + (m1 * rp + m2 / rp) / (2.0 * beta**2)])
+    if model.name == "birnbaum-saunders":
+        _, (s,), (r,), (x,) = model.summarize(model._as_row(data))
+        u_phi = (s / beta + beta / r - 2.0 - phi**2) / phi**3
+        u_beta = (s / beta**2 - 1.0 / r) / (2.0 * phi**2) \
+            - 0.5 / beta + float(np.mean(1.0 / (x + beta)))
+        return np.array([u_phi, u_beta])
+    raise NotImplementedError(f"no score for {model.name}")
+
+
 def gradient_statistic_reference(model, data, theta10) -> float:
     """Unclamped S = n U_1(theta_tilde)'(theta_hat_1 - theta10) of one data
-    set from the model's two fits and its score; FitError where a fit
+    set from the model's two fits and ``score``; FitError where a fit
     fails."""
     theta10 = np.atleast_1d(np.asarray(theta10, dtype=float))
     n = sum(map(len, data)) if isinstance(data, tuple) else len(data)
     theta_tilde = np.atleast_1d(model.fit_restricted(data, theta10))
     theta_hat = np.atleast_1d(model.fit_unrestricted(data))
-    u1 = np.atleast_1d(model.score(data, theta_tilde))[:model.q]
+    u1 = np.atleast_1d(score(model, data, theta_tilde))[:model.q]
     return float(n * u1 @ (theta_hat[:model.q] - theta10))
 
 

@@ -272,3 +272,32 @@ def test_ill_conditioned_information_raises():
     b = _bundle(2, kappa2=k2)
     with pytest.raises(IllConditionedInformationError):
         build_geometry(b, HypothesisSpec(p=2, q=1))
+
+
+def _nuisance_ill_conditioned(cond):
+    """kappa2 = -K at p = 3 whose smallest eigenvalue, delta, belongs to
+    the nuisance direction (0, 1, -1)/sqrt(2), so that cond(K) is about
+    ``cond``: the other two are those of [[2, 1/sqrt(2)], [1/sqrt(2),
+    2 - delta]], the largest near 2 + 1/sqrt(2)."""
+    off = 1.0 - (2.0 + np.sqrt(0.5)) / cond
+    return -np.array([[2.0, 0.5, 0.5], [0.5, 1.0, off], [0.5, off, 1.0]])
+
+
+def test_geometry_inverts_an_ill_conditioned_nuisance_block():
+    k2 = _nuisance_ill_conditioned(0.999e12)
+    K = -k2
+    assert 0.99e12 < np.linalg.cond(K) < 1e12
+    assert np.linalg.cond(K[1:, 1:]) > 0.5e12
+    g = build_geometry(_bundle(3, kappa2=k2), HypothesisSpec(p=3, q=1))
+    want = np.linalg.inv(K[1:, 1:])
+    assert np.max(np.abs(g.A[1:, 1:] - want)) <= 1e-10 * np.max(np.abs(want))
+    assert not g.A[0].any() and not g.A[:, 0].any()
+
+
+def test_geometry_rejects_information_ill_conditioned_in_nuisance_block():
+    k2 = _nuisance_ill_conditioned(1.001e12)
+    assert 1e12 < np.linalg.cond(-k2) < 1.01e12
+    with pytest.raises(IllConditionedInformationError,
+                       match="^information matrix condition number "
+                             "exceeds 1e12$"):
+        build_geometry(_bundle(3, kappa2=k2), HypothesisSpec(p=3, q=1))

@@ -7,12 +7,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gradcorr.cumulants import CumulantBundle
 from gradcorr.models import (FitError, builtin_models, gradient_statistic,
                              make_model)
 from gradcorr.models.base import ModelFamily
 from gradcorr.simulate import replicate_statistics
 from oracles import (birnbaum_saunders_coefficients,
-                     gradient_statistic_reference)
+                     gradient_statistic_reference, score)
 
 SEED = 20260814
 
@@ -33,6 +34,16 @@ def test_every_family_reports_consistent_dimensions(model):
     theta = np.asarray(model.default_theta, dtype=float)
     b = model.cumulants(theta)
     assert b.p == model.p
+
+
+def test_cumulants_are_the_bundle_of_the_cumulant_arrays(model):
+    # one cumulant source per family: no family builds its bundle itself
+    theta = np.asarray(model.default_theta, dtype=float)
+    got = model.cumulants(theta)
+    want = CumulantBundle(*model.cumulant_arrays(theta))
+    for name in ("kappa2", "kappa3", "kappa4", "d_kappa2", "d_kappa3",
+                 "dd_kappa2"):
+        assert np.array_equal(getattr(got, name), getattr(want, name)), name
 
 
 def test_statistic_exponential_fixture():
@@ -78,11 +89,8 @@ class _NegativeRawStub(ModelFamily):
         return np.full((len(m), 1), theta10[0]), np.full((len(m), 1), 2.0)
 
     def raw_statistic(self, m, theta10, theta_tilde, theta_hat):
-        # the score below at theta_tilde
+        # a score of -1 at theta_tilde
         return m.shape[1] * -1.0 * (theta_hat[:, 0] - theta10[0])
-
-    def score(self, data, theta):
-        return np.array([-1.0])
 
     def cumulants(self, theta):
         raise NotImplementedError
@@ -158,7 +166,7 @@ def test_unrestricted_score_vanishes(model):
             theta_hat = model.fit_unrestricted(data)
         except FitError:
             continue
-        u = model.score(data, theta_hat)
+        u = score(model, data, theta_hat)
         assert np.all(np.abs(u) <= 1e-8)
 
 
@@ -170,7 +178,7 @@ def test_restricted_nuisance_score_vanishes(model):
     for _ in range(20):
         data = model.sample(theta, 50, rng)
         theta_t = model.fit_restricted(data, theta[:model.q])
-        u = model.score(data, theta_t)
+        u = score(model, data, theta_t)
         assert np.all(np.abs(u[model.q:]) <= 1e-8)
 
 
@@ -350,7 +358,7 @@ def test_birnbaum_saunders_restricted_score_component():
     for _ in range(20):
         data = m.sample(np.array([0.9, 1.4]), 40, rng)
         theta_t = m.fit_restricted(data, 0.9)
-        assert abs(m.score(data, theta_t)[1]) <= 1e-8
+        assert abs(score(m, data, theta_t)[1]) <= 1e-8
 
 
 def test_birnbaum_saunders_degenerate_data():

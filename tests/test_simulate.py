@@ -349,9 +349,6 @@ class _FlakyModel(ModelFamily):
     def raw_statistic(self, m, theta10, theta_tilde, theta_hat):
         return 2.0 * m[1]               # chi-square with 2 df
 
-    def score(self, data, theta):
-        return np.array([0.0])
-
     def cumulants(self, theta):
         raise NotImplementedError
 
@@ -360,7 +357,8 @@ class _FlakyModel(ModelFamily):
 
 
 def test_failure_rate_above_threshold_aborts_cdf_study():
-    with pytest.raises(SimulationError):
+    with pytest.raises(SimulationError,
+                       match=r"^100 of 200 fits failed at n=10 \(> 5%\)$"):
         run_cdf_study(_FlakyModel(fail_every=2), (1.0,), (1.0,), n=10,
                       replicates=200, seed=SEED)
 
@@ -376,7 +374,8 @@ def test_failure_rate_above_threshold_aborts_size_study(monkeypatch):
     import gradcorr.simulate as sim
     monkeypatch.setattr(sim, "make_model",
                         lambda mid, **kw: _FlakyModel(fail_every=3))
-    with pytest.raises(SimulationError):
+    with pytest.raises(SimulationError,
+                       match=r"^100 of 300 fits failed at n=8 \(> 5%\)$"):
         run_size_study(_config(replicates=300))
 
 
