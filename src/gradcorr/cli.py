@@ -22,11 +22,8 @@ import sys
 
 import numpy as np
 
-from .correction import run_test
+from .correction import PROCEDURES, run_test
 from .models import FitError, builtin_models, gradient_statistic, make_model
-from .simulate import (PROCEDURES, SimulationConfig, SimulationError,
-                       run_cdf_study, run_size_study, write_cdf_csv,
-                       write_size_csv)
 
 __all__ = ["main"]
 
@@ -39,6 +36,7 @@ ALIASES = {
     "power": "power-shape",
     "laplace": "laplace-scale",
 }
+_COEFFICIENTS = ("A1", "A2", "A3", "R0", "R1", "R2", "R3")   # print order
 
 def _fmt(value: float) -> str:
     return "%.17g" % (value + 0.0)     # normalizes -0.0
@@ -244,14 +242,9 @@ def cmd_test(args) -> int:
     report = run_test(stat.value, coef, model.q, stat.n, gamma=args.gamma)
     fields = _report_fields(report)
     if args.format == "json":
-        payload = {key: value for key, value in fields}
-        payload["coefficients"] = {"A1": coef.A1, "A2": coef.A2,
-                                   "A3": coef.A3, "R0": coef.R0,
-                                   "R1": coef.R1, "R2": coef.R2,
-                                   "R3": coef.R3}
-        payload["n"] = stat.n
-        payload["gamma"] = args.gamma
-        payload["warnings"] = list(report.warnings)
+        coefficients = {k: getattr(coef, k) for k in _COEFFICIENTS}
+        payload = dict(fields, coefficients=coefficients, n=stat.n,
+                       gamma=args.gamma, warnings=list(report.warnings))
         print(json.dumps(payload, indent=2))
     elif args.format == "csv":
         print(",".join(key for key, _ in fields))
@@ -260,8 +253,7 @@ def cmd_test(args) -> int:
         print(f"model: {model.name}   n = {stat.n}   gamma = {args.gamma}")
         for key, value in fields:
             print(f"  {key:<14}{_fmt(value)}")
-        print(f"  {'A1,A2,A3':<14}" + ", ".join(
-            _fmt(v) for v in (coef.A1, coef.A2, coef.A3)))
+        print(f"  {'A1,A2,A3':<14}" + ", ".join(map(_fmt, coef.as_tuple())))
         for note in report.warnings:
             print(f"  warning: {note}")
     return 0
@@ -274,12 +266,11 @@ def cmd_coeffs(args) -> int:
     # "closed" is the older name of the specialized route
     route = "general" if args.route == "general" else "specialized"
     shown = general if route == "general" else specialized
-    delta = max(abs(g - c) for g, c in zip(
-        (general.A1, general.A2, general.A3),
-        (specialized.A1, specialized.A2, specialized.A3)))
+    delta = max(abs(g - c) for g, c in zip(general.as_tuple(),
+                                           specialized.as_tuple()))
     print(f"model: {model.name}   route: {route}   theta = "
           + ",".join(_fmt(v) for v in theta))
-    for key in ("A1", "A2", "A3", "R0", "R1", "R2", "R3"):
+    for key in _COEFFICIENTS:
         print(f"  {key} = {_fmt(getattr(shown, key))}")
     print(f"  route agreement: max |general - specialized| = {_fmt(delta)}")
     return 0
@@ -288,6 +279,7 @@ def cmd_coeffs(args) -> int:
 def _simulation_config(args, **options) -> tuple:
     """The model and the checked study inputs of simulate or cdf-study;
     options are further SimulationConfig fields."""
+    from .simulate import SimulationConfig
     model, model_id, constants, theta = _model_and_theta(args.model,
                                                          args.params)
     if args.theta is not None:
@@ -332,6 +324,7 @@ def _write_csv(write, result, path) -> None:
 
 
 def cmd_simulate(args) -> int:
+    from .simulate import run_size_study, write_size_csv
     _, config = _simulation_config(
         args, alphas=_parse_floats(args.alpha, "--alpha"),
         procedures=tuple(args.procedures.split(",")))
@@ -346,6 +339,7 @@ def cmd_simulate(args) -> int:
 
 
 def cmd_cdf_study(args) -> int:
+    from .simulate import run_cdf_study, write_cdf_csv
     model, config = _simulation_config(args)
     if len(config.sizes) != 1:
         raise CliError(f"cdf-study takes a single --n, got {args.n!r}")
@@ -429,6 +423,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _study_errors() -> tuple:
+    """SimulationError, once a study command has imported simulate."""
+    simulate = sys.modules.get(__package__ + ".simulate")
+    return (simulate.SimulationError,) if simulate else ()
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -445,7 +445,7 @@ def main(argv=None) -> int:
     except (CliError, ValueError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FitError, SimulationError) as exc:
+    except (FitError, *_study_errors()) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OverflowError:

@@ -30,9 +30,13 @@ import numpy as np
 from .expansion import ExpansionCoefficients
 from .special import _chi2_ladder, chi2_cdf, chi2_quantile
 
-__all__ = ["BartlettFactors", "TestReport", "bartlett_factors",
-           "expanded_cdf", "corrected_statistic", "modified_quantile",
-           "approximate_moments", "run_test"]
+__all__ = ["PROCEDURES", "BartlettFactors", "TestReport",
+           "bartlett_factors", "expanded_cdf", "corrected_statistic",
+           "modified_quantile", "approximate_moments", "run_test"]
+
+# the uncorrected test and the three procedures, as studies name them
+PROCEDURES = ("uncorrected", "corrected_statistic", "expanded_cdf",
+              "modified_quantile")
 
 
 @dataclass(frozen=True)
@@ -109,9 +113,16 @@ def _null_cdfs(x, coef: ExpansionCoefficients, q: int, n) -> tuple:
     """(G_q(x), expanded CDF at x) from one ladder: G_q is its first rung."""
     _check_n(n)
     rungs = _chi2_ladder(x, q, 4)
+    return rungs[0], _expand(rungs[0], rungs, coef, n)
+
+
+def _expand(lead, rungs, coef: ExpansionCoefficients, n):
+    """lead + (1/24n) sum_i R_i rungs[i]: the expanded CDF when lead is
+    rungs[0], and a bound on it when each term takes a rung's value at one
+    end of an interval."""
     tail = sum(r * g for r, g in zip((coef.R0, coef.R1, coef.R2, coef.R3),
                                       rungs))
-    return rungs[0], rungs[0] + tail / (24.0 * n)
+    return lead + tail / (24.0 * n)
 
 
 def _check_statistic(S: float) -> None:

@@ -12,12 +12,12 @@ import pytest
 from scipy import special as sp
 
 from gradcorr.correction import (approximate_moments, bartlett_factors,
-                                 expanded_cdf)
+                                 expanded_cdf, modified_quantile)
 from gradcorr.models import make_model
 from gradcorr.simulate import (SimulationConfig, replicate_statistics,
                                run_cdf_study, run_size_study, write_cdf_csv,
                                write_size_csv)
-from gradcorr.special import chi2_cdf
+from gradcorr.special import chi2_cdf, chi2_quantile
 from helpers import cancellation_derivative
 from oracles import exact_null_cdf
 from conftest import MODEL_IDS
@@ -211,6 +211,26 @@ def test_exponential_exact_law_orders():
     for i in range(1, len(first)):
         assert 1.95 <= first[i - 1] / first[i] <= 2.1
         assert 3.9 <= expanded[i - 1] / expanded[i] <= 4.2
+
+
+def test_exponential_exact_size_errors():
+    # Pr(S > z) - alpha at alpha = 0.05: order 1/n at the chi-square
+    # percentile, order 1/n^2 at the modified one
+    m = make_model("exponential")
+    coef = m.coefficients(np.array([1.0]))
+    plain, modified = [], []
+    for n in (10, 20, 40, 80, 160, 320):
+        for errors, z in ((plain, chi2_quantile(0.95, 1)),
+                          (modified, modified_quantile(0.05, coef, 1, n))):
+            errors.append(1.0 - exact_null_cdf(m, z, n) - 0.05)
+        # measured: -4.9e-3 -> -1.9e-4 (n err -0.049 -> -0.062) and
+        # +4.8e-4 -> +3.8e-7 (n^2 err 0.048 -> 0.039)
+        assert -0.062 <= n * plain[-1] <= -0.049, n
+        assert 0.038 <= n**2 * modified[-1] <= 0.048, n
+    for i in range(1, len(plain)):
+        # measured: 1.75 -> 1.99 and 4.45 -> 4.03 per doubling
+        assert 1.7 <= plain[i - 1] / plain[i] <= 2.0
+        assert 4.0 <= modified[i - 1] / modified[i] <= 4.5
 
 
 # --- 5: size distortions shrink under the correction --------------------

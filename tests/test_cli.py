@@ -11,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-import gradcorr.cli as cli
+import gradcorr.simulate as sim
 from gradcorr.cli import ALIASES, build_parser, main
 from gradcorr.correction import run_test
 from gradcorr.models import (FitError, builtin_models, gradient_statistic,
@@ -400,7 +400,7 @@ def test_study_commands_report_unwritable_output(capsys, tmp_path,
     # the path is checked before the study runs
     calls = []
     for study in ("run_size_study", "run_cdf_study"):
-        monkeypatch.setattr(cli, study, lambda *a, **kw: calls.append(a))
+        monkeypatch.setattr(sim, study, lambda *a, **kw: calls.append(a))
     path = str(tmp_path / where)
     code, stdout, err = run_cli(capsys, command, "--model", "exponential",
                                 "--n", "6", "--reps", "10", "--seed", "1",
@@ -418,8 +418,8 @@ def test_main_maps_library_errors_to_exit_codes(capsys, tmp_path,
     def fail(*args, **kwargs):
         raise error("no study")
 
-    monkeypatch.setattr(cli, "run_size_study", fail)
-    monkeypatch.setattr(cli, "run_cdf_study", fail)
+    monkeypatch.setattr(sim, "run_size_study", fail)
+    monkeypatch.setattr(sim, "run_cdf_study", fail)
     # the check of --out before the study makes an empty file, which the
     # failed study removes again; a file that was there keeps its bytes
     new, old = tmp_path / "new.csv", _write(tmp_path / "old.csv", "kept\n")
@@ -510,6 +510,30 @@ def test_closed_stdout_exits_1_without_traceback(tmp_path):
         finally:
             os.close(write)
         assert (done.returncode, done.stderr) == (1, b""), argv
+
+
+def test_commands_import_only_what_they_run(tmp_path):
+    # test and coeffs leave the study driver unimported, and a serial
+    # study leaves the process pool unimported
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {k: v for k, v in os.environ.items() if k != "GRADCORR_THREADS"}
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+            "from gradcorr import cli; "
+            "assert cli.main(sys.argv[2:]) == 0; "
+            "print([m in sys.modules for m in "
+            "('gradcorr.simulate', 'concurrent.futures.process')])")
+    path = _write(tmp_path / "exp.txt", "1.0\n1.2\n1.8\n2.0\n")
+    for argv, loaded in (
+            (["test", "--model", "exponential", "--data", path,
+              "--theta10", "1"], "[False, False]"),
+            (["coeffs", "--model", "birnbaum-saunders"], "[False, False]"),
+            (["simulate", "--model", "exponential", "--n", "6", "--reps",
+              "10", "--seed", "1", "--out", str(tmp_path / "x.csv")],
+             "[True, False]")):
+        done = subprocess.run([sys.executable, "-c", code, src, *argv],
+                              capture_output=True, text=True, env=env,
+                              timeout=60, check=True)
+        assert done.stdout.splitlines()[-1] == loaded, argv
 
 
 def test_cdf_study_rejects_size_list(capsys, tmp_path):

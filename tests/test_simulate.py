@@ -394,20 +394,86 @@ def test_size_study_deterministic_across_worker_counts(tmp_path, monkeypatch):
     assert p1.read_bytes() == p2.read_bytes()
 
 
-def test_cdf_study_sup_distances_are_exact():
-    # one ladder per 4,096 sorted values gives the sup distances that
-    # whole-sample CDF calls give
-    m, n, reps = make_model("birnbaum-saunders"), 10, 2 * BLOCK + 50
-    study = run_cdf_study(m, (1.0, 1.0), (1.0,), n=n, replicates=reps,
-                          seed=SEED)
-    S, _ = replicate_statistics(m, (1.0, 1.0), (1.0,), n, reps, SEED)
-    S = np.sort(S[np.isfinite(S)])
+def _brute_sup_distances(S, coef, q, n):
+    """Both sup distances of the sorted sample S from whole-sample CDFs."""
     i = np.arange(len(S))
-    for cdf, got in ((chi2_cdf(S, 1), study.sup_chisq),
-                     (expanded_cdf(S, study.coefficients, 1, n),
-                      study.sup_expanded)):
-        want = max(np.max(cdf - i / len(S)), np.max((i + 1) / len(S) - cdf))
-        assert got == want
+    return tuple(max(np.max(cdf - i / len(S)), np.max((i + 1) / len(S) - cdf))
+                 for cdf in (chi2_cdf(S, q), expanded_cdf(S, coef, q, n)))
+
+
+@pytest.mark.parametrize("model_id, n, reps", [
+    # the expanded CDF is not monotone at n = 2 and 3
+    ("birnbaum-saunders", 2, 4097), ("birnbaum-saunders", 3, 4095),
+    ("birnbaum-saunders", 10, 2 * BLOCK + 50),
+    ("normal-variance-known", 10, 2000),           # every A is 0
+    *[("exponential", 10, reps)
+      for reps in (1, 2, 15, 16, 17, BLOCK - 1, BLOCK + 1)]])
+def test_cdf_study_sup_distances_are_exact(model_id, n, reps):
+    # the coarse pass and the refined intervals give the sup distances
+    # that whole-sample CDF calls give
+    m = make_model(model_id)
+    theta = tuple(m.default_theta)
+    study = run_cdf_study(m, theta, theta[:m.q], n=n, replicates=reps,
+                          seed=SEED)
+    S, _ = replicate_statistics(m, theta, theta[:m.q], n, reps, SEED)
+    S = np.sort(S[np.isfinite(S)])
+    assert ((study.sup_chisq, study.sup_expanded)
+            == _brute_sup_distances(S, study.coefficients, m.q, n))
+
+
+def _bumps():
+    # chi-square quantiles at (i + 1/2)/64, with S[20] moved up next to
+    # S[21] and S[45] down next to S[44]: both distances peak there
+    S = np.array([chi2_quantile((i + 0.5) / 64, 1) for i in range(64)])
+    S[20], S[45] = S[21] * (1 - 1e-9), S[44] * (1 + 1e-9)
+    return S
+
+
+def _peak():
+    # with A = (0, 30, 0) at n = 1 the expanded CDF rises to 1.088 at
+    # x = 1.10 and falls again: S[0..31] sit next to 0, S[32] before the
+    # peak, S[33] on it, S[34..48] beyond it and S[49..63] far out.  The
+    # expanded distance peaks at S[33], just above its value at S[32]; the
+    # coarse interval (32, 48) holds it only by the bound that takes each
+    # rung at the end the sign of its R_i picks, and the chi-square
+    # distance, largest in the cluster, does not open that interval
+    return np.concatenate([np.linspace(1e-12, 1e-11, 32), [0.8, 1.1],
+                           np.linspace(1.2, 1.45, 15),
+                           np.linspace(10.0, 20.0, 15)])
+
+
+@pytest.mark.parametrize("S, coef, n, inside", [
+    (_bumps(), make_model("birnbaum-saunders").coefficients(
+        np.array([1.0, 1.0])), 3, (0, 1)),
+    (_peak(), ExpansionCoefficients(0.0, 30.0, 0.0), 1, (1,))],
+    ids=("bumps", "peak"))
+def test_sup_distances_find_a_maximum_inside_a_coarse_interval(S, coef, n,
+                                                               inside):
+    # inside: the distances (G_q, expanded) whose sup lies strictly inside
+    # a coarse interval, away from the coarse points 0, 16, 32, 48 and 63
+    i, m = np.arange(len(S)), len(S)
+    for k in inside:
+        cdf = (chi2_cdf(S, 1), expanded_cdf(S, coef, 1, n))[k]
+        top = np.argmax(np.maximum(cdf - i / m, (i + 1) / m - cdf))
+        assert top % sim._STRIDE and top != m - 1
+    assert sim._sup_distances(S, coef, 1, n) == _brute_sup_distances(
+        S, coef, 1, n)
+
+
+def test_cdf_study_evaluates_few_ladder_points(monkeypatch):
+    # the coarse pass and the refined intervals evaluate about 1,200 of
+    # the 10,000 sorted values; a fall back to every value would fail here
+    values = []
+
+    def counted(x, q, steps):
+        values.append(np.size(x))
+        return ladder(x, q, steps)
+
+    ladder = sim._chi2_ladder
+    monkeypatch.setattr(sim, "_chi2_ladder", counted)
+    run_cdf_study("exponential", (1.0,), (1.0,), n=10, replicates=10_000,
+                  seed=SEED)
+    assert 0 < sum(values) <= 3000
 
 
 def test_cdf_study_deterministic_rerun():
