@@ -44,16 +44,24 @@ iterate, so every block shares one pass of bookkeeping per sweep.  The
 column sums come block by block, through one (n, 2, k) buffer that
 serves each block in turn and takes x + b, its reciprocal and its
 square in place; once every element of a block has converged, the
-block's sums are kept rather than taken again.  The one-row views
-``fit_restricted`` and ``fit_unrestricted`` run the same solve on a
-(2, 1) iterate.  S is bit for bit what a row-per-data-set layout with
-one Newton run per fit and block gives: every element takes the same
-floating-point operations in the same order, a converged element stays
-where it is while the others go on, and ``_pairwise_sum`` adds the n
-values of a column in the order in which numpy's pairwise summation
-adds a contiguous row.  Below 128 columns of its buffer a block keeps
-each column contiguous instead and numpy sums it itself, which is
-faster there.
+block's sums are kept rather than taken again.  S is bit for bit what a
+row-per-data-set layout with one Newton run per fit and block gives:
+every element takes the same floating-point operations in the same
+order, a converged element stays where it is while the others go on,
+and ``_pairwise_sum`` adds the n values of a column in the order in
+which numpy's pairwise summation adds a contiguous row.  Below 128
+columns of its buffer a block keeps each column contiguous instead and
+numpy sums it itself, which is faster there.
+
+A solve of one data set, as ``gradient_statistic``, ``fit_restricted``
+and ``fit_unrestricted`` run, has no array run: there a numpy call on a
+one-element array costs more than its arithmetic, so ``_scalar_newton``
+solves H and then G on numpy float64 scalars, which give inf and NaN
+where Python floats would raise, and numpy's own reduction sums the
+contiguous column.  Its results are the array run's to the bit: H and G
+are written once, as arithmetic that runs on a scalar or an array, the
+two drivers follow the same rules step for step, and each element of
+the array run is already an iteration of its own.
 
 Cumulants involve the scaled normal tail R = e^{2/phi^2}(1 - Phi(2/phi))
 only through kappa_betabeta and its relatives; everything is assembled
@@ -76,14 +84,13 @@ _EPS = 2.0**-52
 _NARROW = 128          # below this many columns, one per row of memory
 
 
-def _safeguarded_newton(f, lo, hi, x0):
-    """Elementwise root of f on [lo, hi] with f(lo) > 0 >= f(hi), where
-    f(x, done) gives f and f' per element, any value at all for the
-    elements that ``done`` marks as converged: Newton while the step stays
-    inside the shrinking bracket or on the end x itself set, bisection
-    otherwise.  Returns the roots and which elements converged; a
-    converged element stays where it is."""
-    x = np.clip(x0, lo, hi)
+def _safeguarded_newton(f, lo, hi, x):
+    """Elementwise root of f on [lo, hi] with f(lo) > 0 >= f(hi), from x
+    inside the bracket, where f(x, done) gives f and f' per element, any
+    value at all for the elements that ``done`` marks as converged: Newton
+    while the step stays inside the shrinking bracket or on the end x
+    itself set, bisection otherwise.  Returns the roots and which elements
+    converged; a converged element stays where it is."""
     done = np.zeros(x.shape, dtype=bool)
     for _ in range(200):
         fx, d = f(x, done)
@@ -102,6 +109,27 @@ def _safeguarded_newton(f, lo, hi, x0):
         if done.all():
             break
     return x, done
+
+
+def _scalar_newton(f, lo, hi, x):
+    """``_safeguarded_newton`` of one element on numpy float64 scalars, rule
+    for rule, with f(x) giving f and f'.  numpy scalars keep the array's
+    IEEE semantics: a zero derivative or an underflowed phi0^2 gives inf or
+    NaN, and so a bisection or a failed fit, not an exception.  Returns
+    the root and whether it converged."""
+    for _ in range(200):
+        fx, d = f(x)
+        if fx > 0.0:
+            lo = x
+        else:
+            hi = x
+        step = x - fx / d
+        if not (lo < step < hi or step == x):
+            step = 0.5 * (lo + hi)
+        if abs(step - x) <= _REL_TOL * abs(step):
+            return step, True
+        x = step
+    return x, False
 
 
 def _pairwise_sum(a):
@@ -138,7 +166,8 @@ def _block_sums(xv, b, buf):
     """The column sums of 1/(x+b) and of 1/(x+b)^2 per element of the
     iterate b, from one pass through buf: x + b, its reciprocal, then its
     square.  xv is an (n, k) block shaped to broadcast against b, and buf
-    has shape (n,) + b.shape."""
+    has shape (n,) + b.shape; or xv is one contiguous column, b a scalar
+    and buf of the column's shape."""
     u = np.add(xv, b, out=buf)
     np.divide(1.0, u, out=u)
     s1 = _pairwise_sum(u)
@@ -163,10 +192,31 @@ def _inverse_sums(blocks, b, done, sums):
     return np.concatenate(s1, axis=1), np.concatenate(s2, axis=1)
 
 
+# H and G with their derivatives from m1 = mean(1/(x+b)) and
+# m2 = mean(1/(x+b)^2): arithmetic only, so they run unchanged on a float
+# or an array and round alike on both.  Squares are products: ** 2 on a
+# numpy scalar is C pow, which misses x * x in the last bit about once in
+# a thousand, where an array squares exactly.
+
+
+def _restricted_equation(b, m1, m2, s, r, c, rc):
+    """H(b) and H'(b), with c = phi0^2 and rc = r c."""
+    bb2 = 2.0 * b * b
+    return ((s - b * b / r) / c - b + bb2 * m1,
+            -2.0 * b / rc - 1.0 + 4.0 * b * m1 - bb2 * m2)
+
+
+def _profile_equation(b, m1, m2, s, r, r2):
+    """G(b) and G'(b), with r2 = 2 r."""
+    K = 1.0 / m1
+    return (b * b - b * (K + r2) + r * (K + s),
+            2.0 * b - K - r2 + (r - b) * (m2 / (m1 * m1)))
+
+
 def _solve(m, phi0):
     """The roots of H in row 0 and G in row 1 of a (2, K) iterate, on the
     brackets [0, hi] and [r, s], from sqrt(s r), and which of them
-    converged."""
+    converged: one data set by ``_solve_one``, more by one array run."""
     n, s, r, xcs = m
     c = phi0**2
     rc = r * c
@@ -174,6 +224,10 @@ def _solve(m, phi0):
     sr = np.sqrt(s * r)
     lo = np.array([np.zeros_like(s), r])
     hi = np.array([rc + sr, s])
+    x0 = np.clip(sr, lo, hi)
+    if len(s) == 1 and len(xcs) == 1:
+        return _solve_one(xcs[0][:, 0], n, s[0], r[0], c, rc[0], r2[0],
+                          lo[:, 0], hi[:, 0], x0[:, 0])
     # one buffer serves every block in turn, so it stays in cache
     scratch = np.empty(2 * max(xc.size for xc in xcs))
     blocks, start = [], 0
@@ -193,16 +247,26 @@ def _solve(m, phi0):
         s1, s2 = _inverse_sums(blocks, b, done, sums)
         m1t, m1h = s1 / n
         m2t, m2h = s2 / n
-        bt, bh = b
-        bb2 = 2.0 * bt * bt
-        h = (s - bt * bt / r) / c - bt + bb2 * m1t
-        dh = -2.0 * bt / rc - 1.0 + 4.0 * bt * m1t - bb2 * m2t
-        K = 1.0 / m1h
-        g = bh * bh - bh * (K + r2) + r * (K + s)
-        dg = 2.0 * bh - K - r2 + (r - bh) * (m2h / m1h**2)
+        h, dh = _restricted_equation(b[0], m1t, m2t, s, r, c, rc)
+        g, dg = _profile_equation(b[1], m1h, m2h, s, r, r2)
         return np.array([h, g]), np.array([dh, dg])
 
-    return _safeguarded_newton(HG, lo, hi, sr)
+    return _safeguarded_newton(HG, lo, hi, x0)
+
+
+def _solve_one(xv, n, s, r, c, rc, r2, lo, hi, x0):
+    """``_solve`` of one data set, its column xv, on scalars: H and G each by
+    ``_scalar_newton``, returned as the (2, 1) iterate."""
+    buf = np.empty_like(xv)
+
+    def means(b):
+        s1, s2 = _block_sums(xv, b, buf)
+        return s1 / n, s2 / n
+
+    equations = (lambda b: _restricted_equation(b, *means(b), s, r, c, rc),
+                 lambda b: _profile_equation(b, *means(b), s, r, r2))
+    roots, ok = zip(*map(_scalar_newton, equations, lo, hi, x0))
+    return np.array(roots)[:, None], np.array(ok)[:, None]
 
 
 class BirnbaumSaunders(ModelFamily):

@@ -295,6 +295,21 @@ def test_tiny_parameter_values_exit_2(capsys, tmp_path, argv):
                    "is too small\n")
 
 
+@pytest.mark.parametrize("theta10", ["1e-200", "1e200"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_birnbaum_saunders_extreme_null_reports_overflow(capsys, tmp_path,
+                                                         theta10):
+    # phi0^2 underflows to 0 at 1e-200: the one-row fit's scalar arithmetic
+    # must give inf or NaN there, as an array does, not a ZeroDivisionError,
+    # which the command would report as an underflow
+    data = _write(tmp_path / "x.csv", "1.1\n0.4\n2.3\n0.9\n1.7")
+    code, out, err = run_cli(capsys, "test", "--model", "birnbaum-saunders",
+                             "--theta10", theta10, "--data", data)
+    assert (code, out) == (2, "")
+    assert err == ("error: numeric overflow; a parameter or an observation "
+                   "is too large\n")
+
+
 def test_coeffs_inverse_normal_known_shape(capsys):
     code, out, _ = run_cli(capsys, "coeffs", "--model", "inverse-normal",
                            "--params", "known=shape,shape=2,mu=3")

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gradcorr.cumulants import CumulantBundle
@@ -370,35 +370,48 @@ def test_birnbaum_saunders_degenerate_data():
         m.fit_unrestricted(data)
 
 
-def test_birnbaum_saunders_fits_take_few_solver_evaluations(monkeypatch):
-    # the Newton step is kept when it lands on a bracket end, so a fit
-    # near its root does not fall back to bisection
-    from gradcorr.models import birnbaum_saunders as bs
-    solve, counts = bs._safeguarded_newton, []
-
-    def counted(f, lo, hi, x0):
+def _counting(solve, counts):
+    """solve with its f counted: each call appends how many times it
+    evaluated f to counts."""
+    def counted(f, *args):
         calls = [0]
 
-        def f_counted(x, done):
+        def f_counted(*x):
             calls[0] += 1
-            return f(x, done)
+            return f(*x)
 
-        root = solve(f_counted, lo, hi, x0)
+        root = solve(f_counted, *args)
         counts.append(calls[0])
         return root
 
-    monkeypatch.setattr(bs, "_safeguarded_newton", counted)
+    return counted
+
+
+def test_birnbaum_saunders_fits_take_few_solver_evaluations(monkeypatch):
+    # the Newton step is kept when it lands on a bracket end, so a fit
+    # near its root does not fall back to bisection; a one-row fit solves
+    # H and G by one scalar run each, and two rows share one array run
+    from gradcorr.models import birnbaum_saunders as bs
+    scalar, array = [], []
+    monkeypatch.setattr(bs, "_scalar_newton",
+                        _counting(bs._scalar_newton, scalar))
+    monkeypatch.setattr(bs, "_safeguarded_newton",
+                        _counting(bs._safeguarded_newton, array))
     m = make_model("birnbaum-saunders")
     rng = np.random.default_rng(SEED)
     for n in (5, 10, 20, 50, 200):
         for phi in (1.0, 0.7):
-            for _ in range(30):
-                data = m.sample(np.array([phi, 1.0]), n, rng)
+            sets = [m.sample(np.array([phi, 1.0]), n, rng) for _ in range(30)]
+            for data in sets:
                 for phi0 in (1.0, 0.7):
                     m.fit_restricted(data, phi0)
                 m.fit_unrestricted(data)
-    assert len(counts) == 900
-    assert max(counts) <= 8
+            for pair in zip(sets[::2], sets[1::2]):
+                for phi0 in (1.0, 0.7):
+                    with np.errstate(all="ignore"):
+                        m.fit_rows(m.summarize(np.array(pair)), (phi0,))
+    assert len(scalar) == 2 * 900 and max(scalar) <= 8
+    assert len(array) == 300 and max(array) <= 8
 
 
 @settings(max_examples=300, deadline=None)
@@ -407,25 +420,122 @@ def test_birnbaum_saunders_fits_take_few_solver_evaluations(monkeypatch):
 def test_birnbaum_saunders_restricted_bracket_end_is_past_the_root(data,
                                                                    phi0):
     # mean(1/(x+b)) < 1/b gives H(b) < (s - b^2/r)/phi0^2 + b, which is
-    # -sqrt(s r) at b = phi0^2 r + sqrt(s r), the closed-form bracket end
+    # -sqrt(s r) at b = phi0^2 r + sqrt(s r), the closed-form bracket end;
+    # checked on the driver of one data set and on that of two
     from gradcorr.models import birnbaum_saunders as bs
-    solve, ends = bs._safeguarded_newton, []
+    scalar, array = bs._scalar_newton, bs._safeguarded_newton
+    ends = []
 
-    def spy(f, lo, hi, x0):
+    def scalar_spy(f, lo, hi, x0):
+        # H is solved first
+        if not ends:
+            ends.append(("scalar", f(hi)[0], hi, x0))
+        return scalar(f, lo, hi, x0)
+
+    def array_spy(f, lo, hi, x0):
         # H and its bracket are row 0 of the iterate
-        ends.append((f(hi, np.zeros(hi.shape, dtype=bool))[0][0], hi[0], x0))
-        return solve(f, lo, hi, x0)
+        ends.append(("array", f(hi, np.zeros(hi.shape, dtype=bool))[0][0],
+                     hi[0], x0[0]))
+        return array(f, lo, hi, x0)
 
     m = make_model("birnbaum-saunders")
-    summary = m.summarize(np.array([data]))
-    _, (s,), (r,), _ = summary
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(bs, "_safeguarded_newton", spy)
+    for rows, driver in ((np.array([data]), "scalar"),
+                         (np.array([data, data[::-1]]), "array")):
+        summary = m.summarize(rows)
+        _, s, r, _ = summary
+        ends.clear()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(bs, "_scalar_newton", scalar_spy)
+            mp.setattr(bs, "_safeguarded_newton", array_spy)
+            with np.errstate(all="ignore"):
+                m.fit_rows(summary, (phi0,))
+        ran, h, hi, start = ends[0]
+        h, hi, start = np.atleast_1d(h, hi, start)
+        assert ran == driver
+        assert np.array_equal(hi, phi0**2 * r + np.sqrt(s * r))
+        assert np.array_equal(start, np.sqrt(s * r))
+        assert (h < -start).all() and (-start < 0.0).all()
+
+
+def test_birnbaum_saunders_solves_pick_their_driver_by_row_count(
+        monkeypatch):
+    # one data set runs the scalar Newton and two or more the (2, K) array
+    # run; a fallback to the other driver gives the same numbers, only
+    # slower, so only a count of the calls shows it
+    from gradcorr.models import birnbaum_saunders as bs
+    scalar, array = [], []
+    monkeypatch.setattr(bs, "_scalar_newton",
+                        _counting(bs._scalar_newton, scalar))
+    monkeypatch.setattr(bs, "_safeguarded_newton",
+                        _counting(bs._safeguarded_newton, array))
+    m = make_model("birnbaum-saunders")
+    x = m.sample((1.0, 1.0), (130, 7), np.random.default_rng(SEED))
+    m.fit_restricted(x[0], 1.0)
+    m.fit_unrestricted(x[0])
+    gradient_statistic(m, x[0], 1.0)
+    m.batch_statistics(x[:1], (1.0,))
+    assert (len(scalar), len(array)) == (2 * 4, 0)
+    for rows in (x[:2], x[:3], x, [x[:1], x[1:2]], [x[:1], x[:, :5]]):
+        m.batch_statistics(rows, (1.0,))
+    with np.errstate(all="ignore"):
+        m.fit_rows(m.summarize(x[:2]), (1.0,))
+    assert (len(scalar), len(array)) == (2 * 4, 6)
+
+
+def _same_fit(row, view) -> bool:
+    """row of a fit_rows result against the one-row view: equal to the bit,
+    or NaN where the view raises FitError."""
+    try:
+        one = view()
+    except FitError:
+        return bool(np.isnan(row).any())
+    return np.array_equal(row, one)
+
+
+def _bs_case(kind, n, scale, phi0, seed):
+    """Data and null of one case: a Birnbaum-Saunders sample of scale
+    ``scale``, constant data, data near a double root of H (near-constant,
+    phi0 near 2), or the 437/444 pair that once collapsed the bracket."""
+    rng = np.random.default_rng(seed)
+    if kind == "pair":
+        return np.array([437.0, 444.0]), (2.0, 2.00001)[seed % 2]
+    if kind == "constant":
+        return np.full(n, scale), phi0
+    if kind == "double-root":
+        return (scale * (1.0 + rng.uniform(-1e-2, 1e-2, n)),
+                2.0 * (1.0 + rng.uniform(-1e-4, 1e-4)))
+    m = make_model("birnbaum-saunders")
+    return scale * m.sample((rng.uniform(0.05, 7.4), 1.0), n, rng), phi0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(["sample", "constant", "double-root", "pair"]),
+       st.integers(2, 300), st.floats(1e-3, 1e3), st.floats(0.02, 50.0),
+       st.integers(0, 2**32 - 1))
+@example("pair", 2, 1.0, 2.0, 0)
+@example("pair", 2, 1.0, 2.0, 1)
+def test_birnbaum_saunders_one_row_fit_is_the_batch_row(kind, n, scale,
+                                                        phi0, seed):
+    # the scalar driver of one data set against the array driver, on a
+    # narrow (2-row) and a wide (130-row) layout: the same bits, and the
+    # same failures
+    m = make_model("birnbaum-saunders")
+    x, phi0 = _bs_case(kind, n, scale, phi0, seed)
+    try:
+        want = gradient_statistic(m, x, phi0).value
+    except (FitError, OverflowError):
+        want = np.nan
+    others = m.sample((1.0, 1.0), (130, len(x)),
+                      np.random.default_rng(seed + 1))
+    for k, i in ((2, 1), (130, 77)):
+        rows = others[:k].copy()
+        rows[i] = x
         with np.errstate(all="ignore"):
-            m.fit_rows(summary, (phi0,))
-    (h,), (hi,), (root_sr,) = ends[0]
-    assert hi == phi0**2 * r + np.sqrt(s * r) and root_sr == np.sqrt(s * r)
-    assert h < -root_sr < 0.0
+            tilde, hat = m.fit_rows(m.summarize(rows), (phi0,))
+        assert _same_fit(tilde[i], lambda: m.fit_restricted(x, phi0)), k
+        assert _same_fit(hat[i], lambda: m.fit_unrestricted(x)), k
+        S, _ = m.batch_statistics(rows, (phi0,))
+        assert np.array_equal(S[i], want, equal_nan=True), k
 
 
 def _bs_means(data, beta):

@@ -476,6 +476,20 @@ def test_cdf_study_evaluates_few_ladder_points(monkeypatch):
     assert 0 < sum(values) <= 3000
 
 
+def test_sorted_quantile_is_numpys_quantile():
+    # the grid end reads the 0.999 quantile off the sorted S by numpy's
+    # linear rule instead of partitioning S again: the same value to the
+    # bit, at every sample size and scale
+    rng = np.random.default_rng(SEED)
+    for m in [*range(1, 3000), 10**4, 10**5, 2 * 10**5]:
+        for scale in (1e-300, 1.0, 1e300):
+            S = np.sort(rng.standard_normal(m)) * scale
+            for p in (0.999, 0.5):
+                want = float(np.quantile(S, p))
+                assert sim._sorted_quantile(S, p).hex() == want.hex(), \
+                    (m, scale, p)
+
+
 def test_cdf_study_deterministic_rerun():
     a = run_cdf_study("exponential", (1.0,), (1.0,), n=25, replicates=3000,
                       seed=SEED)
