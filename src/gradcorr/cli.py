@@ -230,8 +230,6 @@ def _report_fields(report) -> list:
 def cmd_test(args) -> int:
     model, _, _, _ = _model_and_theta(args.model, args.params)
     theta10 = _parse_floats(args.theta10, "--theta10")
-    if not 0.0 < args.gamma < 1.0:
-        raise CliError(f"--gamma must lie in (0, 1), got {args.gamma}")
     data, sources = _read_data(model, args.data, args.data2)
     try:
         model.validate_data(data)

@@ -159,8 +159,9 @@ def modified_quantile(gamma: float, coef: ExpansionCoefficients, q: int,
 
 
 def _percentile(gamma: float, q: int) -> float:
-    if not 0.0 < gamma < 1.0:
-        raise ValueError(f"gamma must lie in (0,1), got {gamma}")
+    if not 0.0 < 1.0 - gamma < 1.0:
+        raise ValueError(f"gamma must lie in (0,1), with 1 - gamma below 1 "
+                         f"in floating point, got {gamma}")
     return chi2_quantile(1.0 - gamma, q)
 
 

@@ -25,8 +25,8 @@ the fits and of the rules are paid per group, not per size.  Solve
 size, count-group size and worker count therefore affect neither values
 nor, thanks to integer-count reduction, aggregates.
 Seeded results differ from versions that keyed one stream per
-replicate.  Workers default to 1; set GRADCORR_THREADS to parallelize
-over count groups (CDF studies run serially).
+replicate.  Workers default to 1; set GRADCORR_THREADS to run the count
+groups of either study on that many threads.
 
 Coefficients for the corrected procedures are ``ModelFamily.coefficients``
 evaluated at the null point (tested components at theta10, nuisance at
@@ -107,8 +107,10 @@ class SimulationConfig:
                        procedures=tuple(self.procedures))
         for name, value in checked.items():
             object.__setattr__(self, name, value)
-        if not self.alphas or any(not 0.0 < a < 1.0 for a in self.alphas):
-            raise ValueError(f"levels must lie in (0,1), got {self.alphas}")
+        if not self.alphas or any(not 0.0 < 1.0 - a < 1.0
+                                  for a in self.alphas):
+            raise ValueError(f"levels must lie in (0,1), with 1 - level "
+                             f"below 1 in floating point, got {self.alphas}")
         bad = [p for p in self.procedures if p not in PROCEDURES]
         if bad or not self.procedures:
             raise ValueError(f"procedures must be a nonempty subset of "
@@ -237,12 +239,6 @@ def _null_point(model: ModelFamily, theta, theta10) -> tuple:
             model.coefficients(np.concatenate([theta10, theta[model.q:]])))
 
 
-def _blocks(replicates: int) -> list:
-    """(block, rows) for the blocks holding replicates 0..replicates-1."""
-    return [(b, min(BLOCK, replicates - b * BLOCK))
-            for b in range(-(-replicates // BLOCK))]
-
-
 def _reduce(model: ModelFamily, theta, theta10, seed: int,
             group) -> np.ndarray:
     """S of the rows of a count group's (size index, n, block, rows)
@@ -279,14 +275,28 @@ def replicate_statistics(model: ModelFamily, theta, theta10, n: int,
 def _statistics(model: ModelFamily, theta, theta10, n: int,
                 replicates: int, seed: int) -> tuple:
     """replicate_statistics on checked inputs."""
-    S = np.concatenate([_reduce(model, theta, theta10, seed, group)
-                        for group in _groups((n,), replicates)])
+    S = np.concatenate(_map(
+        lambda group: _reduce(model, theta, theta10, seed, group),
+        _groups((n,), replicates)))
     return S, int(np.count_nonzero(np.isnan(S)))
 
 
+def _map(work, groups) -> list:
+    """work(group) for each count group in order, on _workers(len(groups))
+    threads when that is above 1: groups share nothing mutable, and numpy
+    releases the GIL in their draws and in the array work of their fits."""
+    workers = _workers(len(groups))
+    if workers == 1:
+        return [work(group) for group in groups]
+    # imported here, so that a serial study never loads the pool
+    from concurrent.futures import ThreadPoolExecutor
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(work, groups))
+
+
 def _workers(tasks: int) -> int:
-    """Worker processes from GRADCORR_THREADS (default 1), clamped to
-    the CPU count and the number of tasks."""
+    """Worker threads from GRADCORR_THREADS (default 1), clamped to the
+    CPU count and the number of tasks."""
     raw = os.environ.get("GRADCORR_THREADS", "1")
     try:
         workers = int(raw)
@@ -304,7 +314,8 @@ def _groups(sizes, replicates: int) -> list:
     replicates or more; the last group may hold fewer."""
     groups, group, held = [], [], 0
     for i, n in enumerate(sizes):
-        for block, rows in _blocks(replicates):
+        for block in range(-(-replicates // BLOCK)):
+            rows = min(BLOCK, replicates - block * BLOCK)
             group.append((i, n, block, rows))
             held += rows
             if held >= _COUNT_REPLICATES:
@@ -340,11 +351,10 @@ def _rejections(S, coef, q, n, alphas, procedures) -> np.ndarray:
     return rej
 
 
-def _size_group(args) -> tuple:
+def _size_group(model: ModelFamily, cfg: SimulationConfig,
+                coef: ExpansionCoefficients, pieces) -> tuple:
     """Rejection counts per (size, cell) and failures per size of one
     count group, zero for the sizes the group does not hold."""
-    cfg, pieces, coef = args
-    model = make_model(cfg.model_id, **cfg.constants)
     S = _reduce(model, cfg.theta, cfg.theta10, cfg.seed, pieces)
     finite = np.isfinite(S)
     failures = np.zeros(len(cfg.sizes), dtype=np.int64)
@@ -378,17 +388,8 @@ def run_size_study(cfg: SimulationConfig) -> SimulationResult:
     """Null rejection rates per (n, alpha, procedure)."""
     model = make_model(cfg.model_id, **cfg.constants)
     _, _, coef = _null_point(model, cfg.theta, cfg.theta10)
-    tasks = [(cfg, pieces, coef)
-             for pieces in _groups(cfg.sizes, cfg.replicates)]
-
-    workers = _workers(len(tasks))
-    if workers > 1:
-        # imported here, so that a serial study never loads the pool
-        from concurrent.futures import ProcessPoolExecutor
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_size_group, tasks))
-    else:
-        partials = [_size_group(t) for t in tasks]
+    partials = _map(lambda pieces: _size_group(model, cfg, coef, pieces),
+                    _groups(cfg.sizes, cfg.replicates))
     counts = sum(c for c, _ in partials)
     failures = dict(zip(cfg.sizes, sum(f for _, f in partials).tolist()))
     _check_failures(failures, cfg.replicates)

@@ -528,25 +528,30 @@ def test_closed_stdout_exits_1_without_traceback(tmp_path):
 
 
 def test_commands_import_only_what_they_run(tmp_path):
-    # test and coeffs leave the study driver unimported, and a serial
-    # study leaves the process pool unimported
+    # test and coeffs leave the study driver unimported, a serial study
+    # leaves the thread pool unimported, and no study loads a process pool
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {k: v for k, v in os.environ.items() if k != "GRADCORR_THREADS"}
-    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
+    code = ("import os, sys; sys.path.insert(0, sys.argv[1]); "
+            "os.cpu_count = lambda: 4; "
             "from gradcorr import cli; "
             "assert cli.main(sys.argv[2:]) == 0; "
-            "print([m in sys.modules for m in "
-            "('gradcorr.simulate', 'concurrent.futures.process')])")
+            "print([m in sys.modules for m in ('gradcorr.simulate', "
+            "'concurrent.futures.thread', 'concurrent.futures.process')])")
     path = _write(tmp_path / "exp.txt", "1.0\n1.2\n1.8\n2.0\n")
-    for argv, loaded in (
+    study = ["simulate", "--model", "exponential", "--n", "6", "--seed", "1",
+             "--out", str(tmp_path / "x.csv"), "--reps"]
+    for argv, threads, loaded in (
             (["test", "--model", "exponential", "--data", path,
-              "--theta10", "1"], "[False, False]"),
-            (["coeffs", "--model", "birnbaum-saunders"], "[False, False]"),
-            (["simulate", "--model", "exponential", "--n", "6", "--reps",
-              "10", "--seed", "1", "--out", str(tmp_path / "x.csv")],
-             "[True, False]")):
+              "--theta10", "1"], "1", "[False, False, False]"),
+            (["coeffs", "--model", "birnbaum-saunders"], "1",
+             "[False, False, False]"),
+            (study + ["10"], "1", "[True, False, False]"),
+            # two count groups of 4,096 and 904 replicates
+            (study + ["5000"], "2", "[True, True, False]")):
         done = subprocess.run([sys.executable, "-c", code, src, *argv],
-                              capture_output=True, text=True, env=env,
+                              capture_output=True, text=True,
+                              env=dict(env, GRADCORR_THREADS=threads),
                               timeout=60, check=True)
         assert done.stdout.splitlines()[-1] == loaded, argv
 
@@ -566,12 +571,39 @@ def test_simulate_rejects_bad_worker_count(capsys, tmp_path, monkeypatch):
     assert code == 2 and "GRADCORR_THREADS" in err
 
 
-def test_simulate_rejects_odd_two_sample_size(capsys, tmp_path):
+@pytest.mark.parametrize("threads", ("1", "2"))
+def test_simulate_rejects_odd_two_sample_size(capsys, tmp_path, monkeypatch,
+                                              threads):
+    # the odd size is drawn in the second of three count groups; at two
+    # workers the first runs beside it, and the third is cancelled or run
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
+    monkeypatch.setenv("GRADCORR_THREADS", threads)
+    out = tmp_path / "x.csv"
     code, _, err = run_cli(capsys, "simulate", "--model",
-                           "two-sample-exponential", "--n", "5", "--reps",
-                           "10", "--seed", "3", "--out",
-                           str(tmp_path / "x.csv"))
-    assert code == 2 and "even" in err
+                           "two-sample-exponential", "--n", "6,7", "--reps",
+                           "5000", "--seed", "3", "--out", str(out))
+    assert (code, err) == (2, "error: total sample size must be even, "
+                              "got 7\n")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv, message", (
+    (("simulate", "--n", "8", "--reps", "10", "--seed", "1", "--alpha",
+      "0.05,1e-17", "--out", "x.csv"), "levels must lie in (0,1), with 1 - level below 1 "
+     "in floating point, got (0.05, 1e-17)"),
+    (("test", "--data", "exp.txt", "--theta10", "1", "--gamma", "1e-17"),
+     "gamma must lie in (0,1), with 1 - gamma below 1 in floating point, "
+     "got 1e-17")), ids=("simulate", "test"))
+def test_levels_that_leave_one_minus_level_at_one_exit_2(capsys, tmp_path,
+                                                         monkeypatch, argv,
+                                                         message):
+    # 1 - 1e-17 rounds to 1.0: the level is refused by name, not as a
+    # chi-square quantile at p = 1, and a study refuses it before any draw
+    monkeypatch.chdir(tmp_path)
+    _write(tmp_path / "exp.txt", "1.0\n1.2\n1.8\n2.0\n")
+    code, out, err = run_cli(capsys, *argv, "--model", "exponential")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not (tmp_path / "x.csv").exists()
 
 
 def test_readme_commands_parse():

@@ -151,9 +151,14 @@ def test_modified_quantile_approaches_chisquare_quantile():
 
 
 def test_modified_quantile_rejects_bad_gamma():
-    for gamma in (0.0, 1.0, -0.1, 1.4):
-        with pytest.raises(ValueError):
+    # 1 - 1e-17 rounds to 1.0, where no chi-square quantile exists
+    for gamma in (0.0, 1.0, -0.1, 1.4, 1e-17, math.nan):
+        message = (r"^gamma must lie in \(0,1\), with 1 - gamma below 1 in "
+                   rf"floating point, got {gamma}$")
+        with pytest.raises(ValueError, match=message):
             modified_quantile(gamma, EXP, q=1, n=10)
+        with pytest.raises(ValueError, match=message):
+            run_test(1.0, EXP, q=1, n=10, gamma=gamma)
 
 
 def test_approximate_moments_exponential():

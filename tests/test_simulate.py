@@ -1,6 +1,9 @@
 """Monte Carlo harness: determinism, rejection rules, failure policy."""
 
+import dataclasses
 import math
+import pickle
+import sys
 
 import numpy as np
 import pytest
@@ -37,6 +40,12 @@ def test_config_validation():
         _config(alphas=(0.0,))
     with pytest.raises(ValueError):
         _config(alphas=(1.0,))
+    # 1 - 1e-17 rounds to 1.0: refused here, before any draw, not by the
+    # chi-square quantile once the first count group has been fit
+    with pytest.raises(ValueError, match=r"^levels must lie in \(0,1\), "
+                       r"with 1 - level below 1 in floating point, "
+                       r"got \(0\.05, 1e-17\)$"):
+        _config(alphas=(0.05, 1e-17))
     with pytest.raises(ValueError):
         _config(procedures=("uncorrected", "bonferroni"))
     with pytest.raises(ValueError, match="seed"):
@@ -128,8 +137,10 @@ def test_numpy_integer_study_inputs_are_accepted():
     ((6, 9), 3 * BLOCK), ((6, 7, 8, 9), 2 * BLOCK - 1)))
 def test_count_groups_cover_every_piece_in_order(sizes, reps):
     groups = sim._groups(sizes, reps)
+    full, tail = divmod(reps, BLOCK)
+    blocks = [BLOCK] * full + [tail] * (tail > 0)
     pieces = [(i, n, block, rows) for i, n in enumerate(sizes)
-              for block, rows in sim._blocks(reps)]
+              for block, rows in enumerate(blocks)]
     assert [p for g in groups for p in g] == pieces
     held = [sum(rows for *_, rows in g) for g in groups]
     # every group but the last reaches the floor, and none holds a piece
@@ -295,17 +306,29 @@ def test_csvs_do_not_depend_on_row_groups(tmp_path, monkeypatch):
 
     monkeypatch.delenv("GRADCORR_THREADS", raising=False)
     default = csvs("default")
-    # 1,000 to 1,625 rows per solve: several solves per block, the last
-    # one short, each continuing its block's stream; and solves of 50,000
-    # values, one of which holds the 100-row tail at n = 8 and the first
-    # 3,784 rows of a block at n = 13, the next the rest of that block
-    for values in (13_000, 50_000):
-        monkeypatch.setattr(sim, "_GROUP_VALUES", values)
-        assert csvs(f"grouped-{values}") == default
-    # count groups of one piece each, and of up to three blocks
-    for floor in (1, 2 * BLOCK + 1):
-        monkeypatch.setattr(sim, "_COUNT_REPLICATES", floor)
-        assert csvs(f"counted-{floor}") == default
+    # at one worker, and on two threads that trade the interpreter lock
+    # every 10 us
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for threads in ("1", "2"):
+            with monkeypatch.context() as m:
+                m.setenv("GRADCORR_THREADS", threads)
+                # 1,000 to 1,625 rows per solve: several solves per block,
+                # the last one short, each continuing its block's stream;
+                # and solves of 50,000 values, one of which holds the
+                # 100-row tail at n = 8 and the first 3,784 rows of a block
+                # at n = 13, the next the rest of that block
+                for values in (13_000, 50_000):
+                    m.setattr(sim, "_GROUP_VALUES", values)
+                    assert csvs(f"grouped-{values}-{threads}") == default
+                # count groups of one piece each, and of up to three blocks
+                for floor in (1, 2 * BLOCK + 1):
+                    m.setattr(sim, "_COUNT_REPLICATES", floor)
+                    assert csvs(f"counted-{floor}-{threads}") == default
+    finally:
+        sys.setswitchinterval(interval)
 
 
 @pytest.mark.parametrize("raw", ("abc", "2.5", "", "0", "-3"))
@@ -377,6 +400,51 @@ def test_failure_rate_above_threshold_aborts_size_study(monkeypatch):
     with pytest.raises(SimulationError,
                        match=r"^100 of 300 fits failed at n=8 \(> 5%\)$"):
         run_size_study(_config(replicates=300))
+
+
+def test_cdf_study_maps_its_groups_on_threads(monkeypatch):
+    # the one-parameter families hold lambdas, so only threads can run
+    # their groups; each threaded call builds one pool of two threads, and
+    # replicate_statistics keeps the replicate order
+    from concurrent import futures
+    pools = []
+
+    class Spy(futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+            super().__init__(max_workers=max_workers)
+
+    monkeypatch.setattr(futures, "ThreadPoolExecutor", Spy)
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
+    model = make_model("exponential")
+    with pytest.raises(AttributeError):
+        pickle.dumps(model)
+
+    def outcomes(threads):
+        monkeypatch.setenv("GRADCORR_THREADS", threads)
+        args = (1.0,), (1.0,), 10, 3 * BLOCK, SEED
+        studies = [run_cdf_study(model, *args),
+                   run_cdf_study(_FlakyModel(fail_every=50), *args)]
+        with pytest.raises(SimulationError) as failed:
+            run_cdf_study(_FlakyModel(fail_every=2), *args)
+        S, _ = replicate_statistics(model, *args)
+        return studies, str(failed.value), S
+
+    serial = outcomes("1")
+    assert pools == []
+    threaded = outcomes("2")
+    assert pools == [2, 2, 2, 2]
+    assert np.array_equal(serial[2], threaded[2])
+    assert serial[1] == threaded[1] == (
+        "6144 of 12288 fits failed at n=10 (> 5%)")
+    assert [s.failures for s in threaded[0]] == [0, 3 * 82]
+    for a, b in zip(serial[0], threaded[0]):
+        for f in dataclasses.fields(a):
+            x, y = getattr(a, f.name), getattr(b, f.name)
+            if isinstance(x, np.ndarray):
+                assert x.dtype == y.dtype and np.array_equal(x, y)
+            else:
+                assert x == y, f.name
 
 
 def test_size_study_deterministic_across_worker_counts(tmp_path, monkeypatch):
