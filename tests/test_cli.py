@@ -571,9 +571,20 @@ def test_simulate_rejects_bad_worker_count(capsys, tmp_path, monkeypatch):
     assert code == 2 and "GRADCORR_THREADS" in err
 
 
+def test_simulate_rejects_odd_two_sample_size(capsys, tmp_path):
+    out = tmp_path / "x.csv"
+    code, _, err = run_cli(capsys, "simulate", "--model",
+                           "two-sample-exponential", "--n", "5", "--reps",
+                           "10", "--seed", "3", "--out", str(out))
+    assert (code, err) == (2, "error: total sample size must be even, "
+                              "got 5\n")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("threads", ("1", "2"))
-def test_simulate_rejects_odd_two_sample_size(capsys, tmp_path, monkeypatch,
-                                              threads):
+def test_simulate_rejects_odd_size_in_a_later_count_group(capsys, tmp_path,
+                                                          monkeypatch,
+                                                          threads):
     # the odd size is drawn in the second of three count groups; at two
     # workers the first runs beside it, and the third is cancelled or run
     monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
