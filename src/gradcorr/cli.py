@@ -355,8 +355,9 @@ def cmd_cdf_study(args) -> int:
 
 
 def _add_model_flags(sub) -> None:
-    sub.add_argument("--model", required=True,
-                     help="model id or short alias (see `coeffs --help`)")
+    aliases = ", ".join(f"{a} = {m}" for a, m in ALIASES.items())
+    sub.add_argument("--model", required=True, help="model id, one of "
+                     f"{', '.join(builtin_models())} (aliases: {aliases})")
     sub.add_argument("--params", default="",
                      help="comma list key=value: family constants and "
                           "parameter components (e.g. k=2 or phi=1)")

@@ -9,9 +9,10 @@ Three routes compute the same triple:
   slices of S: traced, where one matrix traces each tensor to a vector
   and a third joins the vectors, all in one batched V S V^T (O(p^3)); or
   crossing, where every index runs from one tensor to the other, so S
-  is applied one axis at a time before the inner product (O(p^4)).  The
-  four-index terms form one (4, 3, 3) table of S_f F S_f^T (O(p^4)).
-  A call takes 0.15-0.57 ms for p = 1..8 on a shared 2-vCPU Xeon.
+  is applied one axis at a time before the inner product, all 27 of
+  them in one batched matmul (O(p^4)).  The four-index terms form one
+  (4, 3, 3) table of S_f F S_f^T (O(p^4)).  A call takes 0.11-0.39 ms
+  for p = 1..8 on a shared 2-vCPU Xeon.
 * ``coefficients_one_param`` -- scalar closed forms for p = q = 1 models.
 * ``coefficients_orthogonal`` -- closed forms for two-parameter models
   with block-diagonal information (kappa_phibeta = 0), testing phi with
@@ -159,29 +160,28 @@ def _tables(b: CumulantBundle, geo, mix) -> tuple:
     traced[m, a, c] = V[a] S[m] V[c]; crossing[m, i, r] = x_i[j,r,s]
     S[m]^{ja} S[m]^{rb} S[r]^{sc} y_i[a,b,c] for (x_i, y_i) = (kappa3,
     d_kappa2), (kappa3, kappa3), (d_kappa2, d_kappa2 with its derivative
-    axis first), only for the nine (m, i, r) the sums read;
+    axis first), all 27 (m, i, r), of which the sums read nine;
     four[t, a, c] = F_t[j,r,s,u] S[a]^{jr} S[c]^{su} for F = (kappa_31,
     kappa4, kappa4 + kappa_31 with u second, the A1 mix with s second).
     """
     p = b.p
     k3, k4, d2, k31 = b.kappa3, b.kappa4, b.d_kappa2, mix.kappa_31
-    S = np.stack([geo.Kinv, geo.A, geo.M])
-    Sf = S.reshape(3, p * p)
+    S = np.array([geo.Kinv, geo.A, geo.M])
+    Sf, St = S.reshape(3, p * p), S.transpose(0, 2, 1)
     V = np.concatenate([Sf @ k3.reshape(p * p, p),
                         (d2.reshape(p, p * p) @ Sf.T).T])
-    crossing = {}
-    for i, x, y, joins in ((0, k3, d2, {K: (K, A, M), A: (K, A, M)}),
-                           (1, k3, k3, {M: (M,)}),
-                           (2, d2, d2.transpose(1, 2, 0), {K: (K,), A: (A,)})):
-        for m, rs in joins.items():
-            xm = np.einsum("jrs,ja->ars", x, S[m])
-            xm = np.einsum("ars,rb->abs", xm, S[m])
-            for r in rs:
-                crossing[m, i, r] = np.einsum("abs,sc,abc->", xm, S[r], y)
+    # x[i] S[m] S[m] over its first two axes, [i, m, a, b, s], against
+    # y[i] joined to S[r] on its last, [i, r, ab, s]: one inner product
+    # per (i, m, r)
+    x = np.array([k3, k3, d2]).reshape(3, 1, p, p * p)
+    xm = St[:, None] @ (St @ x).reshape(3, 3, p, p, p)
+    y = np.array([d2, k3, d2.transpose(1, 2, 0)]).reshape(3, 1, p * p, p)
+    yr = (y @ St).reshape(3, 3, -1).transpose(0, 2, 1)
+    crossing = (xm.reshape(3, 3, -1) @ yr).transpose(1, 0, 2)
     # k_{jrsu} + k_{j,rsu} + k_{jsu,r} + (k_{ju,rs} + k_{j,u,rs}), the
     # cumulant mix multiplying the final A1 factor
     five = k4 + mix.kappa_13 + k31.transpose(0, 3, 1, 2) + mix.T
-    F = np.stack([k31, k4, (k4 + k31).transpose(0, 3, 1, 2),
+    F = np.array([k31, k4, (k4 + k31).transpose(0, 3, 1, 2),
                   five.transpose(0, 2, 3, 1)])
     return V @ S @ V.T, crossing, Sf @ F.reshape(4, p * p, p * p) @ Sf.T
 

@@ -305,6 +305,8 @@ def _workers(tasks: int) -> int:
                          f"got {raw!r}") from None
     if workers < 1:
         raise ValueError(f"GRADCORR_THREADS must be at least 1, got {workers}")
+    if workers == 1:            # the default: skip the os.cpu_count() call
+        return 1
     return min(workers, os.cpu_count() or 1, tasks)
 
 

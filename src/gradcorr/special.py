@@ -193,22 +193,29 @@ def _ladder_array(x: np.ndarray, q: int, steps: int) -> list:
         g = np.empty_like(h)
         small, big = y <= _THRESH, y > 4.0
         mid = ~(small | big)
-        g[small] = _erf_small(y[small])
-        g[mid] = 1.0 - e[mid] * _erfcx_mid(y[mid])
-        g[big] = 1.0 - e[big] * _erfcx_big(y[big])
+        # each region, and the series below, only where the array has
+        # elements: on an empty mask their numpy calls cost 10-30 us each
+        if small.any():
+            g[small] = _erf_small(y[small])
+        if mid.any():
+            g[mid] = 1.0 - e[mid] * _erfcx_mid(y[mid])
+        if big.any():
+            g[big] = 1.0 - e[big] * _erfcx_big(y[big])
     else:
         t = h * e
         g = -np.expm1(-h)
     base = 2 - q % 2
     rungs = []
     low = h < _SERIES_H
+    h_low = h[low] if low.any() else None
     for df in range(base, q + 2 * steps, 2):
         a = 0.5 * df
         if df == base >= q:
             rungs.append(g)
         elif df >= q:
             rung = np.maximum(g, 0.0)
-            rung[low] = _series(t[low], h[low], a)
+            if h_low is not None:
+                rung[low] = _series(t[low], h_low, a)
             rungs.append(rung)
         g = g - t
         t = t * h / (a + 1.0)

@@ -627,3 +627,18 @@ def test_readme_commands_parse():
     for argv in commands:
         args = build_parser().parse_args(argv)
         assert args.model in ALIASES or args.model in builtin_models(), argv
+
+
+@pytest.mark.parametrize("command", ("test", "coeffs", "simulate",
+                                     "cdf-study"))
+def test_model_help_names_every_id_and_alias(capsys, command):
+    # the --model help is the one place that lists the models; argparse
+    # may wrap it at a hyphen, so all whitespace is dropped before matching
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    text = "".join(capsys.readouterr().out.split())
+    for model_id in builtin_models():
+        assert model_id in text, model_id
+    for alias, model_id in ALIASES.items():
+        assert f"{alias}={model_id}" in text, alias

@@ -6,6 +6,7 @@ arithmetic) on random integer bundles, then both are pinned to the
 catalog's hand-derivable values.
 """
 
+import itertools
 import random
 
 import numpy as np
@@ -147,6 +148,31 @@ def test_table_entries_equal_literal_einsums(monkeypatch):
                     (p, q, name, index)
             coefficients_general(b, HypothesisSpec(p=p, q=q))
     assert read == set(TABLE_TERMS)
+
+
+def test_crossing_table_holds_all_27_entries():
+    # every crossing[m, i, r], not only the nine the sums read, is
+    # x_i[j,r,s] S[m]^{ja} S[m]^{rb} S[r]^{sc} y_i[a,b,c]: pins the axis
+    # order of the batched product
+    rng = random.Random(20260815)
+    subs = "jrs,ja,rb,sc,abc->"
+    for p in range(1, 9):
+        raw = bundle_to_float_arrays(random_integer_bundle(p, rng))
+        b = CumulantBundle(**raw)
+        mix = derive_mixed_cumulants(b)
+        xs = (b.kappa3, b.kappa3, b.d_kappa2)
+        ys = (b.d_kappa2, b.kappa3, b.d_kappa2.transpose(1, 2, 0))
+        for q in range(1, p + 1):
+            geo = build_geometry(b, HypothesisSpec(p=p, q=q))
+            S = (geo.Kinv, geo.A, geo.M)
+            crossing = _tables(b, geo, mix)[1]
+            assert crossing.shape == (3, 3, 3)
+            for m, i, r in itertools.product(range(3), repeat=3):
+                args = (xs[i], S[m], S[m], S[r], ys[i])
+                want = np.einsum(subs, *args)
+                scale = np.einsum(subs, *map(np.abs, args))
+                assert abs(crossing[m, i, r] - want) \
+                    <= 1e-12 * max(1.0, scale), (p, q, m, i, r)
 
 
 @pytest.mark.parametrize("p, q", [(6, 2), (7, 3), (8, 1), (8, 4)])

@@ -6,6 +6,7 @@ quantiles) and pasted here as literals.  scipy, a test-only dependency,
 is the second oracle.
 """
 
+import itertools
 import math
 import subprocess
 import sys
@@ -77,6 +78,30 @@ def test_chi2_cdf_is_elementwise_on_nd_arrays(df):
         assert g.shape == x.shape
         assert np.array_equal(g.ravel(), want)
     assert np.array_equal(chi2_cdf(x[None], df)[0], chi2_cdf(x, df))
+
+
+# one x in each part of the ladder: the power series (h < 0.01, inside
+# Cody's first region), the rest of his first region, his second, his third
+LADDER_PARTS = (0.004, 0.2, 3.0, 40.0)
+
+
+@pytest.mark.parametrize("q", range(1, 5))
+def test_ladder_arrays_match_scalars_whichever_parts_they_reach(q):
+    # every subset of the parts, the empty array among them, and a 2-D
+    # array: CDF_GRID reaches all parts at once, so a part skipped when
+    # it should run (or run on the wrong elements) would pass there
+    subsets = [list(c) for k in range(len(LADDER_PARTS) + 1)
+               for c in itertools.combinations(LADDER_PARTS, k)]
+    arrays = [np.array(s, dtype=float) for s in subsets]
+    arrays.append(np.array([[3.0, 0.004], [40.0, 0.004]]))
+    for x in arrays:
+        want = [_chi2_ladder(float(v), q, 4) for v in x.ravel()]
+        rungs = _chi2_ladder(x, q, 4)
+        assert len(rungs) == 4
+        for step, g in enumerate(rungs):
+            assert g.shape == x.shape
+            assert np.array_equal(g.ravel(), [w[step] for w in want]), \
+                (x, step)
 
 
 @pytest.mark.parametrize("df", [100, 331, 999, 1000])
