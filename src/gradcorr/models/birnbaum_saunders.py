@@ -70,6 +70,8 @@ from closed forms, no quadrature at run time.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from ..special import std_normal_tail_scaled
@@ -78,7 +80,9 @@ from .base import POSITIVE, ModelFamily, check_observations
 
 __all__ = ["BirnbaumSaunders"]
 
-_SQRT_2PI = np.sqrt(2.0 * np.pi)
+# a Python float: a zero denominator in the scalar cumulants then raises
+# ZeroDivisionError instead of printing a numpy warning
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 _REL_TOL = 1e-13
 _EPS = 2.0**-52
 _NARROW = 128          # below this many columns, one per row of memory

@@ -295,6 +295,26 @@ def test_tiny_parameter_values_exit_2(capsys, tmp_path, argv):
                    "is too small\n")
 
 
+@pytest.mark.parametrize("argv", [
+    ("coeffs", "--params", "phi=1,beta=1e-160"),
+    ("test", "--theta10", "1", "--data", "bs.txt"),
+], ids=lambda argv: argv[0])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_birnbaum_saunders_underflow_prints_only_the_error(capsys, tmp_path,
+                                                          monkeypatch, argv):
+    # beta^2 underflows to zero in the cumulants, directly or through the
+    # restricted fit of data scaled by 1e-150; a numpy scalar there would
+    # print its divide warning ahead of the error
+    monkeypatch.chdir(tmp_path)
+    values = (0.6, 1.1, 0.9, 1.7, 0.4, 1.3, 0.8, 1.2, 2.1, 0.7,
+              1.0, 0.5, 1.5, 0.9, 1.4, 0.6, 1.8, 1.1, 0.8, 1.6)
+    _write(tmp_path / "bs.txt", "".join(f"{v}e-150\n" for v in values))
+    code, out, err = run_cli(capsys, argv[0], "--model", "bs", *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == ("error: numeric underflow; a parameter or an observation "
+                   "is too small\n")
+
+
 @pytest.mark.parametrize("theta10", ["1e-200", "1e200"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_birnbaum_saunders_extreme_null_reports_overflow(capsys, tmp_path,
@@ -445,6 +465,81 @@ def test_main_maps_library_errors_to_exit_codes(capsys, tmp_path,
             assert got == (code, "", "error: no study\n")
     assert not new.exists()
     assert Path(old).read_text() == "kept\n"
+
+
+_STUDY = "--reps 10 --seed 1 --out x.csv"
+_UNKNOWN = ("error: unknown model 'no-such'; available: "
+            + ", ".join(sorted(builtin_models())) + "\n")
+
+
+@pytest.mark.parametrize("case", (
+    ("coeffs --model exponential --params phi", 2, (),
+     "error: --params entries must look like key=value, got 'phi'\n"),
+    ("coeffs --model exponential --params =1", 2, (),
+     "error: --params entry has an empty key: '=1'\n"),
+    # the model is resolved before --params is parsed
+    ("coeffs --model no-such --params =1", 2, (), _UNKNOWN),
+    ("coeffs --model exponential --params phi=abc", 2, (),
+     "error: --params phi must be numeric, got 'abc'\n"),
+    ("test --model exponential --data exp.txt --theta10 abc", 2, (),
+     "error: --theta10 must be a comma list of numbers, got 'abc'\n"),
+    (f"simulate --model exponential --n 6 {_STUDY} --alpha x", 2, (),
+     "error: --alpha must be a comma list of numbers, got 'x'\n"),
+    (f"simulate --model exponential --n 5:6:7:8 {_STUDY}", 2, (),
+     "error: --n range must be lo:hi or lo:hi:step, got '5:6:7:8'\n"),
+    (f"simulate --model exponential --n a:9 {_STUDY}", 2, (),
+     "error: --n range bounds must be integers, got 'a:9'\n"),
+    (f"simulate --model exponential --n 9:5 {_STUDY}", 2, (),
+     "error: --n range is empty: '9:5'\n"),
+    ("test --model exponential --data empty.txt --theta10 1", 2, (),
+     "error: empty.txt: no numeric data found\n"),
+    ("test --model exponential --data ragged.csv --theta10 1", 2, (),
+     "error: ragged.csv, line 2: expected 1 column(s)\n"),
+    ("test --model exponential --data exp.txt --data2 exp.txt --theta10 1",
+     2, (), "error: model 'exponential' takes a single sample; --data2 is "
+            "not accepted\n"),
+    ("test --model exponential --data two.csv --theta10 1", 2, (),
+     "error: two.csv: expected a single column, found 2\n"),
+    ("test --model two-sample-exponential --data two.csv --data2 exp.txt "
+     "--theta10 1", 2, (),
+     "error: two.csv: expected a single column, found 2\n"),
+    ("test --model two-sample-exponential --data exp.txt --data2 two.csv "
+     "--theta10 1", 2, (),
+     "error: two.csv: expected a single column, found 2\n"),
+    ("test --model two-sample-exponential --data exp.txt --theta10 1", 2, (),
+     "error: exp.txt: two-sample data needs two columns (or a second file "
+     "via --data2)\n"),
+    # S = 9801 at n = 1: far outside the expansion's regime
+    ("test --model exponential --data far.txt --theta10 1", 0,
+     ("  warning: correction polynomial 1.07e+07 outside asymptotic regime "
+      "(|.| > 0.5)",
+      "  warning: corrected statistic -1.05e+11 is negative"), ""),
+    # at phi = 1.5e15 a Pareto draw can round to the scale k, where the
+    # shape MLE does not exist
+    ("simulate --model pareto --theta 1.5e15 --n 2:3 --reps 200 --seed 1 "
+     "--out x.csv", 0,
+     ("  n=2: 9 replicate(s) failed to fit",
+      "  n=3: 1 replicate(s) failed to fit"), ""),
+    ("cdf-study --model pareto --theta 1.5e15 --n 2 --reps 200 --seed 1 "
+     "--out x.csv", 0, ("  9 replicate(s) failed to fit",), ""),
+), ids=lambda case: case[0])
+def test_cli_messages(capsys, tmp_path, monkeypatch, case):
+    # every error case prints one exact line on stderr and nothing on
+    # stdout; a run that succeeds prints its warning or failure lines last
+    argv, code, lines, err = case
+    monkeypatch.chdir(tmp_path)
+    for name, text in (("exp.txt", "1.0\n1.2\n1.8\n2.0\n"),
+                       ("empty.txt", "value\n\n"),
+                       ("ragged.csv", "1.0\n2.0,3.0\n"),
+                       ("two.csv", "1.0,2.0\n3.0,2.0\n"),
+                       ("far.txt", "100\n")):
+        _write(tmp_path / name, text)
+    got = run_cli(capsys, *argv.split())
+    assert (got[0], got[2]) == (code, err)
+    if code:
+        assert got[1] == ""
+    else:
+        assert tuple(got[1].splitlines()[-len(lines):]) == lines
 
 
 @pytest.mark.parametrize("params", ("k=2,k=3", "phi=1,k=2,phi=2"))

@@ -236,6 +236,18 @@ def test_run_test_asymptotic_pvalue_is_the_ladder_first_rung(q):
         assert r.p_asymptotic == 1.0 - chi2_cdf(S, q)
 
 
+@pytest.mark.parametrize("A1, warnings", (
+    (6.0, ()),
+    (7.2, ("correction polynomial 0.6 outside asymptotic regime "
+           "(|.| > 0.5)",))))
+def test_run_test_regime_warning_starts_above_one_half(A1, warnings):
+    # at n = q = 1 and A2 = A3 = 0 the polynomial is the constant A1 / 12
+    coef = ExpansionCoefficients(A1=A1, A2=0.0, A3=0.0)
+    r = run_test(1.0, coef, q=1, n=1)
+    assert r.S_star == 1.0 - A1 / 12.0
+    assert r.warnings == warnings
+
+
 def test_run_test_flags_clamped_expanded_pvalue():
     big = ExpansionCoefficients(A1=1000.0, A2=0.0, A3=0.0)
     r = run_test(1.0, big, q=1, n=1)
@@ -244,18 +256,23 @@ def test_run_test_flags_clamped_expanded_pvalue():
     assert any("clamped" in w for w in r.warnings)
 
 
+# synthetic coefficients, every factor of the correction polynomial nonzero
+SYN = ExpansionCoefficients(A1=5.0, A2=-7.0, A3=3.0)
+
+
 def test_eps_forms_match_production_at_one_over_n():
     # guard: the test-side eps-parameterized formulas are the production
-    # formulas under eps = 1/n, else the cancellation check proves nothing
-    for coef in (EXP, TPN):
+    # formulas under eps = 1/n, else the cancellation check proves nothing;
+    # q > 1 tells q * n from n / q in the polynomial's denominators
+    for coef, q in ((EXP, 1), (TPN, 1), (SYN, 1), (SYN, 2), (SYN, 3)):
         for n in (7, 20, 113):
             eps = 1.0 / n
             for x in (0.3, 2.0, 6.1):
-                assert abs(expanded_cdf_eps(x, coef, 1, eps)
-                           - expanded_cdf(x, coef, 1, n)) <= 1e-15
+                assert abs(expanded_cdf_eps(x, coef, q, eps)
+                           - expanded_cdf(x, coef, q, n)) <= 1e-15
             for gamma in (0.01, 0.05, 0.10):
-                assert abs(modified_quantile_eps(gamma, coef, 1, eps)
-                           - modified_quantile(gamma, coef, 1, n)) <= 1e-13
+                assert abs(modified_quantile_eps(gamma, coef, q, eps)
+                           - modified_quantile(gamma, coef, q, n)) <= 1e-13
 
 
 def test_first_order_cancellation_all_builtin_coefficients(model):
@@ -264,6 +281,13 @@ def test_first_order_cancellation_all_builtin_coefficients(model):
     for gamma in (0.01, 0.05, 0.10):
         d = cancellation_derivative(coef, model.q, gamma)
         assert abs(d) <= 1e-6
+
+
+@pytest.mark.parametrize("q", (2, 3))
+def test_first_order_cancellation_synthetic_coefficients(q):
+    for coef in (EXP, SYN):
+        for gamma in (0.01, 0.05, 0.10):
+            assert abs(cancellation_derivative(coef, q, gamma)) <= 1e-6
 
 
 def test_expanded_density_mean_matches_approximate_first_moment(model):

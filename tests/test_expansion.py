@@ -368,6 +368,42 @@ def test_orthogonal_scalars_match_independent_values(model_id):
             name
 
 
+def _symmetrized(a, axes):
+    """a averaged over every permutation of its axes ``axes``."""
+    perms = list(itertools.permutations(axes))
+    out = np.zeros_like(a)
+    for perm in perms:
+        order = list(range(a.ndim))
+        for src, dst in zip(axes, perm):
+            order[src] = dst
+        out += a.transpose(order)
+    return out / len(perms)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_orthogonal_route_matches_engine_on_random_bundles(seed):
+    # the catalog's two-parameter families leave kappa_phiphibeta times
+    # (2 kappa_betabeta^(beta) - kappa_betabetabeta) at zero, so only a
+    # random bundle pins that A1 term; orthogonality must hold near the
+    # point, so the derivatives of kappa_phibeta are zero too
+    rng = np.random.default_rng(seed)
+    k2 = np.diag(-rng.uniform(0.5, 2.0, 2))
+    k3 = _symmetrized(rng.normal(size=(2, 2, 2)), (0, 1, 2))
+    k4 = _symmetrized(rng.normal(size=(2, 2, 2, 2)), (0, 1, 2, 3))
+    d2 = _symmetrized(rng.normal(size=(2, 2, 2)), (0, 1))
+    d3 = _symmetrized(rng.normal(size=(2, 2, 2, 2)), (1, 2, 3))
+    dd2 = _symmetrized(rng.normal(size=(2, 2, 2, 2)), (2, 3))
+    d2[0, 1, :] = d2[1, 0, :] = 0.0
+    dd2[:, :, 0, 1] = dd2[:, :, 1, 0] = 0.0
+    arrays = (k2, k3, k4, d2, d3, dd2)
+    want = coefficients_general(CumulantBundle(*arrays),
+                                HypothesisSpec(p=2, q=1))
+    got = coefficients_orthogonal(OrthogonalCumulants.from_arrays(*arrays))
+    assert got.A1_phibeta != 0.0
+    for g, w in zip(got.as_tuple(), want.as_tuple()):
+        assert abs(g - w) <= 1e-12 * max(1.0, abs(w))
+
+
 class _Correlated(NormalMeanTest):
     """The two-parameter normal with a nonzero kappa_phibeta."""
 
