@@ -42,19 +42,6 @@ def _fmt(value: float) -> str:
     return "%.17g" % (value + 0.0)     # normalizes -0.0
 
 
-class CliError(Exception):
-    """Validation failure; maps to exit code 2."""
-
-
-def _resolve_model_id(name: str) -> str:
-    model_id = ALIASES.get(name, name)
-    known = builtin_models()
-    if model_id not in known:
-        raise CliError(f"unknown model {name!r}; available: "
-                       + ", ".join(sorted(known)))
-    return model_id
-
-
 def _parse_params(pairs: str) -> dict:
     """'k=2,known=shape' -> {'k': 2.0, 'known': 'shape'}."""
     out = {}
@@ -62,24 +49,24 @@ def _parse_params(pairs: str) -> dict:
         return out
     for item in pairs.split(","):
         if "=" not in item:
-            raise CliError(f"--params entries must look like key=value, "
-                           f"got {item!r}")
+            raise ValueError(f"--params entries must look like key=value, "
+                             f"got {item!r}")
         key, _, value = item.partition("=")
         key = key.strip()
         value = value.strip()
         if not key:
-            raise CliError(f"--params entry has an empty key: {item!r}")
+            raise ValueError(f"--params entry has an empty key: {item!r}")
         if key in out:
-            raise CliError(f"--params key {key!r} must not repeat, "
-                           f"got {pairs!r}")
+            raise ValueError(f"--params key {key!r} must not repeat, "
+                             f"got {pairs!r}")
         try:
             out[key] = float(value)
         except ValueError:
             out[key] = value      # mode selectors stay strings
         else:
             if not np.isfinite(out[key]):
-                raise CliError(f"--params {key} must be finite, "
-                               f"got {value!r}")
+                raise ValueError(f"--params {key} must be finite, "
+                                 f"got {value!r}")
     return out
 
 
@@ -87,10 +74,10 @@ def _parse_floats(text: str, flag: str) -> np.ndarray:
     try:
         values = np.array([float(v) for v in text.split(",")])
     except ValueError:
-        raise CliError(f"{flag} must be a comma list of numbers, "
-                       f"got {text!r}") from None
+        raise ValueError(f"{flag} must be a comma list of numbers, "
+                         f"got {text!r}") from None
     if not np.isfinite(values).all():
-        raise CliError(f"{flag} values must be finite, got {text!r}")
+        raise ValueError(f"{flag} values must be finite, got {text!r}")
     return values
 
 
@@ -99,36 +86,36 @@ def _parse_sizes(text: str) -> tuple:
     if ":" in text:
         parts = text.split(":")
         if len(parts) not in (2, 3):
-            raise CliError(f"--n range must be lo:hi or lo:hi:step, "
-                           f"got {text!r}")
+            raise ValueError(f"--n range must be lo:hi or lo:hi:step, "
+                             f"got {text!r}")
         try:
             lo, hi = int(parts[0]), int(parts[1])
             step = int(parts[2]) if len(parts) == 3 else 1
         except ValueError:
-            raise CliError(f"--n range bounds must be integers, "
-                           f"got {text!r}") from None
+            raise ValueError(f"--n range bounds must be integers, "
+                             f"got {text!r}") from None
         if step < 1 or hi < lo:
-            raise CliError(f"--n range is empty: {text!r}")
+            raise ValueError(f"--n range is empty: {text!r}")
         return tuple(range(lo, hi + 1, step))
     try:
         return tuple(int(v) for v in text.split(","))
     except ValueError:
-        raise CliError(f"--n must be an integer list or lo:hi range, "
-                       f"got {text!r}") from None
+        raise ValueError(f"--n must be an integer list or lo:hi range, "
+                         f"got {text!r}") from None
 
 
 def _model_and_theta(name: str, params: str):
     """Split --params into family constants and a theta evaluation point."""
-    model_id = _resolve_model_id(name)
-    given = _parse_params(params)
+    model_id = ALIASES.get(name, name)
     probe = make_model(model_id)
+    given = _parse_params(params)
     constants = {k: v for k, v in given.items()
                  if k not in probe.param_names}
     try:
         model = make_model(model_id, **constants) if constants else probe
     except TypeError:
-        raise CliError(f"model {model_id!r} does not accept constants "
-                       f"{sorted(constants)}") from None
+        raise ValueError(f"model {model_id!r} does not accept constants "
+                         f"{sorted(constants)}") from None
     # modal factories (inverse-normal) rename the tested parameter, so the
     # final model decides which keys are theta components
     names = model.param_names
@@ -136,8 +123,8 @@ def _model_and_theta(name: str, params: str):
     for key, value in given.items():
         if key in names:
             if not isinstance(value, float):
-                raise CliError(f"--params {key} must be numeric, "
-                               f"got {value!r}")
+                raise ValueError(f"--params {key} must be numeric, "
+                                 f"got {value!r}")
             theta[names.index(key)] = value
     return model, model_id, constants, np.array(theta)
 
@@ -149,9 +136,9 @@ def _read_column(path: str):
         with open(path) as fh:
             text = fh.read()
     except OSError as exc:
-        raise CliError(f"cannot read {path}: {exc.strerror}") from None
+        raise ValueError(f"cannot read {path}: {exc.strerror}") from None
     except UnicodeDecodeError as exc:
-        raise CliError(f"{path}: not a text file ({exc})") from None
+        raise ValueError(f"{path}: not a text file ({exc})") from None
     for lineno, line in enumerate(text.split("\n"), start=1):
         fields = [f.strip() for f in line.strip().split(",")]
         fields = [f for f in fields if f]
@@ -165,20 +152,27 @@ def _read_column(path: str):
                 if lineno == 1:  # header row
                     row = None
                     break
-                raise CliError(f"{path}, line {lineno}: could not parse "
-                               f"{field!r} as a number") from None
+                raise ValueError(f"{path}, line {lineno}: could not parse "
+                                 f"{field!r} as a number") from None
         if row is None:
             continue
         values.append(row)
         lines.append(lineno)
     if not values:
-        raise CliError(f"{path}: no numeric data found")
+        raise ValueError(f"{path}: no numeric data found")
     width = len(values[0])
     if any(len(row) != width for row in values):
         bad = next(i for i, row in enumerate(values) if len(row) != width)
-        raise CliError(f"{path}, line {lines[bad]}: expected {width} "
-                       f"column(s)")
+        raise ValueError(f"{path}, line {lines[bad]}: expected {width} "
+                         f"column(s)")
     return np.array(values), lines, width
+
+
+def _one_column(path: str, values, width: int) -> np.ndarray:
+    """The one column of values read from path."""
+    if width != 1:
+        raise ValueError(f"{path}: expected a single column, found {width}")
+    return values[:, 0]
 
 
 def _read_data(model, path: str, path2):
@@ -186,24 +180,18 @@ def _read_data(model, path: str, path2):
     values, lines, width = _read_column(path)
     if model.samples == 1:
         if path2:
-            raise CliError(f"model {model.name!r} takes a single sample; "
-                           "--data2 is not accepted")
-        if width != 1:
-            raise CliError(f"{path}: expected a single column, found {width}")
-        return values[:, 0], [(path, lines), (path, lines)]
+            raise ValueError(f"model {model.name!r} takes a single sample; "
+                             "--data2 is not accepted")
+        return _one_column(path, values, width), [(path, lines)] * 2
     if path2:
-        if width != 1:
-            raise CliError(f"{path}: expected a single column, found {width}")
+        first = _one_column(path, values, width)
         values2, lines2, width2 = _read_column(path2)
-        if width2 != 1:
-            raise CliError(f"{path2}: expected a single column, "
-                           f"found {width2}")
-        return ((values[:, 0], values2[:, 0]),
+        return ((first, _one_column(path2, values2, width2)),
                 [(path, lines), (path2, lines2)])
     if width != 2:
-        raise CliError(f"{path}: two-sample data needs two columns "
-                       "(or a second file via --data2)")
-    return (values[:, 0], values[:, 1]), [(path, lines), (path, lines)]
+        raise ValueError(f"{path}: two-sample data needs two columns "
+                         "(or a second file via --data2)")
+    return (values[:, 0], values[:, 1]), [(path, lines)] * 2
 
 
 def _locate(message: str, sources) -> str:
@@ -234,7 +222,7 @@ def cmd_test(args) -> int:
     try:
         model.validate_data(data)
     except ValueError as exc:
-        raise CliError(_locate(str(exc), sources)) from None
+        raise ValueError(_locate(str(exc), sources)) from None
     stat = gradient_statistic(model, data, theta10)
     coef = model.coefficients(stat.theta_tilde)
     report = run_test(stat.value, coef, model.q, stat.n, gamma=args.gamma)
@@ -290,8 +278,8 @@ def _simulation_config(args, **options) -> tuple:
         constants=constants, **options)
 
 
-def _cannot_write(path, exc) -> CliError:
-    return CliError(f"cannot write {path}: {exc.strerror}")
+def _cannot_write(path, exc) -> ValueError:
+    return ValueError(f"cannot write {path}: {exc.strerror}")
 
 
 @contextlib.contextmanager
@@ -340,7 +328,7 @@ def cmd_cdf_study(args) -> int:
     from .simulate import run_cdf_study, write_cdf_csv
     model, config = _simulation_config(args)
     if len(config.sizes) != 1:
-        raise CliError(f"cdf-study takes a single --n, got {args.n!r}")
+        raise ValueError(f"cdf-study takes a single --n, got {args.n!r}")
     with _output_checked(args.out):
         study = run_cdf_study(model, config.theta, config.theta10,
                               n=config.sizes[0],
@@ -422,12 +410,6 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _study_errors() -> tuple:
-    """SimulationError, once a study command has imported simulate."""
-    simulate = sys.modules.get(__package__ + ".simulate")
-    return (simulate.SimulationError,) if simulate else ()
-
-
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
@@ -441,10 +423,10 @@ def main(argv=None) -> int:
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return 1
-    except (CliError, ValueError, NotImplementedError) as exc:
+    except (ValueError, NotImplementedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (FitError, *_study_errors()) as exc:
+    except FitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except OverflowError:

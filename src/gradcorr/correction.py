@@ -175,14 +175,6 @@ def approximate_moments(coef: ExpansionCoefficients, q: int,
     return (mu1, mu2, mu3)
 
 
-def _clamp(p: float) -> tuple[float, bool]:
-    if p < 0.0:
-        return 0.0, True
-    if p > 1.0:
-        return 1.0, True
-    return p, False
-
-
 def run_test(S: float, coef: ExpansionCoefficients, q: int, n: int,
              gamma: float = 0.05) -> TestReport:
     """Assemble all three improved procedures plus the first-order p-value."""
@@ -193,13 +185,12 @@ def run_test(S: float, coef: ExpansionCoefficients, q: int, n: int,
     warnings.extend(w)
     g, raw = _null_cdfs(S, coef, q, n)
     p_asym = 1.0 - g
-    p_exp, clamped = _clamp(1.0 - raw)
-    if clamped:
+    p_exp = 1.0 - raw
+    if not 0.0 <= p_exp <= 1.0:
+        p_exp = 0.0 if p_exp < 0.0 else 1.0
         warnings.append("expanded-CDF p-value clamped to [0,1]")
     # negative S* sits below the chi-square support, so its p-value is 1
-    p_corr, clamped = _clamp(1.0 - chi2_cdf(max(s_star, 0.0), q))
-    if clamped:
-        warnings.append("corrected p-value clamped to [0,1]")
+    p_corr = 1.0 - chi2_cdf(max(s_star, 0.0), q)
     z = f.modified(_percentile(gamma, q))
     return TestReport(S=S, S_star=s_star, p_asymptotic=p_asym,
                       p_expanded=p_exp, p_corrected=p_corr, z_modified=z,

@@ -102,8 +102,9 @@ class OneParamCumulants:
 
 
 @dataclass(frozen=True)
-class OrthogonalCumulants:
-    """The sixteen scalars the orthogonal closed forms consume.
+class OrthogonalCumulants(OneParamCumulants):
+    """The sixteen scalars the orthogonal closed forms consume: the six
+    phi scalars of OneParamCumulants, then ten more.
 
     Naming: p and b in field names stand for the tested parameter phi and
     the nuisance beta; a trailing ``_x`` marks a derivative with respect
@@ -111,12 +112,6 @@ class OrthogonalCumulants:
     d^2 kappa_phiphi / d phi^2.
     """
 
-    kpp: float
-    kppp: float
-    kpppp: float
-    kpp_p: float
-    kppp_p: float
-    kpp_pp: float
     kbb: float
     kbbb: float
     kpbb: float
@@ -141,11 +136,6 @@ class OrthogonalCumulants:
                    kppbb=kappa4[0, 0, 1, 1], kpp_b=d_kappa2[0, 0, 1],
                    kppb_b=d_kappa3[1, 0, 0, 1], kpbb_p=d_kappa3[0, 0, 1, 1],
                    kbb_b=d_kappa2[1, 1, 1], kbb_p=d_kappa2[1, 1, 0])
-
-    def phi_part(self) -> OneParamCumulants:
-        return OneParamCumulants(kpp=self.kpp, kppp=self.kppp,
-                                 kpppp=self.kpppp, kpp_p=self.kpp_p,
-                                 kppp_p=self.kppp_p, kpp_pp=self.kpp_pp)
 
 
 # Slots of S = stack(Kinv, A, M) and of V: V[U + m] traces kappa3 with
@@ -249,7 +239,7 @@ def coefficients_orthogonal(c: OrthogonalCumulants) -> OrthogonalCoefficients:
     """
     if c.kpp >= 0 or c.kbb >= 0:
         raise ValueError("kappa_phiphi and kappa_betabeta must be negative")
-    phi = coefficients_one_param(c.phi_part())
+    phi = coefficients_one_param(c)
     kpp, kbb = c.kpp, c.kbb
     A1pb = (3.0 * (4.0 * c.kppb * c.kpp_b
                    + c.kpbb * (4.0 * c.kpp_p - c.kppp)) / (kpp ** 2 * kbb)

@@ -42,7 +42,8 @@ class _FamilySpec:
     alpha_derivs: Callable[[float], tuple]    # (a1, a2, a3) at phi
     beta: Callable[[float], float]
     beta_derivs: Callable[[float], tuple]     # (b1, b2, b3) at phi
-    mle_from_dbar: Callable[[np.ndarray], np.ndarray]   # elementwise
+    # elementwise; fit_rows makes a non-finite or out-of-range value NaN
+    mle_from_dbar: Callable[[np.ndarray], np.ndarray]
     sampler: Callable[[float, object, np.random.Generator], np.ndarray]
     # (predicate, reason) for check_observations; None: the real line
     support: tuple = (None, "")
@@ -172,7 +173,7 @@ def inverse_normal_mean_known(mu: float = 1.0) -> OneParamExpFamily:
         alpha_derivs=lambda phi: (1.0, 0.0, 0.0),
         beta=lambda phi: -0.5 / phi,
         beta_derivs=lambda phi: (0.5 / phi**2, -1.0 / phi**3, 3.0 / phi**4),
-        mle_from_dbar=lambda dbar: np.where(dbar > 0.0, 0.5 / dbar, np.nan),
+        mle_from_dbar=lambda dbar: 0.5 / dbar,
         sampler=lambda phi, size, rng: rng.wald(mu, phi, size=size),
         support=POSITIVE,
     ))
@@ -207,7 +208,7 @@ def gamma_rate(k: float = 1.0) -> OneParamExpFamily:
         beta=lambda phi: -k / phi,
         beta_derivs=lambda phi: (k / phi**2, -2.0 * k / phi**3,
                                  6.0 * k / phi**4),
-        mle_from_dbar=lambda dbar: np.where(dbar > 0.0, k / dbar, np.nan),
+        mle_from_dbar=lambda dbar: k / dbar,
         sampler=lambda phi, size, rng: rng.gamma(k, 1.0 / phi, size=size),
         support=POSITIVE,
     ))
@@ -238,8 +239,7 @@ def pareto_shape(k: float = 1.0) -> OneParamExpFamily:
         alpha_derivs=lambda phi: (1.0, 0.0, 0.0),
         beta=lambda phi: -1.0 / phi - np.log(k),
         beta_derivs=lambda phi: (1.0 / phi**2, -2.0 / phi**3, 6.0 / phi**4),
-        mle_from_dbar=lambda dbar: np.where(dbar > np.log(k),
-                                            1.0 / (dbar - np.log(k)), np.nan),
+        mle_from_dbar=lambda dbar: 1.0 / (dbar - np.log(k)),
         sampler=lambda phi, size, rng: k * np.exp(
             rng.exponential(1.0 / phi, size=size)),
         support=(lambda x: x > k, f"must exceed the scale {k}"),
@@ -256,9 +256,7 @@ def power_shape(theta: float = 1.0) -> OneParamExpFamily:
         alpha_derivs=lambda phi: (-1.0, 0.0, 0.0),
         beta=lambda phi: 1.0 / phi - np.log(theta),
         beta_derivs=lambda phi: (-1.0 / phi**2, 2.0 / phi**3, -6.0 / phi**4),
-        mle_from_dbar=lambda dbar: np.where(dbar < np.log(theta),
-                                            1.0 / (np.log(theta) - dbar),
-                                            np.nan),
+        mle_from_dbar=lambda dbar: 1.0 / (np.log(theta) - dbar),
         sampler=lambda phi, size, rng: theta * np.exp(
             -rng.exponential(1.0 / phi, size=size)),
         support=(lambda x: (0.0 < x) & (x < theta),
@@ -275,7 +273,7 @@ def laplace_scale(center: float = 0.0) -> OneParamExpFamily:
                                     -6.0 / theta**4),
         beta=lambda theta: -theta,
         beta_derivs=lambda theta: (-1.0, 0.0, 0.0),
-        mle_from_dbar=lambda dbar: np.where(dbar > 0.0, dbar, np.nan),
+        mle_from_dbar=lambda dbar: dbar,
         sampler=lambda theta, size, rng: rng.laplace(center, theta,
                                                      size=size),
         param_name="theta",

@@ -62,7 +62,7 @@ import numpy as np
 
 from .correction import PROCEDURES, _expand, bartlett_factors, expanded_cdf
 from .expansion import ExpansionCoefficients
-from .models import ModelFamily, make_model
+from .models import FitError, ModelFamily, make_model
 from .special import _chi2_ladder, chi2_cdf, chi2_quantile
 
 __all__ = ["PROCEDURES", "BLOCK", "SimulationConfig", "SizeRow",
@@ -78,8 +78,8 @@ _GRID_POINTS = 512                # points of a CDF study's grid
 _STRIDE = 16                      # sorted values per coarse sup interval
 
 
-class SimulationError(RuntimeError):
-    """Study-level failure (e.g. too many non-convergent fits)."""
+class SimulationError(FitError):
+    """Too many fits of a study failed."""
 
 
 @dataclass(frozen=True)
@@ -229,7 +229,10 @@ def _draws(sizes, replicates, seed) -> tuple:
 def _null_point(model: ModelFamily, theta, theta10) -> tuple:
     """theta and theta10 as float tuples of lengths p and q, and the
     coefficients at the null point, theta with theta10 for its first q
-    components."""
+    components.  Evaluating them is also the parameter-space check, so
+    callers that discard them still make it: a null outside the space
+    raises ValueError and one too large for the cumulants OverflowError,
+    both before any draw."""
     theta = np.atleast_1d(np.asarray(theta, dtype=float))
     if theta.shape != (model.p,):
         raise ValueError(f"theta must have {model.p} value(s) for "
