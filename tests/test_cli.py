@@ -623,31 +623,27 @@ def test_closed_stdout_exits_1_without_traceback(tmp_path):
 
 
 def test_commands_import_only_what_they_run(tmp_path):
-    # test and coeffs leave the study driver unimported, a serial study
-    # leaves the thread pool unimported, and no study loads a process pool
+    # test and coeffs leave the study driver unimported, and no command,
+    # a study of several count groups included, loads concurrent.futures
     src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {k: v for k, v in os.environ.items() if k != "GRADCORR_THREADS"}
-    code = ("import os, sys; sys.path.insert(0, sys.argv[1]); "
-            "os.cpu_count = lambda: 4; "
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "from gradcorr import cli; "
             "assert cli.main(sys.argv[2:]) == 0; "
-            "print([m in sys.modules for m in ('gradcorr.simulate', "
-            "'concurrent.futures.thread', 'concurrent.futures.process')])")
+            "print(['gradcorr.simulate' in sys.modules, "
+            "any(m.startswith('concurrent.futures') for m in sys.modules)])")
     path = _write(tmp_path / "exp.txt", "1.0\n1.2\n1.8\n2.0\n")
     study = ["simulate", "--model", "exponential", "--n", "6", "--seed", "1",
              "--out", str(tmp_path / "x.csv"), "--reps"]
-    for argv, threads, loaded in (
+    for argv, loaded in (
             (["test", "--model", "exponential", "--data", path,
-              "--theta10", "1"], "1", "[False, False, False]"),
-            (["coeffs", "--model", "birnbaum-saunders"], "1",
-             "[False, False, False]"),
-            (study + ["10"], "1", "[True, False, False]"),
+              "--theta10", "1"], "[False, False]"),
+            (["coeffs", "--model", "birnbaum-saunders"], "[False, False]"),
+            (study + ["10"], "[True, False]"),
             # two count groups of 4,096 and 904 replicates
-            (study + ["5000"], "2", "[True, True, False]")):
+            (study + ["5000"], "[True, False]")):
         done = subprocess.run([sys.executable, "-c", code, src, *argv],
-                              capture_output=True, text=True,
-                              env=dict(env, GRADCORR_THREADS=threads),
-                              timeout=60, check=True)
+                              capture_output=True, text=True, timeout=60,
+                              check=True)
         assert done.stdout.splitlines()[-1] == loaded, argv
 
 
@@ -656,14 +652,6 @@ def test_cdf_study_rejects_size_list(capsys, tmp_path):
                            "--n", "9,12", "--reps", "10", "--seed", "3",
                            "--out", str(tmp_path / "x.csv"))
     assert code == 2 and "single" in err
-
-
-def test_simulate_rejects_bad_worker_count(capsys, tmp_path, monkeypatch):
-    monkeypatch.setenv("GRADCORR_THREADS", "abc")
-    code, _, err = run_cli(capsys, "simulate", "--model", "exponential",
-                           "--n", "6", "--reps", "10", "--seed", "3",
-                           "--out", str(tmp_path / "x.csv"))
-    assert code == 2 and "GRADCORR_THREADS" in err
 
 
 def test_simulate_rejects_odd_two_sample_size(capsys, tmp_path):
@@ -676,14 +664,8 @@ def test_simulate_rejects_odd_two_sample_size(capsys, tmp_path):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("threads", ("1", "2"))
-def test_simulate_rejects_odd_size_in_a_later_count_group(capsys, tmp_path,
-                                                          monkeypatch,
-                                                          threads):
-    # the odd size is drawn in the second of three count groups; at two
-    # workers the first runs beside it, and the third is cancelled or run
-    monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
-    monkeypatch.setenv("GRADCORR_THREADS", threads)
+def test_simulate_rejects_odd_size_in_a_later_count_group(capsys, tmp_path):
+    # the odd size is drawn in the second of three count groups
     out = tmp_path / "x.csv"
     code, _, err = run_cli(capsys, "simulate", "--model",
                            "two-sample-exponential", "--n", "6,7", "--reps",

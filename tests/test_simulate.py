@@ -1,9 +1,7 @@
 """Monte Carlo harness: determinism, rejection rules, failure policy."""
 
-import dataclasses
 import math
 import pickle
-import sys
 
 import numpy as np
 import pytest
@@ -159,7 +157,6 @@ def test_size_study_builds_bartlett_factors_once_per_count_group(monkeypatch):
         return bartlett_factors(*args)
 
     monkeypatch.setattr(sim, "bartlett_factors", counted)
-    monkeypatch.delenv("GRADCORR_THREADS", raising=False)
     run_size_study(_config(model_id="birnbaum-saunders", theta=(1.0, 1.0),
                            sizes=tuple(range(5, 23)), replicates=500,
                            alphas=(0.01, 0.05, 0.10), procedures=PROCEDURES))
@@ -179,7 +176,6 @@ def test_size_study_fits_once_per_count_group(monkeypatch):
         return fit_rows(self, m, theta10)
 
     monkeypatch.setattr(bs, "fit_rows", counted)
-    monkeypatch.delenv("GRADCORR_THREADS", raising=False)
     run_size_study(_config(model_id="birnbaum-saunders", theta=(1.0, 1.0),
                            sizes=tuple(range(5, 23)), replicates=500,
                            alphas=(0.01, 0.05, 0.10), procedures=PROCEDURES))
@@ -304,50 +300,18 @@ def test_csvs_do_not_depend_on_row_groups(tmp_path, monkeypatch):
                                     seed=SEED), cdf)
         return size.read_bytes(), cdf.read_bytes()
 
-    monkeypatch.delenv("GRADCORR_THREADS", raising=False)
     default = csvs("default")
-    # at one worker, and on two threads that trade the interpreter lock
-    # every 10 us
-    monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-5)
-    try:
-        for threads in ("1", "2"):
-            with monkeypatch.context() as m:
-                m.setenv("GRADCORR_THREADS", threads)
-                # 1,000 to 1,625 rows per solve: several solves per block,
-                # the last one short, each continuing its block's stream;
-                # and solves of 50,000 values, one of which holds the
-                # 100-row tail at n = 8 and the first 3,784 rows of a block
-                # at n = 13, the next the rest of that block
-                for values in (13_000, 50_000):
-                    m.setattr(sim, "_GROUP_VALUES", values)
-                    assert csvs(f"grouped-{values}-{threads}") == default
-                # count groups of one piece each, and of up to three blocks
-                for floor in (1, 2 * BLOCK + 1):
-                    m.setattr(sim, "_COUNT_REPLICATES", floor)
-                    assert csvs(f"counted-{floor}-{threads}") == default
-    finally:
-        sys.setswitchinterval(interval)
-
-
-@pytest.mark.parametrize("raw", ("abc", "2.5", "", "0", "-3"))
-def test_worker_count_rejects_bad_values(monkeypatch, raw):
-    monkeypatch.setenv("GRADCORR_THREADS", raw)
-    with pytest.raises(ValueError, match="GRADCORR_THREADS"):
-        sim._workers(10)
-
-
-def test_worker_count_is_clamped(monkeypatch):
-    monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
-    monkeypatch.delenv("GRADCORR_THREADS", raising=False)
-    assert sim._workers(10) == 1
-    monkeypatch.setenv("GRADCORR_THREADS", "64")
-    assert sim._workers(10) == 4
-    assert sim._workers(3) == 3
-    monkeypatch.setenv("GRADCORR_THREADS", "2")
-    assert sim._workers(10) == 2
-    assert sim._workers(1) == 1
+    # 1,000 to 1,625 rows per solve: several solves per block, the last
+    # one short, each continuing its block's stream; and solves of 50,000
+    # values, one of which holds the 100-row tail at n = 8 and the first
+    # 3,784 rows of a block at n = 13, the next the rest of that block
+    for values in (13_000, 50_000):
+        monkeypatch.setattr(sim, "_GROUP_VALUES", values)
+        assert csvs(f"grouped-{values}") == default
+    # count groups of one piece each, and of up to three blocks
+    for floor in (1, 2 * BLOCK + 1):
+        monkeypatch.setattr(sim, "_COUNT_REPLICATES", floor)
+        assert csvs(f"counted-{floor}") == default
 
 
 class _FlakyModel(ModelFamily):
@@ -402,63 +366,38 @@ def test_failure_rate_above_threshold_aborts_size_study(monkeypatch):
         run_size_study(_config(replicates=300))
 
 
-def test_cdf_study_maps_its_groups_on_threads(monkeypatch):
-    # the one-parameter families hold lambdas, so only threads can run
-    # their groups; each threaded call builds one pool of two threads, and
-    # replicate_statistics keeps the replicate order
-    from concurrent import futures
-    pools = []
-
-    class Spy(futures.ThreadPoolExecutor):
-        def __init__(self, max_workers):
-            pools.append(max_workers)
-            super().__init__(max_workers=max_workers)
-
-    monkeypatch.setattr(futures, "ThreadPoolExecutor", Spy)
-    monkeypatch.setattr(sim.os, "cpu_count", lambda: 4)
+def test_cdf_study_reduces_its_groups_in_order():
+    # a one-parameter family holds lambdas and does not pickle, yet runs a
+    # study of three count groups; failures add up over the groups, and
+    # replicate r is row r % BLOCK of block r // BLOCK, drawn from the
+    # block's own stream
     model = make_model("exponential")
     with pytest.raises(AttributeError):
         pickle.dumps(model)
-
-    def outcomes(threads):
-        monkeypatch.setenv("GRADCORR_THREADS", threads)
-        args = (1.0,), (1.0,), 10, 3 * BLOCK, SEED
-        studies = [run_cdf_study(model, *args),
-                   run_cdf_study(_FlakyModel(fail_every=50), *args)]
-        with pytest.raises(SimulationError) as failed:
-            run_cdf_study(_FlakyModel(fail_every=2), *args)
-        S, _ = replicate_statistics(model, *args)
-        return studies, str(failed.value), S
-
-    serial = outcomes("1")
-    assert pools == []
-    threaded = outcomes("2")
-    assert pools == [2, 2, 2, 2]
-    assert np.array_equal(serial[2], threaded[2])
-    assert serial[1] == threaded[1] == (
-        "6144 of 12288 fits failed at n=10 (> 5%)")
-    assert [s.failures for s in threaded[0]] == [0, 3 * 82]
-    for a, b in zip(serial[0], threaded[0]):
-        for f in dataclasses.fields(a):
-            x, y = getattr(a, f.name), getattr(b, f.name)
-            if isinstance(x, np.ndarray):
-                assert x.dtype == y.dtype and np.array_equal(x, y)
-            else:
-                assert x == y, f.name
+    args = (1.0,), (1.0,), 10, 3 * BLOCK, SEED
+    studies = [run_cdf_study(model, *args),
+               run_cdf_study(_FlakyModel(fail_every=50), *args)]
+    assert [s.failures for s in studies] == [0, 3 * 82]
+    with pytest.raises(SimulationError) as failed:
+        run_cdf_study(_FlakyModel(fail_every=2), *args)
+    assert str(failed.value) == "6144 of 12288 fits failed at n=10 (> 5%)"
+    S, failures = replicate_statistics(model, *args)
+    blocks = [model.batch_statistics(
+        model.sample((1.0,), (BLOCK, 10), np.random.Generator(
+            np.random.Philox(key=[SEED, (10 << 32) | block]))), (1.0,))[0]
+        for block in range(3)]
+    assert failures == 0 and np.array_equal(S, np.concatenate(blocks))
 
 
-def test_size_study_deterministic_across_worker_counts(tmp_path, monkeypatch):
+def test_size_study_deterministic_across_runs(tmp_path):
     cfg = _config(replicates=45_000, procedures=PROCEDURES,
                   alphas=(0.05, 0.10))
-    monkeypatch.delenv("GRADCORR_THREADS", raising=False)
-    serial = run_size_study(cfg)
-    monkeypatch.setenv("GRADCORR_THREADS", "3")
-    parallel = run_size_study(cfg)
-    assert serial.rows == parallel.rows
-    assert serial.failures == parallel.failures
-    p1, p2 = tmp_path / "serial.csv", tmp_path / "parallel.csv"
-    write_size_csv(serial, p1)
-    write_size_csv(parallel, p2)
+    first, second = run_size_study(cfg), run_size_study(cfg)
+    assert first.rows == second.rows
+    assert first.failures == second.failures
+    p1, p2 = tmp_path / "first.csv", tmp_path / "second.csv"
+    write_size_csv(first, p1)
+    write_size_csv(second, p2)
     assert p1.read_bytes() == p2.read_bytes()
 
 

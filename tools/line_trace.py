@@ -1,10 +1,10 @@
 """List the statements of src/gradcorr that the test suite never executes.
 
-Runs pytest in this process under sys.settrace and threading.settrace,
-recording line events in src/gradcorr frames only, then prints every
-statement none of whose lines ran, as path:line: source.  Standard
-library only.  Tests that run the package in a subprocess are not
-traced, so what only they reach is listed too.
+Runs pytest in this process under sys.settrace, recording line events
+in src/gradcorr frames only, then prints every statement none of whose
+lines ran, as path:line: source.  Standard library only.  Tests that
+run the package in a subprocess are not traced, so what only they reach
+is listed too.
 
     python tools/line_trace.py                # the whole suite
     python tools/line_trace.py tests/test_cli.py -k params
@@ -17,7 +17,6 @@ from __future__ import annotations
 import ast
 import os
 import sys
-import threading
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -101,13 +100,11 @@ def main(argv) -> int:
     sys.path.insert(0, str(ROOT / "src"))
     hits = set()
     trace = _tracer(hits)
-    threading.settrace(trace)
     sys.settrace(trace)
     try:
         status = pytest.main(["-q", "-p", "no:cacheprovider", *argv])
     finally:
         sys.settrace(None)
-        threading.settrace(None)
     missed = unexecuted(hits)
     for path, line, text in missed:
         print(f"{path}:{line}: {text}")
