@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import json
 import os
 import re
 import sys
@@ -23,7 +22,8 @@ import sys
 import numpy as np
 
 from .correction import PROCEDURES, run_test
-from .models import FitError, builtin_models, gradient_statistic, make_model
+from .models.base import FitError, gradient_statistic
+from .models.catalog import MODEL_IDS, make_model
 
 __all__ = ["main"]
 
@@ -226,6 +226,7 @@ def cmd_test(args) -> int:
     report = run_test(stat.value, coef, model.q, stat.n, gamma=args.gamma)
     fields = _report_fields(report)
     if args.format == "json":
+        import json
         coefficients = {k: getattr(coef, k) for k in _COEFFICIENTS}
         payload = dict(fields, coefficients=coefficients, n=stat.n,
                        gamma=args.gamma, warnings=list(report.warnings))
@@ -343,7 +344,7 @@ def cmd_cdf_study(args) -> int:
 def _add_model_flags(sub) -> None:
     aliases = ", ".join(f"{a} = {m}" for a, m in ALIASES.items())
     sub.add_argument("--model", required=True, help="model id, one of "
-                     f"{', '.join(builtin_models())} (aliases: {aliases})")
+                     f"{', '.join(MODEL_IDS)} (aliases: {aliases})")
     sub.add_argument("--params", default="",
                      help="comma list key=value: family constants and "
                           "parameter components (e.g. k=2 or phi=1)")

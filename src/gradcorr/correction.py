@@ -23,10 +23,10 @@ and reach the decisions the per-size calls reach, bit for bit.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
+from ._record import Record
 from .expansion import ExpansionCoefficients
 from .special import _chi2_ladder, chi2_cdf, chi2_quantile
 
@@ -39,16 +39,14 @@ PROCEDURES = ("uncorrected", "corrected_statistic", "expanded_cdf",
               "modified_quantile")
 
 
-@dataclass(frozen=True)
-class BartlettFactors:
+class BartlettFactors(Record):
     """Coefficients of the correction polynomial c + b*S + a*S^2 (1/n
     included): floats for an integer n, arrays for an array of n."""
 
-    a: float
-    b: float
-    c: float
-    n: int
-    q: int
+    __slots__ = ("a", "b", "c", "n", "q")
+
+    def __init__(self, a: float, b: float, c: float, n: int, q: int):
+        self._fill(a, b, c, n, q)
 
     def _sum(self, lead, x):
         # lead + c + bx + ax^2 summed left to right, scalar or elementwise;
@@ -68,19 +66,18 @@ class BartlettFactors:
         return x * self._sum(1.0, x)
 
 
-@dataclass(frozen=True)
-class TestReport:
+class TestReport(Record):
     """Everything a single gradient test produces."""
 
-    S: float
-    S_star: float
-    p_asymptotic: float
-    p_expanded: float
-    p_corrected: float
-    z_modified: float
-    coefficients: ExpansionCoefficients
-    expanded_cdf_raw: float
-    warnings: tuple[str, ...] = field(default_factory=tuple)
+    __slots__ = ("S", "S_star", "p_asymptotic", "p_expanded", "p_corrected",
+                 "z_modified", "coefficients", "expanded_cdf_raw", "warnings")
+
+    def __init__(self, S: float, S_star: float, p_asymptotic: float,
+                 p_expanded: float, p_corrected: float, z_modified: float,
+                 coefficients: ExpansionCoefficients,
+                 expanded_cdf_raw: float, warnings: tuple[str, ...] = ()):
+        self._fill(S, S_star, p_asymptotic, p_expanded, p_corrected,
+                   z_modified, coefficients, expanded_cdf_raw, warnings)
 
 
 def _check_n(n) -> None:

@@ -32,9 +32,10 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
 
 import numpy as np
+
+from ._record import Record
 
 __all__ = ["HypothesisSpec", "CumulantBundle", "DerivedCumulants",
            "FisherGeometry", "IllConditionedInformationError",
@@ -47,19 +48,17 @@ class IllConditionedInformationError(ValueError):
     """Information matrix is singular or numerically untrustworthy."""
 
 
-@dataclass(frozen=True)
-class HypothesisSpec:
+class HypothesisSpec(Record):
     """Null hypothesis theta_1 = theta10 on the first q of p components."""
 
-    p: int
-    q: int
-    theta10: tuple[float, ...] = ()
+    __slots__ = ("p", "q", "theta10")
 
-    def __post_init__(self):
-        if not 1 <= self.q <= self.p:
-            raise ValueError(f"need 1 <= q <= p, got q={self.q}, p={self.p}")
-        if self.theta10 and len(self.theta10) != self.q:
+    def __init__(self, p: int, q: int, theta10: tuple[float, ...] = ()):
+        if not 1 <= q <= p:
+            raise ValueError(f"need 1 <= q <= p, got q={q}, p={p}")
+        if theta10 and len(theta10) != q:
             raise ValueError("theta10 must have length q")
+        self._fill(p, q, theta10)
 
 
 # (field, rank, axes of its index symmetry), in field order
@@ -89,16 +88,21 @@ def _require_finite(arrays) -> None:
             raise ValueError(f"{name} has non-finite entries")
 
 
-@dataclass(frozen=True)
-class CumulantBundle:
-    """Per-observation cumulant arrays; see module docstring for layouts."""
+class CumulantBundle(Record):
+    """Per-observation cumulant arrays; see module docstring for layouts.
 
-    kappa2: np.ndarray
-    kappa3: np.ndarray
-    kappa4: np.ndarray
-    d_kappa2: np.ndarray
-    d_kappa3: np.ndarray
-    dd_kappa2: np.ndarray
+    The definiteness check factors K = -kappa2 = V diag(w) V^T, and the
+    bundle keeps (w, V) for ``build_geometry``."""
+
+    __slots__ = ("kappa2", "kappa3", "kappa4", "d_kappa2", "d_kappa3",
+                 "dd_kappa2", "_K_eigh")
+
+    def __init__(self, kappa2: np.ndarray, kappa3: np.ndarray,
+                 kappa4: np.ndarray, d_kappa2: np.ndarray,
+                 d_kappa3: np.ndarray, dd_kappa2: np.ndarray):
+        self._fill(kappa2, kappa3, kappa4, d_kappa2, d_kappa3, dd_kappa2)
+        # the checks keep the name under which the benchmark traces them
+        self.__post_init__()
 
     def __post_init__(self):
         """Shapes in field order, then finiteness and index symmetry in one
@@ -127,16 +131,17 @@ class CumulantBundle:
             name = _LAYOUT[np.searchsorted(starts, x[ok.argmin()], "right")
                            - 1][0]
             raise ValueError(f"{name} violates its index symmetry")
-        if np.any(np.linalg.eigvalsh(self.kappa2) >= 0):
+        w, V = np.linalg.eigh(-self.kappa2)       # w ascending
+        if w[0] <= 0:
             raise ValueError("kappa2 must be negative definite")
+        object.__setattr__(self, "_K_eigh", (w, V))
 
     @property
     def p(self) -> int:
         return self.kappa2.shape[0]
 
 
-@dataclass(frozen=True)
-class DerivedCumulants:
+class DerivedCumulants(Record):
     """Mixed cumulants recovered from a CumulantBundle.
 
     kappa_21[j,r,s]   = kappa_{jr,s}  = cum(U_jr, U_s)
@@ -145,10 +150,11 @@ class DerivedCumulants:
     T[j,r,s,u]        = kappa_{ju,rs} + kappa_{j,u,rs}
     """
 
-    kappa_21: np.ndarray
-    kappa_31: np.ndarray
-    kappa_13: np.ndarray
-    T: np.ndarray
+    __slots__ = ("kappa_21", "kappa_31", "kappa_13", "T")
+
+    def __init__(self, kappa_21: np.ndarray, kappa_31: np.ndarray,
+                 kappa_13: np.ndarray, T: np.ndarray):
+        self._fill(kappa_21, kappa_31, kappa_13, T)
 
 
 def derive_mixed_cumulants(b: CumulantBundle) -> DerivedCumulants:
@@ -166,15 +172,14 @@ def derive_mixed_cumulants(b: CumulantBundle) -> DerivedCumulants:
                             kappa_13=kappa_13, T=T)
 
 
-@dataclass(frozen=True)
-class FisherGeometry:
+class FisherGeometry(Record):
     """K = -kappa2, its inverse, the nuisance block inverse A, and M = Kinv - A."""
 
-    K: np.ndarray
-    Kinv: np.ndarray
-    A: np.ndarray
-    M: np.ndarray
-    q: int = field(default=0)
+    __slots__ = ("K", "Kinv", "A", "M", "q")
+
+    def __init__(self, K: np.ndarray, Kinv: np.ndarray, A: np.ndarray,
+                 M: np.ndarray, q: int = 0):
+        self._fill(K, Kinv, A, M, q)
 
 
 def build_geometry(b: CumulantBundle, h: HypothesisSpec) -> FisherGeometry:
@@ -185,13 +190,14 @@ def build_geometry(b: CumulantBundle, h: HypothesisSpec) -> FisherGeometry:
     no nuisance block and A = 0, M = Kinv.
 
     Each matrix is factored once, K = V diag(w) V^T, for its inverse
-    (V / w) V^T.  K > 0 (the bundle checks), so cond(K) = max w / min w;
-    by Cauchy interlacing cond(K22) <= cond(K), so K's check covers K22.
+    (V / w) V^T; K's factors are those the bundle's check took.  K > 0
+    (the bundle checks), so cond(K) = max w / min w; by Cauchy
+    interlacing cond(K22) <= cond(K), so K's check covers K22.
     """
     if h.p != b.p:
         raise ValueError(f"bundle has p={b.p} but hypothesis has p={h.p}")
     K = -b.kappa2
-    w, V = np.linalg.eigh(K)                  # w ascending
+    w, V = b._K_eigh                          # w ascending
     if w[-1] >= 1e12 * w[0]:
         raise IllConditionedInformationError(
             "information matrix condition number exceeds 1e12")

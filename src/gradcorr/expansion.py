@@ -36,12 +36,9 @@ so that Pr(S <= x) = G_q(x) + (1/24n) sum_i Ri G_{q+2i}(x).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .cumulants import (CumulantBundle, HypothesisSpec, build_geometry,
-                        derive_mixed_cumulants)
+from ._record import Record
 
 __all__ = ["ExpansionCoefficients", "OrthogonalCoefficients",
            "OneParamCumulants", "OrthogonalCumulants",
@@ -49,43 +46,35 @@ __all__ = ["ExpansionCoefficients", "OrthogonalCoefficients",
            "coefficients_orthogonal"]
 
 
-@dataclass(frozen=True)
-class ExpansionCoefficients:
+class ExpansionCoefficients(Record):
     """A1, A2, A3 plus the chi-square mixture weights R0..R3 they imply."""
 
-    A1: float
-    A2: float
-    A3: float
-    R0: float = field(init=False)
-    R1: float = field(init=False)
-    R2: float = field(init=False)
-    R3: float = field(init=False)
+    __slots__ = ("A1", "A2", "A3", "R0", "R1", "R2", "R3")
 
-    def __post_init__(self):
-        r1 = 3.0 * self.A3 - 2.0 * self.A2 + self.A1
-        r2 = self.A2 - 3.0 * self.A3
-        r3 = self.A3
-        object.__setattr__(self, "R1", r1)
-        object.__setattr__(self, "R2", r2)
-        object.__setattr__(self, "R3", r3)
-        object.__setattr__(self, "R0", -(r1 + r2 + r3))
+    def __init__(self, A1: float, A2: float, A3: float):
+        r1 = 3.0 * A3 - 2.0 * A2 + A1
+        r2 = A2 - 3.0 * A3
+        r3 = A3
+        self._fill(A1, A2, A3, -(r1 + r2 + r3), r1, r2, r3)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.A1, self.A2, self.A3)
 
 
-@dataclass(frozen=True)
 class OrthogonalCoefficients(ExpansionCoefficients):
     """ExpansionCoefficients with the phi / phi-beta split exposed."""
 
-    A1_phi: float = 0.0
-    A1_phibeta: float = 0.0
-    A2_phi: float = 0.0
-    A2_phibeta: float = 0.0
+    __slots__ = ("A1_phi", "A1_phibeta", "A2_phi", "A2_phibeta")
+
+    def __init__(self, A1: float, A2: float, A3: float, A1_phi: float = 0.0,
+                 A1_phibeta: float = 0.0, A2_phi: float = 0.0,
+                 A2_phibeta: float = 0.0):
+        super().__init__(A1, A2, A3)
+        self._fill(A1_phi, A1_phibeta, A2_phi, A2_phibeta,
+                   start=len(ExpansionCoefficients._names))
 
 
-@dataclass(frozen=True)
-class OneParamCumulants:
+class OneParamCumulants(Record):
     """Scalar cumulants of a one-parameter model at phi.
 
     kpp    = kappa_phiphi            kpp_p   = d kappa_phiphi / d phi
@@ -93,15 +82,13 @@ class OneParamCumulants:
     kpppp  = kappa_phiphiphiphi      kpp_pp  = d^2 kappa_phiphi / d phi^2
     """
 
-    kpp: float
-    kppp: float
-    kpppp: float
-    kpp_p: float
-    kppp_p: float
-    kpp_pp: float
+    __slots__ = ("kpp", "kppp", "kpppp", "kpp_p", "kppp_p", "kpp_pp")
+
+    def __init__(self, kpp: float, kppp: float, kpppp: float, kpp_p: float,
+                 kppp_p: float, kpp_pp: float):
+        self._fill(kpp, kppp, kpppp, kpp_p, kppp_p, kpp_pp)
 
 
-@dataclass(frozen=True)
 class OrthogonalCumulants(OneParamCumulants):
     """The sixteen scalars the orthogonal closed forms consume: the six
     phi scalars of OneParamCumulants, then ten more.
@@ -112,16 +99,15 @@ class OrthogonalCumulants(OneParamCumulants):
     d^2 kappa_phiphi / d phi^2.
     """
 
-    kbb: float
-    kbbb: float
-    kpbb: float
-    kppb: float
-    kppbb: float
-    kpp_b: float
-    kppb_b: float
-    kpbb_p: float
-    kbb_b: float
-    kbb_p: float
+    __slots__ = ("kbb", "kbbb", "kpbb", "kppb", "kppbb", "kpp_b", "kppb_b",
+                 "kpbb_p", "kbb_b", "kbb_p")
+
+    def __init__(self, kpp: float, kppp: float, kpppp: float, kpp_p: float,
+                 kppp_p: float, kpp_pp: float, kbb: float, kbbb: float,
+                 kpbb: float, kppb: float, kppbb: float, kpp_b: float,
+                 kppb_b: float, kpbb_p: float, kbb_b: float, kbb_p: float):
+        self._fill(kpp, kppp, kpppp, kpp_p, kppp_p, kpp_pp, kbb, kbbb, kpbb,
+                   kppb, kppbb, kpp_b, kppb_b, kpbb_p, kbb_b, kbb_p)
 
     @classmethod
     def from_arrays(cls, kappa2, kappa3, kappa4, d_kappa2, d_kappa3,
@@ -187,6 +173,7 @@ def coefficients_general(b: CumulantBundle,
     m^{jr}(m^{sk} + 2 a^{sk}), not kappa^{s,k} in place of m^{sk}, and
     the kappa_{jrs,u} m^{jr} a^{su} term enters with a minus sign.
     """
+    from .cumulants import build_geometry, derive_mixed_cumulants
     tr, cr, f = _tables(b, build_geometry(b, h), derive_mixed_cumulants(b))
     A3 = 0.75 * tr[M, U + M, U + M] + 0.5 * cr[M, 1, M]
 

@@ -33,11 +33,10 @@ from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 
 import numpy as np
 
-from ..cumulants import CumulantBundle, HypothesisSpec
+from .._record import Record
 from ..expansion import (ExpansionCoefficients, OrthogonalCumulants,
                          coefficients_general, coefficients_orthogonal)
 
@@ -49,16 +48,15 @@ class FitError(RuntimeError):
     """Maximum likelihood fit failed to converge."""
 
 
-@dataclass(frozen=True)
-class GradientStatistic:
+class GradientStatistic(Record):
     """Gradient test statistic with its sample size and the restricted
     MLE it was evaluated at."""
 
-    value: float
-    n: int
-    raw: float
-    theta_tilde: np.ndarray
-    clamped: bool = False
+    __slots__ = ("value", "n", "raw", "theta_tilde", "clamped")
+
+    def __init__(self, value: float, n: int, raw: float,
+                 theta_tilde: np.ndarray, clamped: bool = False):
+        self._fill(value, n, raw, theta_tilde, clamped)
 
 
 class ModelFamily(ABC):
@@ -107,6 +105,7 @@ class ModelFamily(ABC):
 
     def cumulants(self, theta) -> CumulantBundle:
         """Analytic per-observation cumulant arrays at theta."""
+        from ..cumulants import CumulantBundle
         return CumulantBundle(*self.cumulant_arrays(theta))
 
     def specialized_coefficients(self, theta) -> ExpansionCoefficients:
@@ -133,6 +132,7 @@ class ModelFamily(ABC):
         """Raise ValueError naming the first offending observation."""
 
     def hypothesis(self, theta10) -> HypothesisSpec:
+        from ..cumulants import HypothesisSpec
         theta10 = np.atleast_1d(np.asarray(theta10, dtype=float))
         return HypothesisSpec(p=self.p, q=self.q, theta10=tuple(theta10))
 

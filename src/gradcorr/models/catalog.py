@@ -1,57 +1,54 @@
 """Built-in model catalog.
 
-Twelve families, keyed by CLI-friendly ids.  Values are factories taking
-the family's fixed constants (a known mean, index, or support endpoint)
-as keyword arguments; the inverse-normal entry covers both known-mean
-and known-shape cases through its ``known`` argument.
+Twelve families, keyed by CLI-friendly ids.  Each id names the module
+and the factory that builds the family; the factory takes the family's
+fixed constants (a known mean, index, or support endpoint) as keyword
+arguments, and the inverse-normal entry covers both known-mean and
+known-shape cases through its ``known`` argument.  ``make_model``
+imports a family's module on first use, so a command that runs one
+family loads only that family's module.
 """
 
 from __future__ import annotations
 
+import importlib
 from typing import Callable
 
 from .base import ModelFamily
-from .birnbaum_saunders import BirnbaumSaunders
-from .one_param import (exponential, gamma_rate, inverse_normal_mean_known,
-                        inverse_normal_shape_known, laplace_scale,
-                        normal_mean_known, normal_variance_known,
-                        pareto_shape, power_shape, truncated_extreme_value)
-from .two_param import NormalMeanTest, TwoSampleExponential
 
-__all__ = ["builtin_models", "make_model"]
+__all__ = ["MODEL_IDS", "builtin_models", "make_model"]
+
+# id -> module.factory, both within this package
+_FAMILIES = {
+    "exponential": "one_param.exponential",
+    "normal-mean-known": "one_param.normal_mean_known",
+    "normal-variance-known": "one_param.normal_variance_known",
+    "inverse-normal": "one_param._inverse_normal",
+    "gamma-rate": "one_param.gamma_rate",
+    "truncated-extreme-value": "one_param.truncated_extreme_value",
+    "pareto-shape": "one_param.pareto_shape",
+    "power-shape": "one_param.power_shape",
+    "laplace-scale": "one_param.laplace_scale",
+    "two-parameter-normal": "two_param.NormalMeanTest",
+    "two-sample-exponential": "two_param.TwoSampleExponential",
+    "birnbaum-saunders": "birnbaum_saunders.BirnbaumSaunders",
+}
+MODEL_IDS = tuple(_FAMILIES)
 
 
-def _inverse_normal(known: str = "mean", mu: float = 1.0,
-                    shape: float = 1.0) -> ModelFamily:
-    if known == "mean":
-        return inverse_normal_mean_known(mu=mu)
-    if known == "shape":
-        return inverse_normal_shape_known(shape=shape)
-    raise ValueError(f"known must be 'mean' or 'shape', got {known!r}")
+def _factory(model_id: str) -> Callable[..., ModelFamily]:
+    module, _, name = _FAMILIES[model_id].partition(".")
+    return getattr(importlib.import_module(f".{module}", __package__), name)
 
 
 def builtin_models() -> dict[str, Callable[..., ModelFamily]]:
     """Catalog of the built-in families: id -> factory."""
-    return {
-        "exponential": exponential,
-        "normal-mean-known": normal_mean_known,
-        "normal-variance-known": normal_variance_known,
-        "inverse-normal": _inverse_normal,
-        "gamma-rate": gamma_rate,
-        "truncated-extreme-value": truncated_extreme_value,
-        "pareto-shape": pareto_shape,
-        "power-shape": power_shape,
-        "laplace-scale": laplace_scale,
-        "two-parameter-normal": NormalMeanTest,
-        "two-sample-exponential": TwoSampleExponential,
-        "birnbaum-saunders": BirnbaumSaunders,
-    }
+    return {model_id: _factory(model_id) for model_id in MODEL_IDS}
 
 
 def make_model(model_id: str, **constants) -> ModelFamily:
     """Instantiate a catalog family by id."""
-    catalog = builtin_models()
-    if model_id not in catalog:
-        known = ", ".join(sorted(catalog))
+    if model_id not in _FAMILIES:
+        known = ", ".join(sorted(_FAMILIES))
         raise ValueError(f"unknown model {model_id!r}; available: {known}")
-    return catalog[model_id](**constants)
+    return _factory(model_id)(**constants)

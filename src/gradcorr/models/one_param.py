@@ -19,11 +19,9 @@ mean, rate index, support endpoint) are bound at construction time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
-
 import numpy as np
 
+from .._record import Record
 from ..expansion import (ExpansionCoefficients, OneParamCumulants,
                          coefficients_one_param)
 from .base import POSITIVE, ModelFamily, check_observations
@@ -35,21 +33,23 @@ __all__ = ["OneParamExpFamily", "exponential", "normal_mean_known",
            "laplace_scale"]
 
 
-@dataclass(frozen=True)
-class _FamilySpec:
-    name: str
-    d: Callable[[np.ndarray], np.ndarray]
-    alpha_derivs: Callable[[float], tuple]    # (a1, a2, a3) at phi
-    beta: Callable[[float], float]
-    beta_derivs: Callable[[float], tuple]     # (b1, b2, b3) at phi
-    # elementwise; fit_rows makes a non-finite or out-of-range value NaN
-    mle_from_dbar: Callable[[np.ndarray], np.ndarray]
-    sampler: Callable[[float, object, np.random.Generator], np.ndarray]
-    # (predicate, reason) for check_observations; None: the real line
-    support: tuple = (None, "")
-    phi_min: float = 0.0                      # open lower bound for phi
-    param_name: str = "phi"
-    default_phi: float = 1.0
+class _FamilySpec(Record):
+    """A family's closures: d(x) elementwise; (a1, a2, a3) and (b1, b2, b3),
+    the derivatives of alpha and beta at phi; beta(phi); the MLE from dbar,
+    elementwise, which fit_rows makes NaN where it is not finite or out of
+    range; and the sampler.  ``support`` is a (predicate, reason) pair for
+    check_observations, None the real line; ``phi_min`` is the open lower
+    bound for phi."""
+
+    __slots__ = ("name", "d", "alpha_derivs", "beta", "beta_derivs",
+                 "mle_from_dbar", "sampler", "support", "phi_min",
+                 "param_name", "default_phi")
+
+    def __init__(self, name, d, alpha_derivs, beta, beta_derivs,
+                 mle_from_dbar, sampler, support=(None, ""), phi_min=0.0,
+                 param_name="phi", default_phi=1.0):
+        self._fill(name, d, alpha_derivs, beta, beta_derivs, mle_from_dbar,
+                   sampler, support, phi_min, param_name, default_phi)
 
 
 class OneParamExpFamily(ModelFamily):
@@ -195,6 +195,17 @@ def inverse_normal_shape_known(shape: float = 1.0) -> OneParamExpFamily:
         support=POSITIVE,
         param_name="mu",
     ))
+
+
+def _inverse_normal(known: str = "mean", mu: float = 1.0,
+                    shape: float = 1.0) -> OneParamExpFamily:
+    """The catalog's inverse-normal entry: the known-mean or the known-shape
+    family, by ``known``."""
+    if known == "mean":
+        return inverse_normal_mean_known(mu=mu)
+    if known == "shape":
+        return inverse_normal_shape_known(shape=shape)
+    raise ValueError(f"known must be 'mean' or 'shape', got {known!r}")
 
 
 def gamma_rate(k: float = 1.0) -> OneParamExpFamily:

@@ -623,28 +623,48 @@ def test_closed_stdout_exits_1_without_traceback(tmp_path):
 
 
 def test_commands_import_only_what_they_run(tmp_path):
-    # test and coeffs leave the study driver unimported, and no command,
-    # a study of several count groups included, loads concurrent.futures
+    # a command loads the family it runs and no other, test and coeffs
+    # leave the study driver unimported, test leaves the cumulant layer of
+    # the general route unimported and json unless it prints json, no
+    # module that test loads defines a dataclass, and no command, a study
+    # of several count groups included, loads concurrent.futures
     src = str(Path(__file__).resolve().parents[1] / "src")
+    watched = ("gradcorr.simulate", "gradcorr.cumulants",
+               "gradcorr.models.one_param", "gradcorr.models.two_param",
+               "gradcorr.models.birnbaum_saunders", "json",
+               "concurrent.futures")
     code = ("import sys; sys.path.insert(0, sys.argv[1]); "
             "from gradcorr import cli; "
             "assert cli.main(sys.argv[2:]) == 0; "
-            "print(['gradcorr.simulate' in sys.modules, "
-            "any(m.startswith('concurrent.futures') for m in sys.modules)])")
-    path = _write(tmp_path / "exp.txt", "1.0\n1.2\n1.8\n2.0\n")
+            f"print([m for m in {watched!r} if m in sys.modules]); "
+            "print([f'{n}.{k}' for n, m in list(sys.modules.items()) "
+            "if n.startswith('gradcorr') for k, v in vars(m).items() "
+            "if hasattr(v, '__dataclass_fields__')])")
+    path = _write(tmp_path / "x.txt", "1.0\n1.2\n1.8\n2.0\n")
+    test = ["test", "--data", path, "--theta10", "1", "--model"]
     study = ["simulate", "--model", "exponential", "--n", "6", "--seed", "1",
              "--out", str(tmp_path / "x.csv"), "--reps"]
     for argv, loaded in (
-            (["test", "--model", "exponential", "--data", path,
-              "--theta10", "1"], "[False, False]"),
-            (["coeffs", "--model", "birnbaum-saunders"], "[False, False]"),
-            (study + ["10"], "[True, False]"),
-            # two count groups of 4,096 and 904 replicates
-            (study + ["5000"], "[True, False]")):
+            (test + ["exponential"], ["gradcorr.models.one_param"]),
+            (test + ["birnbaum-saunders", "--format", "text"],
+             ["gradcorr.models.birnbaum_saunders"]),
+            (test + ["exponential", "--format", "csv"],
+             ["gradcorr.models.one_param"]),
+            (test + ["exponential", "--format", "json"],
+             ["gradcorr.models.one_param", "json"]),
+            (["coeffs", "--model", "birnbaum-saunders"],
+             ["gradcorr.cumulants", "gradcorr.models.birnbaum_saunders"])):
         done = subprocess.run([sys.executable, "-c", code, src, *argv],
                               capture_output=True, text=True, timeout=60,
                               check=True)
-        assert done.stdout.splitlines()[-1] == loaded, argv
+        assert done.stdout.splitlines()[-2:] == [str(loaded), "[]"], argv
+    for reps in ("10", "5000"):     # 5000: groups of 4,096 and 904
+        done = subprocess.run([sys.executable, "-c", code, src,
+                               *study, reps], capture_output=True,
+                              text=True, timeout=60, check=True)
+        last = done.stdout.splitlines()[-2]
+        assert "gradcorr.simulate" in last, reps
+        assert "concurrent.futures" not in last, reps
 
 
 def test_cdf_study_rejects_size_list(capsys, tmp_path):

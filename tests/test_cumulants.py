@@ -261,6 +261,30 @@ def test_geometry_identities_on_random_bundles():
         assert np.allclose(g.K @ g.Kinv, np.eye(p), atol=1e-10)
 
 
+def test_kappa2_is_factored_once_per_general_route_call(monkeypatch):
+    # the bundle's definiteness check factors K = -kappa2, and
+    # build_geometry inverts K from those factors; only the nuisance block
+    # K22 is factored again
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    monkeypatch.setattr(np.linalg, "eigvalsh", None)
+    raw = random_integer_bundle(3, random.Random(27))
+    b = CumulantBundle(**bundle_to_float_arrays(raw))
+    assert calls == [(3, 3)]
+    w, V = eigh(-b.kappa2)
+    for q, more in ((3, []), (1, [(2, 2)])):
+        g = build_geometry(b, HypothesisSpec(p=3, q=q))
+        assert calls == [(3, 3)] + more
+        assert np.array_equal(g.Kinv, (V / w) @ V.T)
+        del calls[1:]
+
+
 def test_geometry_rejects_mismatched_hypothesis():
     with pytest.raises(ValueError):
         build_geometry(_bundle(2), HypothesisSpec(p=3, q=1))
