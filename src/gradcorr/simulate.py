@@ -9,25 +9,27 @@ at sample size n is row r % BLOCK of block r // BLOCK, whose (BLOCK, n)
 data matrix is drawn in C order from the Philox stream keyed by
 (seed, n, block) (Salmon et al., "Parallel random numbers: as easy as
 1, 2, 3", SC'11).  Replicate r is thus a pure function of (seed, n, r),
-whatever the replicate count.  The unit of work is a count group: the
-consecutive (n, block) pieces, sizes in config order and blocks in
-order within a size, gathered until they hold at least BLOCK
-replicates (the last group may hold fewer), so a group spans sizes
-when blocks are short and is one block otherwise, as in a CDF study.
-A group's pieces are drawn, each from its own block's stream, and
-reduced together: one batch_statistics call (one Newton run for
-Birnbaum-Saunders) solves as many of its rows as fit in _GROUP_VALUES
-values, whatever their n, and a piece that does not fit continues its
-stream in the next solve, so the cap bounds memory without moving a
-draw.  A size study's finite S are then decided at once, each value
-carrying its own n, and counted per sample size, so the fixed costs of
-the fits and of the rules are paid per group, not per size.  Solve
-size and count-group size therefore affect neither values nor, thanks
-to integer-count reduction, aggregates.
+whatever the replicate count.  The unit of work is a solve: one
+batch_statistics call (one Newton run for Birnbaum-Saunders) over
+consecutive (n, block) pieces, sizes in config order and blocks in order
+within a size, each drawn from its own block's stream, whatever their n.
+A solve is closed before a piece that would pass _GROUP_VALUES values;
+the piece continues its stream in the next solve, so the cap bounds
+memory without moving a draw.  A solve is also closed once it holds
+BLOCK replicates, so it spans sizes when blocks are short and is one
+block otherwise, as in a CDF study: solves filled to the value cap
+alone made the 10,000-replicate Birnbaum-Saunders and exponential CDF
+studies at n = 10 1.16x and 1.08x slower on a shared 2-vCPU Xeon, as
+larger solves fall out of cache.  A size study decides a solve's finite
+S at once, each value carrying its own n, and counts them per sample
+size, so the fixed costs of the fits and of the rules are paid per
+solve, not per size.  How the replicates are partitioned into solves
+therefore affects neither values nor, thanks to integer-count
+reduction, aggregates.
 Seeded results differ from versions that keyed one stream per
-replicate.  Both studies reduce their count groups in order on the
-calling thread: on 2 vCPUs, two threads took 1.2-1.6x the CPU time of
-one for 6-24 % less wall time on long studies, and slowed short ones.
+replicate.  Both studies run their solves in order on the calling
+thread: on 2 vCPUs, two threads took 1.2-1.6x the CPU time of one for
+6-24 % less wall time on long studies, and slowed short ones.
 
 Coefficients for the corrected procedures are ``ModelFamily.coefficients``
 evaluated at the null point (tested components at theta10, nuisance at
@@ -72,7 +74,6 @@ __all__ = ["PROCEDURES", "BLOCK", "SimulationConfig", "SizeRow",
 
 BLOCK = 4096                      # replicates per stream key
 _GROUP_VALUES = 24 * BLOCK        # cap on replicates*n in one solve
-_COUNT_REPLICATES = BLOCK         # replicates decided at once, at least
 _MAX_FAILURE_RATE = 0.05
 _GRID_POINTS = 512                # points of a CDF study's grid
 _STRIDE = 16                      # sorted values per coarse sup interval
@@ -242,28 +243,31 @@ def _null_point(model: ModelFamily, theta, theta10) -> tuple:
             model.coefficients(np.concatenate([theta10, theta[model.q:]])))
 
 
-def _reduce(model: ModelFamily, theta, theta10, seed: int,
-            group) -> np.ndarray:
-    """S of the rows of a count group's (size index, n, block, rows)
-    pieces end to end, NaN where a fit failed.  A piece is the first
-    ``rows`` replicates of its block, drawn from the block's stream; the
-    pieces are reduced together by batch_statistics in solves of at most
-    _GROUP_VALUES values, and a piece that does not fit in one solve
-    continues its stream in the next."""
-    S, solve, held = [], [], 0
-    for _, n, block, rows in group:
-        rng = np.random.Generator(np.random.Philox(key=[seed,
-                                                        (n << 32) | block]))
-        while rows:
-            if solve and held + n > _GROUP_VALUES:
-                S.append(model.batch_statistics(solve, theta10)[0])
-                solve, held = [], 0
-            k = min(rows, max(1, (_GROUP_VALUES - held) // n))
-            solve.append(model.sample(theta, (k, n), rng))
-            held += k * n
-            rows -= k
-    S.append(model.batch_statistics(solve, theta10)[0])
-    return S[0] if len(S) == 1 else np.concatenate(S)
+def _solves(model: ModelFamily, theta, theta10, seed: int, sizes,
+            replicates: int):
+    """Each solve of a study, in order: its (size index, rows) runs and the
+    S of its rows end to end, NaN where a fit failed.  The (size, block)
+    pieces come in config order, each drawn from its block's stream; a
+    solve is closed before a piece that would pass _GROUP_VALUES values,
+    which continues its stream in the next solve, or once it holds BLOCK
+    replicates."""
+    solve, runs, values, held = [], [], 0, 0
+    for i, n in enumerate(sizes):
+        for block in range(-(-replicates // BLOCK)):
+            key = [seed, (n << 32) | block]
+            rng = np.random.Generator(np.random.Philox(key=key))
+            rows = min(BLOCK, replicates - block * BLOCK)
+            while rows:
+                if solve and (values + n > _GROUP_VALUES or held >= BLOCK):
+                    yield runs, model.batch_statistics(solve, theta10)[0]
+                    solve, runs, values, held = [], [], 0, 0
+                k = min(rows, max(1, (_GROUP_VALUES - values) // n))
+                solve.append(model.sample(theta, (k, n), rng))
+                runs.append((i, k))
+                values += k * n
+                held += k
+                rows -= k
+    yield runs, model.batch_statistics(solve, theta10)[0]
 
 
 def replicate_statistics(model: ModelFamily, theta, theta10, n: int,
@@ -278,27 +282,9 @@ def replicate_statistics(model: ModelFamily, theta, theta10, n: int,
 def _statistics(model: ModelFamily, theta, theta10, n: int,
                 replicates: int, seed: int) -> tuple:
     """replicate_statistics on checked inputs."""
-    S = np.concatenate([_reduce(model, theta, theta10, seed, group)
-                        for group in _groups((n,), replicates)])
+    S = np.concatenate([S for _, S in _solves(model, theta, theta10, seed,
+                                              (n,), replicates)])
     return S, int(np.count_nonzero(np.isnan(S)))
-
-
-def _groups(sizes, replicates: int) -> list:
-    """The size study's count groups: consecutive (size index, n, block,
-    rows) pieces gathered until a group holds _COUNT_REPLICATES
-    replicates or more; the last group may hold fewer."""
-    groups, group, held = [], [], 0
-    for i, n in enumerate(sizes):
-        for block in range(-(-replicates // BLOCK)):
-            rows = min(BLOCK, replicates - block * BLOCK)
-            group.append((i, n, block, rows))
-            held += rows
-            if held >= _COUNT_REPLICATES:
-                groups.append(group)
-                group, held = [], 0
-    if group:
-        groups.append(group)
-    return groups
 
 
 def _rejections(S, coef, q, n, alphas, procedures) -> np.ndarray:
@@ -326,25 +312,25 @@ def _rejections(S, coef, q, n, alphas, procedures) -> np.ndarray:
     return rej
 
 
-def _size_group(model: ModelFamily, cfg: SimulationConfig,
-                coef: ExpansionCoefficients, pieces) -> tuple:
+def _size_counts(cfg: SimulationConfig, coef: ExpansionCoefficients, q: int,
+                 runs, S) -> tuple:
     """Rejection counts per (size, cell) and failures per size of one
-    count group, zero for the sizes the group does not hold."""
-    S = _reduce(model, cfg.theta, cfg.theta10, cfg.seed, pieces)
+    solve's (size index, rows) runs and S, zero for the sizes it does not
+    hold."""
     finite = np.isfinite(S)
     failures = np.zeros(len(cfg.sizes), dtype=np.int64)
-    runs, lo = [], 0          # (size index, finite S) per piece
-    for i, _, _, rows in pieces:
+    kept, lo = [], 0          # (size index, finite S) per run
+    for i, rows in runs:
         m = int(np.count_nonzero(finite[lo:lo + rows]))
         failures[i] += rows - m
-        runs.append((i, m))
+        kept.append((i, m))
         lo += rows
     S = S[finite]
-    n = np.repeat([cfg.sizes[i] for i, _ in runs], [m for _, m in runs])
-    rej = _rejections(S, coef, model.q, n, cfg.alphas, cfg.procedures)
+    n = np.repeat([cfg.sizes[i] for i, _ in kept], [m for _, m in kept])
+    rej = _rejections(S, coef, q, n, cfg.alphas, cfg.procedures)
     counts = np.zeros((len(cfg.sizes), len(rej)), dtype=np.int64)
     lo = 0
-    for i, m in runs:
+    for i, m in kept:
         counts[i] += np.count_nonzero(rej[:, lo:lo + m], axis=1)
         lo += m
     return counts, failures
@@ -363,8 +349,9 @@ def run_size_study(cfg: SimulationConfig) -> SimulationResult:
     """Null rejection rates per (n, alpha, procedure)."""
     model = make_model(cfg.model_id, **cfg.constants)
     _, _, coef = _null_point(model, cfg.theta, cfg.theta10)
-    partials = [_size_group(model, cfg, coef, pieces)
-                for pieces in _groups(cfg.sizes, cfg.replicates)]
+    partials = [_size_counts(cfg, coef, model.q, runs, S)
+                for runs, S in _solves(model, cfg.theta, cfg.theta10, cfg.seed,
+                                       cfg.sizes, cfg.replicates)]
     counts = sum(c for c, _ in partials)
     failures = dict(zip(cfg.sizes, sum(f for _, f in partials).tolist()))
     _check_failures(failures, cfg.replicates)

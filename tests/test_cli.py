@@ -627,7 +627,7 @@ def test_commands_import_only_what_they_run(tmp_path):
     # leave the study driver unimported, test leaves the cumulant layer of
     # the general route unimported and json unless it prints json, no
     # module that test loads defines a dataclass, and no command, a study
-    # of several count groups included, loads concurrent.futures
+    # of several solves included, loads concurrent.futures
     src = str(Path(__file__).resolve().parents[1] / "src")
     watched = ("gradcorr.simulate", "gradcorr.cumulants",
                "gradcorr.models.one_param", "gradcorr.models.two_param",
@@ -658,7 +658,7 @@ def test_commands_import_only_what_they_run(tmp_path):
                               capture_output=True, text=True, timeout=60,
                               check=True)
         assert done.stdout.splitlines()[-2:] == [str(loaded), "[]"], argv
-    for reps in ("10", "5000"):     # 5000: groups of 4,096 and 904
+    for reps in ("10", "5000"):     # 5000: solves of 4,096 and 904
         done = subprocess.run([sys.executable, "-c", code, src,
                                *study, reps], capture_output=True,
                               text=True, timeout=60, check=True)
@@ -685,7 +685,7 @@ def test_simulate_rejects_odd_two_sample_size(capsys, tmp_path):
 
 
 def test_simulate_rejects_odd_size_in_a_later_count_group(capsys, tmp_path):
-    # the odd size is drawn in the second of three count groups
+    # the odd size is drawn in the second of three solves
     out = tmp_path / "x.csv"
     code, _, err = run_cli(capsys, "simulate", "--model",
                            "two-sample-exponential", "--n", "6,7", "--reps",

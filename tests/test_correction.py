@@ -189,6 +189,11 @@ def test_run_test_rejects_nonfinite(S):
         run_test(S, EXP, 1, 20)
 
 
+def test_run_test_rejects_negative_statistic():
+    with pytest.raises(ValueError, match=r"^S must be >= 0, got -1\.0$"):
+        run_test(-1.0, EXP, 1, 20)
+
+
 def test_run_test_zero_coefficients_collapses():
     r = run_test(2.5, ZERO, q=1, n=30)
     assert r.S_star == 2.5

@@ -294,6 +294,15 @@ def test_orthogonal_route_zero_cumulants():
     assert np.allclose(c.as_tuple(), (0.0, 0.0, 0.0), atol=1e-14)
 
 
+def test_orthogonal_route_refuses_a_positive_nuisance_information():
+    with pytest.raises(ValueError, match="^kappa_phiphi and kappa_betabeta "
+                                         "must be negative$"):
+        coefficients_orthogonal(OrthogonalCumulants(
+            kpp=-1.0, kppp=0.0, kpppp=0.0, kpp_p=0.0, kppp_p=0.0, kpp_pp=0.0,
+            kbb=1.0, kbbb=0.0, kpbb=0.0, kppb=0.0, kppbb=0.0, kpp_b=0.0,
+            kppb_b=0.0, kpbb_p=0.0, kbb_b=0.0, kbb_p=0.0))
+
+
 ONE_PARAM = ["exponential", "normal-mean-known", "normal-variance-known",
              "inverse-normal", "gamma-rate", "truncated-extreme-value",
              "pareto-shape", "power-shape", "laplace-scale"]

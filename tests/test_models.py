@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from gradcorr.cumulants import CumulantBundle
 from gradcorr.models import (FitError, builtin_models, gradient_statistic,
                              make_model)
-from gradcorr.models.base import ModelFamily
+from gradcorr.models.base import ModelFamily, check_observations
 from gradcorr.simulate import replicate_statistics
 from oracles import (birnbaum_saunders_coefficients,
                      gradient_statistic_reference, score)
@@ -25,6 +25,78 @@ def test_catalog_has_twelve_families():
 def test_make_model_rejects_unknown_id():
     with pytest.raises(ValueError, match="exponential"):
         make_model("no-such-family")
+
+
+@pytest.mark.parametrize("model_id, constants, message", (
+    ("normal-variance-known", dict(variance=0.0), "variance must be positive"),
+    ("inverse-normal", dict(mu=-1.0), "mu must be positive"),
+    ("inverse-normal", dict(known="shape", shape=0.0),
+     "shape must be positive"),
+    ("inverse-normal", dict(known="x"),
+     "known must be 'mean' or 'shape', got 'x'"),
+    ("gamma-rate", dict(k=0.0), "k must be positive"),
+    ("pareto-shape", dict(k=-1.0), "k must be positive"),
+    ("power-shape", dict(theta=0.0), "theta must be positive")))
+def test_make_model_rejects_bad_constants(model_id, constants, message):
+    with pytest.raises(ValueError) as refused:
+        make_model(model_id, **constants)
+    assert str(refused.value) == message
+
+
+@pytest.mark.parametrize("model_id, theta, message", (
+    ("birnbaum-saunders", (-1.0, 1.0),
+     "shape and scale must be positive, got (-1.0, 1.0)"),
+    ("two-parameter-normal", (0.0, -1.0), "variance must be positive, got -1.0"),
+    ("two-sample-exponential", (1.0, 0.0),
+     "both parameters must be positive, got (1.0, 0.0)")))
+def test_sampling_rejects_theta_outside_the_space(model_id, theta, message):
+    with pytest.raises(ValueError) as refused:
+        make_model(model_id).sample(theta, 6, np.random.default_rng(0))
+    assert str(refused.value) == message
+
+
+def test_two_sample_batch_refuses_an_odd_width():
+    # batch_statistics is public and takes matrices from outside the
+    # package: an odd width would average unequal halves
+    with pytest.raises(ValueError) as refused:
+        make_model("two-sample-exponential").batch_statistics(
+            np.ones((2, 5)), (1.0,))
+    assert str(refused.value) == "total sample size must be even, got 5"
+
+
+def test_check_observations_refuses_two_dimensional_data():
+    with pytest.raises(ValueError) as refused:
+        check_observations("exponential", np.ones((2, 3)))
+    assert str(refused.value) == "exponential: data must be one-dimensional"
+
+
+class _StubFamily(ModelFamily):
+    """A one-parameter family with neither route to its coefficients."""
+
+    name = "stub"
+
+    def sample(self, theta, size, rng):
+        return rng.standard_normal(size)
+
+    def summarize(self, x):
+        return x.shape[1], x.mean(axis=1)
+
+    def fit_rows(self, m, theta10):
+        return np.full((len(m[1]), 1), theta10[0]), m[1][:, None]
+
+    def raw_statistic(self, m, theta10, theta_tilde, theta_hat):
+        return m[0] * m[1] ** 2
+
+
+def test_family_without_cumulants_has_no_coefficients():
+    # the specialized route is for p = 2, q = 1 only, and the general
+    # route needs the cumulant arrays the stub does not define
+    with pytest.raises(NotImplementedError,
+                       match="^stub has no specialized route$"):
+        _StubFamily().specialized_coefficients((1.0,))
+    with pytest.raises(NotImplementedError,
+                       match="^stub has no cumulant arrays$"):
+        _StubFamily().coefficients((1.0,))
 
 
 def test_every_family_reports_consistent_dimensions(model):

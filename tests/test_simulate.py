@@ -39,7 +39,7 @@ def test_config_validation():
     with pytest.raises(ValueError):
         _config(alphas=(1.0,))
     # 1 - 1e-17 rounds to 1.0: refused here, before any draw, not by the
-    # chi-square quantile once the first count group has been fit
+    # chi-square quantile once the first solve has been fit
     with pytest.raises(ValueError, match=r"^levels must lie in \(0,1\), "
                        r"with 1 - level below 1 in floating point, "
                        r"got \(0\.05, 1e-17\)$"):
@@ -132,24 +132,73 @@ def test_numpy_integer_study_inputs_are_accepted():
 
 @pytest.mark.parametrize("sizes, reps", (
     ((8,), 1), ((5, 6, 7), 500), ((13, 6, 9), BLOCK + 300),
-    ((6, 9), 3 * BLOCK), ((6, 7, 8, 9), 2 * BLOCK - 1)))
+    ((6, 9), 3 * BLOCK), ((6, 7, 8, 9), 2 * BLOCK - 1),
+    ((100, 7, 30), BLOCK + 10)))
 def test_count_groups_cover_every_piece_in_order(sizes, reps):
-    groups = sim._groups(sizes, reps)
+    # the solves' runs cover every block's rows, sizes in config order and
+    # blocks in order within a size, each block's S what one draw of the
+    # whole block from its stream gives, whatever solves it is split over
+    m = make_model("exponential")
+    solves = list(sim._solves(m, (1.0,), (1.0,), SEED, sizes, reps))
     full, tail = divmod(reps, BLOCK)
     blocks = [BLOCK] * full + [tail] * (tail > 0)
-    pieces = [(i, n, block, rows) for i, n in enumerate(sizes)
-              for block, rows in enumerate(blocks)]
-    assert [p for g in groups for p in g] == pieces
-    held = [sum(rows for *_, rows in g) for g in groups]
-    # every group but the last reaches the floor, and none holds a piece
-    # more than it needs to reach it
-    assert all(h >= sim._COUNT_REPLICATES for h in held[:-1])
-    assert all(h - g[-1][3] < sim._COUNT_REPLICATES
-               for h, g in zip(held, groups))
+    want = [m.batch_statistics(m.sample((1.0,), (rows, n), np.random.Generator(
+        np.random.Philox(key=[SEED, (n << 32) | block]))), (1.0,))[0]
+        for n in sizes for block, rows in enumerate(blocks)]
+    assert np.array_equal(np.concatenate([S for _, S in solves]),
+                          np.concatenate(want))
+    runs = [run for r, _ in solves for run in r]
+    assert [i for i, _ in runs] == sorted(i for i, _ in runs)
+    assert [sum(k for j, k in runs if j == i) for i in range(len(sizes))] \
+        == [reps] * len(sizes)
+    # each solve holds its runs' rows, at most _GROUP_VALUES values (or a
+    # single row), and fewer than BLOCK replicates before its last run
+    for r, S in solves:
+        assert len(S) == sum(k for _, k in r)
+        assert sum(k * sizes[i] for i, k in r) <= sim._GROUP_VALUES \
+            or len(S) == 1
+        assert len(S) - r[-1][1] < BLOCK
+
+
+def _solve_rows(monkeypatch, model):
+    """The rows of each batch_statistics call that model's family makes."""
+    family, rows = type(model), []
+    batch = family.batch_statistics
+
+    def counted(self, data, theta10):
+        rows.append(sum(len(x) for x in data))
+        return batch(self, data, theta10)
+
+    monkeypatch.setattr(family, "batch_statistics", counted)
+    return rows
+
+
+def test_cdf_study_solves_one_block_at_a_time(monkeypatch):
+    rows = _solve_rows(monkeypatch, make_model("exponential"))
+    run_cdf_study("exponential", (1.0,), (1.0,), n=10, replicates=10_000,
+                  seed=SEED)
+    assert rows == [BLOCK, BLOCK, 1808]
+
+
+def test_long_blocks_split_at_the_value_cap(monkeypatch):
+    # at n = 100 a solve holds at most 98,304 // 100 = 983 rows; the
+    # first block's 164-row tail shares a solve with the second block,
+    # and each block's stream continues across its solves
+    m = make_model("birnbaum-saunders")
+    blocks = [m.batch_statistics(m.sample((1.0, 1.0), (k, 100),
+                                          np.random.Generator(np.random.Philox(
+                                              key=[SEED, (100 << 32) | b]))),
+                                 (1.0,))[0]
+              for b, k in enumerate((BLOCK, 100))]
+    rows = _solve_rows(monkeypatch, m)
+    S, _ = replicate_statistics(m, (1.0, 1.0), (1.0,), 100, BLOCK + 100,
+                                SEED)
+    assert rows == [983] * 4 + [164 + 100]
+    assert np.array_equal(S, np.concatenate(blocks), equal_nan=True)
 
 
 def test_size_study_builds_bartlett_factors_once_per_count_group(monkeypatch):
-    # 18 sizes of 500 replicates fill two groups of at least 4,096
+    # 18 sizes of 500 replicates fill two solves of at least 4,096
     calls = []
 
     def counted(*args):
@@ -166,8 +215,8 @@ def test_size_study_builds_bartlett_factors_once_per_count_group(monkeypatch):
 
 
 def test_size_study_fits_once_per_count_group(monkeypatch):
-    # the benchmark's study: each count group of 9 sizes x 500 replicates
-    # is one fit_rows call over all its rows
+    # the benchmark's study: each solve of 9 sizes x 500 replicates is
+    # one fit_rows call over all its rows
     bs, calls = type(make_model("birnbaum-saunders")), []
     fit_rows = bs.fit_rows
 
@@ -231,20 +280,27 @@ def test_expanded_cdf_and_modified_quantile_rules_cohere():
         assert np.array_equal((p_exp < alpha)[decided], (S > z)[decided])
 
 
-def test_size_study_decisions_match_run_test():
+def test_size_study_decisions_match_run_test(monkeypatch):
     # each rejection the study counts is the decision run_test and
     # modified_quantile reach on the same S; sizes out of order and a
-    # replicate count off the block size make count groups that hold a
+    # replicate count off the block size make solves that hold a
     # size's 300-replicate tail with the next size's full block
     model_id, theta, alphas = "birnbaum-saunders", (1.0, 1.0), \
         (0.01, 0.05, 0.10)
     sizes, reps = (13, 6, 9), BLOCK + 300
-    assert any(len({i for i, *_ in g}) > 1 for g in sim._groups(sizes, reps))
     m = make_model(model_id)
     coef = m.coefficients(np.array(theta))
+    solved = []
+
+    def counted(*args):
+        solved.append(set(args[2].tolist()))
+        return bartlett_factors(*args)
+
+    monkeypatch.setattr(sim, "bartlett_factors", counted)
     res = run_size_study(_config(model_id=model_id, theta=theta,
                                  sizes=sizes, replicates=reps,
                                  alphas=alphas, procedures=PROCEDURES))
+    assert solved == [{13}, {13, 6}, {6, 9}, {9}]
     counts = {(r.n, r.alpha, r.procedure): r.rejections for r in res.rows}
     assert [r.n for r in res.rows[::len(alphas) * len(PROCEDURES)]] == \
         list(sizes)
@@ -301,17 +357,14 @@ def test_csvs_do_not_depend_on_row_groups(tmp_path, monkeypatch):
         return size.read_bytes(), cdf.read_bytes()
 
     default = csvs("default")
-    # 1,000 to 1,625 rows per solve: several solves per block, the last
-    # one short, each continuing its block's stream; and solves of 50,000
-    # values, one of which holds the 100-row tail at n = 8 and the first
-    # 3,784 rows of a block at n = 13, the next the rest of that block
+    # 1,000 to 1,625 rows per solve: several solves per block, each
+    # continuing its block's stream, and a block's tail sharing a solve
+    # with the head of the next; and solves of 50,000 values, one of which
+    # holds the 100-row tail at n = 8 and the first 3,784 rows of a block
+    # at n = 13, the next the rest of that block
     for values in (13_000, 50_000):
         monkeypatch.setattr(sim, "_GROUP_VALUES", values)
         assert csvs(f"grouped-{values}") == default
-    # count groups of one piece each, and of up to three blocks
-    for floor in (1, 2 * BLOCK + 1):
-        monkeypatch.setattr(sim, "_COUNT_REPLICATES", floor)
-        assert csvs(f"counted-{floor}") == default
 
 
 class _FlakyModel(ModelFamily):
@@ -368,7 +421,7 @@ def test_failure_rate_above_threshold_aborts_size_study(monkeypatch):
 
 def test_cdf_study_reduces_its_groups_in_order():
     # a one-parameter family holds lambdas and does not pickle, yet runs a
-    # study of three count groups; failures add up over the groups, and
+    # study of three solves; failures add up over the solves, and
     # replicate r is row r % BLOCK of block r // BLOCK, drawn from the
     # block's own stream
     model = make_model("exponential")

@@ -229,6 +229,14 @@ def test_chi2_pdf_integrates_to_cdf_increment():
         assert abs(np.trapezoid(y, x) - want) <= 1e-6
 
 
+def test_chi2_pdf_at_origin_and_below():
+    # at 0 the density diverges for df = 1, is 1/2 for df = 2 and vanishes
+    # above; below 0 it is refused
+    assert [chi2_pdf(0.0, df) for df in (1, 2, 3)] == [math.inf, 0.5, 0.0]
+    with pytest.raises(ValueError, match=r"^x must be >= 0, got -1\.0$"):
+        chi2_pdf(-1.0, 3)
+
+
 def test_std_normal_cdf_values():
     assert std_normal_cdf(0.0) == 0.5
     got = std_normal_cdf(1.959964)

@@ -11,7 +11,8 @@ import gradcorr.models
 from gradcorr.correction import bartlett_factors, run_test
 from gradcorr.cumulants import (HypothesisSpec, build_geometry,
                                 derive_mixed_cumulants)
-from gradcorr.expansion import (ExpansionCoefficients, OneParamCumulants,
+from gradcorr.expansion import (ExpansionCoefficients,
+                                OrthogonalCoefficients, OneParamCumulants,
                                 OrthogonalCumulants, coefficients_orthogonal)
 from gradcorr.models import (ModelFamily, builtin_models, gradient_statistic,
                              make_model)
@@ -71,6 +72,20 @@ def test_records_keep_their_fields_and_refuse_assignment():
             getattr(record, name)
             with pytest.raises(AttributeError):
                 setattr(record, name, 0.0)
+
+
+def test_records_refuse_deletion_and_compare_only_within_a_class():
+    coef = ExpansionCoefficients(A1=1.0, A2=2.0, A3=3.0)
+    with pytest.raises(AttributeError, match="^cannot delete field 'A1'$"):
+        del coef.A1
+    # the same values in a subclass record are a different record
+    assert (coef == OrthogonalCoefficients(1.0, 2.0, 3.0)) is False
+
+
+def test_models_refuses_an_unknown_name():
+    with pytest.raises(AttributeError, match="^module 'gradcorr.models' "
+                                             "has no attribute 'no_such_name'$"):
+        gradcorr.models.no_such_name
 
 
 def test_scalar_records_compare_hash_print_and_copy_by_value():
