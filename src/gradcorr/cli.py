@@ -6,9 +6,10 @@ early (say, piped into ``head``), 2 validation error (bad flags, unknown
 model, malformed data, unwritable output), 3 fit or simulation failure.
 ``main`` alone maps errors to these codes.
 
-Data files hold one observation per line (a single-column CSV with an
-optional header also works).  The two-sample model reads either two
-files (--data and --data2) or one two-column CSV.
+Data files are UTF-8 text with one observation per line (a single-column
+CSV also works, its header a first line in which no field is a number).
+The two-sample model reads either two files (--data and --data2) or one
+two-column CSV.
 """
 
 from __future__ import annotations
@@ -133,7 +134,7 @@ def _read_column(path: str):
     """Numeric values plus their source line numbers."""
     values, lines = [], []
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8-sig") as fh:
             text = fh.read()
     except OSError as exc:
         raise ValueError(f"cannot read {path}: {exc.strerror}") from None
@@ -144,18 +145,17 @@ def _read_column(path: str):
         fields = [f for f in fields if f]
         if not fields:
             continue
-        row = []
+        row, bad = [], []
         for field in fields:
             try:
                 row.append(float(field))
             except ValueError:
-                if lineno == 1:  # header row
-                    row = None
-                    break
-                raise ValueError(f"{path}, line {lineno}: could not parse "
-                                 f"{field!r} as a number") from None
-        if row is None:
-            continue
+                bad.append(field)
+        if bad:
+            if lineno == 1 and not row:   # a header: no field is a number
+                continue
+            raise ValueError(f"{path}, line {lineno}: could not parse "
+                             f"{bad[0]!r} as a number")
         values.append(row)
         lines.append(lineno)
     if not values:

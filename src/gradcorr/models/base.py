@@ -60,16 +60,23 @@ class GradientStatistic(Record):
 
 
 class ModelFamily(ABC):
-    """Interface every built-in family implements."""
+    """Interface every built-in family implements.
+
+    A family declares its parameter space once, as ``lower``: theta lies
+    in it when every component is finite and above its bound.  Every
+    theta and theta10 the family takes is checked against it here, by
+    ``_theta`` and ``_null``."""
 
     name: str = ""
     p: int = 1
     q: int = 1
     samples: int = 1            # independent samples per data set
-    # display names of the components of theta, and a sensible default
-    # evaluation point (used by the command line when none is given)
+    # display names of the components of theta, a sensible default
+    # evaluation point (used by the command line when none is given), and
+    # the open lower bound of each component
     param_names: tuple = ("phi",)
     default_theta: tuple = (1.0,)
+    lower: tuple = (-math.inf,)
 
     @abstractmethod
     def sample(self, theta, size, rng: np.random.Generator):
@@ -91,8 +98,8 @@ class ModelFamily(ABC):
     def fit_rows(self, m, theta10) -> tuple:
         """(k, p) MLEs theta_tilde, the first q components fixed at theta10,
         and (k, p) full MLEs theta_hat from summaries m; NaN in a row where
-        that fit failed, ValueError for a theta10 outside the parameter
-        space.  theta_hat does not depend on theta10."""
+        that fit failed.  theta10 comes checked by ``_null``, and theta_hat
+        does not depend on it."""
 
     @abstractmethod
     def raw_statistic(self, m, theta10, theta_tilde, theta_hat):
@@ -133,12 +140,12 @@ class ModelFamily(ABC):
 
     def hypothesis(self, theta10) -> HypothesisSpec:
         from ..cumulants import HypothesisSpec
-        theta10 = np.atleast_1d(np.asarray(theta10, dtype=float))
-        return HypothesisSpec(p=self.p, q=self.q, theta10=tuple(theta10))
+        return HypothesisSpec(p=self.p, q=self.q,
+                              theta10=tuple(self._null(theta10).tolist()))
 
     def general_coefficients(self, theta) -> ExpansionCoefficients:
         """Full tensor-contraction route on this family's cumulants."""
-        theta = np.atleast_1d(np.asarray(theta, dtype=float))
+        theta = self._theta(theta)
         return coefficients_general(self.cumulants(theta),
                                     self.hypothesis(theta[:self.q]))
 
@@ -148,14 +155,32 @@ class ModelFamily(ABC):
         samples becomes sample 1 followed by sample 2."""
         return np.asarray(data, dtype=float).reshape(1, -1)
 
+    def _point(self, values, k, what) -> np.ndarray:
+        """values, the first k components of theta and ``what`` in
+        messages, as a float array; ValueError unless there are k of them,
+        all finite and each above its bound in ``lower``."""
+        x = np.atleast_1d(np.asarray(values, dtype=float))
+        if x.shape != (k,):
+            raise ValueError(f"{what} must have {k} value(s) for "
+                             f"{self.name}, got {x.size}")
+        # over k values a Python loop is cheaper than a numpy reduction
+        v = x.tolist()
+        if not all(map(math.isfinite, v)):
+            raise ValueError(f"{what} must be finite, got {tuple(v)}")
+        for name, lo, value in zip(self.param_names, self.lower, v):
+            if not value > lo:
+                raise ValueError(f"{self.name}: {name} must exceed {lo}, "
+                                 f"got {value}")
+        return x
+
+    def _theta(self, theta) -> np.ndarray:
+        """theta, checked by ``_point``."""
+        return self._point(theta, self.p, "theta")
+
     def _null(self, theta10) -> np.ndarray:
-        theta10 = np.atleast_1d(np.asarray(theta10, dtype=float))
-        if theta10.shape != (self.q,):
-            raise ValueError(f"theta10 must have {self.q} value(s) for "
-                             f"{self.name}, got {theta10.size}")
-        if not all(map(math.isfinite, theta10.tolist())):
-            raise ValueError(f"theta10 must be finite, got {tuple(theta10)}")
-        return theta10
+        """theta10, the null of the first q components, checked by
+        ``_point``."""
+        return self._point(theta10, self.q, "theta10")
 
     def _one_row(self, fit, which) -> np.ndarray:
         # over p values a Python loop is cheaper than a numpy reduction

@@ -281,17 +281,10 @@ class BirnbaumSaunders(ModelFamily):
     q = 1
     param_names = ("phi", "beta")
     default_theta = (1.0, 1.0)
-
-    @staticmethod
-    def _check_theta(theta) -> tuple:
-        phi, beta = (float(v) for v in np.atleast_1d(theta))
-        if not phi > 0.0 or not beta > 0.0:
-            raise ValueError(f"shape and scale must be positive, "
-                             f"got ({phi}, {beta})")
-        return phi, beta
+    lower = (0.0, 0.0)
 
     def sample(self, theta, size, rng):
-        phi, beta = self._check_theta(theta)
+        phi, beta = self._theta(theta).tolist()
         t = rng.standard_normal(size)
         t *= 0.5 * phi
         x = t * t                       # beta (t + sqrt(t^2 + 1))^2
@@ -325,8 +318,6 @@ class BirnbaumSaunders(ModelFamily):
         Such data cannot tell phi_hat from 0."""
         n, s, r, _ = m
         phi0 = float(theta10[0])
-        if not phi0 > 0.0:
-            raise ValueError(f"null shape must be positive, got {phi0}")
         (bt, bh), (ok_t, ok_h) = _solve(m, phi0)
         phi_sq = s / bh + bh / r - 2.0
         ok_h = ok_h & (s > r) & (phi_sq > (n + 4) * _EPS)
@@ -342,7 +333,7 @@ class BirnbaumSaunders(ModelFamily):
                 * (s / bt + bt / r - (2.0 + phi0**2)))
 
     def cumulant_arrays(self, theta) -> tuple:
-        f, b = self._check_theta(theta)
+        f, b = self._theta(theta).tolist()
         R = std_normal_tail_scaled(2.0 / f)
         T = f**2 - _SQRT_2PI * f * R + 2.0
         k2 = np.zeros((2, 2))

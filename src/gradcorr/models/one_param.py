@@ -38,8 +38,8 @@ class _FamilySpec(Record):
     the derivatives of alpha and beta at phi; beta(phi); the MLE from dbar,
     elementwise, which fit_rows makes NaN where it is not finite or out of
     range; and the sampler.  ``support`` is a (predicate, reason) pair for
-    check_observations, None the real line; ``phi_min`` is the open lower
-    bound for phi."""
+    check_observations, None the real line; ``phi_min`` is the family's
+    bound, the open lower bound of phi in its parameter space."""
 
     __slots__ = ("name", "d", "alpha_derivs", "beta", "beta_derivs",
                  "mle_from_dbar", "sampler", "support", "phi_min",
@@ -63,16 +63,11 @@ class OneParamExpFamily(ModelFamily):
         self.name = spec.name
         self.param_names = (spec.param_name,)
         self.default_theta = (spec.default_phi,)
-
-    def _check_phi(self, theta) -> float:
-        phi = float(np.atleast_1d(theta)[0])
-        if not phi > self._spec.phi_min:
-            raise ValueError(f"{self.name}: parameter must exceed "
-                             f"{self._spec.phi_min}, got {phi}")
-        return phi
+        self.lower = (spec.phi_min,)
 
     def sample(self, theta, size, rng):
-        return self._spec.sampler(self._check_phi(theta), size, rng)
+        phi, = self._theta(theta).tolist()
+        return self._spec.sampler(phi, size, rng)
 
     def validate_data(self, data):
         check_observations(self.name, data, *self._spec.support)
@@ -82,7 +77,7 @@ class OneParamExpFamily(ModelFamily):
         return x.shape[1], self._spec.d(x).sum(axis=1) / x.shape[1]
 
     def fit_rows(self, m, theta10):
-        theta_tilde = np.full((len(m[1]), 1), self._check_phi(theta10))
+        theta_tilde = np.full((len(m[1]), 1), theta10[0])
         phi_hat = self._spec.mle_from_dbar(m[1])
         ok = np.isfinite(phi_hat) & (phi_hat > self._spec.phi_min)
         return theta_tilde, np.where(ok, phi_hat, np.nan)[:, None]
@@ -94,7 +89,7 @@ class OneParamExpFamily(ModelFamily):
                 * (spec.beta(phi0) + dbar))
 
     def scalar_cumulants(self, theta) -> OneParamCumulants:
-        phi = self._check_phi(theta)
+        phi, = self._theta(theta).tolist()
         a1, a2, a3 = self._spec.alpha_derivs(phi)
         b1, b2, b3 = self._spec.beta_derivs(phi)
         return OneParamCumulants(

@@ -36,16 +36,10 @@ class NormalMeanTest(ModelFamily):
     q = 1
     param_names = ("phi", "beta")
     default_theta = (0.0, 1.0)
-
-    @staticmethod
-    def _check_theta(theta) -> tuple:
-        phi, beta = (float(v) for v in np.atleast_1d(theta))
-        if not beta > 0.0:
-            raise ValueError(f"variance must be positive, got {beta}")
-        return phi, beta
+    lower = (-np.inf, 0.0)
 
     def sample(self, theta, size, rng):
-        phi, beta = self._check_theta(theta)
+        phi, beta = self._theta(theta).tolist()
         return rng.normal(phi, np.sqrt(beta), size=size)
 
     def validate_data(self, data):
@@ -69,7 +63,7 @@ class NormalMeanTest(ModelFamily):
         return n * (xbar - float(theta10[0])) ** 2 / theta_tilde[:, 1]
 
     def cumulant_arrays(self, theta) -> tuple:
-        _, b = self._check_theta(theta)
+        _, b = self._theta(theta).tolist()
         k2 = np.zeros((2, 2))
         k2[0, 0] = -1.0 / b
         k2[1, 1] = -0.5 / b**2
@@ -100,19 +94,12 @@ class TwoSampleExponential(ModelFamily):
     samples = 2
     param_names = ("phi", "beta")
     default_theta = (1.0, 1.0)
-
-    @staticmethod
-    def _check_theta(theta) -> tuple:
-        phi, beta = (float(v) for v in np.atleast_1d(theta))
-        if not phi > 0.0 or not beta > 0.0:
-            raise ValueError(f"both parameters must be positive, "
-                             f"got ({phi}, {beta})")
-        return phi, beta
+    lower = (0.0, 0.0)
 
     def sample(self, theta, size, rng):
         """A pair of samples for size = n; for size = (k, n) a matrix whose
         rows hold sample 1 in the first n/2 columns, sample 2 in the rest."""
-        phi, beta = self._check_theta(theta)
+        phi, beta = self._theta(theta).tolist()
         n = np.atleast_1d(size)[-1]
         if n % 2 != 0:
             raise ValueError(f"total sample size must be even, got {n}")
@@ -141,8 +128,6 @@ class TwoSampleExponential(ModelFamily):
     def fit_rows(self, m, theta10):
         _, m1, m2 = m
         phi0 = float(theta10[0])
-        if not phi0 > 0.0:
-            raise ValueError(f"null ratio must be positive, got {phi0}")
         rp = np.sqrt(phi0)
         beta = 0.5 * (m1 * rp + m2 / rp)
         ok = (m1 > 0.0) & (m2 > 0.0)
@@ -159,7 +144,7 @@ class TwoSampleExponential(ModelFamily):
         return n * u_phi * (theta_hat[:, 0] - phi0)
 
     def cumulant_arrays(self, theta) -> tuple:
-        f, b = self._check_theta(theta)
+        f, b = self._theta(theta).tolist()
         k2 = np.zeros((2, 2))
         k2[0, 0] = -0.25 / f**2
         k2[1, 1] = -1.0 / b**2

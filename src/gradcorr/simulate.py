@@ -228,17 +228,12 @@ def _draws(sizes, replicates, seed) -> tuple:
 
 
 def _null_point(model: ModelFamily, theta, theta10) -> tuple:
-    """theta and theta10 as float tuples of lengths p and q, and the
+    """theta and theta10 as float tuples, checked by the family, and the
     coefficients at the null point, theta with theta10 for its first q
-    components.  Evaluating them is also the parameter-space check, so
-    callers that discard them still make it: a null outside the space
-    raises ValueError and one too large for the cumulants OverflowError,
-    both before any draw."""
-    theta = np.atleast_1d(np.asarray(theta, dtype=float))
-    if theta.shape != (model.p,):
-        raise ValueError(f"theta must have {model.p} value(s) for "
-                         f"{model.name}, got {theta.size}")
-    theta10 = model._null(theta10)
+    components.  Evaluating them is only the overflow check, which
+    callers that discard them still make: a null too large for the
+    cumulants raises OverflowError before any draw."""
+    theta, theta10 = model._theta(theta), model._null(theta10)
     return (tuple(theta.tolist()), tuple(theta10.tolist()),
             model.coefficients(np.concatenate([theta10, theta[model.q:]])))
 

@@ -417,14 +417,15 @@ def birnbaum_saunders_coefficients(f: float) -> dict:
 def score(model, data, theta) -> np.ndarray:
     """Per-observation-scale score vector U(theta) of one data set, from
     each built-in family's log-likelihood derivatives."""
+    theta = model._theta(theta).tolist()
     if model.p == 1:
         # U = -alpha'(phi) (dbar + beta(phi)), f = xi exp{-alpha d + gamma}
         spec = model._spec
-        phi = model._check_phi(theta)
+        phi, = theta
         dbar = float(np.mean(spec.d(np.asarray(data, dtype=float))))
         a1, _, _ = spec.alpha_derivs(phi)
         return np.array([-a1 * (dbar + spec.beta(phi))])
-    phi, beta = model._check_theta(theta)
+    phi, beta = theta
     if model.name == "two-parameter-normal":
         x = np.asarray(data, dtype=float)
         m2 = float(np.mean((x - phi) ** 2))

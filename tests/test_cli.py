@@ -132,6 +132,37 @@ def test_test_command_skips_header_line(capsys, tmp_path):
     assert json.loads(out)["n"] == 4
 
 
+def test_first_line_with_a_number_is_data(capsys, tmp_path):
+    # a first line is a header only when none of its fields is a number:
+    # a bad field beside a number is an error, not a skipped pair
+    path = _write(tmp_path / "pairs.csv", "1.5,oops\n1.0,2.0\n3.0,2.0\n")
+    code, out, err = run_cli(capsys, "test", "--model",
+                             "two-sample-exponential", "--data", path,
+                             "--theta10", "1")
+    assert (code, out) == (2, "")
+    assert err == (f"error: {path}, line 1: could not parse 'oops' as a "
+                   "number\n")
+    path = _write(tmp_path / "word.csv", "1.5x\n1.0\n1.2\n1.8\n2.0\n")
+    code, out, _ = run_cli(capsys, "test", "--model", "exponential",
+                           "--data", path, "--theta10", "1",
+                           "--format", "json")
+    assert code == 0 and json.loads(out)["n"] == 4
+
+
+def test_byte_order_mark_keeps_the_first_observation(capsys, tmp_path):
+    runs = []
+    for name, bom in (("plain.txt", b""), ("bom.txt", b"\xef\xbb\xbf")):
+        path = tmp_path / name
+        path.write_bytes(bom + b"1.5\n1.0\n1.2\n1.8\n2.0\n")
+        code, out, _ = run_cli(capsys, "test", "--model", "exponential",
+                               "--data", str(path), "--theta10", "1",
+                               "--format", "json")
+        assert code == 0
+        runs.append(json.loads(out))
+    assert runs[1]["n"] == 5
+    assert runs[1] == runs[0]
+
+
 def test_test_command_rejects_bad_inputs(capsys, tmp_path, exp_data):
     code, _, err = run_cli(capsys, "test", "--model", "no-such",
                            "--data", exp_data, "--theta10", "1")
@@ -345,6 +376,13 @@ def test_coeffs_rejects_unknown_constant(capsys):
     assert code == 2 and "constants" in err
 
 
+def test_coeffs_refuses_a_parameter_outside_the_space(capsys):
+    code, stdout, err = run_cli(capsys, "coeffs", "--model",
+                                "birnbaum-saunders", "--params", "phi=-1")
+    assert (code, stdout, err) == (
+        2, "", "error: birnbaum-saunders: phi must exceed 0.0, got -1.0\n")
+
+
 def test_simulate_grid_shape_and_determinism(capsys, tmp_path):
     out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
     args = ["simulate", "--model", "bs", "--n", "5:22", "--reps", "40",
@@ -409,6 +447,8 @@ def test_simulate_rejects_repeated_values(capsys, tmp_path, flags):
      "theta must have 2 value(s) for birnbaum-saunders, got 1"),
     (("--theta10", "1,2"),
      "theta10 must have 1 value(s) for exponential, got 2"),
+    (("--model", "two-parameter-normal", "--theta", "0,-1", "--theta10",
+      "0"), "two-parameter-normal: beta must exceed 0.0, got -1.0"),
     *((("--n=" + n,), f"sample sizes must be integers >= 2, got ({n},)")
       for n in ("0", "-3", "1")),
     (("--n=4294967296",), "sample size n=4294967296 must be below 2**32"),

@@ -11,7 +11,8 @@ from gradcorr.cumulants import CumulantBundle
 from gradcorr.models import (FitError, builtin_models, gradient_statistic,
                              make_model)
 from gradcorr.models.base import ModelFamily, check_observations
-from gradcorr.simulate import replicate_statistics
+from gradcorr.simulate import (SimulationConfig, replicate_statistics,
+                               run_cdf_study)
 from oracles import (birnbaum_saunders_coefficients,
                      gradient_statistic_reference, score)
 
@@ -45,14 +46,110 @@ def test_make_model_rejects_bad_constants(model_id, constants, message):
 
 @pytest.mark.parametrize("model_id, theta, message", (
     ("birnbaum-saunders", (-1.0, 1.0),
-     "shape and scale must be positive, got (-1.0, 1.0)"),
-    ("two-parameter-normal", (0.0, -1.0), "variance must be positive, got -1.0"),
+     "birnbaum-saunders: phi must exceed 0.0, got -1.0"),
+    ("two-parameter-normal", (0.0, -1.0),
+     "two-parameter-normal: beta must exceed 0.0, got -1.0"),
     ("two-sample-exponential", (1.0, 0.0),
-     "both parameters must be positive, got (1.0, 0.0)")))
+     "two-sample-exponential: beta must exceed 0.0, got 0.0")))
 def test_sampling_rejects_theta_outside_the_space(model_id, theta, message):
     with pytest.raises(ValueError) as refused:
         make_model(model_id).sample(theta, 6, np.random.default_rng(0))
     assert str(refused.value) == message
+
+
+# each family's parameter space: the name and open lower bound of each
+# component of theta
+SPACES = {
+    "birnbaum-saunders": (("phi", 0.0), ("beta", 0.0)),
+    "exponential": (("phi", 0.0),),
+    "gamma-rate": (("phi", 0.0),),
+    "inverse-normal": (("phi", 0.0),),
+    "laplace-scale": (("theta", 0.0),),
+    "normal-mean-known": (("phi", 0.0),),
+    "normal-variance-known": (("mu", -math.inf),),
+    "pareto-shape": (("phi", 0.0),),
+    "power-shape": (("phi", 0.0),),
+    "truncated-extreme-value": (("phi", 0.0),),
+    "two-parameter-normal": (("phi", -math.inf), ("beta", 0.0)),
+    "two-sample-exponential": (("phi", 0.0), ("beta", 0.0)),
+}
+
+
+def _null_of(m):
+    return m.default_theta[:m.q]
+
+
+# entry point -> call with a point as theta (first table) or as theta10
+_THETA_PATHS = {
+    "sample": lambda mid, m, theta: m.sample(theta, 6,
+                                             np.random.default_rng(0)),
+    "coefficients": lambda mid, m, theta: m.coefficients(theta),
+    "general_coefficients": lambda mid, m, theta:
+        m.general_coefficients(theta),
+    "SimulationConfig": lambda mid, m, theta: SimulationConfig(
+        model_id=mid, theta=theta, theta10=_null_of(m), sizes=(6,),
+        replicates=5),
+    "replicate_statistics": lambda mid, m, theta: replicate_statistics(
+        m, theta, _null_of(m), 6, 5, 0),
+    "run_cdf_study": lambda mid, m, theta: run_cdf_study(
+        m, theta, _null_of(m), 6, 5, 0),
+}
+_NULL_PATHS = {
+    "gradient_statistic": lambda mid, m, theta10: gradient_statistic(
+        m, m.sample(m.default_theta, 6, np.random.default_rng(0)), theta10),
+    "batch_statistics": lambda mid, m, theta10: m.batch_statistics(
+        m.sample(m.default_theta, (3, 6), np.random.default_rng(0)),
+        theta10),
+    "fit_restricted": lambda mid, m, theta10: m.fit_restricted(
+        m.sample(m.default_theta, 6, np.random.default_rng(0)), theta10),
+    "hypothesis": lambda mid, m, theta10: m.hypothesis(theta10),
+    "SimulationConfig": lambda mid, m, theta10: SimulationConfig(
+        model_id=mid, theta=m.default_theta, theta10=theta10, sizes=(6,),
+        replicates=5),
+    "replicate_statistics": lambda mid, m, theta10: replicate_statistics(
+        m, m.default_theta, theta10, 6, 5, 0),
+    "run_cdf_study": lambda mid, m, theta10: run_cdf_study(
+        m, m.default_theta, theta10, 6, 5, 0),
+}
+
+
+def _outside(model_id, m, what, k):
+    """(point, message) for each way a point of k components, ``what`` in
+    the message, misses the space: the wrong length, a component not
+    finite, or a bounded component at its bound."""
+    good = list(m.default_theta[:k])
+    for size in sorted({0, k - 1, k + 1}):
+        yield ([1.0] * size,
+               f"{what} must have {k} value(s) for {m.name}, got {size}")
+    for i, (param, lo) in enumerate(SPACES[model_id][:k]):
+        for v in (math.nan, math.inf, -math.inf):
+            point = good[:i] + [v] + good[i + 1:]
+            yield point, f"{what} must be finite, got {tuple(point)}"
+        if lo > -math.inf:
+            point = good[:i] + [lo] + good[i + 1:]
+            yield point, f"{m.name}: {param} must exceed {lo}, got {lo}"
+
+
+@pytest.mark.parametrize("model_id", sorted(SPACES))
+def test_each_family_declares_its_space(model_id):
+    m = make_model(model_id)
+    assert tuple(zip(m.param_names, m.lower)) == SPACES[model_id]
+    assert len(m.lower) == m.p
+
+
+@pytest.mark.parametrize("what, path", (
+    *(("theta", path) for path in _THETA_PATHS),
+    *(("theta10", path) for path in _NULL_PATHS)))
+@pytest.mark.parametrize("model_id", sorted(SPACES))
+def test_every_entry_point_refuses_points_outside_the_space(model_id, what,
+                                                           path):
+    m = make_model(model_id)
+    call = (_THETA_PATHS if what == "theta" else _NULL_PATHS)[path]
+    k = m.p if what == "theta" else m.q
+    for point, message in _outside(model_id, m, what, k):
+        with pytest.raises(ValueError) as refused:
+            call(model_id, m, point)
+        assert str(refused.value) == message, point
 
 
 def test_two_sample_batch_refuses_an_odd_width():
