@@ -6,16 +6,20 @@ arrays.  Data is a 1-D float array for one-sample families; the
 two-sample family takes a pair of equal-length arrays and counts both
 samples in n.
 
-Each family writes its two fits and its statistic once, row-wise on a
+Each family writes its two fits (``estimates``) and its statistic
+(``raw_statistic``) once, as arithmetic on its per-row summaries of a
 (k, n) data matrix holding one data set per row; a two-sample row is
-sample 1 in its first n/2 columns and sample 2 in the rest.
-``batch_statistics`` reduces the Monte Carlo matrix, or several of
-different n at once: their summaries are joined end to end, each row
-carrying its own n, so the fits and the statistic run once over all the
-rows.  ``gradient_statistic`` is its one-row case.  ``fit_rows`` is the
-one fitting method: it writes both fits at once, and ``fit_restricted``
-and ``fit_unrestricted`` are its one-row views, which raise ``FitError``
-where the row fails.
+sample 1 in its first n/2 columns and sample 2 in the rest.  Two drivers
+run that arithmetic, and the entry point picks one.  The batch driver,
+``batch_statistics`` and ``fit_rows``, runs it on arrays of one value
+per row, over one matrix or several of different n joined end to end,
+and marks a failed fit NaN.  The one-row driver, ``gradient_statistic``,
+``fit_restricted`` and ``fit_unrestricted``, runs it on the summaries of
+one data set as numpy float64 scalars, which cost less than one-element
+arrays and keep their inf and NaN under the same ``np.errstate``, and
+raises ``FitError`` where a fit fails.  Squares are written as products
+(``** 2`` on a numpy scalar is C ``pow``, which can miss ``x * x`` in the
+last bit), so a one-row result is its batch row to the bit.
 
 The statistic itself is the inner product of the restricted score with
 the tested-component estimate shift,
@@ -95,15 +99,19 @@ class ModelFamily(ABC):
         matrices."""
 
     @abstractmethod
-    def fit_rows(self, m, theta10) -> tuple:
-        """(k, p) MLEs theta_tilde, the first q components fixed at theta10,
-        and (k, p) full MLEs theta_hat from summaries m; NaN in a row where
-        that fit failed.  theta10 comes checked by ``_null``, and theta_hat
-        does not depend on it."""
+    def estimates(self, m, theta10) -> tuple:
+        """The restricted fit theta_tilde, its first q components at
+        theta10, and the full fit theta_hat from summaries m, each as the
+        pair (its p components, whether it holds); a fit fails where that
+        flag is false or a component is NaN.  Arithmetic only, on the
+        per-row values of m as arrays or as numpy float64 scalars, a
+        scalar (such as theta10's) standing for every row.  theta10 comes
+        checked by ``_null``, and theta_hat does not depend on it."""
 
     @abstractmethod
     def raw_statistic(self, m, theta10, theta_tilde, theta_hat):
-        """Unclamped S = n U_1(theta_tilde)'(theta_hat_1 - theta10) per row."""
+        """Unclamped S = n U_1(theta_tilde)'(theta_hat_1 - theta10) per row,
+        from the components of both fits, as ``estimates`` gives them."""
 
     def cumulant_arrays(self, theta) -> tuple:
         """The six arrays of ``cumulants`` in CumulantBundle field order,
@@ -161,8 +169,9 @@ class ModelFamily(ABC):
         all finite and each above its bound in ``lower``."""
         x = np.atleast_1d(np.asarray(values, dtype=float))
         if x.shape != (k,):
+            got = x.size if x.ndim == 1 else f"shape {x.shape}"
             raise ValueError(f"{what} must have {k} value(s) for "
-                             f"{self.name}, got {x.size}")
+                             f"{self.name}, got {got}")
         # over k values a Python loop is cheaper than a numpy reduction
         v = x.tolist()
         if not all(map(math.isfinite, v)):
@@ -182,11 +191,23 @@ class ModelFamily(ABC):
         ``_point``."""
         return self._point(theta10, self.q, "theta10")
 
-    def _one_row(self, fit, which) -> np.ndarray:
+    def _one_row(self, data, theta10) -> tuple:
+        """The one-row driver's arithmetic: summaries m of one data set,
+        each per-row value a numpy float64 scalar, checked theta10, and
+        ``estimates`` on them.  Run under ``np.errstate(all="ignore")``."""
+        x = self._as_row(data)
+        theta10 = self._null(theta10)
+        n, *values = self.summarize(x)
+        m = (n, *(v if isinstance(v, tuple) else v[0] for v in values))
+        return m, theta10, self.estimates(m, theta10)
+
+    def _fitted(self, theta, ok, which) -> np.ndarray:
+        """The one-row driver's failure marking: the components theta as a
+        (p,) array, or FitError where the fit failed."""
         # over p values a Python loop is cheaper than a numpy reduction
-        if any(map(math.isnan, fit[0].tolist())):
+        if not ok or any(map(math.isnan, theta)):
             raise FitError(f"{self.name}: {which} fit failed")
-        return fit[0]
+        return np.array(theta, dtype=float)
 
     def _summaries(self, blocks) -> tuple:
         """``summarize`` of the rows of the data matrices in ``blocks``, end
@@ -200,6 +221,13 @@ class ModelFamily(ABC):
                             else np.concatenate(c)
                             for c in list(zip(*parts))[1:])
 
+    def fit_rows(self, m, theta10) -> tuple:
+        """(k, p) MLEs theta_tilde and theta_hat from the summaries m of k
+        rows: ``estimates`` packed a row per data set, all NaN in a row
+        where that fit failed."""
+        return tuple(_packed(theta, ok, len(m[1]))
+                     for theta, ok in self.estimates(m, theta10))
+
     def _statistic_rows(self, blocks, theta10) -> tuple:
         """theta_tilde, theta_hat and raw S per row of the data matrices in
         ``blocks``, end to end."""
@@ -209,7 +237,8 @@ class ModelFamily(ABC):
             m = self._summaries(blocks)
             theta_tilde, theta_hat = self.fit_rows(m, theta10)
             return (theta_tilde, theta_hat,
-                    self.raw_statistic(m, theta10, theta_tilde, theta_hat))
+                    self.raw_statistic(m, theta10, theta_tilde.T,
+                                       theta_hat.T))
 
     def batch_statistics(self, data, theta10) -> tuple:
         """S per row of a (k, n) data matrix from ``sample``, or of a list of
@@ -226,13 +255,12 @@ class ModelFamily(ABC):
         return S, int(np.count_nonzero(failed))
 
     def _fit_one(self, data, theta10, which) -> np.ndarray:
-        """Fit ``which`` of ``fit_rows`` (0 restricted, 1 unrestricted) of
+        """Fit ``which`` of ``estimates`` (0 restricted, 1 unrestricted) of
         one data set."""
         with np.errstate(all="ignore"):
-            fits = self.fit_rows(self.summarize(self._as_row(data)),
-                                 self._null(theta10))
-        return self._one_row(fits[which],
-                             ("restricted", "unrestricted")[which])
+            fits = self._one_row(data, theta10)[2]
+        return self._fitted(*fits[which],
+                            ("restricted", "unrestricted")[which])
 
     def fit_restricted(self, data, theta10) -> np.ndarray:
         """MLE theta_tilde of one data set, first q components at theta10."""
@@ -242,6 +270,16 @@ class ModelFamily(ABC):
         """Full MLE theta_hat of one data set, at the default null, which
         theta_hat does not depend on."""
         return self._fit_one(data, self.default_theta[:self.q], 1)
+
+
+def _packed(theta, ok, k) -> np.ndarray:
+    """The batch driver's packing: the p components theta of a fit, each of
+    one value per row or one value for all k, as a (k, p) array, NaN in
+    every row where ok is false."""
+    fit = np.empty((len(theta), k))
+    for row, component in zip(fit, theta):
+        row[...] = component
+    return np.where(ok, fit, np.nan).T
 
 
 # (support predicate, reason) for check_observations
@@ -274,14 +312,16 @@ def check_observations(name, data, support=None, reason="", prefix="",
 
 def gradient_statistic(model: ModelFamily, data, theta10) -> GradientStatistic:
     """S = n U_1(theta_tilde)'(theta_hat_1 - theta10) of one data set,
-    clamped at zero: the one-row case of ``batch_statistics``.  FitError
-    where a fit fails, OverflowError where S does not fit in a float."""
-    x = model._as_row(data)
-    theta_tilde, theta_hat, raw = model._statistic_rows([x], theta10)
-    theta_tilde = model._one_row(theta_tilde, "restricted")
-    model._one_row(theta_hat, "unrestricted")
-    raw = float(raw[0])
+    clamped at zero, by the one-row driver: the arithmetic of a row of
+    ``batch_statistics`` on numpy scalars.  FitError where a fit fails,
+    OverflowError where S does not fit in a float."""
+    with np.errstate(all="ignore"):
+        m, theta10, (tilde, hat) = model._one_row(data, theta10)
+        raw = model.raw_statistic(m, theta10, tilde[0], hat[0])
+    theta_tilde = model._fitted(*tilde, "restricted")
+    model._fitted(*hat, "unrestricted")
+    raw = float(raw)
     if not math.isfinite(raw):
         raise OverflowError(f"{model.name}: the statistic overflowed")
-    return GradientStatistic(value=max(raw, 0.0), n=x.shape[1], raw=raw,
+    return GradientStatistic(value=max(raw, 0.0), n=m[0], raw=raw,
                              theta_tilde=theta_tilde, clamped=raw < 0.0)

@@ -34,11 +34,11 @@ steps.  A step onto the other end, set by an earlier iterate, is
 bisected because near a double root of H it can cycle between the two
 ends of a collapsed bracket.  A data set that does not converge is a
 failed fit, and so is an unrestricted fit whose phi_hat^2 is within
-rounding of 0, as it is for data of one value (``fit_rows``).
+rounding of 0, as it is for data of one value (``estimates``).
 
 Layout.  ``summarize`` keeps a (k, n) block as a contiguous (n, k) copy,
 one data set per column; the summaries of several blocks of different n
-keep one copy per block and join s, r and n end to end.  ``fit_rows``
+keep one copy per block and join s, r and n end to end.  ``estimates``
 solves H and G for all K data sets in one Newton run over a (2, K)
 iterate, so every block shares one pass of bookkeeping per sweep.  The
 column sums come block by block, through one (n, 2, k) buffer that
@@ -53,15 +53,17 @@ which numpy's pairwise summation adds a contiguous row.  Below 128
 columns of its buffer a block keeps each column contiguous instead and
 numpy sums it itself, which is faster there.
 
-A solve of one data set, as ``gradient_statistic``, ``fit_restricted``
-and ``fit_unrestricted`` run, has no array run: there a numpy call on a
-one-element array costs more than its arithmetic, so ``_scalar_newton``
-solves H and then G on numpy float64 scalars, which give inf and NaN
-where Python floats would raise, and numpy's own reduction sums the
-contiguous column.  Its results are the array run's to the bit: H and G
-are written once, as arithmetic that runs on a scalar or an array, the
-two drivers follow the same rules step for step, and each element of
-the array run is already an iteration of its own.
+A solve of one data set has no array run, whether the one-row driver of
+``gradient_statistic``, ``fit_restricted`` and ``fit_unrestricted``
+gives it scalar summaries or a matrix holds it as its one row: there a
+numpy call on a one-element array costs more than its arithmetic, so
+``_scalar_newton`` solves H and then G on numpy float64 scalars, which
+give inf and NaN where Python floats would raise, and numpy's own
+reduction sums the contiguous column.  Its results are the array run's
+to the bit: H and G are written once, as arithmetic that runs on a
+scalar or an array, the two drivers follow the same rules step for
+step, and each element of the array run is already an iteration of its
+own.
 
 Cumulants involve the scaled normal tail R = e^{2/phi^2}(1 - Phi(2/phi))
 only through kappa_betabeta and its relatives; everything is assembled
@@ -220,8 +222,14 @@ def _profile_equation(b, m1, m2, s, r, r2):
 def _solve(m, phi0):
     """The roots of H in row 0 and G in row 1 of a (2, K) iterate, on the
     brackets [0, hi] and [r, s], from sqrt(s r), and which of them
-    converged: one data set by ``_solve_one``, more by one array run."""
+    converged: one data set by ``_solve_one``, as a pair of roots and a
+    pair of flags where its summaries are scalars, more by one array
+    run."""
     n, s, r, xcs = m
+    if np.ndim(s) and len(s) == 1 and len(xcs) == 1:
+        # a matrix of one data set is solved on scalars too
+        roots, ok = _solve((n, s[0], r[0], xcs), phi0)
+        return np.array(roots)[:, None], np.array(ok)[:, None]
     c = phi0**2
     rc = r * c
     r2 = 2.0 * r
@@ -229,9 +237,8 @@ def _solve(m, phi0):
     lo = np.array([np.zeros_like(s), r])
     hi = np.array([rc + sr, s])
     x0 = np.clip(sr, lo, hi)
-    if len(s) == 1 and len(xcs) == 1:
-        return _solve_one(xcs[0][:, 0], n, s[0], r[0], c, rc[0], r2[0],
-                          lo[:, 0], hi[:, 0], x0[:, 0])
+    if np.ndim(s) == 0:
+        return _solve_one(xcs[0][:, 0], n, s, r, c, rc, r2, lo, hi, x0)
     # one buffer serves every block in turn, so it stays in cache
     scratch = np.empty(2 * max(xc.size for xc in xcs))
     blocks, start = [], 0
@@ -260,7 +267,8 @@ def _solve(m, phi0):
 
 def _solve_one(xv, n, s, r, c, rc, r2, lo, hi, x0):
     """``_solve`` of one data set, its column xv, on scalars: H and G each by
-    ``_scalar_newton``, returned as the (2, 1) iterate."""
+    ``_scalar_newton``, returned as the pair of roots and the pair of
+    flags."""
     buf = np.empty_like(xv)
 
     def means(b):
@@ -269,8 +277,7 @@ def _solve_one(xv, n, s, r, c, rc, r2, lo, hi, x0):
 
     equations = (lambda b: _restricted_equation(b, *means(b), s, r, c, rc),
                  lambda b: _profile_equation(b, *means(b), s, r, r2))
-    roots, ok = zip(*map(_scalar_newton, equations, lo, hi, x0))
-    return np.array(roots)[:, None], np.array(ok)[:, None]
+    return tuple(zip(*map(_scalar_newton, equations, lo, hi, x0)))
 
 
 class BirnbaumSaunders(ModelFamily):
@@ -306,7 +313,7 @@ class BirnbaumSaunders(ModelFamily):
         return (n, _pairwise_sum(xc) / n,
                 1.0 / (_pairwise_sum(1.0 / xc) / n), (xc,))
 
-    def fit_rows(self, m, theta10):
+    def estimates(self, m, theta10):
         """Both fits from one Newton run.  The unrestricted fit fails where
         phi_sq = s/b + b/r - 2 is within its own rounding error of 0, at or
         below (n + 4) eps.  It is exactly 0 for data of one value, but the
@@ -320,16 +327,14 @@ class BirnbaumSaunders(ModelFamily):
         phi0 = float(theta10[0])
         (bt, bh), (ok_t, ok_h) = _solve(m, phi0)
         phi_sq = s / bh + bh / r - 2.0
-        ok_h = ok_h & (s > r) & (phi_sq > (n + 4) * _EPS)
-        return (np.array([np.full_like(bt, phi0),
-                          np.where(ok_t, bt, np.nan)]).T,
-                np.where(ok_h[:, None], np.array([np.sqrt(phi_sq), bh]).T,
-                         np.nan))
+        return (((phi0, bt), ok_t),
+                ((np.sqrt(phi_sq), bh),
+                 ok_h & (s > r) & (phi_sq > (n + 4) * _EPS)))
 
     def raw_statistic(self, m, theta10, theta_tilde, theta_hat):
         n, s, r, _ = m
-        phi0, bt = float(theta10[0]), theta_tilde[:, 1]
-        return (n * (theta_hat[:, 0] - phi0) / phi0**3
+        phi0, bt = float(theta10[0]), theta_tilde[1]
+        return (n * (theta_hat[0] - phi0) / phi0**3
                 * (s / bt + bt / r - (2.0 + phi0**2)))
 
     def cumulant_arrays(self, theta) -> tuple:

@@ -36,8 +36,8 @@ __all__ = ["OneParamExpFamily", "exponential", "normal_mean_known",
 class _FamilySpec(Record):
     """A family's closures: d(x) elementwise; (a1, a2, a3) and (b1, b2, b3),
     the derivatives of alpha and beta at phi; beta(phi); the MLE from dbar,
-    elementwise, which fit_rows makes NaN where it is not finite or out of
-    range; and the sampler.  ``support`` is a (predicate, reason) pair for
+    elementwise, whose fit fails where it is not finite or out of range;
+    and the sampler.  ``support`` is a (predicate, reason) pair for
     check_observations, None the real line; ``phi_min`` is the family's
     bound, the open lower bound of phi in its parameter space."""
 
@@ -76,16 +76,16 @@ class OneParamExpFamily(ModelFamily):
         # sum / n is mean(axis=1) to the bit, without its per-call overhead
         return x.shape[1], self._spec.d(x).sum(axis=1) / x.shape[1]
 
-    def fit_rows(self, m, theta10):
-        theta_tilde = np.full((len(m[1]), 1), theta10[0])
+    def estimates(self, m, theta10):
         phi_hat = self._spec.mle_from_dbar(m[1])
-        ok = np.isfinite(phi_hat) & (phi_hat > self._spec.phi_min)
-        return theta_tilde, np.where(ok, phi_hat, np.nan)[:, None]
+        # phi_hat in (phi_min, inf), which also leaves out NaN
+        ok = (self._spec.phi_min < phi_hat) & (phi_hat < np.inf)
+        return ((theta10[0],), True), ((phi_hat,), ok)
 
     def raw_statistic(self, m, theta10, theta_tilde, theta_hat):
         n, dbar = m
         phi0, spec = float(theta10[0]), self._spec
-        return (n * (phi0 - theta_hat[:, 0]) * spec.alpha_derivs(phi0)[0]
+        return (n * (phi0 - theta_hat[0]) * spec.alpha_derivs(phi0)[0]
                 * (spec.beta(phi0) + dbar))
 
     def scalar_cumulants(self, theta) -> OneParamCumulants:

@@ -50,17 +50,17 @@ class NormalMeanTest(ModelFamily):
         xbar = x.sum(axis=1) / n
         return n, xbar, ((x - xbar[:, None]) ** 2).sum(axis=1) / n
 
-    def fit_rows(self, m, theta10):
+    def estimates(self, m, theta10):
         _, xbar, t2 = m
         phi0 = float(theta10[0])
-        var = (xbar - phi0) ** 2 + t2
-        return (np.array([np.full_like(var, phi0),
-                          np.where(var > 0.0, var, np.nan)]).T,
-                np.array([xbar, np.where(t2 > 0.0, t2, np.nan)]).T)
+        shift = xbar - phi0
+        var = shift * shift + t2
+        return ((phi0, var), var > 0.0), ((xbar, t2), t2 > 0.0)
 
     def raw_statistic(self, m, theta10, theta_tilde, theta_hat):
         n, xbar, _ = m
-        return n * (xbar - float(theta10[0])) ** 2 / theta_tilde[:, 1]
+        shift = xbar - float(theta10[0])
+        return n * (shift * shift) / theta_tilde[1]
 
     def cumulant_arrays(self, theta) -> tuple:
         _, b = self._theta(theta).tolist()
@@ -125,23 +125,20 @@ class TwoSampleExponential(ModelFamily):
         h = n // 2
         return n, x[:, :h].sum(axis=1) / h, x[:, h:].sum(axis=1) / h
 
-    def fit_rows(self, m, theta10):
+    def estimates(self, m, theta10):
         _, m1, m2 = m
         phi0 = float(theta10[0])
         rp = np.sqrt(phi0)
         beta = 0.5 * (m1 * rp + m2 / rp)
-        ok = (m1 > 0.0) & (m2 > 0.0)
-        return (np.array([np.full_like(beta, phi0),
-                          np.where(beta > 0.0, beta, np.nan)]).T,
-                np.where(ok[:, None],
-                         np.array([m2 / m1, np.sqrt(m1 * m2)]).T, np.nan))
+        return (((phi0, beta), beta > 0.0),
+                ((m2 / m1, np.sqrt(m1 * m2)), (m1 > 0.0) & (m2 > 0.0)))
 
     def raw_statistic(self, m, theta10, theta_tilde, theta_hat):
         n, m1, m2 = m
         phi0 = float(theta10[0])
         rp = np.sqrt(phi0)
-        u_phi = (-m1 / rp + m2 / (phi0 * rp)) / (4.0 * theta_tilde[:, 1])
-        return n * u_phi * (theta_hat[:, 0] - phi0)
+        u_phi = (-m1 / rp + m2 / (phi0 * rp)) / (4.0 * theta_tilde[1])
+        return n * u_phi * (theta_hat[0] - phi0)
 
     def cumulant_arrays(self, theta) -> tuple:
         f, b = self._theta(theta).tolist()

@@ -74,16 +74,16 @@ def test_test_command_matches_library_composition(capsys, exp_data):
 
 def test_test_command_fits_restricted_model_once(capsys, tmp_path,
                                                 monkeypatch):
-    # fit_rows writes both fits, and the coefficients take theta_tilde
+    # estimates writes both fits, and the coefficients take theta_tilde
     # from the statistic rather than fitting again
     bs, calls = type(make_model("birnbaum-saunders")), []
-    fit_rows = bs.fit_rows
+    estimates = bs.estimates
 
     def counted(self, m, theta10):
         calls.append(theta10)
-        return fit_rows(self, m, theta10)
+        return estimates(self, m, theta10)
 
-    monkeypatch.setattr(bs, "fit_rows", counted)
+    monkeypatch.setattr(bs, "estimates", counted)
     path = _write(tmp_path / "bs.txt", "0.6\n1.1\n0.9\n1.7\n0.4\n")
     code, _, _ = run_cli(capsys, "test", "--model", "bs", "--data", path,
                          "--theta10", "1")

@@ -115,12 +115,14 @@ _NULL_PATHS = {
 
 def _outside(model_id, m, what, k):
     """(point, message) for each way a point of k components, ``what`` in
-    the message, misses the space: the wrong length, a component not
-    finite, or a bounded component at its bound."""
+    the message, misses the space: the wrong length or shape, a component
+    not finite, or a bounded component at its bound."""
     good = list(m.default_theta[:k])
     for size in sorted({0, k - 1, k + 1}):
         yield ([1.0] * size,
                f"{what} must have {k} value(s) for {m.name}, got {size}")
+    yield ([[1.0] * k],
+           f"{what} must have {k} value(s) for {m.name}, got shape (1, {k})")
     for i, (param, lo) in enumerate(SPACES[model_id][:k]):
         for v in (math.nan, math.inf, -math.inf):
             point = good[:i] + [v] + good[i + 1:]
@@ -178,8 +180,8 @@ class _StubFamily(ModelFamily):
     def summarize(self, x):
         return x.shape[1], x.mean(axis=1)
 
-    def fit_rows(self, m, theta10):
-        return np.full((len(m[1]), 1), theta10[0]), m[1][:, None]
+    def estimates(self, m, theta10):
+        return ((theta10[0],), True), ((m[1],), True)
 
     def raw_statistic(self, m, theta10, theta_tilde, theta_hat):
         return m[0] * m[1] ** 2
@@ -252,14 +254,14 @@ class _NegativeRawStub(ModelFamily):
         return np.zeros(n)
 
     def summarize(self, x):
-        return x
+        return x.shape[1], x[:, 0]
 
-    def fit_rows(self, m, theta10):
-        return np.full((len(m), 1), theta10[0]), np.full((len(m), 1), 2.0)
+    def estimates(self, m, theta10):
+        return ((theta10[0],), True), ((2.0,), True)
 
     def raw_statistic(self, m, theta10, theta_tilde, theta_hat):
         # a score of -1 at theta_tilde
-        return m.shape[1] * -1.0 * (theta_hat[:, 0] - theta10[0])
+        return m[0] * -1.0 * (theta_hat[0] - theta10[0])
 
     def cumulants(self, theta):
         raise NotImplementedError
@@ -992,7 +994,7 @@ def test_sample_matrix_rows_are_successive_draws(model):
 def test_batch_statistics_agree_with_generic_loop(model):
     # row r of a (k, n) draw is the r-th of k successive size-n draws; the
     # batch rows and the one-row gradient_statistic both match S built from
-    # the two fits and the score
+    # the two fits and the score, and each other to the bit
     theta = np.asarray(model.default_theta, dtype=float)
     theta10 = theta[:model.q]
     count = 40
@@ -1022,6 +1024,65 @@ def test_batch_statistics_agree_with_generic_loop(model):
         assert np.allclose(fast[ok], slow[ok], rtol=1e-11, atol=1e-11), n
         assert np.allclose(one[ok], slow[ok], rtol=1e-11, atol=1e-11), n
         assert np.array_equal(np.isnan(fast), np.isnan(slow)), n
+        assert np.array_equal(one, fast, equal_nan=True), n
+
+
+# a value whose square C pow rounds away from v * v, as ** 2 on a numpy
+# scalar does about once in a thousand values
+_POW_MISS = 0.3624182010806754
+
+
+def _awkward_rows(model):
+    """Data sets that put the fits and S at their edges, as flat rows: n = 2,
+    constant data, data scaled by 1e150 and by 1e-150, the 437/444 pair,
+    and a pair of mean _POW_MISS."""
+    theta = np.asarray(model.default_theta, dtype=float)
+    x = model.sample(theta, (1, 8), np.random.default_rng(SEED))[0]
+    return (x[:2], np.full(8, x[0]), 1e150 * x, 1e-150 * x,
+            np.array([437.0, 444.0]), _POW_MISS + np.array([-0.125, 0.125]))
+
+
+def test_one_row_fits_and_statistic_are_the_batch_row(model):
+    # the one-row driver on numpy scalars against the batch driver on
+    # arrays, with the row among others: the same bits, the same failures
+    default = np.asarray(model.default_theta[:model.q], dtype=float)
+    rng = np.random.default_rng(SEED + 1)
+    for x in _awkward_rows(model):
+        rows = model.sample(np.asarray(model.default_theta, dtype=float),
+                            (3, len(x)), rng)
+        rows[1] = x
+        for null in (default, 1.5 * default + 0.25):
+            with np.errstate(all="ignore"):
+                tilde, hat = model.fit_rows(model.summarize(rows), null)
+            assert _same_fit(tilde[1], lambda: model.fit_restricted(x, null))
+            assert _same_fit(hat[1], lambda: model.fit_unrestricted(x))
+            try:
+                want = gradient_statistic(model, x, null).value
+            except (FitError, OverflowError):
+                want = np.nan
+            S, _ = model.batch_statistics(rows, null)
+            assert np.array_equal(S[1], want, equal_nan=True), (x, null)
+
+
+def test_one_data_set_takes_the_one_row_driver(model, monkeypatch):
+    # gradient_statistic and the one-row fits run on scalars, never through
+    # the batch driver's rows; batch_statistics does reach them
+    calls = []
+    rows = ModelFamily._statistic_rows
+
+    def counted(self, blocks, theta10):
+        calls.append(len(blocks))
+        return rows(self, blocks, theta10)
+
+    monkeypatch.setattr(ModelFamily, "_statistic_rows", counted)
+    theta = np.asarray(model.default_theta, dtype=float)
+    x = model.sample(theta, (2, 8), np.random.default_rng(SEED))
+    gradient_statistic(model, x[0], theta[:model.q])
+    model.fit_restricted(x[0], theta[:model.q])
+    model.fit_unrestricted(x[0])
+    assert calls == []
+    model.batch_statistics(x, theta[:model.q])
+    assert calls == [1]
 
 
 BOUNDED_NULL = sorted(set(builtin_models())
