@@ -228,18 +228,6 @@ class ModelFamily(ABC):
         return tuple(_packed(theta, ok, len(m[1]))
                      for theta, ok in self.estimates(m, theta10))
 
-    def _statistic_rows(self, blocks, theta10) -> tuple:
-        """theta_tilde, theta_hat and raw S per row of the data matrices in
-        ``blocks``, end to end."""
-        theta10 = self._null(theta10)
-        # failed fits and overflow come back as NaN and inf, not warnings
-        with np.errstate(all="ignore"):
-            m = self._summaries(blocks)
-            theta_tilde, theta_hat = self.fit_rows(m, theta10)
-            return (theta_tilde, theta_hat,
-                    self.raw_statistic(m, theta10, theta_tilde.T,
-                                       theta_hat.T))
-
     def batch_statistics(self, data, theta10) -> tuple:
         """S per row of a (k, n) data matrix from ``sample``, or of a list of
         such matrices, each with its own n, end to end; clamped at zero and
@@ -248,7 +236,12 @@ class ModelFamily(ABC):
         blocks = ([np.asarray(x, dtype=float) for x in data]
                   if isinstance(data, list) else
                   [np.asarray(data, dtype=float)])
-        theta_tilde, theta_hat, raw = self._statistic_rows(blocks, theta10)
+        theta10 = self._null(theta10)
+        # failed fits and overflow come back as NaN and inf, not warnings
+        with np.errstate(all="ignore"):
+            m = self._summaries(blocks)
+            theta_tilde, theta_hat = self.fit_rows(m, theta10)
+            raw = self.raw_statistic(m, theta10, theta_tilde.T, theta_hat.T)
         failed = (np.isnan(theta_tilde).any(axis=1)
                   | np.isnan(theta_hat).any(axis=1) | ~np.isfinite(raw))
         S = np.where(failed, np.nan, np.where(raw < 0.0, 0.0, raw))

@@ -49,14 +49,12 @@ row-per-data-set layout with one Newton run per fit and block gives:
 every element takes the same floating-point operations in the same
 order, a converged element stays where it is while the others go on,
 and ``_pairwise_sum`` adds the n values of a column in the order in
-which numpy's pairwise summation adds a contiguous row.  Below 128
-columns of its buffer a block keeps each column contiguous instead and
-numpy sums it itself, which is faster there.
+which numpy's pairwise summation adds a contiguous row.  A matrix of
+one data set takes this array run too.
 
-A solve of one data set has no array run, whether the one-row driver of
-``gradient_statistic``, ``fit_restricted`` and ``fit_unrestricted``
-gives it scalar summaries or a matrix holds it as its one row: there a
-numpy call on a one-element array costs more than its arithmetic, so
+The one-row driver of ``gradient_statistic``, ``fit_restricted`` and
+``fit_unrestricted`` gives one data set as scalar summaries, and there
+a numpy call on a one-element array costs more than its arithmetic, so
 ``_scalar_newton`` solves H and then G on numpy float64 scalars, which
 give inf and NaN where Python floats would raise, and numpy's own
 reduction sums the contiguous column.  Its results are the array run's
@@ -87,7 +85,6 @@ __all__ = ["BirnbaumSaunders"]
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _REL_TOL = 1e-13
 _EPS = 2.0**-52
-_NARROW = 128          # below this many columns, one per row of memory
 
 
 def _safeguarded_newton(f, lo, hi, x):
@@ -183,12 +180,9 @@ def _block_sums(xv, b, buf):
 
 def _inverse_sums(blocks, b, done, sums):
     """``_block_sums`` of the (2, K) iterate b over the data blocks, each
-    (xv, cols, buf) with cols the slice of its columns of b.  ``sums``
-    holds each block's pair from the sweep before: a block whose elements
-    ``done`` all marks as converged keeps it."""
-    if len(blocks) == 1:
-        (xv, _, buf), = blocks
-        return _block_sums(xv, b, buf)
+    (xv, cols, buf) with cols the slice of its columns of b, one block or
+    several.  ``sums`` holds each block's pair from the sweep before: a
+    block whose elements ``done`` all marks as converged keeps it."""
     settled = np.logical_and.reduceat(
         done.all(axis=0), [cols.start for _, cols, _ in blocks]).tolist()
     for i, (xv, cols, buf) in enumerate(blocks):
@@ -222,14 +216,10 @@ def _profile_equation(b, m1, m2, s, r, r2):
 def _solve(m, phi0):
     """The roots of H in row 0 and G in row 1 of a (2, K) iterate, on the
     brackets [0, hi] and [r, s], from sqrt(s r), and which of them
-    converged: one data set by ``_solve_one``, as a pair of roots and a
-    pair of flags where its summaries are scalars, more by one array
-    run."""
+    converged: scalar summaries by ``_solve_one``, as a pair of roots and
+    a pair of flags, and arrays by one array run, whatever their number
+    of rows."""
     n, s, r, xcs = m
-    if np.ndim(s) and len(s) == 1 and len(xcs) == 1:
-        # a matrix of one data set is solved on scalars too
-        roots, ok = _solve((n, s[0], r[0], xcs), phi0)
-        return np.array(roots)[:, None], np.array(ok)[:, None]
     c = phi0**2
     rc = r * c
     r2 = 2.0 * r
@@ -244,11 +234,7 @@ def _solve(m, phi0):
     blocks, start = [], 0
     for xc in xcs:
         nb, k = xc.shape
-        # shape (n, 2, k); with few columns each column runs along memory,
-        # where numpy's own reduction sums it faster
-        buf = scratch[:2 * xc.size]
-        buf = (buf.reshape(k, 2, nb).T if 2 * k < _NARROW
-               else buf.reshape(nb, 2, k))
+        buf = scratch[:2 * xc.size].reshape(nb, 2, k)
         blocks.append((xc[:, None, :], slice(start, start + k), buf))
         start += k
     sums = [None] * len(blocks)

@@ -95,11 +95,15 @@ class SimulationConfig:
     alphas: tuple = (0.05,)
     seed: int = 0
     procedures: tuple = ("uncorrected", "corrected_statistic")
-    constants: dict = field(default_factory=dict)
+    # hashed through the other fields; equality still compares it
+    constants: dict = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
         model = make_model(self.model_id, **self.constants)
-        theta, theta10, _ = _null_point(model, self.theta, self.theta10)
+        theta, theta10, coef = _null_point(model, self.theta, self.theta10)
+        # kept for run_size_study, outside the fields, so equality, repr
+        # and dataclasses.replace do not see it
+        object.__setattr__(self, "_coefficients", coef)
         sizes, replicates, seed = _draws(self.sizes, self.replicates,
                                          self.seed)
         checked = dict(theta=theta, theta10=theta10, sizes=sizes,
@@ -343,8 +347,7 @@ def _check_failures(failures_by_n: dict, replicates: int) -> None:
 def run_size_study(cfg: SimulationConfig) -> SimulationResult:
     """Null rejection rates per (n, alpha, procedure)."""
     model = make_model(cfg.model_id, **cfg.constants)
-    _, _, coef = _null_point(model, cfg.theta, cfg.theta10)
-    partials = [_size_counts(cfg, coef, model.q, runs, S)
+    partials = [_size_counts(cfg, cfg._coefficients, model.q, runs, S)
                 for runs, S in _solves(model, cfg.theta, cfg.theta10, cfg.seed,
                                        cfg.sizes, cfg.replicates)]
     counts = sum(c for c, _ in partials)

@@ -1,5 +1,6 @@
 """Model catalog: samplers, fits, scores, statistics, coefficient tables."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -592,7 +593,7 @@ def test_birnbaum_saunders_restricted_bracket_end_is_past_the_root(data,
                                                                    phi0):
     # mean(1/(x+b)) < 1/b gives H(b) < (s - b^2/r)/phi0^2 + b, which is
     # -sqrt(s r) at b = phi0^2 r + sqrt(s r), the closed-form bracket end;
-    # checked on the driver of one data set and on that of two
+    # checked on the one-row driver and on the array run of two rows
     from gradcorr.models import birnbaum_saunders as bs
     scalar, array = bs._scalar_newton, bs._safeguarded_newton
     ends = []
@@ -610,16 +611,18 @@ def test_birnbaum_saunders_restricted_bracket_end_is_past_the_root(data,
         return array(f, lo, hi, x0)
 
     m = make_model("birnbaum-saunders")
-    for rows, driver in ((np.array([data]), "scalar"),
-                         (np.array([data, data[::-1]]), "array")):
-        summary = m.summarize(rows)
-        _, s, r, _ = summary
+    pair = np.array([data, data[::-1]])
+    for driver, rows, fit in (
+            ("scalar", np.array([data]),
+             lambda: m.fit_restricted(data, phi0)),
+            ("array", pair, lambda: m.fit_rows(m.summarize(pair), (phi0,)))):
+        _, s, r, _ = m.summarize(rows)
         ends.clear()
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(bs, "_scalar_newton", scalar_spy)
             mp.setattr(bs, "_safeguarded_newton", array_spy)
-            with np.errstate(all="ignore"):
-                m.fit_rows(summary, (phi0,))
+            with np.errstate(all="ignore"), contextlib.suppress(FitError):
+                fit()
         ran, h, hi, start = ends[0]
         h, hi, start = np.atleast_1d(h, hi, start)
         assert ran == driver
@@ -628,11 +631,12 @@ def test_birnbaum_saunders_restricted_bracket_end_is_past_the_root(data,
         assert (h < -start).all() and (-start < 0.0).all()
 
 
-def test_birnbaum_saunders_solves_pick_their_driver_by_row_count(
+def test_birnbaum_saunders_solves_pick_their_driver_by_entry_point(
         monkeypatch):
-    # one data set runs the scalar Newton and two or more the (2, K) array
-    # run; a fallback to the other driver gives the same numbers, only
-    # slower, so only a count of the calls shows it
+    # the one-row driver's scalar summaries run the scalar Newton, and
+    # every batch_statistics or fit_rows call one (2, K) array run, one row
+    # included; a fallback to the other driver gives the same numbers,
+    # only slower, so only a count of the calls shows it
     from gradcorr.models import birnbaum_saunders as bs
     scalar, array = [], []
     monkeypatch.setattr(bs, "_scalar_newton",
@@ -644,13 +648,14 @@ def test_birnbaum_saunders_solves_pick_their_driver_by_row_count(
     m.fit_restricted(x[0], 1.0)
     m.fit_unrestricted(x[0])
     gradient_statistic(m, x[0], 1.0)
-    m.batch_statistics(x[:1], (1.0,))
-    assert (len(scalar), len(array)) == (2 * 4, 0)
-    for rows in (x[:2], x[:3], x, [x[:1], x[1:2]], [x[:1], x[:, :5]]):
+    assert (len(scalar), len(array)) == (2 * 3, 0)
+    for rows in (x[:1], x[:2], x[:3], x, [x[:1], x[1:2]],
+                 [x[:1], x[:, :5]]):
         m.batch_statistics(rows, (1.0,))
     with np.errstate(all="ignore"):
+        m.fit_rows(m.summarize(x[:1]), (1.0,))
         m.fit_rows(m.summarize(x[:2]), (1.0,))
-    assert (len(scalar), len(array)) == (2 * 4, 6)
+    assert (len(scalar), len(array)) == (2 * 3, 8)
 
 
 def _same_fit(row, view) -> bool:
@@ -687,9 +692,9 @@ def _bs_case(kind, n, scale, phi0, seed):
 @example("pair", 2, 1.0, 2.0, 1)
 def test_birnbaum_saunders_one_row_fit_is_the_batch_row(kind, n, scale,
                                                         phi0, seed):
-    # the scalar driver of one data set against the array driver, on a
-    # narrow (2-row) and a wide (130-row) layout: the same bits, and the
-    # same failures
+    # the scalar driver of one data set against the array run on the data
+    # set alone as a matrix and on 2- and 130-row matrices: the same bits,
+    # and the same failures
     m = make_model("birnbaum-saunders")
     x, phi0 = _bs_case(kind, n, scale, phi0, seed)
     try:
@@ -698,7 +703,7 @@ def test_birnbaum_saunders_one_row_fit_is_the_batch_row(kind, n, scale,
         want = np.nan
     others = m.sample((1.0, 1.0), (130, len(x)),
                       np.random.default_rng(seed + 1))
-    for k, i in ((2, 1), (130, 77)):
+    for k, i in ((1, 0), (2, 1), (130, 77)):
         rows = others[:k].copy()
         rows[i] = x
         with np.errstate(all="ignore"):
@@ -1068,13 +1073,13 @@ def test_one_data_set_takes_the_one_row_driver(model, monkeypatch):
     # gradient_statistic and the one-row fits run on scalars, never through
     # the batch driver's rows; batch_statistics does reach them
     calls = []
-    rows = ModelFamily._statistic_rows
+    fit_rows = ModelFamily.fit_rows
 
-    def counted(self, blocks, theta10):
-        calls.append(len(blocks))
-        return rows(self, blocks, theta10)
+    def counted(self, m, theta10):
+        calls.append(len(m[1]))
+        return fit_rows(self, m, theta10)
 
-    monkeypatch.setattr(ModelFamily, "_statistic_rows", counted)
+    monkeypatch.setattr(ModelFamily, "fit_rows", counted)
     theta = np.asarray(model.default_theta, dtype=float)
     x = model.sample(theta, (2, 8), np.random.default_rng(SEED))
     gradient_statistic(model, x[0], theta[:model.q])
@@ -1082,7 +1087,7 @@ def test_one_data_set_takes_the_one_row_driver(model, monkeypatch):
     model.fit_unrestricted(x[0])
     assert calls == []
     model.batch_statistics(x, theta[:model.q])
-    assert calls == [1]
+    assert calls == [2]
 
 
 BOUNDED_NULL = sorted(set(builtin_models())

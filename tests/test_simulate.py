@@ -66,6 +66,38 @@ def test_config_rejects_repeated_values(field, values):
         _config(**{field: values})
 
 
+def test_configs_hash_by_value():
+    # the constants dict takes no part in the hash, but still in equality
+    a, b = _config(), _config(sizes=[8, 13])
+    assert a == b and hash(a) == hash(b)
+    assert len({a: 1, b: 2}) == 1
+    known = [_config(model_id="gamma-rate", constants=dict(k=k))
+             for k in (1.0, 2.0)]
+    assert known[0] != known[1]
+    assert len({c: None for c in known}) == 2
+
+
+def test_size_study_reuses_the_config_coefficients(monkeypatch):
+    # the config evaluates the null coefficients for their overflow check
+    # and keeps them outside its fields; the study does not evaluate them
+    # again
+    cfg = _config(model_id="birnbaum-saunders", theta=(1.0, 1.0))
+    calls = []
+    coefficients = ModelFamily.coefficients
+
+    def counted(self, theta):
+        calls.append(theta)
+        return coefficients(self, theta)
+
+    monkeypatch.setattr(ModelFamily, "coefficients", counted)
+    result = run_size_study(cfg)
+    assert result == run_size_study(pickle.loads(pickle.dumps(cfg)))
+    assert calls == []
+    assert "_coefficients" not in repr(cfg)
+    assert _config(model_id="birnbaum-saunders", theta=(1.0, 1.0)) == cfg
+    assert len(calls) == 1
+
+
 _BAD_INPUTS = (
     ("exponential", dict(theta=(1.0, 2.0)),
      "theta must have 1 value(s) for exponential, got 2"),
