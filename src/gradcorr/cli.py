@@ -38,6 +38,8 @@ ALIASES = {
     "laplace": "laplace-scale",
 }
 _COEFFICIENTS = ("A1", "A2", "A3", "R0", "R1", "R2", "R3")   # print order
+_REPORT = ("S", "S_star", "p_asymptotic", "p_expanded", "p_corrected",
+           "z_modified")                                     # print order
 
 def _fmt(value: float) -> str:
     return "%.17g" % (value + 0.0)     # normalizes -0.0
@@ -52,9 +54,7 @@ def _parse_params(pairs: str) -> dict:
         if "=" not in item:
             raise ValueError(f"--params entries must look like key=value, "
                              f"got {item!r}")
-        key, _, value = item.partition("=")
-        key = key.strip()
-        value = value.strip()
+        key, _, value = (part.strip() for part in item.partition("="))
         if not key:
             raise ValueError(f"--params entry has an empty key: {item!r}")
         if key in out:
@@ -205,12 +205,11 @@ def _locate(message: str, sources) -> str:
             + message[m.end():].lstrip(": "))
 
 
-def _report_fields(report) -> list:
-    return [("S", report.S), ("S_star", report.S_star),
-            ("p_asymptotic", report.p_asymptotic),
-            ("p_expanded", report.p_expanded),
-            ("p_corrected", report.p_corrected),
-            ("z_modified", report.z_modified)]
+def _json_numbers(source, names) -> dict:
+    """The named numbers of source, None for one that is not finite: JSON
+    (RFC 8259) has no inf or NaN, and the report's warnings name it."""
+    values = {k: getattr(source, k) for k in names}
+    return {k: v if np.isfinite(v) else None for k, v in values.items()}
 
 
 def cmd_test(args) -> int:
@@ -224,13 +223,14 @@ def cmd_test(args) -> int:
     stat = gradient_statistic(model, data, theta10)
     coef = model.coefficients(stat.theta_tilde)
     report = run_test(stat.value, coef, model.q, stat.n, gamma=args.gamma)
-    fields = _report_fields(report)
+    fields = [(k, getattr(report, k)) for k in _REPORT]
     if args.format == "json":
         import json
-        coefficients = {k: getattr(coef, k) for k in _COEFFICIENTS}
-        payload = dict(fields, coefficients=coefficients, n=stat.n,
-                       gamma=args.gamma, warnings=list(report.warnings))
-        print(json.dumps(payload, indent=2))
+        payload = dict(_json_numbers(report, _REPORT),
+                       coefficients=_json_numbers(coef, _COEFFICIENTS),
+                       n=stat.n, gamma=args.gamma,
+                       warnings=list(report.warnings))
+        print(json.dumps(payload, indent=2, allow_nan=False))
     elif args.format == "csv":
         print(",".join(key for key, _ in fields))
         print(",".join(_fmt(value) for _, value in fields))

@@ -115,7 +115,8 @@ class ModelFamily(ABC):
 
     def cumulant_arrays(self, theta) -> tuple:
         """The six arrays of ``cumulants`` in CumulantBundle field order,
-        without the bundle's shape, symmetry and definiteness checks."""
+        at theta checked by ``_theta``, without the bundle's shape,
+        symmetry and definiteness checks."""
         raise NotImplementedError(f"{self.name} has no cumulant arrays")
 
     def cumulants(self, theta) -> CumulantBundle:
@@ -153,9 +154,9 @@ class ModelFamily(ABC):
 
     def general_coefficients(self, theta) -> ExpansionCoefficients:
         """Full tensor-contraction route on this family's cumulants."""
-        theta = self._theta(theta)
+        from ..cumulants import HypothesisSpec
         return coefficients_general(self.cumulants(theta),
-                                    self.hypothesis(theta[:self.q]))
+                                    HypothesisSpec(p=self.p, q=self.q))
 
     @staticmethod
     def _as_row(data) -> np.ndarray:
@@ -225,6 +226,10 @@ class ModelFamily(ABC):
         """(k, p) MLEs theta_tilde and theta_hat from the summaries m of k
         rows: ``estimates`` packed a row per data set, all NaN in a row
         where that fit failed."""
+        return self._fit_rows(m, self._null(theta10))
+
+    def _fit_rows(self, m, theta10) -> tuple:
+        """``fit_rows`` at a theta10 that ``_null`` has checked."""
         return tuple(_packed(theta, ok, len(m[1]))
                      for theta, ok in self.estimates(m, theta10))
 
@@ -240,7 +245,7 @@ class ModelFamily(ABC):
         # failed fits and overflow come back as NaN and inf, not warnings
         with np.errstate(all="ignore"):
             m = self._summaries(blocks)
-            theta_tilde, theta_hat = self.fit_rows(m, theta10)
+            theta_tilde, theta_hat = self._fit_rows(m, theta10)
             raw = self.raw_statistic(m, theta10, theta_tilde.T, theta_hat.T)
         failed = (np.isnan(theta_tilde).any(axis=1)
                   | np.isnan(theta_hat).any(axis=1) | ~np.isfinite(raw))

@@ -13,11 +13,14 @@ Cumulant arrays come from the chain rule on ell = -alpha d + log xi:
     k_pppp  = -(3 a2 b2 + 3 a3 b1 + a1 b3)  k_pp^(pp) = -(a3 b1 + 2 a2 b2 + a1 b3)
 
 where a_i, b_i are the i-th derivatives of alpha and beta.  Ten concrete
-families are provided as factory functions; fixed shape constants (a known
-mean, rate index, support endpoint) are bound at construction time.
+families are provided as factory functions, six of them by ``_mean_family``
+in the mean parametrization E d(X) = phi: beta = -phi and phi_hat = dbar.
+Fixed constants are bound at construction time, checked by ``_constant``.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -37,9 +40,9 @@ class _FamilySpec(Record):
     """A family's closures: d(x) elementwise; (a1, a2, a3) and (b1, b2, b3),
     the derivatives of alpha and beta at phi; beta(phi); the MLE from dbar,
     elementwise, whose fit fails where it is not finite or out of range;
-    and the sampler.  ``support`` is a (predicate, reason) pair for
-    check_observations, None the real line; ``phi_min`` is the family's
-    bound, the open lower bound of phi in its parameter space."""
+    and the sampler.  ``_mean_family`` fills in beta, the b's and the MLE.
+    ``support`` is a (predicate, reason) pair for check_observations, None
+    the real line; ``phi_min`` is the open lower bound of phi."""
 
     __slots__ = ("name", "d", "alpha_derivs", "beta", "beta_derivs",
                  "mle_from_dbar", "sampler", "support", "phi_min",
@@ -111,57 +114,59 @@ class OneParamExpFamily(ModelFamily):
         return coefficients_one_param(self.scalar_cumulants(theta))
 
 
+def _constant(name: str, value, positive: bool = True) -> None:
+    """ValueError unless constant ``name`` is finite, and positive if asked."""
+    if not math.isfinite(value):
+        raise ValueError(f"{name} must be finite, got {value}")
+    if positive and not value > 0.0:
+        raise ValueError(f"{name} must be positive")
+
+
+def _reciprocal_derivs(phi) -> tuple:
+    """Derivatives of 1/phi: the exponential's alpha, power-shape's beta."""
+    return (-1.0 / phi**2, 2.0 / phi**3, -6.0 / phi**4)
+
+
+def _mean_family(**spec) -> OneParamExpFamily:
+    """A family in the mean parametrization, E d(X) = phi: beta(phi) = -phi,
+    with derivatives (-1, 0, 0), and the MLE is dbar itself."""
+    return OneParamExpFamily(_FamilySpec(
+        beta=lambda phi: -phi, beta_derivs=lambda phi: (-1.0, 0.0, 0.0),
+        mle_from_dbar=lambda dbar: dbar, **spec))
+
+
 def exponential() -> OneParamExpFamily:
     """Exponential with mean phi."""
-    return OneParamExpFamily(_FamilySpec(
-        name="exponential",
-        d=lambda x: x,
-        alpha_derivs=lambda phi: (-1.0 / phi**2, 2.0 / phi**3, -6.0 / phi**4),
-        beta=lambda phi: -phi,
-        beta_derivs=lambda phi: (-1.0, 0.0, 0.0),
-        mle_from_dbar=lambda dbar: dbar,
+    return _mean_family(
+        name="exponential", d=lambda x: x, alpha_derivs=_reciprocal_derivs,
         sampler=lambda phi, size, rng: rng.exponential(phi, size=size),
-        support=POSITIVE,
-    ))
+        support=POSITIVE)
 
 
 def normal_mean_known(mu: float = 0.0) -> OneParamExpFamily:
     """Normal with known mean; the tested parameter is the variance."""
-    return OneParamExpFamily(_FamilySpec(
-        name="normal-mean-known",
-        d=lambda x: (x - mu)**2,
+    _constant("mu", mu, positive=False)
+    return _mean_family(
+        name="normal-mean-known", d=lambda x: (x - mu)**2,
         alpha_derivs=lambda phi: (-0.5 / phi**2, 1.0 / phi**3, -3.0 / phi**4),
-        beta=lambda phi: -phi,
-        beta_derivs=lambda phi: (-1.0, 0.0, 0.0),
-        mle_from_dbar=lambda dbar: dbar,
         sampler=lambda phi, size, rng: rng.normal(mu, np.sqrt(phi),
-                                                  size=size),
-    ))
+                                                  size=size))
 
 
 def normal_variance_known(variance: float = 1.0) -> OneParamExpFamily:
     """Normal with known variance; the tested parameter is the mean."""
-    if not variance > 0.0:
-        raise ValueError("variance must be positive")
-    return OneParamExpFamily(_FamilySpec(
-        name="normal-variance-known",
-        d=lambda x: x,
+    _constant("variance", variance)
+    return _mean_family(
+        name="normal-variance-known", d=lambda x: x,
         alpha_derivs=lambda mu: (-1.0 / variance, 0.0, 0.0),
-        beta=lambda mu: -mu,
-        beta_derivs=lambda mu: (-1.0, 0.0, 0.0),
-        mle_from_dbar=lambda dbar: dbar,
         sampler=lambda mu, size, rng: rng.normal(mu, np.sqrt(variance),
                                                  size=size),
-        phi_min=-np.inf,
-        param_name="mu",
-        default_phi=0.0,
-    ))
+        phi_min=-np.inf, param_name="mu", default_phi=0.0)
 
 
 def inverse_normal_mean_known(mu: float = 1.0) -> OneParamExpFamily:
     """Inverse Gaussian with known mean; the tested parameter is the shape."""
-    if not mu > 0.0:
-        raise ValueError("mu must be positive")
+    _constant("mu", mu)
     return OneParamExpFamily(_FamilySpec(
         name="inverse-normal-mean-known",
         d=lambda x: (x - mu)**2 / (2.0 * mu**2 * x),
@@ -176,20 +181,13 @@ def inverse_normal_mean_known(mu: float = 1.0) -> OneParamExpFamily:
 
 def inverse_normal_shape_known(shape: float = 1.0) -> OneParamExpFamily:
     """Inverse Gaussian with known shape; the tested parameter is the mean."""
-    if not shape > 0.0:
-        raise ValueError("shape must be positive")
-    return OneParamExpFamily(_FamilySpec(
-        name="inverse-normal-shape-known",
-        d=lambda x: x,
+    _constant("shape", shape)
+    return _mean_family(
+        name="inverse-normal-shape-known", d=lambda x: x,
         alpha_derivs=lambda mu: (-shape / mu**3, 3.0 * shape / mu**4,
                                  -12.0 * shape / mu**5),
-        beta=lambda mu: -mu,
-        beta_derivs=lambda mu: (-1.0, 0.0, 0.0),
-        mle_from_dbar=lambda dbar: dbar,
         sampler=lambda mu, size, rng: rng.wald(mu, shape, size=size),
-        support=POSITIVE,
-        param_name="mu",
-    ))
+        support=POSITIVE, param_name="mu")
 
 
 def _inverse_normal(known: str = "mean", mu: float = 1.0,
@@ -205,8 +203,7 @@ def _inverse_normal(known: str = "mean", mu: float = 1.0,
 
 def gamma_rate(k: float = 1.0) -> OneParamExpFamily:
     """Gamma with known index k; the tested parameter is the rate."""
-    if not k > 0.0:
-        raise ValueError("k must be positive")
+    _constant("k", k)
     return OneParamExpFamily(_FamilySpec(
         name="gamma-rate",
         d=lambda x: x,
@@ -222,23 +219,17 @@ def gamma_rate(k: float = 1.0) -> OneParamExpFamily:
 
 def truncated_extreme_value() -> OneParamExpFamily:
     """Truncated extreme value: exp(X) - 1 is exponential with mean phi."""
-    return OneParamExpFamily(_FamilySpec(
-        name="truncated-extreme-value",
-        d=lambda x: np.expm1(x),
-        alpha_derivs=lambda phi: (-1.0 / phi**2, 2.0 / phi**3, -6.0 / phi**4),
-        beta=lambda phi: -phi,
-        beta_derivs=lambda phi: (-1.0, 0.0, 0.0),
-        mle_from_dbar=lambda dbar: dbar,
+    return _mean_family(
+        name="truncated-extreme-value", d=lambda x: np.expm1(x),
+        alpha_derivs=_reciprocal_derivs,
         sampler=lambda phi, size, rng: np.log1p(rng.exponential(phi,
                                                                 size=size)),
-        support=POSITIVE,
-    ))
+        support=POSITIVE)
 
 
 def pareto_shape(k: float = 1.0) -> OneParamExpFamily:
     """Pareto on (k, inf) with known scale k; the tested parameter is the shape."""
-    if not k > 0.0:
-        raise ValueError("k must be positive")
+    _constant("k", k)
     return OneParamExpFamily(_FamilySpec(
         name="pareto-shape",
         d=lambda x: np.log(x),
@@ -254,14 +245,13 @@ def pareto_shape(k: float = 1.0) -> OneParamExpFamily:
 
 def power_shape(theta: float = 1.0) -> OneParamExpFamily:
     """Power distribution on (0, theta) with known endpoint."""
-    if not theta > 0.0:
-        raise ValueError("theta must be positive")
+    _constant("theta", theta)
     return OneParamExpFamily(_FamilySpec(
         name="power-shape",
         d=lambda x: np.log(x),
         alpha_derivs=lambda phi: (-1.0, 0.0, 0.0),
         beta=lambda phi: 1.0 / phi - np.log(theta),
-        beta_derivs=lambda phi: (-1.0 / phi**2, 2.0 / phi**3, -6.0 / phi**4),
+        beta_derivs=_reciprocal_derivs,
         mle_from_dbar=lambda dbar: 1.0 / (np.log(theta) - dbar),
         sampler=lambda phi, size, rng: theta * np.exp(
             -rng.exponential(1.0 / phi, size=size)),
@@ -272,15 +262,9 @@ def power_shape(theta: float = 1.0) -> OneParamExpFamily:
 
 def laplace_scale(center: float = 0.0) -> OneParamExpFamily:
     """Laplace with known center; the tested parameter is the scale."""
-    return OneParamExpFamily(_FamilySpec(
-        name="laplace-scale",
-        d=lambda x: np.abs(x - center),
-        alpha_derivs=lambda theta: (-1.0 / theta**2, 2.0 / theta**3,
-                                    -6.0 / theta**4),
-        beta=lambda theta: -theta,
-        beta_derivs=lambda theta: (-1.0, 0.0, 0.0),
-        mle_from_dbar=lambda dbar: dbar,
-        sampler=lambda theta, size, rng: rng.laplace(center, theta,
-                                                     size=size),
-        param_name="theta",
-    ))
+    _constant("center", center, positive=False)
+    return _mean_family(
+        name="laplace-scale", d=lambda x: np.abs(x - center),
+        alpha_derivs=_reciprocal_derivs,
+        sampler=lambda theta, size, rng: rng.laplace(center, theta, size=size),
+        param_name="theta")

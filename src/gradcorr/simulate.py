@@ -58,14 +58,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from numbers import Integral
 
 import numpy as np
 
 from .correction import PROCEDURES, _expand, bartlett_factors, expanded_cdf
 from .expansion import ExpansionCoefficients
 from .models import FitError, ModelFamily, make_model
-from .special import _chi2_ladder, chi2_cdf, chi2_quantile
+from .special import _chi2_ladder, _is_int, chi2_cdf, chi2_quantile
 
 __all__ = ["PROCEDURES", "BLOCK", "SimulationConfig", "SizeRow",
            "SimulationResult", "CdfStudy", "SimulationError",
@@ -207,10 +206,6 @@ class CdfStudy:
     @property
     def f_expanded(self) -> np.ndarray:
         return expanded_cdf(self.x, self.coefficients, self.q, self.n)
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, Integral) and not isinstance(value, bool)
 
 
 def _draws(sizes, replicates, seed) -> tuple:

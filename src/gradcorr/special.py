@@ -47,6 +47,7 @@ from __future__ import annotations
 
 import functools
 import math
+from numbers import Integral
 
 import numpy as np
 
@@ -131,9 +132,18 @@ def _series(t, h, a):
     return t * s
 
 
-def _check_df(df: int) -> int:
-    if not isinstance(df, (int,)) or isinstance(df, bool):
-        raise TypeError(f"df must be an integer, got {df!r}")
+def _is_int(value) -> bool:
+    """Whether value is an integer, numpy's included; a bool is not."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _check_df(df) -> int:
+    """df as a Python int, the quantile cache's key; TypeError unless
+    ``_is_int``, ValueError outside 1..1000."""
+    if type(df) is not int:     # cheaper than _is_int, on every ladder
+        if not _is_int(df):
+            raise TypeError(f"df must be an integer, got {df!r}")
+        df = int(df)
     if not 1 <= df <= _DF_MAX:
         raise ValueError(f"df must lie in [1, {_DF_MAX}], got {df}")
     return df
@@ -146,7 +156,7 @@ def _chi2_ladder(x, q: int, steps: int) -> list:
     A scalar takes its own Python-float path because the numpy calls of
     the array path cost more on a one-element array than the whole
     scalar evaluation (a single test evaluates three ladders)."""
-    _check_df(q)
+    q = _check_df(q)
     _check_df(q + 2 * (steps - 1))
     if not isinstance(x, (float, int)):
         x = np.asarray(x, dtype=float)
@@ -232,7 +242,7 @@ def chi2_cdf(x, df: int):
 
 def chi2_pdf(x: float, df: int) -> float:
     """g_df(x), the chi-square density."""
-    _check_df(df)
+    df = _check_df(df)
     if x < 0:
         raise ValueError(f"x must be >= 0, got {x}")
     if x == 0.0:
@@ -247,7 +257,7 @@ def chi2_pdf(x: float, df: int) -> float:
 
 def chi2_quantile(p: float, df: int) -> float:
     """Inverse of chi2_cdf in x for fixed df."""
-    _check_df(df)
+    df = _check_df(df)
     if not 0.0 < p < 1.0:
         raise ValueError(f"p must lie in (0,1), got {p}")
     # validated first: the cache takes 1, 1.0 and True for one key

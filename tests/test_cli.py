@@ -132,6 +132,24 @@ def test_test_command_skips_header_line(capsys, tmp_path):
     assert json.loads(out)["n"] == 4
 
 
+def test_json_report_writes_a_number_that_is_not_finite_as_null(capsys,
+                                                                 tmp_path):
+    # scaled by 1e150, the data take S* to -inf; strict JSON (RFC 8259)
+    # has no -Infinity, so the number reads null and a warning names it
+    x = np.random.default_rng(1).exponential(1.0, 200) * 1e150
+    path = _write(tmp_path / "big.txt", "\n".join(map(repr, x.tolist())))
+    code, out, _ = run_cli(capsys, "test", "--model", "exponential",
+                           "--data", path, "--theta10", "1",
+                           "--format", "json")
+
+    def refuse(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    payload = json.loads(out, parse_constant=refuse)
+    assert code == 0 and payload["S_star"] is None
+    assert "corrected statistic -inf is negative" in payload["warnings"]
+
+
 def test_first_line_with_a_number_is_data(capsys, tmp_path):
     # a first line is a header only when none of its fields is a number:
     # a bad field beside a number is an error, not a skipped pair

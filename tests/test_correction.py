@@ -189,6 +189,18 @@ def test_run_test_rejects_nonfinite(S):
         run_test(S, EXP, 1, 20)
 
 
+@pytest.mark.parametrize("kind", (np.int32, np.int64))
+def test_run_test_takes_a_numpy_integer_q(kind):
+    want = run_test(3.0, EXP, 1, 20)
+    got = run_test(3.0, EXP, kind(1), 20)
+    for field in ("S_star", "p_asymptotic", "p_expanded", "p_corrected",
+                  "z_modified"):
+        assert (float(getattr(got, field)).hex()
+                == float(getattr(want, field)).hex()), field
+    with pytest.raises(TypeError, match="df must be an integer"):
+        run_test(3.0, EXP, True, 20)
+
+
 def test_run_test_rejects_negative_statistic():
     with pytest.raises(ValueError, match=r"^S must be >= 0, got -1\.0$"):
         run_test(-1.0, EXP, 1, 20)

@@ -38,7 +38,17 @@ def test_make_model_rejects_unknown_id():
      "known must be 'mean' or 'shape', got 'x'"),
     ("gamma-rate", dict(k=0.0), "k must be positive"),
     ("pareto-shape", dict(k=-1.0), "k must be positive"),
-    ("power-shape", dict(theta=0.0), "theta must be positive")))
+    ("power-shape", dict(theta=0.0), "theta must be positive"),
+    # every constant, the unbounded mu and center too, must be finite
+    *((model_id, dict(extra, **{name: v}), f"{name} must be finite, got {v}")
+      for model_id, name, extra in (
+          ("normal-mean-known", "mu", {}),
+          ("normal-variance-known", "variance", {}),
+          ("inverse-normal", "mu", {}),
+          ("inverse-normal", "shape", dict(known="shape")),
+          ("gamma-rate", "k", {}), ("pareto-shape", "k", {}),
+          ("power-shape", "theta", {}), ("laplace-scale", "center", {}))
+      for v in (math.nan, math.inf, -math.inf))))
 def test_make_model_rejects_bad_constants(model_id, constants, message):
     with pytest.raises(ValueError) as refused:
         make_model(model_id, **constants)
@@ -103,6 +113,9 @@ _NULL_PATHS = {
         theta10),
     "fit_restricted": lambda mid, m, theta10: m.fit_restricted(
         m.sample(m.default_theta, 6, np.random.default_rng(0)), theta10),
+    "fit_rows": lambda mid, m, theta10: m.fit_rows(m.summarize(
+        m.sample(m.default_theta, (3, 6), np.random.default_rng(0))),
+        theta10),
     "hypothesis": lambda mid, m, theta10: m.hypothesis(theta10),
     "SimulationConfig": lambda mid, m, theta10: SimulationConfig(
         model_id=mid, theta=m.default_theta, theta10=theta10, sizes=(6,),
@@ -406,6 +419,26 @@ def test_every_family_takes_its_specialized_route(model):
     # to the general engine unnoticed
     theta = np.asarray(model.default_theta, dtype=float)
     assert model.coefficients(theta) == model.specialized_coefficients(theta)
+
+
+# the families in the mean parametrization, E d(X) = phi, with constants
+MEAN_FAMILIES = (("exponential", {}), ("normal-mean-known", dict(mu=0.3)),
+                 ("normal-variance-known", dict(variance=2.5)),
+                 ("inverse-normal", dict(known="shape", shape=2.5)),
+                 ("truncated-extreme-value", {}),
+                 ("laplace-scale", dict(center=-0.4)))
+
+
+@settings(max_examples=40, deadline=None)
+@given(phi=st.floats(1e-2, 1e2))
+@pytest.mark.parametrize("model_id, constants", MEAN_FAMILIES)
+def test_mean_parametrized_families_have_no_a1(model_id, constants, phi):
+    # beta = -phi gives kpp = a1, kppp = 2 a2 = 2 kpp_p and kppp_p = 2 a3
+    # = 2 kpp_pp, so both terms of A1's numerator vanish
+    m = make_model(model_id, **constants)
+    assert m.specialized_coefficients((phi,)).A1 == 0.0
+    general = m.general_coefficients((phi,))
+    assert abs(general.A1) <= 1e-12 * max(abs(general.A2), 1.0)
 
 
 def test_birnbaum_saunders_printed_nuisance_interaction_value():
@@ -1073,13 +1106,13 @@ def test_one_data_set_takes_the_one_row_driver(model, monkeypatch):
     # gradient_statistic and the one-row fits run on scalars, never through
     # the batch driver's rows; batch_statistics does reach them
     calls = []
-    fit_rows = ModelFamily.fit_rows
+    fit_rows = ModelFamily._fit_rows
 
     def counted(self, m, theta10):
         calls.append(len(m[1]))
         return fit_rows(self, m, theta10)
 
-    monkeypatch.setattr(ModelFamily, "fit_rows", counted)
+    monkeypatch.setattr(ModelFamily, "_fit_rows", counted)
     theta = np.asarray(model.default_theta, dtype=float)
     x = model.sample(theta, (2, 8), np.random.default_rng(SEED))
     gradient_statistic(model, x[0], theta[:model.q])
@@ -1088,6 +1121,19 @@ def test_one_data_set_takes_the_one_row_driver(model, monkeypatch):
     assert calls == []
     model.batch_statistics(x, theta[:model.q])
     assert calls == [2]
+
+
+def test_batch_entry_points_check_the_null_once(monkeypatch):
+    # fit_rows checks theta10; batch_statistics checks it once and then
+    # fits without the public method's second check
+    m, calls, null = make_model("exponential"), [], ModelFamily._null
+    monkeypatch.setattr(ModelFamily, "_null",
+                        lambda self, t: calls.append(t) or null(self, t))
+    x = m.sample((1.0,), (3, 6), np.random.default_rng(SEED))
+    m.batch_statistics(x, (1.0,))
+    assert len(calls) == 1
+    m.fit_rows(m.summarize(x), (1.0,))
+    assert len(calls) == 2
 
 
 BOUNDED_NULL = sorted(set(builtin_models())

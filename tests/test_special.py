@@ -145,6 +145,18 @@ def test_chi2_quantile_cache_keeps_the_type_checks():
             chi2_quantile(0.95, df)
 
 
+@pytest.mark.parametrize("kind", (np.int32, np.int64))
+def test_numpy_integer_df_gives_the_bits_of_an_int(kind):
+    # the studies' integer rule: a numpy integer is one, a bool is not
+    for df in (1, 2, 5):
+        for f, x in ((chi2_cdf, 2.5), (chi2_pdf, 2.5), (chi2_quantile, 0.95)):
+            assert f(x, kind(df)).hex() == f(x, df).hex(), (f, df)
+        got = _chi2_ladder(np.array([0.5, 2.5]), kind(df), 4)
+        assert np.array_equal(got, _chi2_ladder(np.array([0.5, 2.5]), df, 4))
+    with pytest.raises(TypeError):
+        chi2_cdf(2.5, True)
+
+
 def test_scaled_tail_matches_scipy_across_cody_regions():
     # v / sqrt(2) on both sides of +-0.46875 and 4, and large; e^{v^2/2}
     # overflows far below -37
