@@ -261,20 +261,17 @@ def cmd_coeffs(args) -> int:
     return 0
 
 
-def _simulation_config(args, **options) -> tuple:
-    """The model and the checked study inputs of simulate or cdf-study;
-    options are further SimulationConfig fields."""
-    from .simulate import SimulationConfig
+def _study_inputs(args) -> tuple:
+    """The model, its id and constants, theta, theta10 and sample sizes
+    that the flags of simulate or cdf-study give, parsed; the study checks
+    them."""
     model, model_id, constants, theta = _model_and_theta(args.model,
                                                          args.params)
     if args.theta is not None:
         theta = _parse_floats(args.theta, "--theta")
     theta10 = (theta[:model.q] if args.theta10 is None
                else _parse_floats(args.theta10, "--theta10"))
-    return model, SimulationConfig(
-        model_id=model_id, theta=theta, theta10=theta10,
-        sizes=_parse_sizes(args.n), replicates=args.reps, seed=args.seed,
-        constants=constants, **options)
+    return model, model_id, constants, theta, theta10, _parse_sizes(args.n)
 
 
 def _cannot_write(path, exc) -> ValueError:
@@ -283,9 +280,9 @@ def _cannot_write(path, exc) -> ValueError:
 
 @contextlib.contextmanager
 def _output_checked(path):
-    """Check that path can be written before the study in the block runs,
-    without truncating it; if the study fails, remove the file again where
-    the check made it."""
+    """Check that path can be written before the study in the block checks
+    its inputs and runs, without truncating it; if the study is refused or
+    fails, remove the file again where the check made it."""
     existed = os.path.exists(path)
     try:
         open(path, "a").close()
@@ -309,12 +306,15 @@ def _write_csv(write, result, path) -> None:
 
 
 def cmd_simulate(args) -> int:
-    from .simulate import run_size_study, write_size_csv
-    _, config = _simulation_config(
-        args, alphas=_parse_floats(args.alpha, "--alpha"),
-        procedures=tuple(args.procedures.split(",")))
+    from .simulate import SimulationConfig, run_size_study, write_size_csv
+    alphas = _parse_floats(args.alpha, "--alpha")
+    _, model_id, constants, theta, theta10, sizes = _study_inputs(args)
     with _output_checked(args.out):
-        result = run_size_study(config)
+        result = run_size_study(SimulationConfig(
+            model_id=model_id, theta=theta, theta10=theta10, sizes=sizes,
+            replicates=args.reps, alphas=alphas, seed=args.seed,
+            procedures=tuple(args.procedures.split(",")),
+            constants=constants))
     _write_csv(write_size_csv, result, args.out)
     print(f"wrote {len(result.rows)} rows to {args.out}")
     for n, count in result.failures:
@@ -325,13 +325,12 @@ def cmd_simulate(args) -> int:
 
 def cmd_cdf_study(args) -> int:
     from .simulate import run_cdf_study, write_cdf_csv
-    model, config = _simulation_config(args)
-    if len(config.sizes) != 1:
+    model, _, _, theta, theta10, sizes = _study_inputs(args)
+    if len(sizes) != 1:
         raise ValueError(f"cdf-study takes a single --n, got {args.n!r}")
     with _output_checked(args.out):
-        study = run_cdf_study(model, config.theta, config.theta10,
-                              n=config.sizes[0],
-                              replicates=config.replicates, seed=config.seed)
+        study = run_cdf_study(model, theta, theta10, n=sizes[0],
+                              replicates=args.reps, seed=args.seed)
     _write_csv(write_cdf_csv, study, args.out)
     print(f"wrote {len(study.x)} rows to {args.out}")
     print(f"  sup |empirical - chisq|    = {_fmt(study.sup_chisq)}")

@@ -28,7 +28,7 @@ import numpy as np
 
 from ._record import Record
 from .expansion import ExpansionCoefficients
-from .special import _chi2_ladder, chi2_cdf, chi2_quantile
+from .special import _check_df, _chi2_ladder, chi2_cdf, chi2_quantile
 
 __all__ = ["PROCEDURES", "BartlettFactors", "TestReport",
            "bartlett_factors", "expanded_cdf", "corrected_statistic",
@@ -90,8 +90,7 @@ def _check_n(n) -> None:
 
 def bartlett_factors(coef: ExpansionCoefficients, q: int,
                      n) -> BartlettFactors:
-    if q < 1:
-        raise ValueError(f"q must be >= 1, got {q}")
+    q = _check_df(q)
     _check_n(n)
     a = coef.A3 / (12.0 * n * q * (q + 2) * (q + 4))
     b = (coef.A2 - 2.0 * coef.A3) / (12.0 * n * q * (q + 2))

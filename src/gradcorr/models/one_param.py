@@ -21,6 +21,7 @@ Fixed constants are bound at construction time, checked by ``_constant``.
 from __future__ import annotations
 
 import math
+import numbers
 
 import numpy as np
 
@@ -115,7 +116,10 @@ class OneParamExpFamily(ModelFamily):
 
 
 def _constant(name: str, value, positive: bool = True) -> None:
-    """ValueError unless constant ``name`` is finite, and positive if asked."""
+    """ValueError unless constant ``name`` is a finite number, and positive
+    if asked."""
+    if not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a number, got {value!r}")
     if not math.isfinite(value):
         raise ValueError(f"{name} must be finite, got {value}")
     if positive and not value > 0.0:
@@ -195,8 +199,10 @@ def _inverse_normal(known: str = "mean", mu: float = 1.0,
     """The catalog's inverse-normal entry: the known-mean or the known-shape
     family, by ``known``."""
     if known == "mean":
+        _constant("shape", shape)
         return inverse_normal_mean_known(mu=mu)
     if known == "shape":
+        _constant("mu", mu)
         return inverse_normal_shape_known(shape=shape)
     raise ValueError(f"known must be 'mean' or 'shape', got {known!r}")
 

@@ -22,10 +22,10 @@ alone made the 10,000-replicate Birnbaum-Saunders and exponential CDF
 studies at n = 10 1.16x and 1.08x slower on a shared 2-vCPU Xeon, as
 larger solves fall out of cache.  A size study decides a solve's finite
 S at once, each value carrying its own n, and counts them per sample
-size, so the fixed costs of the fits and of the rules are paid per
-solve, not per size.  How the replicates are partitioned into solves
-therefore affects neither values nor, thanks to integer-count
-reduction, aggregates.
+size by the size label of each replicate, so the fixed costs of the
+fits and of the rules are paid per solve, not per size.  How the
+replicates are partitioned into solves therefore affects neither values
+nor, thanks to integer-count reduction, aggregates.
 Seeded results differ from versions that keyed one stream per
 replicate.  Both studies run their solves in order on the calling
 thread: on 2 vCPUs, two threads took 1.2-1.6x the CPU time of one for
@@ -98,15 +98,14 @@ class SimulationConfig:
     constants: dict = field(default_factory=dict, hash=False)
 
     def __post_init__(self):
-        model = make_model(self.model_id, **self.constants)
-        theta, theta10, coef = _null_point(model, self.theta, self.theta10)
+        inputs, coef = _checked(make_model(self.model_id, **self.constants),
+                                self.theta, self.theta10, self.sizes,
+                                self.replicates, self.seed)
         # kept for run_size_study, outside the fields, so equality, repr
         # and dataclasses.replace do not see it
         object.__setattr__(self, "_coefficients", coef)
-        sizes, replicates, seed = _draws(self.sizes, self.replicates,
-                                         self.seed)
-        checked = dict(theta=theta, theta10=theta10, sizes=sizes,
-                       replicates=replicates, seed=seed,
+        checked = dict(zip(("theta", "theta10", "sizes", "replicates",
+                            "seed"), inputs),
                        alphas=tuple(float(v) for v in self.alphas),
                        procedures=tuple(self.procedures))
         for name, value in checked.items():
@@ -208,11 +207,19 @@ class CdfStudy:
         return expanded_cdf(self.x, self.coefficients, self.q, self.n)
 
 
-def _draws(sizes, replicates, seed) -> tuple:
-    """What a study draws, checked and as Python ints: integer sizes of at
-    least 2, an integer replicate count of at least 1 (a bool or a float
-    is no integer), and a seed and sizes that fit the stream key, which
-    packs seed into one 64-bit word and (n, block) into the other."""
+def _checked(model: ModelFamily, theta, theta10, sizes, replicates,
+             seed) -> tuple:
+    """((theta, theta10, sizes, replicates, seed), coef): a study's one
+    check of its inputs and one evaluation of its null coefficients.
+    theta and theta10 become float tuples, checked by the family, and the
+    rest Python ints: integer sizes of at least 2, an integer replicate
+    count of at least 1 (a bool or a float is no integer), and a seed and
+    sizes that fit the stream key, which packs seed into one 64-bit word
+    and (n, block) into the other.  coef, at theta with theta10 for its
+    first q components, is also the overflow check: a null too large for
+    the cumulants raises OverflowError before the draws are checked."""
+    theta, theta10 = model._theta(theta), model._null(theta10)
+    coef = model.coefficients(np.concatenate([theta10, theta[model.q:]]))
     sizes = tuple(sizes)
     if not sizes or not all(_is_int(n) and n >= 2 for n in sizes):
         raise ValueError(f"sample sizes must be integers >= 2, got {sizes}")
@@ -223,18 +230,8 @@ def _draws(sizes, replicates, seed) -> tuple:
                          f"got {replicates!r}")
     if not _is_int(seed) or not 0 <= seed < 2**64:
         raise ValueError(f"seed must be a 64-bit integer, got {seed!r}")
-    return tuple(map(int, sizes)), int(replicates), int(seed)
-
-
-def _null_point(model: ModelFamily, theta, theta10) -> tuple:
-    """theta and theta10 as float tuples, checked by the family, and the
-    coefficients at the null point, theta with theta10 for its first q
-    components.  Evaluating them is only the overflow check, which
-    callers that discard them still make: a null too large for the
-    cumulants raises OverflowError before any draw."""
-    theta, theta10 = model._theta(theta), model._null(theta10)
-    return (tuple(theta.tolist()), tuple(theta10.tolist()),
-            model.coefficients(np.concatenate([theta10, theta[model.q:]])))
+    return ((tuple(theta.tolist()), tuple(theta10.tolist()),
+             tuple(map(int, sizes)), int(replicates), int(seed)), coef)
 
 
 def _solves(model: ModelFamily, theta, theta10, seed: int, sizes,
@@ -268,8 +265,8 @@ def replicate_statistics(model: ModelFamily, theta, theta10, n: int,
                          replicates: int, seed: int) -> tuple:
     """S of replicates 0..replicates-1 at sample size n (NaN where a fit
     failed) and the number of failed fits."""
-    theta, theta10, _ = _null_point(model, theta, theta10)
-    (n,), replicates, seed = _draws((n,), replicates, seed)
+    (theta, theta10, (n,), replicates, seed), _ = _checked(
+        model, theta, theta10, (n,), replicates, seed)
     return _statistics(model, theta, theta10, n, replicates, seed)
 
 
@@ -311,23 +308,16 @@ def _size_counts(cfg: SimulationConfig, coef: ExpansionCoefficients, q: int,
     """Rejection counts per (size, cell) and failures per size of one
     solve's (size index, rows) runs and S, zero for the sizes it does not
     hold."""
+    index, rows = zip(*runs)
+    label = np.repeat(index, rows)          # size index per replicate
     finite = np.isfinite(S)
-    failures = np.zeros(len(cfg.sizes), dtype=np.int64)
-    kept, lo = [], 0          # (size index, finite S) per run
-    for i, rows in runs:
-        m = int(np.count_nonzero(finite[lo:lo + rows]))
-        failures[i] += rows - m
-        kept.append((i, m))
-        lo += rows
-    S = S[finite]
-    n = np.repeat([cfg.sizes[i] for i, _ in kept], [m for _, m in kept])
-    rej = _rejections(S, coef, q, n, cfg.alphas, cfg.procedures)
-    counts = np.zeros((len(cfg.sizes), len(rej)), dtype=np.int64)
-    lo = 0
-    for i, m in kept:
-        counts[i] += np.count_nonzero(rej[:, lo:lo + m], axis=1)
-        lo += m
-    return counts, failures
+    k = len(cfg.sizes)
+    failures = np.bincount(label[~finite], minlength=k)
+    label = label[finite]
+    rej = _rejections(S[finite], coef, q, np.array(cfg.sizes)[label],
+                      cfg.alphas, cfg.procedures)
+    counts = np.array([np.bincount(label[row], minlength=k) for row in rej])
+    return counts.T, failures
 
 
 def _check_failures(failures_by_n: dict, replicates: int) -> None:
@@ -431,8 +421,8 @@ def run_cdf_study(model, theta, theta10, n: int, replicates: int,
     """Empirical null CDF of S against G_q and the order-1/n expansion."""
     if isinstance(model, str):
         model = make_model(model)
-    theta, theta10, coef = _null_point(model, theta, theta10)
-    (n,), replicates, seed = _draws((n,), replicates, seed)
+    (theta, theta10, (n,), replicates, seed), coef = _checked(
+        model, theta, theta10, (n,), replicates, seed)
     q = model.q
 
     S, failed = _statistics(model, theta, theta10, n, replicates, seed)

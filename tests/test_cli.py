@@ -503,6 +503,48 @@ def test_study_commands_report_unwritable_output(capsys, tmp_path,
     assert calls == []
 
 
+@pytest.mark.parametrize("command", ("simulate", "cdf-study"))
+def test_study_commands_check_output_before_inputs(capsys, tmp_path,
+                                                   command):
+    # two faults at once: the path is checked before the study checks
+    # its inputs, and nothing is left behind
+    path = str(tmp_path / "missing" / "x.csv")
+    code, stdout, err = run_cli(capsys, command, "--model", "exponential",
+                                "--theta", "1,2", "--n", "6", "--reps", "10",
+                                "--seed", "1", "--out", path)
+    assert (code, stdout, err) == (
+        2, "", f"error: cannot write {path}: No such file or directory\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command, models", (("simulate", None),
+                                             ("cdf-study", 1)))
+def test_study_commands_check_their_inputs_once(capsys, tmp_path,
+                                                monkeypatch, command, models):
+    # the command parses the flags and the study checks them once, so the
+    # null coefficients are evaluated once; cdf-study builds no config
+    import gradcorr.cli as cli
+    from gradcorr.models.base import ModelFamily
+    calls = {"coefficients": 0, "make_model": 0}
+
+    def counted(name, f):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return f(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(ModelFamily, "coefficients",
+                        counted("coefficients", ModelFamily.coefficients))
+    for module in (cli, sim):
+        monkeypatch.setattr(module, "make_model",
+                            counted("make_model", module.make_model))
+    code, _, err = run_cli(capsys, command, "--model", "exponential", "--n",
+                           "6", "--reps", "10", "--seed", "1", "--out",
+                           str(tmp_path / "x.csv"))
+    assert (code, err, calls["coefficients"]) == (0, "", 1)
+    assert models is None or calls["make_model"] == models
+
+
 @pytest.mark.parametrize("error, code", (
     (ValueError, 2), (NotImplementedError, 2), (FitError, 3),
     (SimulationError, 3)))
@@ -523,6 +565,18 @@ def test_main_maps_library_errors_to_exit_codes(capsys, tmp_path,
             assert got == (code, "", "error: no study\n")
     assert not new.exists()
     assert Path(old).read_text() == "kept\n"
+
+
+@pytest.mark.parametrize("model, params, message", (
+    ("normal-mean-known", "mu=abc", "mu must be a number, got 'abc'"),
+    ("gamma", "k=abc", "k must be a number, got 'abc'"),
+    ("exponential", "zz=1",
+     "model 'exponential' does not accept constants ['zz']")))
+def test_test_command_names_the_bad_constant(capsys, exp_data, model, params,
+                                             message):
+    code, out, err = run_cli(capsys, "test", "--model", model, "--params",
+                             params, "--data", exp_data, "--theta10", "1")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
 
 
 _STUDY = "--reps 10 --seed 1 --out x.csv"

@@ -45,6 +45,21 @@ def test_bartlett_factors_reject_bad_sizes():
         bartlett_factors(EXP, q=1, n=0)
 
 
+@pytest.mark.parametrize("q", (1.5, True))
+def test_factors_refuse_the_q_that_run_test_refuses(q):
+    # one integer rule for q, that of special._check_df
+    for call in (lambda: run_test(3.0, EXP, q, 20),
+                 lambda: bartlett_factors(EXP, q, 20),
+                 lambda: corrected_statistic(3.0, EXP, q, 20)):
+        with pytest.raises(TypeError, match="df must be an integer"):
+            call()
+
+
+def test_bartlett_factors_take_a_numpy_integer_q():
+    f, g = bartlett_factors(EXP, np.int64(1), 20), bartlett_factors(EXP, 1, 20)
+    assert f == g and type(f.q) is int
+
+
 def test_array_n_matches_scalar_calls():
     # a study decides values of several sample sizes at once; each value
     # must meet the arithmetic of its own scalar n, bit for bit

@@ -48,7 +48,14 @@ def test_make_model_rejects_unknown_id():
           ("inverse-normal", "shape", dict(known="shape")),
           ("gamma-rate", "k", {}), ("pareto-shape", "k", {}),
           ("power-shape", "theta", {}), ("laplace-scale", "center", {}))
-      for v in (math.nan, math.inf, -math.inf))))
+      for v in (math.nan, math.inf, -math.inf)),
+    ("gamma-rate", dict(k="abc"), "k must be a number, got 'abc'"),
+    # the constant of the inverse-normal case not chosen is checked too
+    ("inverse-normal", dict(known="shape", mu=-1.0), "mu must be positive"),
+    ("inverse-normal", dict(known="shape", mu=math.nan),
+     "mu must be finite, got nan"),
+    ("inverse-normal", dict(shape=math.inf), "shape must be finite, got inf"),
+))
 def test_make_model_rejects_bad_constants(model_id, constants, message):
     with pytest.raises(ValueError) as refused:
         make_model(model_id, **constants)
