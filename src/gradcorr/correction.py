@@ -28,7 +28,8 @@ import numpy as np
 
 from ._record import Record
 from .expansion import ExpansionCoefficients
-from .special import _check_df, _chi2_ladder, chi2_cdf, chi2_quantile
+from .special import (_check_df, _chi2_ladder, _is_int, chi2_cdf,
+                      chi2_quantile)
 
 __all__ = ["PROCEDURES", "BartlettFactors", "TestReport",
            "bartlett_factors", "expanded_cdf", "corrected_statistic",
@@ -81,9 +82,13 @@ class TestReport(Record):
 
 
 def _check_n(n) -> None:
-    """n >= 1, for an integer or elementwise for an array.  An integer
-    takes a plain comparison: np.any on it would cost a single test more
-    than the rest of the check."""
+    """n >= 1: an integer by ``_is_int``, or an array of an integer dtype
+    elementwise, else TypeError.  An int skips the type tests and takes a
+    plain comparison: np.any would cost a single test more than the rest."""
+    if type(n) is not int and not (
+            np.issubdtype(n.dtype, np.integer) if isinstance(n, np.ndarray)
+            else _is_int(n)):
+        raise TypeError(f"n must be an integer, got {n!r}")
     if (n < 1).any() if isinstance(n, np.ndarray) else n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
 

@@ -36,6 +36,7 @@ import itertools
 import numpy as np
 
 from ._record import Record
+from .special import _is_int
 
 __all__ = ["HypothesisSpec", "CumulantBundle", "DerivedCumulants",
            "FisherGeometry", "IllConditionedInformationError",
@@ -54,6 +55,8 @@ class HypothesisSpec(Record):
     __slots__ = ("p", "q", "theta10")
 
     def __init__(self, p: int, q: int, theta10: tuple[float, ...] = ()):
+        if not (_is_int(p) and _is_int(q)):
+            raise TypeError(f"p and q must be integers, got p={p!r}, q={q!r}")
         if not 1 <= q <= p:
             raise ValueError(f"need 1 <= q <= p, got q={q}, p={p}")
         if theta10 and len(theta10) != q:

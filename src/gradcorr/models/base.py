@@ -284,22 +284,22 @@ def _packed(theta, ok, k) -> np.ndarray:
 POSITIVE = (lambda x: x > 0.0, "must be positive")
 
 
-def check_observations(name, data, support=None, reason="", prefix="",
+def check_observations(name, data, support=(None, ""), prefix="",
                        least=1) -> np.ndarray:
     """data as a 1-D float array; else ValueError naming the first
-    observation that is not finite or, where ``support`` (an elementwise
-    predicate) is given, lies outside it for ``reason``, or saying that
-    there are fewer than ``least`` observations."""
+    observation that is not finite or, where the (predicate, reason) pair
+    ``support`` has an elementwise predicate, lies outside it for that
+    reason, or saying that there are fewer than ``least`` observations."""
     x = np.asarray(data, dtype=float)
     if x.ndim != 1:
         raise ValueError(f"{name}: data must be one-dimensional")
     ok = np.isfinite(x)
-    if support is not None:
-        ok &= support(x)
+    if support[0] is not None:
+        ok &= support[0](x)
     if not ok.all():
         i = int(np.flatnonzero(~ok)[0])
         v = x[i]
-        why = reason if np.isfinite(v) else "not finite"
+        why = support[1] if np.isfinite(v) else "not finite"
         raise ValueError(f"{prefix}observation {i + 1}: {why} ({v})")
     if len(x) < least:
         plural = "s" if least > 1 else ""

@@ -289,7 +289,7 @@ class BirnbaumSaunders(ModelFamily):
         return x
 
     def validate_data(self, data):
-        check_observations(self.name, data, *POSITIVE, least=2)
+        check_observations(self.name, data, POSITIVE, least=2)
 
     def summarize(self, x):
         """n, the row means s and row harmonic means r of x, and its (n, k)

@@ -25,7 +25,6 @@ import numbers
 
 import numpy as np
 
-from .._record import Record
 from ..expansion import (ExpansionCoefficients, OneParamCumulants,
                          coefficients_one_param)
 from .base import POSITIVE, ModelFamily, check_observations
@@ -37,65 +36,56 @@ __all__ = ["OneParamExpFamily", "exponential", "normal_mean_known",
            "laplace_scale"]
 
 
-class _FamilySpec(Record):
-    """A family's closures: d(x) elementwise; (a1, a2, a3) and (b1, b2, b3),
-    the derivatives of alpha and beta at phi; beta(phi); the MLE from dbar,
-    elementwise, whose fit fails where it is not finite or out of range;
-    and the sampler.  ``_mean_family`` fills in beta, the b's and the MLE.
-    ``support`` is a (predicate, reason) pair for check_observations, None
-    the real line; ``phi_min`` is the open lower bound of phi."""
-
-    __slots__ = ("name", "d", "alpha_derivs", "beta", "beta_derivs",
-                 "mle_from_dbar", "sampler", "support", "phi_min",
-                 "param_name", "default_phi")
-
-    def __init__(self, name, d, alpha_derivs, beta, beta_derivs,
-                 mle_from_dbar, sampler, support=(None, ""), phi_min=0.0,
-                 param_name="phi", default_phi=1.0):
-        self._fill(name, d, alpha_derivs, beta, beta_derivs, mle_from_dbar,
-                   sampler, support, phi_min, param_name, default_phi)
-
-
 class OneParamExpFamily(ModelFamily):
-    """Adapter turning the closures above into the ModelFamily interface."""
+    """A one-parameter family from its closures: d(x) elementwise;
+    (a1, a2, a3) and (b1, b2, b3), the derivatives of alpha and beta at
+    phi; beta(phi); the MLE from dbar, elementwise, whose fit fails where
+    it is not finite or out of range; and the sampler.  ``_mean_family``
+    fills in beta, the b's and the MLE.  ``support`` is a (predicate,
+    reason) pair for check_observations, (None, "") the real line;
+    ``phi_min`` is the open lower bound of phi."""
 
     p = 1
     q = 1
 
-    def __init__(self, spec: _FamilySpec):
-        self._spec = spec
-        self.name = spec.name
-        self.param_names = (spec.param_name,)
-        self.default_theta = (spec.default_phi,)
-        self.lower = (spec.phi_min,)
+    def __init__(self, name, d, alpha_derivs, beta, beta_derivs,
+                 mle_from_dbar, sampler, support=(None, ""), phi_min=0.0,
+                 param_name="phi", default_phi=1.0):
+        self.name = name
+        self._d, self._alpha_derivs, self._beta = d, alpha_derivs, beta
+        self._beta_derivs, self._mle_from_dbar = beta_derivs, mle_from_dbar
+        self._sampler, self._support = sampler, support
+        self.param_names = (param_name,)
+        self.default_theta = (default_phi,)
+        self.lower = (phi_min,)
 
     def sample(self, theta, size, rng):
         phi, = self._theta(theta).tolist()
-        return self._spec.sampler(phi, size, rng)
+        return self._sampler(phi, size, rng)
 
     def validate_data(self, data):
-        check_observations(self.name, data, *self._spec.support)
+        check_observations(self.name, data, self._support)
 
     def summarize(self, x):
         # sum / n is mean(axis=1) to the bit, without its per-call overhead
-        return x.shape[1], self._spec.d(x).sum(axis=1) / x.shape[1]
+        return x.shape[1], self._d(x).sum(axis=1) / x.shape[1]
 
     def estimates(self, m, theta10):
-        phi_hat = self._spec.mle_from_dbar(m[1])
+        phi_hat = self._mle_from_dbar(m[1])
         # phi_hat in (phi_min, inf), which also leaves out NaN
-        ok = (self._spec.phi_min < phi_hat) & (phi_hat < np.inf)
+        ok = (self.lower[0] < phi_hat) & (phi_hat < np.inf)
         return ((theta10[0],), True), ((phi_hat,), ok)
 
     def raw_statistic(self, m, theta10, theta_tilde, theta_hat):
         n, dbar = m
-        phi0, spec = float(theta10[0]), self._spec
-        return (n * (phi0 - theta_hat[0]) * spec.alpha_derivs(phi0)[0]
-                * (spec.beta(phi0) + dbar))
+        phi0 = float(theta10[0])
+        return (n * (phi0 - theta_hat[0]) * self._alpha_derivs(phi0)[0]
+                * (self._beta(phi0) + dbar))
 
     def scalar_cumulants(self, theta) -> OneParamCumulants:
         phi, = self._theta(theta).tolist()
-        a1, a2, a3 = self._spec.alpha_derivs(phi)
-        b1, b2, b3 = self._spec.beta_derivs(phi)
+        a1, a2, a3 = self._alpha_derivs(phi)
+        b1, b2, b3 = self._beta_derivs(phi)
         return OneParamCumulants(
             kpp=-a1 * b1,
             kppp=-(2.0 * a2 * b1 + a1 * b2),
@@ -134,9 +124,9 @@ def _reciprocal_derivs(phi) -> tuple:
 def _mean_family(**spec) -> OneParamExpFamily:
     """A family in the mean parametrization, E d(X) = phi: beta(phi) = -phi,
     with derivatives (-1, 0, 0), and the MLE is dbar itself."""
-    return OneParamExpFamily(_FamilySpec(
+    return OneParamExpFamily(
         beta=lambda phi: -phi, beta_derivs=lambda phi: (-1.0, 0.0, 0.0),
-        mle_from_dbar=lambda dbar: dbar, **spec))
+        mle_from_dbar=lambda dbar: dbar, **spec)
 
 
 def exponential() -> OneParamExpFamily:
@@ -171,7 +161,7 @@ def normal_variance_known(variance: float = 1.0) -> OneParamExpFamily:
 def inverse_normal_mean_known(mu: float = 1.0) -> OneParamExpFamily:
     """Inverse Gaussian with known mean; the tested parameter is the shape."""
     _constant("mu", mu)
-    return OneParamExpFamily(_FamilySpec(
+    return OneParamExpFamily(
         name="inverse-normal-mean-known",
         d=lambda x: (x - mu)**2 / (2.0 * mu**2 * x),
         alpha_derivs=lambda phi: (1.0, 0.0, 0.0),
@@ -180,7 +170,7 @@ def inverse_normal_mean_known(mu: float = 1.0) -> OneParamExpFamily:
         mle_from_dbar=lambda dbar: 0.5 / dbar,
         sampler=lambda phi, size, rng: rng.wald(mu, phi, size=size),
         support=POSITIVE,
-    ))
+    )
 
 
 def inverse_normal_shape_known(shape: float = 1.0) -> OneParamExpFamily:
@@ -210,7 +200,7 @@ def _inverse_normal(known: str = "mean", mu: float = 1.0,
 def gamma_rate(k: float = 1.0) -> OneParamExpFamily:
     """Gamma with known index k; the tested parameter is the rate."""
     _constant("k", k)
-    return OneParamExpFamily(_FamilySpec(
+    return OneParamExpFamily(
         name="gamma-rate",
         d=lambda x: x,
         alpha_derivs=lambda phi: (1.0, 0.0, 0.0),
@@ -220,7 +210,7 @@ def gamma_rate(k: float = 1.0) -> OneParamExpFamily:
         mle_from_dbar=lambda dbar: k / dbar,
         sampler=lambda phi, size, rng: rng.gamma(k, 1.0 / phi, size=size),
         support=POSITIVE,
-    ))
+    )
 
 
 def truncated_extreme_value() -> OneParamExpFamily:
@@ -236,7 +226,7 @@ def truncated_extreme_value() -> OneParamExpFamily:
 def pareto_shape(k: float = 1.0) -> OneParamExpFamily:
     """Pareto on (k, inf) with known scale k; the tested parameter is the shape."""
     _constant("k", k)
-    return OneParamExpFamily(_FamilySpec(
+    return OneParamExpFamily(
         name="pareto-shape",
         d=lambda x: np.log(x),
         alpha_derivs=lambda phi: (1.0, 0.0, 0.0),
@@ -246,13 +236,13 @@ def pareto_shape(k: float = 1.0) -> OneParamExpFamily:
         sampler=lambda phi, size, rng: k * np.exp(
             rng.exponential(1.0 / phi, size=size)),
         support=(lambda x: x > k, f"must exceed the scale {k}"),
-    ))
+    )
 
 
 def power_shape(theta: float = 1.0) -> OneParamExpFamily:
     """Power distribution on (0, theta) with known endpoint."""
     _constant("theta", theta)
-    return OneParamExpFamily(_FamilySpec(
+    return OneParamExpFamily(
         name="power-shape",
         d=lambda x: np.log(x),
         alpha_derivs=lambda phi: (-1.0, 0.0, 0.0),
@@ -263,7 +253,7 @@ def power_shape(theta: float = 1.0) -> OneParamExpFamily:
             -rng.exponential(1.0 / phi, size=size)),
         support=(lambda x: (0.0 < x) & (x < theta),
                  f"must lie strictly inside (0, {theta})"),
-    ))
+    )
 
 
 def laplace_scale(center: float = 0.0) -> OneParamExpFamily:

@@ -116,7 +116,7 @@ class TwoSampleExponential(ModelFamily):
             raise ValueError(f"{self.name}: samples must have equal length "
                              f"({len(x1)} vs {len(x2)})")
         for label, x in (("sample 1", x1), ("sample 2", x2)):
-            check_observations(self.name, x, *POSITIVE, prefix=f"{label}, ")
+            check_observations(self.name, x, POSITIVE, prefix=f"{label}, ")
 
     def summarize(self, x):
         n = x.shape[1]

@@ -44,7 +44,7 @@ and of the expanded CDF from their empirical CDF.  A coarse pass
 evaluates both at every _STRIDE-th sorted value; since every rung of
 the chi-square ladder is non-decreasing, the values there bound both
 distances on each interval between them, and only the intervals whose
-bound comes within a margin of the largest distance found so far are
+bound comes within a margin of the coarse pass's distances are
 evaluated point by point.  The sups stay exact, and an exponential
 study at n = 10 evaluates about 1,200 of its 10,000 values (see
 ``_sup_distances``).
@@ -365,10 +365,10 @@ def _sup_distances(S, coef, q, n) -> tuple:
     w_k = R_k/24n, between the sums that take each term at the end that
     the sign of its weight makes largest, or smallest.  At an inner point
     i, F(S[i]) - i/m is then at most the upper bound less (lo+1)/m, and
-    (i+1)/m - F(S[i]) at most hi/m less the lower bound.  Only the
-    intervals whose bound comes within a margin of the largest distance
-    found so far are evaluated point by point, the most promising first,
-    at most BLOCK values per ladder.
+    (i+1)/m - F(S[i]) at most hi/m less the lower bound.  One filter
+    keeps the intervals whose bound on either distance comes within a
+    margin of the coarse pass's value of it, and their inner points are
+    evaluated in ladders of at most BLOCK values.
 
     The ladder's absolute error is at most 1e-13 per rung, so a computed
     distance and a computed bound each miss their exact value by about
@@ -387,19 +387,14 @@ def _sup_distances(S, coef, q, n) -> tuple:
     bottom = _expand(lo[0], [a if r > 0 else b for r, a, b in zip(R, lo, hi)],
                      coef, n)
     first, last = (ends[:-1] + 1) / m, ends[1:] / m
-    bound = (np.maximum(hi[0] - first, last - lo[0]),
-             np.maximum(top - first, last - bottom))
-
-    def excess(k):
-        # how far the bounds on intervals k exceed the distances so far
-        return np.maximum(bound[0][k] - worst[0], bound[1][k] - worst[1])
-
-    k = np.flatnonzero(np.diff(ends) > 1)       # intervals with inner points
-    k = k[np.argsort(-excess(k), kind="stable")]
-    while len(k := k[excess(k) >= -margin]):
-        chunk, k = k[:BLOCK // _STRIDE], k[BLOCK // _STRIDE:]
-        i = ends[chunk, None] + np.arange(1, _STRIDE)
-        _, found = _distances(S, i[i < ends[chunk + 1, None]], coef, q, n)
+    k = np.flatnonzero(
+        (np.diff(ends) > 1)                     # intervals with inner points
+        & ((np.maximum(hi[0] - first, last - lo[0]) >= worst[0] - margin)
+           | (np.maximum(top - first, last - bottom) >= worst[1] - margin)))
+    i = ends[k, None] + np.arange(1, _STRIDE)
+    i = i[i < ends[k + 1, None]]
+    for start in range(0, len(i), BLOCK):
+        _, found = _distances(S, i[start:start + BLOCK], coef, q, n)
         worst = [max(w, f) for w, f in zip(worst, found)]
     return float(worst[0]), float(worst[1])
 

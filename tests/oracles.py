@@ -420,11 +420,10 @@ def score(model, data, theta) -> np.ndarray:
     theta = model._theta(theta).tolist()
     if model.p == 1:
         # U = -alpha'(phi) (dbar + beta(phi)), f = xi exp{-alpha d + gamma}
-        spec = model._spec
         phi, = theta
-        dbar = float(np.mean(spec.d(np.asarray(data, dtype=float))))
-        a1, _, _ = spec.alpha_derivs(phi)
-        return np.array([-a1 * (dbar + spec.beta(phi))])
+        dbar = float(np.mean(model._d(np.asarray(data, dtype=float))))
+        a1, _, _ = model._alpha_derivs(phi)
+        return np.array([-a1 * (dbar + model._beta(phi))])
     phi, beta = theta
     if model.name == "two-parameter-normal":
         x = np.asarray(data, dtype=float)

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from gradcorr._record import Record
 from gradcorr.correction import (approximate_moments, bartlett_factors,
                                  corrected_statistic, expanded_cdf,
                                  modified_quantile, run_test)
@@ -58,6 +59,44 @@ def test_factors_refuse_the_q_that_run_test_refuses(q):
 def test_bartlett_factors_take_a_numpy_integer_q():
     f, g = bartlett_factors(EXP, np.int64(1), 20), bartlett_factors(EXP, 1, 20)
     assert f == g and type(f.q) is int
+
+
+# every public entry that takes n, at S = 3, gamma = 0.05 and q = 1
+N_ENTRIES = {
+    "bartlett_factors": lambda n: bartlett_factors(EXP, 1, n),
+    "expanded_cdf": lambda n: expanded_cdf(3.0, EXP, 1, n),
+    "corrected_statistic": lambda n: corrected_statistic(3.0, EXP, 1, n),
+    "modified_quantile": lambda n: modified_quantile(0.05, EXP, 1, n),
+    "approximate_moments": lambda n: approximate_moments(EXP, 1, n),
+    "run_test": lambda n: run_test(3.0, EXP, 1, n),
+}
+
+
+@pytest.mark.parametrize("shape", ("scalar", "array"))
+@pytest.mark.parametrize("n", (math.nan, math.inf, 10.5, True,
+                               np.float64(10)),
+                         ids=("nan", "inf", "10.5", "True", "float64"))
+@pytest.mark.parametrize("entry", N_ENTRIES)
+def test_entries_refuse_an_n_that_is_no_integer(entry, n, shape):
+    # one integer rule for n, that of special._is_int; a NaN n used to
+    # come back as a NaN result, and True as n = 1
+    with pytest.raises(TypeError, match="n must"):
+        N_ENTRIES[entry](np.array([n]) if shape == "array" else n)
+
+
+def _bits(value):
+    """The floats in value as hex strings, through records and tuples."""
+    if isinstance(value, Record):
+        value = value._values()
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return value if isinstance(value, str) else float(value).hex()
+
+
+@pytest.mark.parametrize("entry", N_ENTRIES)
+def test_entries_take_a_numpy_integer_n(entry):
+    assert _bits(N_ENTRIES[entry](np.int64(10))) == _bits(
+        N_ENTRIES[entry](10))
 
 
 def test_array_n_matches_scalar_calls():

@@ -40,6 +40,14 @@ def test_hypothesis_spec_validation():
         HypothesisSpec(p=3, q=2, theta10=(1.0,))
 
 
+@pytest.mark.parametrize("p, q", ((2, 1.5), (2, True), (2.0, 1),
+                                  (True, 1)))
+def test_hypothesis_spec_refuses_a_dimension_that_is_no_integer(p, q):
+    # q = 1.5 used to fail inside build_geometry, and q = True to pass
+    with pytest.raises(TypeError, match="must be integers"):
+        HypothesisSpec(p=p, q=q)
+
+
 def test_bundle_rejects_bad_shape():
     with pytest.raises(ValueError):
         _bundle(2, kappa3=np.zeros((2, 2)))

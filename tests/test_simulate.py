@@ -263,6 +263,26 @@ def test_size_study_fits_once_per_count_group(monkeypatch):
     assert calls == [list(range(5, 14)), list(range(14, 23))]
 
 
+@pytest.mark.parametrize("route", ("specialized_coefficients",
+                                   "general_coefficients"))
+@pytest.mark.parametrize("model_id", ("two-parameter-normal",
+                                      "two-sample-exponential",
+                                      "birnbaum-saunders"))
+def test_null_coefficients_do_not_depend_on_the_nuisance(model_id, route):
+    # a study evaluates the A's once, with the nuisance at its configured
+    # value, in place of the plug-in at each replicate's restricted MLE:
+    # exact only while the A's do not move with the nuisance
+    m = make_model(model_id)
+    for phi in (0.3, 1.0, 2.5):
+        A = [(c.A1, c.A2, c.A3) for c in (
+            getattr(m, route)(np.array([phi, nuisance]))
+            for nuisance in (0.01, 1.0, 37.0))]
+        gap = max(abs(a - b) / max(abs(a), 1.0)
+                  for other in A[1:] for a, b in zip(A[0], other))
+        assert gap <= 1e-12, (f"{model_id}: the A's at phi = {phi} move "
+                              f"with the nuisance by {gap:.3g}")
+
+
 def test_size_study_rows_are_complete_and_consistent():
     cfg = _config(alphas=(0.05, 0.10), procedures=PROCEDURES)
     res = run_size_study(cfg)
@@ -565,6 +585,29 @@ def test_cdf_study_evaluates_few_ladder_points(monkeypatch):
     run_cdf_study("exponential", (1.0,), (1.0,), n=10, replicates=10_000,
                   seed=SEED)
     assert 0 < sum(values) <= 3000
+
+
+def test_sup_distances_refine_in_block_sized_ladders(monkeypatch):
+    # S at the chi-square quantiles (i + 1/2)/m: every coarse interval's
+    # bound reaches the largest distance, so every inner value is refined,
+    # each once, in ladders of at most BLOCK values
+    m, n = 20_000, 10
+    S = np.array([chi2_quantile((i + 0.5) / m, 1) for i in range(m)])
+    coef = make_model("exponential").coefficients(np.array([1.0]))
+    evaluated = []
+
+    def counted(x, q, steps):
+        evaluated.append(x)
+        return ladder(x, q, steps)
+
+    ladder = sim._chi2_ladder
+    monkeypatch.setattr(sim, "_chi2_ladder", counted)
+    assert sim._sup_distances(S, coef, 1, n) == _brute_sup_distances(
+        S, coef, 1, n)
+    assert np.array_equal(np.sort(np.concatenate(evaluated)), S)
+    inner = m - len(evaluated[0])
+    assert len(evaluated) == 1 + -(-inner // BLOCK) > 2
+    assert max(map(len, evaluated[1:])) <= BLOCK
 
 
 def test_sorted_quantile_is_numpys_quantile():
