@@ -23,6 +23,7 @@ and reach the decisions the per-size calls reach, bit for bit.
 from __future__ import annotations
 
 import math
+from numbers import Real
 
 import numpy as np
 
@@ -126,7 +127,13 @@ def _expand(lead, rungs, coef: ExpansionCoefficients, n):
     return lead + tail / (24.0 * n)
 
 
-def _check_statistic(S: float) -> None:
+def _check_statistic(S: float, n) -> None:
+    """A scalar entry point's S, a finite real >= 0, and n, no array; a
+    float S skips the type tests, as an int n does in ``_check_n``."""
+    if type(S) is not float and (type(S) is bool or not isinstance(S, Real)):
+        raise TypeError(f"S must be a real number, got {S!r}")
+    if isinstance(n, np.ndarray):
+        raise TypeError(f"n must be an integer, got {n!r}")
     if not math.isfinite(S):
         raise ValueError(f"S must be finite, got {S}")
     if S < 0:
@@ -136,7 +143,7 @@ def _check_statistic(S: float) -> None:
 def corrected_statistic(S: float, coef: ExpansionCoefficients, q: int,
                         n: int) -> tuple[float, tuple[str, ...]]:
     """S* = S{1 - (c + bS + aS^2)}, unclamped, with regime warnings."""
-    _check_statistic(S)
+    _check_statistic(S, n)
     return _corrected(S, bartlett_factors(coef, q, n))
 
 
@@ -179,21 +186,19 @@ def approximate_moments(coef: ExpansionCoefficients, q: int,
 def run_test(S: float, coef: ExpansionCoefficients, q: int, n: int,
              gamma: float = 0.05) -> TestReport:
     """Assemble all three improved procedures plus the first-order p-value."""
-    _check_statistic(S)
+    _check_statistic(S, n)
     f = bartlett_factors(coef, q, n)
-    warnings: list[str] = []
-    s_star, w = _corrected(S, f)
-    warnings.extend(w)
+    s_star, warnings = _corrected(S, f)
     g, raw = _null_cdfs(S, coef, q, n)
     p_asym = 1.0 - g
     p_exp = 1.0 - raw
     if not 0.0 <= p_exp <= 1.0:
         p_exp = 0.0 if p_exp < 0.0 else 1.0
-        warnings.append("expanded-CDF p-value clamped to [0,1]")
+        warnings += ("expanded-CDF p-value clamped to [0,1]",)
     # negative S* sits below the chi-square support, so its p-value is 1
     p_corr = 1.0 - chi2_cdf(max(s_star, 0.0), q)
     z = f.modified(_percentile(gamma, q))
     return TestReport(S=S, S_star=s_star, p_asymptotic=p_asym,
                       p_expanded=p_exp, p_corrected=p_corr, z_modified=z,
                       coefficients=coef, expanded_cdf_raw=raw,
-                      warnings=tuple(warnings))
+                      warnings=warnings)

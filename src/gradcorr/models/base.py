@@ -10,16 +10,17 @@ Each family writes its two fits (``estimates``) and its statistic
 (``raw_statistic``) once, as arithmetic on its per-row summaries of a
 (k, n) data matrix holding one data set per row; a two-sample row is
 sample 1 in its first n/2 columns and sample 2 in the rest.  Two drivers
-run that arithmetic, and the entry point picks one.  The batch driver,
-``batch_statistics`` and ``fit_rows``, runs it on arrays of one value
-per row, over one matrix or several of different n joined end to end,
-and marks a failed fit NaN.  The one-row driver, ``gradient_statistic``,
-``fit_restricted`` and ``fit_unrestricted``, runs it on the summaries of
-one data set as numpy float64 scalars, which cost less than one-element
-arrays and keep their inf and NaN under the same ``np.errstate``, and
-raises ``FitError`` where a fit fails.  Squares are written as products
-(``** 2`` on a numpy scalar is C ``pow``, which can miss ``x * x`` in the
-last bit), so a one-row result is its batch row to the bit.
+run that arithmetic in the same order, and the entry point picks one.
+The batch driver, ``batch_statistics`` and ``fit_rows``, runs it on
+arrays of one value per row, over one matrix or several of different n
+joined end to end, and marks NaN a row where a fit fails.  The one-row
+driver, ``gradient_statistic``, ``fit_restricted`` and
+``fit_unrestricted``, runs it on the numpy float64 scalars of one data
+set, which cost less than one-element arrays and keep their inf and NaN
+under the same ``np.errstate``, and raises ``FitError`` where a fit
+fails.  ``_holds`` says for both where that is.  Squares are products
+(``** 2`` on a numpy scalar is C ``pow``, which can miss ``x * x`` in
+the last bit), so a one-row result is its batch row to the bit.
 
 The statistic itself is the inner product of the restricted score with
 the tested-component estimate shift,
@@ -102,11 +103,11 @@ class ModelFamily(ABC):
     def estimates(self, m, theta10) -> tuple:
         """The restricted fit theta_tilde, its first q components at
         theta10, and the full fit theta_hat from summaries m, each as the
-        pair (its p components, whether it holds); a fit fails where that
-        flag is false or a component is NaN.  Arithmetic only, on the
-        per-row values of m as arrays or as numpy float64 scalars, a
-        scalar (such as theta10's) standing for every row.  theta10 comes
-        checked by ``_null``, and theta_hat does not depend on it."""
+        pair (its p components, its flag) that ``_holds`` reads.
+        Arithmetic only, on the per-row values of m as arrays or as numpy
+        float64 scalars, a scalar (such as theta10's) standing for every
+        row.  theta10 comes checked by ``_null``, and theta_hat does not
+        depend on it."""
 
     @abstractmethod
     def raw_statistic(self, m, theta10, theta_tilde, theta_hat):
@@ -204,11 +205,13 @@ class ModelFamily(ABC):
 
     def _fitted(self, theta, ok, which) -> np.ndarray:
         """The one-row driver's failure marking: the components theta as a
-        (p,) array, or FitError where the fit failed."""
-        # over p values a Python loop is cheaper than a numpy reduction
-        if not ok or any(map(math.isnan, theta)):
+        (p,) array, or FitError where the fit does not hold."""
+        fit = np.array(theta, dtype=float)
+        # read as Python scalars: in numpy 2, & of a numpy and a Python
+        # scalar costs about 1 us, twenty times & of two of one kind
+        if not _holds(fit.tolist(), bool(ok)):
             raise FitError(f"{self.name}: {which} fit failed")
-        return np.array(theta, dtype=float)
+        return fit
 
     def _summaries(self, blocks) -> tuple:
         """``summarize`` of the rows of the data matrices in ``blocks``, end
@@ -224,31 +227,26 @@ class ModelFamily(ABC):
 
     def fit_rows(self, m, theta10) -> tuple:
         """(k, p) MLEs theta_tilde and theta_hat from the summaries m of k
-        rows: ``estimates`` packed a row per data set, all NaN in a row
-        where that fit failed."""
-        return self._fit_rows(m, self._null(theta10))
-
-    def _fit_rows(self, m, theta10) -> tuple:
-        """``fit_rows`` at a theta10 that ``_null`` has checked."""
-        return tuple(_packed(theta, ok, len(m[1]))
-                     for theta, ok in self.estimates(m, theta10))
+        rows, a row per data set, all NaN in a row where that fit fails."""
+        k = len(m[1])
+        return tuple(np.where(_holds(theta, ok),
+                              [np.broadcast_to(c, k) for c in theta], np.nan).T
+                     for theta, ok in self.estimates(m, self._null(theta10)))
 
     def batch_statistics(self, data, theta10) -> tuple:
         """S per row of a (k, n) data matrix from ``sample``, or of a list of
         such matrices, each with its own n, end to end; clamped at zero and
-        NaN where a fit failed or S is not finite; and the number of such
-        rows."""
-        blocks = ([np.asarray(x, dtype=float) for x in data]
-                  if isinstance(data, list) else
-                  [np.asarray(data, dtype=float)])
+        NaN where a fit fails or S is not finite; and the count of NaN."""
+        blocks = [np.asarray(x, dtype=float)
+                  for x in (data if isinstance(data, list) else [data])]
         theta10 = self._null(theta10)
         # failed fits and overflow come back as NaN and inf, not warnings
         with np.errstate(all="ignore"):
             m = self._summaries(blocks)
-            theta_tilde, theta_hat = self._fit_rows(m, theta10)
-            raw = self.raw_statistic(m, theta10, theta_tilde.T, theta_hat.T)
-        failed = (np.isnan(theta_tilde).any(axis=1)
-                  | np.isnan(theta_hat).any(axis=1) | ~np.isfinite(raw))
+            (tilde, ok_tilde), (hat, ok_hat) = self.estimates(m, theta10)
+            raw = self.raw_statistic(m, theta10, tilde, hat)
+        failed = ~(_holds(tilde, ok_tilde) & _holds(hat, ok_hat)
+                   & np.isfinite(raw))
         S = np.where(failed, np.nan, np.where(raw < 0.0, 0.0, raw))
         return S, int(np.count_nonzero(failed))
 
@@ -256,9 +254,8 @@ class ModelFamily(ABC):
         """Fit ``which`` of ``estimates`` (0 restricted, 1 unrestricted) of
         one data set."""
         with np.errstate(all="ignore"):
-            fits = self._one_row(data, theta10)[2]
-        return self._fitted(*fits[which],
-                            ("restricted", "unrestricted")[which])
+            fit = self._one_row(data, theta10)[2][which]
+        return self._fitted(*fit, ("restricted", "unrestricted")[which])
 
     def fit_restricted(self, data, theta10) -> np.ndarray:
         """MLE theta_tilde of one data set, first q components at theta10."""
@@ -270,14 +267,12 @@ class ModelFamily(ABC):
         return self._fit_one(data, self.default_theta[:self.q], 1)
 
 
-def _packed(theta, ok, k) -> np.ndarray:
-    """The batch driver's packing: the p components theta of a fit, each of
-    one value per row or one value for all k, as a (k, p) array, NaN in
-    every row where ok is false."""
-    fit = np.empty((len(theta), k))
-    for row, component in zip(fit, theta):
-        row[...] = component
-    return np.where(ok, fit, np.nan).T
+def _holds(theta, ok):
+    """The one failure rule of both drivers: a fit holds where its flag ok
+    is true and no component of theta is NaN, per row or as one bool."""
+    for component in theta:
+        ok = ok & (component == component)
+    return ok
 
 
 # (support predicate, reason) for check_observations

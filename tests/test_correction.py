@@ -84,6 +84,47 @@ def test_entries_refuse_an_n_that_is_no_integer(entry, n, shape):
         N_ENTRIES[entry](np.array([n]) if shape == "array" else n)
 
 
+@pytest.mark.parametrize("entry", ("corrected_statistic", "run_test"))
+def test_scalar_entries_refuse_an_array_n(entry):
+    # an integer array n, which bartlett_factors and expanded_cdf take
+    # elementwise, used to fail inside the correction polynomial's
+    # regime check with numpy's "truth value of an array is ambiguous"
+    n = np.array([10, 20])
+    with pytest.raises(TypeError, match=r"^n must be an integer, "
+                       r"got array\(\[10, 20\]\)$"):
+        N_ENTRIES[entry](n)
+    for i, size in enumerate(n.tolist()):
+        assert _bits(expanded_cdf(3.0, EXP, 1, n)[i]) == _bits(
+            expanded_cdf(3.0, EXP, 1, size))
+        assert _bits(bartlett_factors(EXP, 1, n).poly(3.0)[i]) == _bits(
+            bartlett_factors(EXP, 1, size).poly(3.0))
+
+
+# the entries that take one S, at q = 1 and n = 10
+S_ENTRIES = {
+    "corrected_statistic": lambda S: corrected_statistic(S, EXP, 1, 10),
+    "run_test": lambda S: run_test(S, EXP, 1, 10),
+}
+
+
+@pytest.mark.parametrize("S", (True, False, np.True_, "3.0", 3.0 + 0j,
+                               None, np.array([3.0])),
+                         ids=("True", "False", "numpy-True", "str",
+                              "complex", "None", "array"))
+@pytest.mark.parametrize("entry", S_ENTRIES)
+def test_scalar_entries_refuse_an_S_that_is_no_real_number(entry, S):
+    # run_test(True, ...) used to report S = True with p_asymptotic 0.3173
+    with pytest.raises(TypeError, match="^S must be a real number, got "):
+        S_ENTRIES[entry](S)
+
+
+@pytest.mark.parametrize("S", (3, np.float64(3.0), np.int64(3)),
+                         ids=("int", "float64", "int64"))
+@pytest.mark.parametrize("entry", S_ENTRIES)
+def test_scalar_entries_take_any_real_S(entry, S):
+    assert _bits(S_ENTRIES[entry](S)) == _bits(S_ENTRIES[entry](3.0))
+
+
 def _bits(value):
     """The floats in value as hex strings, through records and tuples."""
     if isinstance(value, Record):

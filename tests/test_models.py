@@ -1109,17 +1109,68 @@ def test_one_row_fits_and_statistic_are_the_batch_row(model):
             assert np.array_equal(S[1], want, equal_nan=True), (x, null)
 
 
+class _FailingRows(ModelFamily):
+    """A stub family whose data set i is i in every column: its restricted
+    fit's flag is false for data set 0, its restricted fit has a NaN
+    component under a true flag for data set 1, its S is infinite for
+    data set 2, and data set 3 fits with S = 3n."""
+
+    name = "failing-rows"
+    p, q = 2, 1
+    param_names = ("phi", "beta")
+    default_theta = (0.0, 1.0)
+    lower = (-math.inf, 0.0)
+
+    def sample(self, theta, size, rng):
+        return np.broadcast_to(np.arange(size[0])[:, None], size) + 0.0
+
+    def summarize(self, x):
+        return x.shape[1], x[:, 0].copy()
+
+    def estimates(self, m, theta10):
+        i = m[1]
+        beta = np.where(i == 1.0, np.nan, i + 1.0)
+        return ((theta10[0], beta), i != 0.0), ((i, i + 1.0), True)
+
+    def raw_statistic(self, m, theta10, theta_tilde, theta_hat):
+        return np.where(m[1] == 2.0, np.inf, m[0] * theta_hat[0])
+
+
+def test_both_drivers_read_fit_failures_by_one_rule():
+    # a false flag, a NaN component under a true flag and an infinite S:
+    # each fails its row in the batch driver and raises alone in the
+    # one-row driver, and fit_rows fills a failed fit's row with NaN whole
+    m = _FailingRows()
+    x = m.sample(None, (4, 5), None)
+    S, failed = m.batch_statistics(x, (0.0,))
+    assert np.array_equal(S, [np.nan, np.nan, np.nan, 15.0], equal_nan=True)
+    assert failed == 3
+    tilde, hat = m.fit_rows(m.summarize(x), (0.0,))
+    assert np.isnan(tilde[:2]).all() and not np.isnan(tilde[2:]).any()
+    assert np.array_equal(hat, [[0.0, 1.0], [1.0, 2.0], [2.0, 3.0],
+                                [3.0, 4.0]])
+    for row in (0, 1):
+        with pytest.raises(FitError, match="failing-rows: restricted"):
+            gradient_statistic(m, x[row], (0.0,))
+        with pytest.raises(FitError, match="failing-rows: restricted"):
+            m.fit_restricted(x[row], (0.0,))
+    with pytest.raises(OverflowError, match="failing-rows"):
+        gradient_statistic(m, x[2], (0.0,))
+    assert gradient_statistic(m, x[3], (0.0,)).value == 15.0
+
+
 def test_one_data_set_takes_the_one_row_driver(model, monkeypatch):
     # gradient_statistic and the one-row fits run on scalars, never through
-    # the batch driver's rows; batch_statistics does reach them
-    calls = []
-    fit_rows = ModelFamily._fit_rows
+    # the batch driver's rows; batch_statistics does reach them: a fit on
+    # per-row arrays is a batch fit
+    calls, estimates = [], type(model).estimates
 
     def counted(self, m, theta10):
-        calls.append(len(m[1]))
-        return fit_rows(self, m, theta10)
+        if isinstance(m[1], np.ndarray):
+            calls.append(len(m[1]))
+        return estimates(self, m, theta10)
 
-    monkeypatch.setattr(ModelFamily, "_fit_rows", counted)
+    monkeypatch.setattr(type(model), "estimates", counted)
     theta = np.asarray(model.default_theta, dtype=float)
     x = model.sample(theta, (2, 8), np.random.default_rng(SEED))
     gradient_statistic(model, x[0], theta[:model.q])

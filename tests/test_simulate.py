@@ -248,15 +248,16 @@ def test_size_study_builds_bartlett_factors_once_per_count_group(monkeypatch):
 
 def test_size_study_fits_once_per_count_group(monkeypatch):
     # the benchmark's study: each solve of 9 sizes x 500 replicates is
-    # one batch fit (fit_rows after its null check) over all its rows
+    # one batch fit (estimates on per-row arrays) over all its rows
     bs, calls = type(make_model("birnbaum-saunders")), []
-    fit_rows = bs._fit_rows
+    estimates = bs.estimates
 
     def counted(self, m, theta10):
-        calls.append(np.unique(m[0]).tolist())
-        return fit_rows(self, m, theta10)
+        if isinstance(m[1], np.ndarray):
+            calls.append(np.unique(m[0]).tolist())
+        return estimates(self, m, theta10)
 
-    monkeypatch.setattr(bs, "_fit_rows", counted)
+    monkeypatch.setattr(bs, "estimates", counted)
     run_size_study(_config(model_id="birnbaum-saunders", theta=(1.0, 1.0),
                            sizes=tuple(range(5, 23)), replicates=500,
                            alphas=(0.01, 0.05, 0.10), procedures=PROCEDURES))
