@@ -248,12 +248,10 @@ def cmd_coeffs(args) -> int:
     model, _, _, theta = _model_and_theta(args.model, args.params)
     general = model.general_coefficients(theta)
     specialized = model.coefficients(theta)
-    # "closed" is the older name of the specialized route
-    route = "general" if args.route == "general" else "specialized"
-    shown = general if route == "general" else specialized
+    shown = general if args.route == "general" else specialized
     delta = max(abs(g - c) for g, c in zip(general.as_tuple(),
                                            specialized.as_tuple()))
-    print(f"model: {model.name}   route: {route}   theta = "
+    print(f"model: {model.name}   route: {args.route}   theta = "
           + ",".join(_fmt(v) for v in theta))
     for key in _COEFFICIENTS:
         print(f"  {key} = {_fmt(getattr(shown, key))}")
@@ -384,12 +382,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_coeffs = sub.add_parser("coeffs", help="print expansion coefficients")
     _add_model_flags(p_coeffs)
-    p_coeffs.add_argument("--route",
-                          choices=("general", "specialized", "closed"),
+    p_coeffs.add_argument("--route", choices=("general", "specialized"),
                           default="specialized",
                           help="tensor-contraction engine or the "
                                "specialized closed-form route that the "
-                               "test uses (closed: the same)")
+                               "test uses")
     p_coeffs.set_defaults(func=cmd_coeffs)
 
     p_sim = sub.add_parser("simulate", help="null rejection-rate study")

@@ -14,8 +14,10 @@ Cumulant arrays come from the chain rule on ell = -alpha d + log xi:
 
 where a_i, b_i are the i-th derivatives of alpha and beta.  Ten concrete
 families are provided as factory functions, six of them by ``_mean_family``
-in the mean parametrization E d(X) = phi: beta = -phi and phi_hat = dbar.
-Fixed constants are bound at construction time, checked by ``_constant``.
+in the mean parametrization E d(X) = phi: beta = -phi and phi_hat = dbar,
+and four by ``_natural_family`` in the natural one: alpha = +-phi,
+beta = c/phi - e and phi_hat = -c/(dbar - e).  Fixed constants are bound
+at construction time, checked by ``_constant``.
 """
 
 from __future__ import annotations
@@ -41,9 +43,9 @@ class OneParamExpFamily(ModelFamily):
     (a1, a2, a3) and (b1, b2, b3), the derivatives of alpha and beta at
     phi; beta(phi); the MLE from dbar, elementwise, whose fit fails where
     it is not finite or out of range; and the sampler.  ``_mean_family``
-    fills in beta, the b's and the MLE.  ``support`` is a (predicate,
-    reason) pair for check_observations, (None, "") the real line;
-    ``phi_min`` is the open lower bound of phi."""
+    and ``_natural_family`` fill in beta, the b's and the MLE.  ``support``
+    is a (predicate, reason) pair for check_observations, (None, "") the
+    real line; ``phi_min`` is the open lower bound of phi."""
 
     p = 1
     q = 1
@@ -117,7 +119,7 @@ def _constant(name: str, value, positive: bool = True) -> None:
 
 
 def _reciprocal_derivs(phi) -> tuple:
-    """Derivatives of 1/phi: the exponential's alpha, power-shape's beta."""
+    """Derivatives of 1/phi, the alpha of three mean-parametrized families."""
     return (-1.0 / phi**2, 2.0 / phi**3, -6.0 / phi**4)
 
 
@@ -127,6 +129,17 @@ def _mean_family(**spec) -> OneParamExpFamily:
     return OneParamExpFamily(
         beta=lambda phi: -phi, beta_derivs=lambda phi: (-1.0, 0.0, 0.0),
         mle_from_dbar=lambda dbar: dbar, **spec)
+
+
+def _natural_family(c, e=0.0, sign=1.0, **spec) -> OneParamExpFamily:
+    """A family in the natural parametrization: alpha(phi) = sign * phi and
+    beta(phi) = c/phi - e, so the MLE is phi_hat = -c/(dbar - e)."""
+    return OneParamExpFamily(
+        alpha_derivs=lambda phi: (sign, 0.0, 0.0),
+        beta=lambda phi: c / phi - e,
+        beta_derivs=lambda phi: (-c / phi**2, 2.0 * c / phi**3,
+                                 -6.0 * c / phi**4),
+        mle_from_dbar=lambda dbar: -c / (dbar - e), **spec)
 
 
 def exponential() -> OneParamExpFamily:
@@ -161,16 +174,11 @@ def normal_variance_known(variance: float = 1.0) -> OneParamExpFamily:
 def inverse_normal_mean_known(mu: float = 1.0) -> OneParamExpFamily:
     """Inverse Gaussian with known mean; the tested parameter is the shape."""
     _constant("mu", mu)
-    return OneParamExpFamily(
-        name="inverse-normal-mean-known",
+    return _natural_family(
+        -0.5, name="inverse-normal-mean-known",
         d=lambda x: (x - mu)**2 / (2.0 * mu**2 * x),
-        alpha_derivs=lambda phi: (1.0, 0.0, 0.0),
-        beta=lambda phi: -0.5 / phi,
-        beta_derivs=lambda phi: (0.5 / phi**2, -1.0 / phi**3, 3.0 / phi**4),
-        mle_from_dbar=lambda dbar: 0.5 / dbar,
         sampler=lambda phi, size, rng: rng.wald(mu, phi, size=size),
-        support=POSITIVE,
-    )
+        support=POSITIVE)
 
 
 def inverse_normal_shape_known(shape: float = 1.0) -> OneParamExpFamily:
@@ -200,23 +208,16 @@ def _inverse_normal(known: str = "mean", mu: float = 1.0,
 def gamma_rate(k: float = 1.0) -> OneParamExpFamily:
     """Gamma with known index k; the tested parameter is the rate."""
     _constant("k", k)
-    return OneParamExpFamily(
-        name="gamma-rate",
-        d=lambda x: x,
-        alpha_derivs=lambda phi: (1.0, 0.0, 0.0),
-        beta=lambda phi: -k / phi,
-        beta_derivs=lambda phi: (k / phi**2, -2.0 * k / phi**3,
-                                 6.0 * k / phi**4),
-        mle_from_dbar=lambda dbar: k / dbar,
+    return _natural_family(
+        -k, name="gamma-rate", d=lambda x: x,
         sampler=lambda phi, size, rng: rng.gamma(k, 1.0 / phi, size=size),
-        support=POSITIVE,
-    )
+        support=POSITIVE)
 
 
 def truncated_extreme_value() -> OneParamExpFamily:
     """Truncated extreme value: exp(X) - 1 is exponential with mean phi."""
     return _mean_family(
-        name="truncated-extreme-value", d=lambda x: np.expm1(x),
+        name="truncated-extreme-value", d=np.expm1,
         alpha_derivs=_reciprocal_derivs,
         sampler=lambda phi, size, rng: np.log1p(rng.exponential(phi,
                                                                 size=size)),
@@ -226,34 +227,22 @@ def truncated_extreme_value() -> OneParamExpFamily:
 def pareto_shape(k: float = 1.0) -> OneParamExpFamily:
     """Pareto on (k, inf) with known scale k; the tested parameter is the shape."""
     _constant("k", k)
-    return OneParamExpFamily(
-        name="pareto-shape",
-        d=lambda x: np.log(x),
-        alpha_derivs=lambda phi: (1.0, 0.0, 0.0),
-        beta=lambda phi: -1.0 / phi - np.log(k),
-        beta_derivs=lambda phi: (1.0 / phi**2, -2.0 / phi**3, 6.0 / phi**4),
-        mle_from_dbar=lambda dbar: 1.0 / (dbar - np.log(k)),
+    return _natural_family(
+        -1.0, np.log(k), name="pareto-shape", d=np.log,
         sampler=lambda phi, size, rng: k * np.exp(
             rng.exponential(1.0 / phi, size=size)),
-        support=(lambda x: x > k, f"must exceed the scale {k}"),
-    )
+        support=(lambda x: x > k, f"must exceed the scale {k}"))
 
 
 def power_shape(theta: float = 1.0) -> OneParamExpFamily:
     """Power distribution on (0, theta) with known endpoint."""
     _constant("theta", theta)
-    return OneParamExpFamily(
-        name="power-shape",
-        d=lambda x: np.log(x),
-        alpha_derivs=lambda phi: (-1.0, 0.0, 0.0),
-        beta=lambda phi: 1.0 / phi - np.log(theta),
-        beta_derivs=_reciprocal_derivs,
-        mle_from_dbar=lambda dbar: 1.0 / (np.log(theta) - dbar),
+    return _natural_family(
+        1.0, np.log(theta), sign=-1.0, name="power-shape", d=np.log,
         sampler=lambda phi, size, rng: theta * np.exp(
             -rng.exponential(1.0 / phi, size=size)),
         support=(lambda x: (0.0 < x) & (x < theta),
-                 f"must lie strictly inside (0, {theta})"),
-    )
+                 f"must lie strictly inside (0, {theta})"))
 
 
 def laplace_scale(center: float = 0.0) -> OneParamExpFamily:

@@ -149,16 +149,15 @@ class SimulationResult:
 
     config: SimulationConfig
     rejections: tuple
-    failures: tuple          # (n, non-converged count) per sample size
+    failures: tuple          # (n, failed fits) per size, in config order
 
     @property
     def rows(self) -> tuple:
         cfg = self.config
-        failures = dict(self.failures)
         cells = iter(self.rejections)
         rows = []
-        for n in cfg.sizes:
-            effective = cfg.replicates - failures[n]
+        for n, failed in self.failures:
+            effective = cfg.replicates - failed
             for a in cfg.alphas:
                 for p in cfg.procedures:
                     rej = next(cells)
@@ -320,9 +319,9 @@ def _size_counts(cfg: SimulationConfig, coef: ExpansionCoefficients, q: int,
     return counts.T, failures
 
 
-def _check_failures(failures_by_n: dict, replicates: int) -> None:
+def _check_failures(failures: tuple, replicates: int) -> None:
     """SimulationError if any n lost more than _MAX_FAILURE_RATE of fits."""
-    for n, failed in failures_by_n.items():
+    for n, failed in failures:
         if failed > _MAX_FAILURE_RATE * replicates:
             raise SimulationError(
                 f"{failed} of {replicates} fits failed at n={n} "
@@ -336,10 +335,9 @@ def run_size_study(cfg: SimulationConfig) -> SimulationResult:
                 for runs, S in _solves(model, cfg.theta, cfg.theta10, cfg.seed,
                                        cfg.sizes, cfg.replicates)]
     counts = sum(c for c, _ in partials)
-    failures = dict(zip(cfg.sizes, sum(f for _, f in partials).tolist()))
+    failures = tuple(zip(cfg.sizes, sum(f for _, f in partials).tolist()))
     _check_failures(failures, cfg.replicates)
-    return SimulationResult(config=cfg,
-                            failures=tuple(sorted(failures.items())),
+    return SimulationResult(config=cfg, failures=failures,
                             rejections=tuple(counts.ravel().tolist()))
 
 
@@ -421,7 +419,7 @@ def run_cdf_study(model, theta, theta10, n: int, replicates: int,
     q = model.q
 
     S, failed = _statistics(model, theta, theta10, n, replicates, seed)
-    _check_failures({n: failed}, replicates)
+    _check_failures(((n, failed),), replicates)
     S = S[np.isfinite(S)]
     S.sort()
     m = len(S)

@@ -176,7 +176,7 @@ def _ladder_scalar(x: float, q: int, steps: int) -> list:
         if y <= _THRESH:
             g = _erf_small(y)
         else:
-            g = 1.0 - e * (_erfcx_mid(y) if y <= 4.0 else _erfcx_big(y))
+            g = 1.0 - e * _erfcx(y)
     else:
         t = h * e
         g = -float(np.expm1(-h))

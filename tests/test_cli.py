@@ -285,10 +285,8 @@ def test_coeffs_output_is_thin_wrapper(capsys):
                            "--route", "specialized")
     assert code == 0
     assert "route agreement: max |general - specialized|" in out
-    # the default, and "closed", the route's older name, print the same
-    for older in ((), ("--route", "closed")):
-        assert run_cli(capsys, "coeffs", "--model", "exponential",
-                       *older) == (0, out, "")
+    # the default route prints the same
+    assert run_cli(capsys, "coeffs", "--model", "exponential") == (0, out, "")
     got = _parse_coeffs(out)
     coef = make_model("exponential").specialized_coefficients(np.array([1.0]))
     for key in ("A1", "A2", "A3", "R0", "R1", "R2", "R3"):
@@ -652,6 +650,20 @@ def test_cli_messages(capsys, tmp_path, monkeypatch, case):
         assert got[1] == ""
     else:
         assert tuple(got[1].splitlines()[-len(lines):]) == lines
+
+
+def test_simulate_reports_failures_in_size_order(capsys, tmp_path):
+    # the failure lines follow --n, as the CSV rows do, not sorted by n
+    out = tmp_path / "x.csv"
+    code, stdout, err = run_cli(
+        capsys, "simulate", "--model", "pareto", "--theta", "1.5e15", "--n",
+        "3,2", "--reps", "200", "--seed", "1", "--out", str(out))
+    assert (code, err) == (0, "")
+    assert stdout.splitlines()[-2:] == [
+        "  n=3: 1 replicate(s) failed to fit",
+        "  n=2: 9 replicate(s) failed to fit"]
+    sizes = [line.split(",")[0] for line in out.read_text().splitlines()[1:]]
+    assert sizes == ["3", "3", "2", "2"]
 
 
 @pytest.mark.parametrize("params", ("k=2,k=3", "phi=1,k=2,phi=2"))

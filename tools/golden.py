@@ -2,7 +2,7 @@
 
     python tools/golden.py
 
-For each of the 12 built-in families, and for four families again at a
+For each of the 12 built-in families, and for six families again at a
 constant other than its default, the table holds digests of the seeded
 outputs that must keep every byte:
 
@@ -17,7 +17,11 @@ outputs that must keep every byte:
     batch_null,    sha256 of the bytes of ``batch_statistics`` S on one
     batch_away     seeded (50, 10) data matrix;
     test_null,     sha256 of `gradcorr test --format json` stdout on one
-    test_away      more seeded data set of 10 values.
+    test_away      more seeded data set of 10 values, and test_text_* and
+                   test_csv_* of its text and csv formats;
+    specialized_*, float.hex of A1, A2 and A3 from each coefficient route
+    general_*      at theta, 1.5 theta + 0.25 and 0.5 theta + 0.1
+                   (suffixes theta, up and down), theta the default point.
 
 A null is the default theta's tested components; away from it is 1.5
 times the null plus 0.25, so that a null of 0 moves too.  Every command
@@ -50,14 +54,18 @@ TABLE = ROOT / "tests" / "golden.json"
 SEED = 20261020
 PROCEDURES = "uncorrected,corrected_statistic,expanded_cdf,modified_quantile"
 # key -> (family id, constants), each family at its default constants and
-# four at another
+# six at another
 CASES = {model_id: (model_id, {}) for model_id in MODEL_IDS}
 CASES.update({f"{model_id} {key}={value}": (model_id, {key: value})
               for model_id, key, value in (
                   ("gamma-rate", "k", 2.5),
                   ("normal-mean-known", "mu", 0.3),
                   ("laplace-scale", "center", -0.4),
-                  ("inverse-normal", "known", "shape"))})
+                  ("inverse-normal", "known", "shape"),
+                  ("pareto-shape", "k", 2.5),
+                  ("power-shape", "theta", 2.5))})
+# coefficient point suffix -> (scale, shift) of the default theta
+POINTS = {"theta": (1.0, 0.0), "up": (1.5, 0.25), "down": (0.5, 0.1)}
 
 
 def _sha256(data) -> str:
@@ -104,10 +112,20 @@ def entry(key) -> dict:
         data.write_text("".join(",".join(map(repr, row.tolist())) + "\n"
                                 for row in rows))
         for where, null in nulls.items():
-            digests[f"test_{where}"] = _sha256(_run(
-                "test", "--model", model_id, "--params", params, "--data",
-                data, "--theta10", ",".join(map(repr, null.tolist())),
-                "--format", "json").encode())
+            for fmt, prefix in (("json", "test"), ("text", "test_text"),
+                                ("csv", "test_csv")):
+                digests[f"{prefix}_{where}"] = _sha256(_run(
+                    "test", "--model", model_id, "--params", params,
+                    "--data", data, "--theta10",
+                    ",".join(map(repr, null.tolist())), "--format",
+                    fmt).encode())
+    routes = {"specialized": model.specialized_coefficients,
+              "general": model.general_coefficients}
+    for suffix, (scale, shift) in POINTS.items():
+        for route, coefficients in routes.items():
+            coef = coefficients(scale * theta + shift)
+            digests[f"{route}_{suffix}"] = ",".join(
+                float(a).hex() for a in coef.as_tuple())
     return digests
 
 
