@@ -134,8 +134,12 @@ class ModelFamily(ABC):
         if arrays[0][0, 1] != 0.0:
             raise NotImplementedError(f"{self.name}: parameters are not "
                                       "orthogonal")
-        return coefficients_orthogonal(
-            OrthogonalCumulants.from_arrays(*arrays))
+        with np.errstate(all="ignore"):
+            coef = coefficients_orthogonal(
+                OrthogonalCumulants.from_arrays(*arrays))
+        if not all(map(math.isfinite, coef.as_tuple())):
+            raise ZeroDivisionError(f"{self.name}: parameter too small for A")
+        return coef
 
     def coefficients(self, theta) -> ExpansionCoefficients:
         """The specialized route where the family has one, else the

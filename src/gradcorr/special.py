@@ -29,11 +29,12 @@ The ladder takes df/2 steps from e^{-h}, which is subnormal above
 x = 1417 and 0 above x = 1490.  Up to df = 1000, G_df is 1 to rounding
 there; by df = 1200 it is not, so df is limited to 1..1000.
 
-Scalars and arrays.  A scalar x takes Python-float arithmetic and an
-array numpy's, in the same IEEE operations and order, with the same
-numpy exp and expm1 (``math.exp`` differs from numpy's in the last bit
-on some inputs).  A scalar result is therefore bit-identical to the same
-element of an array result.
+Floats and arrays.  The ladder is one body of arithmetic, with numpy's
+exp and expm1 (``math.exp`` differs in the last bit), that runs on
+Python floats or numpy arrays in the same IEEE operations and order, so
+a float's rungs are bit-identical to its element of an array's.  Two
+drivers name what differs; floats keep their own because a single test
+evaluates two ladders, and numpy costs 15-20 times more on one element.
 
 The quantile is a bracketed Newton iteration on the closed-form CDF from
 a Wilson-Hilferty start, cached per (p, df).  Accuracy targets: CDF
@@ -86,18 +87,14 @@ _Q = (2.56852019228982242e00, 1.87295284992346725e00,
       5.27905102951428412e-1, 6.05183413124413191e-2,
       2.33520497626869185e-3)
 
-# The kernels below use arithmetic only, so they run unchanged on a float
-# or an array and round alike on both.  Each Horner step is in place: on
-# an array that halves the temporaries, on a float it rebinds.
-
 
 def _ratio(z, num, den):
     """Cody's rational function of z: (num[-1] z^k + num[0] z^(k-1) + ...
-    + num[k-1]) / (z^k + den[0] z^(k-1) + ... + den[k-1]), k = len(den)."""
-    n = num[-1] * z
-    d = z + den[0]
-    n += num[0]
-    for a, b in zip(num[1:-1], den[1:]):
+    + num[k-1]) / (z^k + den[0] z^(k-1) + ... + den[k-1]), k = len(den);
+    each Horner step in place, which on an array halves the temporaries."""
+    n = num[-1]
+    d = 1.0
+    for a, b in zip(num, den):  # stops before num[-1], the leading one
         n *= z
         n += a
         d *= z
@@ -110,20 +107,31 @@ def _erf_small(y):
     return y * _ratio(y * y, _A, _B)
 
 
-def _erfcx_mid(y):
-    """e^{y^2} erfc(y) for 0.46875 < y <= 4."""
-    return _ratio(y, _C, _D)
+def _regions(y):
+    """Whether y >= 0 lies above each of Cody's splits, 0.46875 and 4."""
+    return y > _THRESH, y > 4.0
 
 
-def _erfcx_big(y):
-    """e^{y^2} erfc(y) for y > 4."""
-    ysq = 1.0 / (y * y)
-    return (_INV_SQRT_PI - ysq * _ratio(ysq, _P, _Q)) / y
+def _erfcx(y, region=None):
+    """e^{y^2} erfc(y) for a float y, or for an array y in one ``region``
+    of ``_regions`` above 0.46875."""
+    above, big = _regions(y) if region is None else region
+    if big:
+        ysq = 1.0 / (y * y)
+        return (_INV_SQRT_PI - ysq * _ratio(ysq, _P, _Q)) / y
+    if above:
+        return _ratio(y, _C, _D)
+    if y < -_THRESH:
+        try:
+            return 2.0 * math.exp(y * y) - _erfcx(-y)
+        except OverflowError:
+            return math.inf
+    return math.exp(y * y) * (1.0 - _erf_small(y))
 
 
-def _series(t, h, a):
-    """P(a, h) from t = t_a by the lower power series, summed by Horner's
-    rule: t (1 + h/(a+1) (1 + h/(a+2) (...)))."""
+def _series(g, t, h, a):
+    """P(a, h), the rung in place of g where h is low: t = t_a times the
+    lower series by Horner's rule, t (1 + h/(a+1) (1 + h/(a+2) (...)))."""
     s = h / (a + _SERIES_TERMS) + 1.0
     for k in range(_SERIES_TERMS - 1, 0, -1):
         s *= h
@@ -140,7 +148,7 @@ def _is_int(value) -> bool:
 def _check_df(df) -> int:
     """df as a Python int, the quantile cache's key; TypeError unless
     ``_is_int``, ValueError outside 1..1000."""
-    if type(df) is not int:     # cheaper than _is_int, on every ladder
+    if type(df) is not int:     # cheaper than _is_int
         if not _is_int(df):
             raise TypeError(f"df must be an integer, got {df!r}")
         df = int(df)
@@ -149,84 +157,72 @@ def _check_df(df) -> int:
     return df
 
 
-def _chi2_ladder(x, q: int, steps: int) -> list:
-    """[G_q(x), G_{q+2}(x), ..., G_{q+2(steps-1)}(x)] from one erf or
-    expm1 and one exponential; floats for a scalar x, else arrays.
-
-    A scalar takes its own Python-float path because the numpy calls of
-    the array path cost more on a one-element array than the whole
-    scalar evaluation (a single test evaluates three ladders)."""
-    q = _check_df(q)
-    _check_df(q + 2 * (steps - 1))
-    if not isinstance(x, (float, int)):
-        x = np.asarray(x, dtype=float)
-        if x.ndim:
-            return _ladder_array(x, q, steps)
-    return _ladder_scalar(float(x), q, steps)
+def _erf(y, e, region=None):
+    """erf(y) for y >= 0 from e = e^{-y^2}: a float y in its own region
+    of ``_regions``, an array y in the one ``region`` that holds it all."""
+    region = _regions(y) if region is None else region
+    return 1.0 - e * _erfcx(y, region) if region[0] else _erf_small(y)
 
 
-def _ladder_scalar(x: float, q: int, steps: int) -> list:
-    if not x >= 0.0:
-        raise ValueError(f"x must be >= 0 (not NaN), got {x}")
-    h = min(0.5 * x, _H_CAP)
-    e = float(np.exp(-h))
-    if q % 2:
-        y = math.sqrt(h)
-        t = _TWO_OVER_SQRT_PI * y * e
-        if y <= _THRESH:
-            g = _erf_small(y)
-        else:
-            g = 1.0 - e * _erfcx(y)
-    else:
-        t = h * e
-        g = -float(np.expm1(-h))
-    base = 2 - q % 2
-    rungs = []
-    for df in range(base, q + 2 * steps, 2):
-        a = 0.5 * df
-        if df == base >= q:
-            rungs.append(g)
-        elif df >= q:
-            rungs.append(_series(t, h, a) if h < _SERIES_H else max(g, 0.0))
-        g, t = g - t, t * h / (a + 1.0)
-    return rungs
+def _erf_masked(y, e):
+    """``_erf`` on the array y, one mask per region that holds elements."""
+    g = np.empty_like(y)
+    above, big = _regions(y)
+    for r, m in enumerate((~above, above ^ big, big)):
+        if m.any():     # on an empty mask numpy would spend 10-30 us
+            g[m] = _erf(y[m], e[m] if r else None, (r > 0, r > 1))
+    return g
 
 
-def _ladder_array(x: np.ndarray, q: int, steps: int) -> list:
-    if not (x >= 0.0).all():
-        raise ValueError(f"x must be >= 0 (not NaN), got {x}")
-    h = np.minimum(0.5 * x, _H_CAP)
-    e = np.exp(-h)
-    if q % 2:
-        y = np.sqrt(h)
-        t = _TWO_OVER_SQRT_PI * y * e
-        g = np.empty_like(h)
-        small, big = y <= _THRESH, y > 4.0
-        mid = ~(small | big)
-        # each region, and the series below, only where the array has
-        # elements: on an empty mask their numpy calls cost 10-30 us each
-        if small.any():
-            g[small] = _erf_small(y[small])
-        if mid.any():
-            g[mid] = 1.0 - e[mid] * _erfcx_mid(y[mid])
-        if big.any():
-            g[big] = 1.0 - e[big] * _erfcx_big(y[big])
-    else:
-        t = h * e
-        g = -np.expm1(-h)
-    base = 2 - q % 2
-    rungs = []
+def _series_masked(h):
+    """The series patch of an array's rungs, h[low] taken once for all."""
     low = h < _SERIES_H
     h_low = h[low] if low.any() else None
-    for df in range(base, q + 2 * steps, 2):
+
+    def patch(g, t, h, a):
+        rung = np.maximum(g, 0.0)
+        rung[low] = _series(None, t[low], h_low, a)
+        return rung
+    return None if h_low is None else patch
+
+
+# All that a float x and an array x do differently in the ladder: the
+# x >= 0 check; min, max, sqrt and the cast of numpy's exp and expm1;
+# Cody's region choice; the series patch, (g, t, h, a) -> rung, or None.
+_FLOATS = (bool, (min, max, math.sqrt, float), _erf,
+           lambda h: _series if h < _SERIES_H else None)
+_ARRAYS = (np.ndarray.all, (np.minimum, np.maximum, np.sqrt, np.asarray),
+           _erf_masked, _series_masked)
+
+
+def _chi2_ladder(x, q: int, steps: int) -> list:
+    """[G_q(x), G_{q+2}(x), ..., G_{q+2(steps-1)}(x)] from one erf or
+    expm1 and one exponential; floats for a scalar x, else arrays."""
+    if type(q) is not int or not 1 <= q <= q + 2 * steps - 2 <= _DF_MAX:
+        q = _check_df(q)        # one chained comparison is cheaper
+        _check_df(q + 2 * (steps - 1))
+    x = x if isinstance(x, (float, int)) else np.asarray(x, dtype=float)
+    every, (minimum, maximum, sqrt, cast), erf, series = \
+        _ARRAYS if getattr(x, "ndim", 0) else _FLOATS
+    x = cast(x)
+    if not every(x >= 0.0):
+        raise ValueError(f"x must be >= 0 (not NaN), got {x}")
+    h = minimum(0.5 * x, _H_CAP)
+    e = cast(np.exp(-h))
+    if q % 2:
+        y = sqrt(h)
+        t = _TWO_OVER_SQRT_PI * y * e
+        g = erf(y, e)
+    else:
+        t = h * e
+        g = -cast(np.expm1(-h))
+    patch = series(h)
+    rungs = []
+    for df in range(2 - q % 2, q + 2 * steps, 2):
         a = 0.5 * df
-        if df == base >= q:
-            rungs.append(g)
-        elif df >= q:
-            rung = np.maximum(g, 0.0)
-            if h_low is not None:
-                rung[low] = _series(t[low], h_low, a)
-            rungs.append(rung)
+        if df >= q:
+            rungs.append(g if df <= 2 else maximum(g, 0.0)
+                         if patch is None else patch(g, t, h, a))
         g = g - t
         t = t * h / (a + 1.0)
     return rungs
@@ -307,20 +303,6 @@ def _quantile(p: float, df: int) -> float:
 def std_normal_cdf(v: float) -> float:
     """Phi(v)."""
     return 0.5 * math.erfc(-v / math.sqrt(2.0))
-
-
-def _erfcx(y: float) -> float:
-    """e^{y^2} erfc(y) for a float y."""
-    if y > 4.0:
-        return _erfcx_big(y)
-    if y > _THRESH:
-        return _erfcx_mid(y)
-    if y < -_THRESH:
-        try:
-            return 2.0 * math.exp(y * y) - _erfcx(-y)
-        except OverflowError:
-            return math.inf
-    return math.exp(y * y) * (1.0 - _erf_small(y))
 
 
 def std_normal_tail_scaled(v: float) -> float:

@@ -342,20 +342,27 @@ def test_tiny_parameter_values_exit_2(capsys, tmp_path, argv):
                    "is too small\n")
 
 
-@pytest.mark.parametrize("argv", [
-    ("coeffs", "--params", "phi=1,beta=1e-160"),
-    ("test", "--theta10", "1", "--data", "bs.txt"),
-], ids=lambda argv: argv[0])
+_BS_TEST = ("test", "--theta10", "1", "--data", "bs.txt")
+
+
+@pytest.mark.parametrize("argv, scale", [
+    pytest.param(("coeffs", "--params", "phi=1,beta=1e-160"), "e-150",
+                 id="coeffs"),
+    pytest.param(_BS_TEST, "e-150", id="test"),
+    pytest.param(_BS_TEST, "e-80", id="test-1e-80"),
+])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_birnbaum_saunders_underflow_prints_only_the_error(capsys, tmp_path,
-                                                          monkeypatch, argv):
+                                                          monkeypatch, argv,
+                                                          scale):
     # beta^2 underflows to zero in the cumulants, directly or through the
     # restricted fit of data scaled by 1e-150; a numpy scalar there would
-    # print its divide warning ahead of the error
+    # print its divide warning ahead of the error.  At 1e-80 the 1/beta^4
+    # cumulants overflow instead, which would come out as a NaN A1
     monkeypatch.chdir(tmp_path)
     values = (0.6, 1.1, 0.9, 1.7, 0.4, 1.3, 0.8, 1.2, 2.1, 0.7,
               1.0, 0.5, 1.5, 0.9, 1.4, 0.6, 1.8, 1.1, 0.8, 1.6)
-    _write(tmp_path / "bs.txt", "".join(f"{v}e-150\n" for v in values))
+    _write(tmp_path / "bs.txt", "".join(f"{v}{scale}\n" for v in values))
     code, out, err = run_cli(capsys, argv[0], "--model", "bs", *argv[1:])
     assert (code, out) == (2, "")
     assert err == ("error: numeric underflow; a parameter or an observation "

@@ -469,6 +469,16 @@ def test_birnbaum_saunders_coefficients_ignore_scale():
         assert np.allclose(at2, at7, rtol=1e-12, atol=1e-12)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_birnbaum_saunders_tiny_scale_raises_rather_than_a_nan():
+    # at beta = 1e-79 the 1/beta^4 cumulants overflow: the coefficients
+    # raise the ZeroDivisionError of beta = 1e-90, with no numpy warning
+    m = make_model("birnbaum-saunders")
+    for beta in (1e-79, 1e-90):
+        with pytest.raises(ZeroDivisionError):
+            m.coefficients([1.0, beta])
+
+
 @pytest.mark.parametrize("beta", [0.7, 2.5])
 def test_birnbaum_saunders_closed_form_matches_routes_across_shape(beta):
     # the closed interaction terms must hold along the whole shape axis,
