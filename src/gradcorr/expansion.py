@@ -16,7 +16,7 @@ Three routes compute the same triple:
 * ``coefficients_one_param`` -- scalar closed forms for p = q = 1 models.
 * ``coefficients_orthogonal`` -- closed forms for two-parameter models
   with block-diagonal information (kappa_phibeta = 0), testing phi with
-  beta as nuisance, on scalars indexed from the cumulant arrays.
+  beta as nuisance, on scalars read from the cumulant entries.
 
 ``ModelFamily.coefficients`` picks a family's scalar route where one
 applies, the general route otherwise.
@@ -109,19 +109,22 @@ class OrthogonalCumulants(OneParamCumulants):
         self._fill(kpp, kppp, kpppp, kpp_p, kppp_p, kpp_pp, kbb, kbbb, kpbb,
                    kppb, kppbb, kpp_b, kppb_b, kpbb_p, kbb_b, kbb_p)
 
+    # where each field sits: the array, in CumulantBundle field order (phi
+    # first, beta second), and the index, sorted within each run of the
+    # array's interchangeable axes
+    index = ((0, (0, 0)), (1, (0, 0, 0)), (2, (0, 0, 0, 0)), (3, (0, 0, 0)),
+             (4, (0, 0, 0, 0)), (5, (0, 0, 0, 0)), (0, (1, 1)),
+             (1, (1, 1, 1)), (1, (0, 1, 1)), (1, (0, 0, 1)),
+             (2, (0, 0, 1, 1)), (3, (0, 0, 1)), (4, (1, 0, 0, 1)),
+             (4, (0, 0, 1, 1)), (3, (1, 1, 1)), (3, (1, 1, 0)))
+
     @classmethod
     def from_arrays(cls, kappa2, kappa3, kappa4, d_kappa2, d_kappa3,
                     dd_kappa2) -> "OrthogonalCumulants":
         """Index the scalars from a p = 2 model's cumulant arrays (the
-        CumulantBundle layouts, phi first, beta second)."""
-        return cls(kpp=kappa2[0, 0], kppp=kappa3[0, 0, 0],
-                   kpppp=kappa4[0, 0, 0, 0], kpp_p=d_kappa2[0, 0, 0],
-                   kppp_p=d_kappa3[0, 0, 0, 0], kpp_pp=dd_kappa2[0, 0, 0, 0],
-                   kbb=kappa2[1, 1], kbbb=kappa3[1, 1, 1],
-                   kpbb=kappa3[0, 1, 1], kppb=kappa3[0, 0, 1],
-                   kppbb=kappa4[0, 0, 1, 1], kpp_b=d_kappa2[0, 0, 1],
-                   kppb_b=d_kappa3[1, 0, 0, 1], kpbb_p=d_kappa3[0, 0, 1, 1],
-                   kbb_b=d_kappa2[1, 1, 1], kbb_p=d_kappa2[1, 1, 0])
+        CumulantBundle layouts) by ``index``."""
+        arrays = (kappa2, kappa3, kappa4, d_kappa2, d_kappa3, dd_kappa2)
+        return cls(*(arrays[a][i] for a, i in cls.index))
 
 
 # Slots of S = stack(Kinv, A, M) and of V: V[U + m] traces kappa3 with

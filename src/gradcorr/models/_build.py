@@ -1,28 +1,62 @@
-"""Helpers for filling symmetric cumulant arrays entry by entry."""
+"""Dense cumulant arrays from the entries a family states.
+
+A two-parameter family states each nonzero entry of its six cumulant
+arrays once, as a Python float under one index, and ``dense_arrays``
+puts it at every index that the array's symmetry makes equal to it.
+``SYMMETRY`` gives each array's symmetry as the lengths of its runs of
+interchangeable axes: kappa2, kappa3 and kappa4 are fully symmetric,
+d_kappa2[k,l,u] = D_u kappa_kl is symmetric in (k, l), d_kappa3[j,r,s,u]
+= D_j kappa_rsu in (r, s, u), and dd_kappa2[j,r,s,u] = D_j D_r kappa_su
+in (j, r) and in (s, u).  An entry's index is sorted within each run,
+so each entry has one key, and the orthogonal closed forms read their
+scalars straight from the entries.
+"""
 
 from __future__ import annotations
 
 import functools
 import itertools
 
-__all__ = ["sym_fill", "pair_fill"]
+import numpy as np
+
+__all__ = ["SYMMETRY", "dense_arrays"]
+
+# in CumulantBundle field order
+SYMMETRY = ((2,), (3,), (4,), (2, 1), (1, 3), (2, 2))
+
+
+def _orbit(runs, idx) -> list:
+    """Every index equal to idx under the permutations within each run."""
+    parts, start = [], 0
+    for length in runs:
+        parts.append(set(itertools.permutations(idx[start:start + length])))
+        start += length
+    return [sum(part, ()) for part in itertools.product(*parts)]
 
 
 @functools.cache
-def _permutations(idx) -> tuple:
-    """The distinct permutations of the index tuple idx, built once per
-    tuple: the families fill the same few entries on every call."""
-    return tuple(set(itertools.permutations(idx)))
+def _gathers(keys) -> list:
+    """For keys, p and then each array's indices, per array the (p, ..., p)
+    positions of its values in the entries' values after a leading zero;
+    built once per family, which states the same entries on every call."""
+    p, *indices = keys
+    gathers, k = [], 1
+    for runs, array_keys in zip(SYMMETRY, indices):
+        g = np.zeros((p,) * sum(runs), dtype=np.intp)
+        for idx in array_keys:
+            for i in _orbit(runs, idx):
+                g[i] = k
+            k += 1
+        gathers.append(g)
+    return gathers
 
 
-def sym_fill(arr, idx, value) -> None:
-    """Assign value at every permutation of idx (fully symmetric block)."""
-    for perm in _permutations(tuple(idx)):
-        arr[perm] = value
-
-
-def pair_fill(arr, jr, su, value) -> None:
-    """Assign value at (j,r,s,u) symmetric separately in (j,r) and (s,u)."""
-    for head in _permutations(tuple(jr)):
-        for tail in _permutations(tuple(su)):
-            arr[head + tail] = value
+def dense_arrays(p, entries) -> tuple:
+    """The six (p, ..., p) arrays of entries, six dicts in CumulantBundle
+    field order: each value at every index of its orbit, zero elsewhere,
+    each array one gather from the values."""
+    values = [0.0]
+    for table in entries:
+        values += table.values()
+    values = np.array(values)
+    return tuple([values[g] for g in _gathers((p, *map(tuple, entries)))])

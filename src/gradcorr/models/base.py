@@ -44,6 +44,7 @@ import numpy as np
 from .._record import Record
 from ..expansion import (ExpansionCoefficients, OrthogonalCumulants,
                          coefficients_general, coefficients_orthogonal)
+from ._build import dense_arrays
 
 __all__ = ["ModelFamily", "GradientStatistic", "FitError",
            "gradient_statistic", "check_observations", "POSITIVE"]
@@ -114,11 +115,18 @@ class ModelFamily(ABC):
         """Unclamped S = n U_1(theta_tilde)'(theta_hat_1 - theta10) per row,
         from the components of both fits, as ``estimates`` gives them."""
 
+    def _cumulant_entries(self, theta) -> tuple:
+        """Every nonzero cumulant at theta checked by ``_theta``, stated
+        once, as a Python float: six dicts in CumulantBundle field order,
+        each keyed by the index sorted within each run of the array's
+        interchangeable axes (``_build``)."""
+        raise NotImplementedError(f"{self.name} has no cumulant arrays")
+
     def cumulant_arrays(self, theta) -> tuple:
         """The six arrays of ``cumulants`` in CumulantBundle field order,
         at theta checked by ``_theta``, without the bundle's shape,
-        symmetry and definiteness checks."""
-        raise NotImplementedError(f"{self.name} has no cumulant arrays")
+        symmetry and definiteness checks: here filled from the entries."""
+        return dense_arrays(self.p, self._cumulant_entries(theta))
 
     def cumulants(self, theta) -> CumulantBundle:
         """Analytic per-observation cumulant arrays at theta."""
@@ -127,17 +135,23 @@ class ModelFamily(ABC):
 
     def specialized_coefficients(self, theta) -> ExpansionCoefficients:
         """The scalar route: here the orthogonal closed forms (p = 2, q = 1,
-        kappa_phibeta = 0), which one-parameter families override."""
+        kappa_phibeta = 0) on the scalars of the entries, which
+        one-parameter families override.  The entries are Python floats,
+        so a value out of range raises instead of running on as inf."""
         if (self.p, self.q) != (2, 1):
             raise NotImplementedError(f"{self.name} has no specialized route")
-        arrays = self.cumulant_arrays(theta)
-        if arrays[0][0, 1] != 0.0:
+        entries = self._cumulant_entries(theta)
+        if entries[0].get((0, 1), 0.0) != 0.0:
             raise NotImplementedError(f"{self.name}: parameters are not "
                                       "orthogonal")
-        with np.errstate(all="ignore"):
-            coef = coefficients_orthogonal(
-                OrthogonalCumulants.from_arrays(*arrays))
-        if not all(map(math.isfinite, coef.as_tuple())):
+        scalars = [entries[a].get(i, 0.0)
+                   for a, i in OrthogonalCumulants.index]
+        try:
+            coef = coefficients_orthogonal(OrthogonalCumulants(*scalars))
+            finite = all(map(math.isfinite, coef.as_tuple()))
+        except (OverflowError, ZeroDivisionError):
+            finite = False
+        if not finite:
             raise ZeroDivisionError(f"{self.name}: parameter too small for A")
         return coef
 

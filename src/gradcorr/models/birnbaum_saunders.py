@@ -55,13 +55,15 @@ one data set takes this array run too.
 The one-row driver of ``gradient_statistic``, ``fit_restricted`` and
 ``fit_unrestricted`` gives one data set as scalar summaries, and there
 a numpy call on a one-element array costs more than its arithmetic, so
-``_scalar_newton`` solves H and then G on numpy float64 scalars, which
-give inf and NaN where Python floats would raise, and numpy's own
-reduction sums the contiguous column.  Its results are the array run's
-to the bit: H and G are written once, as arithmetic that runs on a
-scalar or an array, the two drivers follow the same rules step for
-step, and each element of the array run is already an iteration of its
-own.
+``_lockstep_newton`` steps H and G together on numpy float64 scalars,
+which give inf and NaN where Python floats would raise.  Each sweep
+fills one (4, n) buffer, x + b for both iterates, their reciprocals and
+their squares, and takes its four row sums in one reduce, each the
+pairwise sum of one contiguous row.  Its results are the array run's to
+the bit: H and G are written once, as arithmetic that runs on a scalar
+or an array, the safeguarded-Newton rules are written once, as
+``_step``, which both drivers call, and each element of the array run
+is already an iteration of its own.
 
 Cumulants involve the scaled normal tail R = e^{2/phi^2}(1 - Phi(2/phi))
 only through kappa_betabeta and its relatives; everything is assembled
@@ -75,64 +77,86 @@ import math
 import numpy as np
 
 from ..special import std_normal_tail_scaled
-from ._build import pair_fill, sym_fill
 from .base import POSITIVE, ModelFamily, check_observations
 
 __all__ = ["BirnbaumSaunders"]
 
-# a Python float: a zero denominator in the scalar cumulants then raises
+# a Python float: a zero denominator in the cumulant entries then raises
 # ZeroDivisionError instead of printing a numpy warning
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 _REL_TOL = 1e-13
 _EPS = 2.0**-52
 
 
+def _pick(c, a, b):
+    """np.where of one element."""
+    return a if c else b
+
+
+# what ``_step`` does differently on arrays and on numpy float64 scalars:
+# pick per element, and whether every element holds
+_ARRAYS = (np.where, np.ndarray.all)
+_SCALARS = (_pick, bool)
+
+
+def _step(x, fx, d, lo, hi, ops=_ARRAYS):
+    """One safeguarded-Newton step from x, where f is fx and f' is d, on the
+    bracket [lo, hi] with f(lo) > 0 >= f(hi): the bracket narrowed by x,
+    and the Newton step where it stays inside it or on the end x itself
+    set, else the bracket's midpoint.  Returns the step and the bracket.
+    Elementwise on arrays; on numpy float64 scalars with ops = _SCALARS,
+    which keep the array's IEEE semantics: a zero derivative or an
+    underflowed phi0^2 gives inf or NaN, and so a bisection or a failed
+    fit, not an exception."""
+    pick, every = ops
+    above = fx > 0.0
+    lo = pick(above, x, lo)
+    hi = pick(above, hi, x)
+    step = x - fx / d
+    # a step onto the far end, set by an earlier iterate, would cycle
+    # between the ends of a collapsed bracket: bisect instead
+    inside = (lo < step) & (step < hi) | (step == x)
+    if not every(inside):
+        step = pick(inside, step, 0.5 * (lo + hi))
+    return step, lo, hi
+
+
 def _safeguarded_newton(f, lo, hi, x):
-    """Elementwise root of f on [lo, hi] with f(lo) > 0 >= f(hi), from x
-    inside the bracket, where f(x, done) gives f and f' per element, any
-    value at all for the elements that ``done`` marks as converged: Newton
-    while the step stays inside the shrinking bracket or on the end x
-    itself set, bisection otherwise.  Returns the roots and which elements
-    converged; a converged element stays where it is."""
+    """Elementwise root of f on [lo, hi] by ``_step``, from x inside the
+    bracket, where f(x, done) gives f and f' per element, any value at all
+    for the elements that ``done`` marks as converged, until a step moves
+    an element by at most 1e-13 relative, in at most 200 steps.  Returns
+    the roots and which elements converged; a converged element stays
+    where it is."""
     done = np.zeros(x.shape, dtype=bool)
     for _ in range(200):
-        fx, d = f(x, done)
-        above = fx > 0.0
-        lo = np.where(above, x, lo)
-        hi = np.where(above, hi, x)
-        step = x - fx / d
-        # a step onto the far end, set by an earlier iterate, would cycle
-        # between the ends of a collapsed bracket: bisect instead
-        inside = (lo < step) & (step < hi) | (step == x)
-        if not inside.all():
-            step = np.where(inside, step, 0.5 * (lo + hi))
+        step, lo, hi = _step(x, *f(x, done), lo, hi)
         x_new = np.where(done, x, step) if done.any() else step
-        done |= np.abs(x_new - x) <= _REL_TOL * np.abs(x_new)
+        done |= abs(x_new - x) <= _REL_TOL * abs(x_new)
         x = x_new
         if done.all():
             break
     return x, done
 
 
-def _scalar_newton(f, lo, hi, x):
-    """``_safeguarded_newton`` of one element on numpy float64 scalars, rule
-    for rule, with f(x) giving f and f'.  numpy scalars keep the array's
-    IEEE semantics: a zero derivative or an underflowed phi0^2 gives inf or
-    NaN, and so a bisection or a failed fit, not an exception.  Returns
-    the root and whether it converged."""
+def _lockstep_newton(f, lo, hi, x):
+    """``_safeguarded_newton`` of two elements, each a numpy float64 scalar
+    in a pair: f(x) gives the pair of f and the pair of f' at the pair x,
+    and each element steps until it converges, as it would in the array
+    run.  Returns the pair of roots and the pair of flags."""
+    lo, hi, x = list(lo), list(hi), list(x)
+    done = [False, False]
     for _ in range(200):
         fx, d = f(x)
-        if fx > 0.0:
-            lo = x
-        else:
-            hi = x
-        step = x - fx / d
-        if not (lo < step < hi or step == x):
-            step = 0.5 * (lo + hi)
-        if abs(step - x) <= _REL_TOL * abs(step):
-            return step, True
-        x = step
-    return x, False
+        for i in (0, 1):
+            if not done[i]:
+                step, lo[i], hi[i] = _step(x[i], fx[i], d[i], lo[i], hi[i],
+                                           _SCALARS)
+                done[i] = abs(step - x[i]) <= _REL_TOL * abs(step)
+                x[i] = step
+        if done[0] and done[1]:
+            break
+    return x, done
 
 
 def _pairwise_sum(a):
@@ -169,8 +193,7 @@ def _block_sums(xv, b, buf):
     """The column sums of 1/(x+b) and of 1/(x+b)^2 per element of the
     iterate b, from one pass through buf: x + b, its reciprocal, then its
     square.  xv is an (n, k) block shaped to broadcast against b, and buf
-    has shape (n,) + b.shape; or xv is one contiguous column, b a scalar
-    and buf of the column's shape."""
+    has shape (n,) + b.shape."""
     u = np.add(xv, b, out=buf)
     np.divide(1.0, u, out=u)
     s1 = _pairwise_sum(u)
@@ -224,11 +247,11 @@ def _solve(m, phi0):
     rc = r * c
     r2 = 2.0 * r
     sr = np.sqrt(s * r)
+    if np.ndim(s) == 0:
+        return _solve_one(xcs[0][:, 0], n, s, r, c, rc, r2, sr)
     lo = np.array([np.zeros_like(s), r])
     hi = np.array([rc + sr, s])
     x0 = np.clip(sr, lo, hi)
-    if np.ndim(s) == 0:
-        return _solve_one(xcs[0][:, 0], n, s, r, c, rc, r2, lo, hi, x0)
     # one buffer serves every block in turn, so it stays in cache
     scratch = np.empty(2 * max(xc.size for xc in xcs))
     blocks, start = [], 0
@@ -251,19 +274,29 @@ def _solve(m, phi0):
     return _safeguarded_newton(HG, lo, hi, x0)
 
 
-def _solve_one(xv, n, s, r, c, rc, r2, lo, hi, x0):
-    """``_solve`` of one data set, its column xv, on scalars: H and G each by
-    ``_scalar_newton``, returned as the pair of roots and the pair of
-    flags."""
-    buf = np.empty_like(xv)
+def _solve_one(xv, n, s, r, c, rc, r2, sr):
+    """``_solve`` of one data set, its column xv, on scalars: H and G in
+    lockstep by ``_lockstep_newton``, each sweep through one (4, n) buffer
+    that holds x + b for H's and G's iterate, their reciprocals, and in
+    rows 2-3 their squares, whose four row sums come from one reduce."""
+    buf = np.empty((4, len(xv)))
+    rows, u, squares = (buf[0], buf[1]), buf[:2], buf[2:]
 
-    def means(b):
-        s1, s2 = _block_sums(xv, b, buf)
-        return s1 / n, s2 / n
+    def HG(b):
+        """H and G with their derivatives at the pair b."""
+        for row, bi in zip(rows, b):
+            np.add(xv, bi, out=row)
+        np.divide(1.0, u, out=u)
+        np.multiply(u, u, out=squares)
+        m1t, m1h, m2t, m2h = np.add.reduce(buf, axis=1) / n
+        h, dh = _restricted_equation(b[0], m1t, m2t, s, r, c, rc)
+        g, dg = _profile_equation(b[1], m1h, m2h, s, r, r2)
+        return (h, g), (dh, dg)
 
-    equations = (lambda b: _restricted_equation(b, *means(b), s, r, c, rc),
-                 lambda b: _profile_equation(b, *means(b), s, r, r2))
-    return tuple(zip(*map(_scalar_newton, equations, lo, hi, x0)))
+    # np.clip of the array run, on scalars: H's start sqrt(s r) is inside
+    # its bracket, G's is kept inside [r, s]
+    return _lockstep_newton(HG, (0.0, r), (rc + sr, s),
+                            (sr, min(max(sr, r), s)))
 
 
 class BirnbaumSaunders(ModelFamily):
@@ -323,45 +356,34 @@ class BirnbaumSaunders(ModelFamily):
         return (n * (theta_hat[0] - phi0) / phi0**3
                 * (s / bt + bt / r - (2.0 + phi0**2)))
 
-    def cumulant_arrays(self, theta) -> tuple:
+    def _cumulant_entries(self, theta) -> tuple:
         f, b = self._theta(theta).tolist()
         R = std_normal_tail_scaled(2.0 / f)
         T = f**2 - _SQRT_2PI * f * R + 2.0
-        k2 = np.zeros((2, 2))
-        k2[0, 0] = -2.0 / f**2
-        k2[1, 1] = -T / (2.0 * b**2 * f**2)
-        k3 = np.zeros((2, 2, 2))
-        k3[0, 0, 0] = 10.0 / f**3
-        sym_fill(k3, (0, 1, 1), (f**2 + 2.0) / (b**2 * f**3))
-        k3[1, 1, 1] = 1.5 * T / (b**3 * f**2)
-        k4 = np.zeros((2, 2, 2, 2))
-        k4[0, 0, 0, 0] = -54.0 / f**4
-        sym_fill(k4, (0, 0, 1, 1), -3.0 * (f**2 + 2.0) / (b**2 * f**4))
-        sym_fill(k4, (0, 1, 1, 1), -3.0 * (f**2 + 2.0) / (b**3 * f**3))
-        k4[1, 1, 1, 1] = 3.0 * (-16.0 * f**3 + 15.0 * _SQRT_2PI * f**2 * R
-                                - 34.0 * f + 4.0 * _SQRT_2PI * R) \
-            / (8.0 * b**4 * f**3)
-        kbb_phi = (-_SQRT_2PI * f**2 * R + 6.0 * f - 4.0 * _SQRT_2PI * R) \
-            / (2.0 * b**2 * f**4)
-        d2 = np.zeros((2, 2, 2))                  # [k,l,u] = D_u kappa_{kl}
-        d2[0, 0, 0] = 4.0 / f**3
-        d2[1, 1, 0] = kbb_phi
-        d2[1, 1, 1] = T / (b**3 * f**2)
-        d3 = np.zeros((2, 2, 2, 2))               # [j,r,s,u] = D_j kappa_{rsu}
-        d3[0, 0, 0, 0] = -30.0 / f**4
-        sym_fill(d3[0], (0, 1, 1), -(f**2 + 6.0) / (b**2 * f**4))
-        sym_fill(d3[1], (0, 1, 1), -2.0 * (f**2 + 2.0) / (b**3 * f**3))
-        d3[0, 1, 1, 1] = 1.5 * (_SQRT_2PI * f**2 * R - 6.0 * f
-                                + 4.0 * _SQRT_2PI * R) / (b**3 * f**4)
-        d3[1, 1, 1, 1] = -4.5 * T / (b**4 * f**2)
-        dd2 = np.zeros((2, 2, 2, 2))              # [j,r,s,u] = D_j D_r kappa_{su}
-        pair_fill(dd2, (0, 0), (0, 0), -12.0 / f**4)
-        pair_fill(dd2, (0, 0), (1, 1),
-                  (_SQRT_2PI * f**4 * R - 10.0 * f**3
-                   + 10.0 * _SQRT_2PI * f**2 * R - 4.0 * f
-                   + 8.0 * _SQRT_2PI * R) / (b**2 * f**7))
-        pair_fill(dd2, (0, 1), (1, 1),
-                  (_SQRT_2PI * f**2 * R - 6.0 * f + 4.0 * _SQRT_2PI * R)
-                  / (b**3 * f**4))
-        pair_fill(dd2, (1, 1), (1, 1), -3.0 * T / (b**4 * f**2))
+        W = _SQRT_2PI * f**2 * R - 6.0 * f + 4.0 * _SQRT_2PI * R
+        k2 = {(0, 0): -2.0 / f**2, (1, 1): -T / (2.0 * b**2 * f**2)}
+        k3 = {(0, 0, 0): 10.0 / f**3,
+              (0, 1, 1): (f**2 + 2.0) / (b**2 * f**3),
+              (1, 1, 1): 1.5 * T / (b**3 * f**2)}
+        k4 = {(0, 0, 0, 0): -54.0 / f**4,
+              (0, 0, 1, 1): -3.0 * (f**2 + 2.0) / (b**2 * f**4),
+              (0, 1, 1, 1): -3.0 * (f**2 + 2.0) / (b**3 * f**3),
+              (1, 1, 1, 1): 3.0 * (-16.0 * f**3 + 15.0 * _SQRT_2PI * f**2 * R
+                                   - 34.0 * f + 4.0 * _SQRT_2PI * R)
+              / (8.0 * b**4 * f**3)}
+        d2 = {(0, 0, 0): 4.0 / f**3,            # [k,l,u] = D_u kappa_{kl}
+              (1, 1, 0): (-_SQRT_2PI * f**2 * R + 6.0 * f
+                          - 4.0 * _SQRT_2PI * R) / (2.0 * b**2 * f**4),
+              (1, 1, 1): T / (b**3 * f**2)}
+        d3 = {(0, 0, 0, 0): -30.0 / f**4,       # [j,r,s,u] = D_j kappa_{rsu}
+              (0, 0, 1, 1): -(f**2 + 6.0) / (b**2 * f**4),
+              (1, 0, 1, 1): -2.0 * (f**2 + 2.0) / (b**3 * f**3),
+              (0, 1, 1, 1): 1.5 * W / (b**3 * f**4),
+              (1, 1, 1, 1): -4.5 * T / (b**4 * f**2)}
+        dd2 = {(0, 0, 0, 0): -12.0 / f**4,  # [j,r,s,u] = D_j D_r kappa_{su}
+               (0, 0, 1, 1): (_SQRT_2PI * f**4 * R - 10.0 * f**3
+                              + 10.0 * _SQRT_2PI * f**2 * R - 4.0 * f
+                              + 8.0 * _SQRT_2PI * R) / (b**2 * f**7),
+               (0, 1, 1, 1): W / (b**3 * f**4),
+               (1, 1, 1, 1): -3.0 * T / (b**4 * f**2)}
         return k2, k3, k4, d2, d3, dd2

@@ -16,13 +16,16 @@ Two-sample exponential, testing the mean ratio phi = mu2/mu1 with the
 geometric-mean scale beta = sqrt(mu1 mu2) as nuisance: equal sample
 sizes n/2 each, n total.  At phi0 = 1 the statistic is
 S = n (xbar1 - xbar2)^2 / (4 xbar1 xbar), xbar the pooled mean.
+
+Each family states its nonzero cumulants once, as Python floats under
+one index (``ModelFamily._cumulant_entries``); ``_build`` fills the dense
+arrays from them, and the orthogonal closed forms read them directly.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._build import pair_fill, sym_fill
 from .base import POSITIVE, ModelFamily, check_observations
 
 __all__ = ["NormalMeanTest", "TwoSampleExponential"]
@@ -62,27 +65,15 @@ class NormalMeanTest(ModelFamily):
         shift = xbar - float(theta10[0])
         return n * (shift * shift) / theta_tilde[1]
 
-    def cumulant_arrays(self, theta) -> tuple:
+    def _cumulant_entries(self, theta) -> tuple:
         _, b = self._theta(theta).tolist()
-        k2 = np.zeros((2, 2))
-        k2[0, 0] = -1.0 / b
-        k2[1, 1] = -0.5 / b**2
-        k3 = np.zeros((2, 2, 2))
-        sym_fill(k3, (0, 0, 1), 1.0 / b**2)
-        k3[1, 1, 1] = 2.0 / b**3
-        k4 = np.zeros((2, 2, 2, 2))
-        sym_fill(k4, (0, 0, 1, 1), -2.0 / b**3)
-        k4[1, 1, 1, 1] = -9.0 / b**4
-        d2 = np.zeros((2, 2, 2))                  # [k,l,u] = D_u kappa_{kl}
-        d2[0, 0, 1] = 1.0 / b**2
-        d2[1, 1, 1] = 1.0 / b**3
-        d3 = np.zeros((2, 2, 2, 2))               # [j,r,s,u] = D_j kappa_{rsu}
-        sym_fill(d3[1], (0, 0, 1), -2.0 / b**3)
-        d3[1, 1, 1, 1] = -6.0 / b**4
-        dd2 = np.zeros((2, 2, 2, 2))              # [j,r,s,u] = D_j D_r kappa_{su}
-        pair_fill(dd2, (1, 1), (0, 0), -2.0 / b**3)
-        pair_fill(dd2, (1, 1), (1, 1), -3.0 / b**4)
-        return k2, k3, k4, d2, d3, dd2
+        b2, b3, b4 = b**2, b**3, b**4
+        return ({(0, 0): -1.0 / b, (1, 1): -0.5 / b2},
+                {(0, 0, 1): 1.0 / b2, (1, 1, 1): 2.0 / b3},
+                {(0, 0, 1, 1): -2.0 / b3, (1, 1, 1, 1): -9.0 / b4},
+                {(0, 0, 1): 1.0 / b2, (1, 1, 1): 1.0 / b3},
+                {(1, 0, 0, 1): -2.0 / b3, (1, 1, 1, 1): -6.0 / b4},
+                {(1, 1, 0, 0): -2.0 / b3, (1, 1, 1, 1): -3.0 / b4})
 
 
 class TwoSampleExponential(ModelFamily):
@@ -140,29 +131,17 @@ class TwoSampleExponential(ModelFamily):
         u_phi = (-m1 / rp + m2 / (phi0 * rp)) / (4.0 * theta_tilde[1])
         return n * u_phi * (theta_hat[0] - phi0)
 
-    def cumulant_arrays(self, theta) -> tuple:
+    def _cumulant_entries(self, theta) -> tuple:
         f, b = self._theta(theta).tolist()
-        k2 = np.zeros((2, 2))
-        k2[0, 0] = -0.25 / f**2
-        k2[1, 1] = -1.0 / b**2
-        k3 = np.zeros((2, 2, 2))
-        k3[0, 0, 0] = 0.75 / f**3
-        sym_fill(k3, (0, 0, 1), 0.25 / (b * f**2))
-        k3[1, 1, 1] = 4.0 / b**3
-        k4 = np.zeros((2, 2, 2, 2))
-        k4[0, 0, 0, 0] = -45.0 / (16.0 * f**4)
-        sym_fill(k4, (0, 0, 0, 1), -0.75 / (b * f**3))
-        sym_fill(k4, (0, 0, 1, 1), -0.5 / (b**2 * f**2))
-        k4[1, 1, 1, 1] = -18.0 / b**4
-        d2 = np.zeros((2, 2, 2))
-        d2[0, 0, 0] = 0.5 / f**3
-        d2[1, 1, 1] = 2.0 / b**3
-        d3 = np.zeros((2, 2, 2, 2))
-        d3[0, 0, 0, 0] = -2.25 / f**4
-        sym_fill(d3[0], (0, 0, 1), -0.5 / (b * f**3))
-        sym_fill(d3[1], (0, 0, 1), -0.25 / (b**2 * f**2))
-        d3[1, 1, 1, 1] = -12.0 / b**4
-        dd2 = np.zeros((2, 2, 2, 2))
-        pair_fill(dd2, (0, 0), (0, 0), -1.5 / f**4)
-        pair_fill(dd2, (1, 1), (1, 1), -6.0 / b**4)
-        return k2, k3, k4, d2, d3, dd2
+        return ({(0, 0): -0.25 / f**2, (1, 1): -1.0 / b**2},
+                {(0, 0, 0): 0.75 / f**3, (0, 0, 1): 0.25 / (b * f**2),
+                 (1, 1, 1): 4.0 / b**3},
+                {(0, 0, 0, 0): -45.0 / (16.0 * f**4),
+                 (0, 0, 0, 1): -0.75 / (b * f**3),
+                 (0, 0, 1, 1): -0.5 / (b**2 * f**2),
+                 (1, 1, 1, 1): -18.0 / b**4},
+                {(0, 0, 0): 0.5 / f**3, (1, 1, 1): 2.0 / b**3},
+                {(0, 0, 0, 0): -2.25 / f**4, (0, 0, 0, 1): -0.5 / (b * f**3),
+                 (1, 0, 0, 1): -0.25 / (b**2 * f**2),
+                 (1, 1, 1, 1): -12.0 / b**4},
+                {(0, 0, 0, 0): -1.5 / f**4, (1, 1, 1, 1): -6.0 / b**4})

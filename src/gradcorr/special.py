@@ -290,13 +290,18 @@ def _quantile(p: float, df: int) -> float:
         else:
             hi = x
         dens = chi2_pdf(x, df)
+        step = x - f / dens if dens > 0.0 else math.inf
         if dens > 0.0 and abs(f) <= dens * 1e-12 * x + _G_ROUNDING:
             # within 1e-12 x of the root or G's rounding of it: one more
-            # step of quadratic convergence leaves only the rounding
-            return x - f / dens
-        x = x - f / dens if dens > 0.0 else math.inf
-        if not lo < x < hi:
-            x = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
+            # step of quadratic convergence leaves only the rounding, unless
+            # G's rounding sends it out of the bracket, where x is as good
+            return step if lo <= step <= hi else x
+        if not lo < step < hi:
+            step = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
+        if step == x:
+            # a fixed point: every further step would be this one
+            break
+        x = step
     return x
 
 

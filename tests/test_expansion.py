@@ -377,6 +377,42 @@ def test_orthogonal_scalars_match_independent_values(model_id):
             name
 
 
+def _orbit(idx, runs) -> set:
+    """Every index equal to idx under the permutations within each of the
+    runs of interchangeable axes, given by their lengths."""
+    cuts = np.cumsum((0,) + runs).tolist()
+    parts = [set(itertools.permutations(idx[i:j]))
+             for i, j in zip(cuts, cuts[1:])]
+    return {sum(part, ()) for part in itertools.product(*parts)}
+
+
+@pytest.mark.parametrize("model_id", TWO_PARAM)
+def test_orthogonal_families_state_each_cumulant_once(model_id):
+    # every entry is a nonzero float under the least index of its orbit
+    # (its index sorted within each run), no two entries share an orbit,
+    # and the dense arrays hold each entry on its orbit and zero elsewhere;
+    # the closed forms read the entries to the bit of the dense arrays
+    from gradcorr.models._build import SYMMETRY
+    m = make_model(model_id)
+    for theta in ([0.7, 1.3], [1.0, 1.0], [2.5, 0.2]):
+        entries = m._cumulant_entries(np.array(theta))
+        arrays = m.cumulant_arrays(np.array(theta))
+        for runs, table, a in zip(SYMMETRY, entries, arrays):
+            orbits = [_orbit(idx, runs) for idx in table]
+            held = set().union(*orbits)
+            assert sum(map(len, orbits)) == len(held)
+            assert set(zip(*map(tuple, np.nonzero(a)))) == held
+            for (idx, value), orbit in zip(table.items(), orbits):
+                assert idx == min(orbit)
+                assert type(value) is float and value != 0.0
+                assert all(a[i] == value for i in orbit)
+        got = OrthogonalCumulants(*(entries[a].get(i, 0.0)
+                                    for a, i in OrthogonalCumulants.index))
+        want = OrthogonalCumulants.from_arrays(*arrays)
+        assert [float(v).hex() for v in got._values()] == \
+            [float(v).hex() for v in want._values()]
+
+
 def _symmetrized(a, axes):
     """a averaged over every permutation of its axes ``axes``."""
     perms = list(itertools.permutations(axes))
@@ -416,10 +452,9 @@ def test_orthogonal_route_matches_engine_on_random_bundles(seed):
 class _Correlated(NormalMeanTest):
     """The two-parameter normal with a nonzero kappa_phibeta."""
 
-    def cumulant_arrays(self, theta):
-        k2, *rest = super().cumulant_arrays(theta)
-        k2[0, 1] = k2[1, 0] = 0.1
-        return (k2, *rest)
+    def _cumulant_entries(self, theta):
+        k2, *rest = super()._cumulant_entries(theta)
+        return ({**k2, (0, 1): 0.1}, *rest)
 
 
 def test_orthogonal_route_requires_orthogonal_parameters():

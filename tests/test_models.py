@@ -479,6 +479,22 @@ def test_birnbaum_saunders_tiny_scale_raises_rather_than_a_nan():
             m.coefficients([1.0, beta])
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_orthogonal_coefficients_raise_where_a_power_leaves_the_floats():
+    # the closed forms run on Python floats: at beta = 1e-79, kappa_betabeta
+    # squared overflows and raises, where numpy scalars once gave an A
+    # computed through an inf (-18.0 for BS at phi = 1e5); at phi = 1e-75
+    # the cube of kappa_phiphi overflows, where a NaN A3 raised ValueError
+    for model_id, theta in (("birnbaum-saunders", [1e5, 1e-79]),
+                            ("birnbaum-saunders", [1e6, 1e-79]),
+                            ("two-sample-exponential", [1e5, 1e-79]),
+                            ("two-sample-exponential", [1e-75, 1.0])):
+        m = make_model(model_id)
+        with pytest.raises(ZeroDivisionError,
+                           match="parameter too small for A"):
+            m.coefficients(theta)
+
+
 @pytest.mark.parametrize("beta", [0.7, 2.5])
 def test_birnbaum_saunders_closed_form_matches_routes_across_shape(beta):
     # the closed interaction terms must hold along the whole shape axis,
@@ -612,11 +628,11 @@ def _counting(solve, counts):
 def test_birnbaum_saunders_fits_take_few_solver_evaluations(monkeypatch):
     # the Newton step is kept when it lands on a bracket end, so a fit
     # near its root does not fall back to bisection; a one-row fit solves
-    # H and G by one scalar run each, and two rows share one array run
+    # H and G by one lockstep run, and two rows share one array run
     from gradcorr.models import birnbaum_saunders as bs
     scalar, array = [], []
-    monkeypatch.setattr(bs, "_scalar_newton",
-                        _counting(bs._scalar_newton, scalar))
+    monkeypatch.setattr(bs, "_lockstep_newton",
+                        _counting(bs._lockstep_newton, scalar))
     monkeypatch.setattr(bs, "_safeguarded_newton",
                         _counting(bs._safeguarded_newton, array))
     m = make_model("birnbaum-saunders")
@@ -632,7 +648,7 @@ def test_birnbaum_saunders_fits_take_few_solver_evaluations(monkeypatch):
                 for phi0 in (1.0, 0.7):
                     with np.errstate(all="ignore"):
                         m.fit_rows(m.summarize(np.array(pair)), (phi0,))
-    assert len(scalar) == 2 * 900 and max(scalar) <= 8
+    assert len(scalar) == 900 and max(scalar) <= 8
     assert len(array) == 300 and max(array) <= 8
 
 
@@ -645,13 +661,12 @@ def test_birnbaum_saunders_restricted_bracket_end_is_past_the_root(data,
     # -sqrt(s r) at b = phi0^2 r + sqrt(s r), the closed-form bracket end;
     # checked on the one-row driver and on the array run of two rows
     from gradcorr.models import birnbaum_saunders as bs
-    scalar, array = bs._scalar_newton, bs._safeguarded_newton
+    scalar, array = bs._lockstep_newton, bs._safeguarded_newton
     ends = []
 
     def scalar_spy(f, lo, hi, x0):
-        # H is solved first
-        if not ends:
-            ends.append(("scalar", f(hi)[0], hi, x0))
+        # H and its bracket are the first of each pair
+        ends.append(("scalar", f(hi)[0][0], hi[0], x0[0]))
         return scalar(f, lo, hi, x0)
 
     def array_spy(f, lo, hi, x0):
@@ -669,7 +684,7 @@ def test_birnbaum_saunders_restricted_bracket_end_is_past_the_root(data,
         _, s, r, _ = m.summarize(rows)
         ends.clear()
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(bs, "_scalar_newton", scalar_spy)
+            mp.setattr(bs, "_lockstep_newton", scalar_spy)
             mp.setattr(bs, "_safeguarded_newton", array_spy)
             with np.errstate(all="ignore"), contextlib.suppress(FitError):
                 fit()
@@ -683,14 +698,14 @@ def test_birnbaum_saunders_restricted_bracket_end_is_past_the_root(data,
 
 def test_birnbaum_saunders_solves_pick_their_driver_by_entry_point(
         monkeypatch):
-    # the one-row driver's scalar summaries run the scalar Newton, and
+    # the one-row driver's scalar summaries run one lockstep Newton, and
     # every batch_statistics or fit_rows call one (2, K) array run, one row
     # included; a fallback to the other driver gives the same numbers,
     # only slower, so only a count of the calls shows it
     from gradcorr.models import birnbaum_saunders as bs
     scalar, array = [], []
-    monkeypatch.setattr(bs, "_scalar_newton",
-                        _counting(bs._scalar_newton, scalar))
+    monkeypatch.setattr(bs, "_lockstep_newton",
+                        _counting(bs._lockstep_newton, scalar))
     monkeypatch.setattr(bs, "_safeguarded_newton",
                         _counting(bs._safeguarded_newton, array))
     m = make_model("birnbaum-saunders")
@@ -698,14 +713,14 @@ def test_birnbaum_saunders_solves_pick_their_driver_by_entry_point(
     m.fit_restricted(x[0], 1.0)
     m.fit_unrestricted(x[0])
     gradient_statistic(m, x[0], 1.0)
-    assert (len(scalar), len(array)) == (2 * 3, 0)
+    assert (len(scalar), len(array)) == (3, 0)
     for rows in (x[:1], x[:2], x[:3], x, [x[:1], x[1:2]],
                  [x[:1], x[:, :5]]):
         m.batch_statistics(rows, (1.0,))
     with np.errstate(all="ignore"):
         m.fit_rows(m.summarize(x[:1]), (1.0,))
         m.fit_rows(m.summarize(x[:2]), (1.0,))
-    assert (len(scalar), len(array)) == (2 * 3, 8)
+    assert (len(scalar), len(array)) == (3, 8)
 
 
 def _same_fit(row, view) -> bool:

@@ -172,6 +172,33 @@ def test_chi2_quantile_newton_stays_within_its_evaluation_budget(
     assert len(evaluations) <= 316
 
 
+def test_chi2_quantile_keeps_its_last_step_inside_the_bracket():
+    # far in the lower tail G rounds to about 4e-16 while p is far
+    # smaller, so the last Newton step, x - (G - p)/g, jumped below 0
+    # (-2.06e37 and -6.25e194)
+    for p, df in ((1e-50, 200), (1e-200, 1000)):
+        special._quantile.cache_clear()
+        x = chi2_quantile(p, df)
+        assert x >= 0.0, (p, df, x)
+        assert abs(chi2_cdf(x, df) - p) <= 1e-12, (p, df)
+
+
+def test_chi2_quantile_stops_at_a_fixed_point(monkeypatch):
+    # at df = 1 and p = 1e-200 the start underflows to 0, where the
+    # density is infinite and the step stays at 0: stop there, not after
+    # all 100 iterations
+    evaluations = []
+
+    def counted(x, df):
+        evaluations.append(x)
+        return chi2_cdf(x, df)
+    monkeypatch.setattr(special, "chi2_cdf", counted)
+    special._quantile.cache_clear()
+    assert chi2_quantile(1e-200, 1) == 0.0
+    special._quantile.cache_clear()
+    assert len(evaluations) <= 3
+
+
 def test_ladder_reaches_df_1000_and_no_further():
     # a Python int q is checked by one comparison, a numpy one by the
     # checks themselves: both let the top rung reach 1000, not 1001
