@@ -109,9 +109,8 @@ class OrthogonalCumulants(OneParamCumulants):
         self._fill(kpp, kppp, kpppp, kpp_p, kppp_p, kpp_pp, kbb, kbbb, kpbb,
                    kppb, kppbb, kpp_b, kppb_b, kpbb_p, kbb_b, kbb_p)
 
-    # where each field sits: the array, in CumulantBundle field order (phi
-    # first, beta second), and the index, sorted within each run of the
-    # array's interchangeable axes
+    # where each field sits: the array, in CumulantBundle field order, and
+    # the index (phi 0, beta 1), sorted within each run of symmetric axes
     index = ((0, (0, 0)), (1, (0, 0, 0)), (2, (0, 0, 0, 0)), (3, (0, 0, 0)),
              (4, (0, 0, 0, 0)), (5, (0, 0, 0, 0)), (0, (1, 1)),
              (1, (1, 1, 1)), (1, (0, 1, 1)), (1, (0, 0, 1)),

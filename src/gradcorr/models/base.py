@@ -36,6 +36,8 @@ clamped to zero with a flag and the raw number kept.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from abc import ABC, abstractmethod
 
@@ -44,7 +46,6 @@ import numpy as np
 from .._record import Record
 from ..expansion import (ExpansionCoefficients, OrthogonalCumulants,
                          coefficients_general, coefficients_orthogonal)
-from ._build import dense_arrays
 
 __all__ = ["ModelFamily", "GradientStatistic", "FitError",
            "gradient_statistic", "check_observations", "POSITIVE"]
@@ -119,14 +120,22 @@ class ModelFamily(ABC):
         """Every nonzero cumulant at theta checked by ``_theta``, stated
         once, as a Python float: six dicts in CumulantBundle field order,
         each keyed by the index sorted within each run of the array's
-        interchangeable axes (``_build``)."""
+        interchangeable axes, whose lengths ``SYMMETRY`` gives: kappa2,
+        kappa3 and kappa4 are fully symmetric, d_kappa2[k,l,u] = D_u
+        kappa_kl is symmetric in (k, l), d_kappa3[j,r,s,u] = D_j kappa_rsu
+        in (r, s, u), and dd_kappa2[j,r,s,u] = D_j D_r kappa_su in (j, r)
+        and in (s, u)."""
         raise NotImplementedError(f"{self.name} has no cumulant arrays")
 
     def cumulant_arrays(self, theta) -> tuple:
         """The six arrays of ``cumulants`` in CumulantBundle field order,
         at theta checked by ``_theta``, without the bundle's shape,
-        symmetry and definiteness checks: here filled from the entries."""
-        return dense_arrays(self.p, self._cumulant_entries(theta))
+        symmetry and definiteness checks: here each entry on every index
+        that the array's symmetry makes equal to its own, zero elsewhere."""
+        entries = self._cumulant_entries(theta)
+        values = np.array([0.0, *itertools.chain(*map(dict.values, entries))])
+        return tuple([values[g] for g in
+                      _gathers(self.p, tuple(map(tuple, entries)))])
 
     def cumulants(self, theta) -> CumulantBundle:
         """Analytic per-observation cumulant arrays at theta."""
@@ -135,9 +144,9 @@ class ModelFamily(ABC):
 
     def specialized_coefficients(self, theta) -> ExpansionCoefficients:
         """The scalar route: here the orthogonal closed forms (p = 2, q = 1,
-        kappa_phibeta = 0) on the scalars of the entries, which
-        one-parameter families override.  The entries are Python floats,
-        so a value out of range raises instead of running on as inf."""
+        kappa_phibeta = 0) on the entries, which one-parameter families
+        override.  The entries are Python floats, so a value out of range
+        raises instead of running on as inf."""
         if (self.p, self.q) != (2, 1):
             raise NotImplementedError(f"{self.name} has no specialized route")
         entries = self._cumulant_entries(theta)
@@ -148,12 +157,11 @@ class ModelFamily(ABC):
                    for a, i in OrthogonalCumulants.index]
         try:
             coef = coefficients_orthogonal(OrthogonalCumulants(*scalars))
-            finite = all(map(math.isfinite, coef.as_tuple()))
+            if all(map(math.isfinite, coef.as_tuple())):
+                return coef
         except (OverflowError, ZeroDivisionError):
-            finite = False
-        if not finite:
-            raise ZeroDivisionError(f"{self.name}: parameter too small for A")
-        return coef
+            pass
+        raise ZeroDivisionError(f"{self.name}: parameter too small for A")
 
     def coefficients(self, theta) -> ExpansionCoefficients:
         """The specialized route where the family has one, else the
@@ -291,6 +299,27 @@ def _holds(theta, ok):
     for component in theta:
         ok = ok & (component == component)
     return ok
+
+
+# the lengths of the runs of interchangeable axes of each cumulant array
+SYMMETRY = ((2,), (3,), (4,), (2, 1), (1, 3), (2, 2))
+
+
+@functools.cache
+def _gathers(p, keys) -> list:
+    """Per array of the entries' keys, the position of each element's value
+    among the entries' values after a leading zero; built once per family."""
+    gathers, k = [], 1
+    for runs, array_keys in zip(SYMMETRY, keys):
+        gathers.append(np.zeros((p,) * sum(runs), dtype=np.intp))
+        ends = list(itertools.accumulate(runs))
+        for idx in array_keys:
+            parts = [set(itertools.permutations(idx[e - n:e]))
+                     for n, e in zip(runs, ends)]
+            for part in itertools.product(*parts):
+                gathers[-1][sum(part, ())] = k
+            k += 1
+    return gathers
 
 
 # (support predicate, reason) for check_observations

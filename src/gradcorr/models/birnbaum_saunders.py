@@ -53,17 +53,13 @@ which numpy's pairwise summation adds a contiguous row.  A matrix of
 one data set takes this array run too.
 
 The one-row driver of ``gradient_statistic``, ``fit_restricted`` and
-``fit_unrestricted`` gives one data set as scalar summaries, and there
-a numpy call on a one-element array costs more than its arithmetic, so
+``fit_unrestricted`` gives one data set as scalar summaries, where a
+numpy call on a one-element array costs more than its arithmetic, so
 ``_lockstep_newton`` steps H and G together on numpy float64 scalars,
-which give inf and NaN where Python floats would raise.  Each sweep
-fills one (4, n) buffer, x + b for both iterates, their reciprocals and
-their squares, and takes its four row sums in one reduce, each the
-pairwise sum of one contiguous row.  Its results are the array run's to
-the bit: H and G are written once, as arithmetic that runs on a scalar
-or an array, the safeguarded-Newton rules are written once, as
-``_step``, which both drivers call, and each element of the array run
-is already an iteration of its own.
+which give inf and NaN where Python floats would raise; each sweep takes
+the four sums from one (4, n) buffer and one reduce of its contiguous
+rows.  Both drivers run the same ``_step``, and H and G run unchanged on
+a scalar or an array, so a one-row result is its array run's to the bit.
 
 Cumulants involve the scaled normal tail R = e^{2/phi^2}(1 - Phi(2/phi))
 only through kappa_betabeta and its relatives; everything is assembled
@@ -88,26 +84,17 @@ _REL_TOL = 1e-13
 _EPS = 2.0**-52
 
 
-def _pick(c, a, b):
-    """np.where of one element."""
-    return a if c else b
-
-
 # what ``_step`` does differently on arrays and on numpy float64 scalars:
-# pick per element, and whether every element holds
+# pick per element, as np.where, and whether every element holds
 _ARRAYS = (np.where, np.ndarray.all)
-_SCALARS = (_pick, bool)
+_SCALARS = (lambda c, a, b: a if c else b, bool)
 
 
 def _step(x, fx, d, lo, hi, ops=_ARRAYS):
-    """One safeguarded-Newton step from x, where f is fx and f' is d, on the
-    bracket [lo, hi] with f(lo) > 0 >= f(hi): the bracket narrowed by x,
-    and the Newton step where it stays inside it or on the end x itself
-    set, else the bracket's midpoint.  Returns the step and the bracket.
-    Elementwise on arrays; on numpy float64 scalars with ops = _SCALARS,
-    which keep the array's IEEE semantics: a zero derivative or an
-    underflowed phi0^2 gives inf or NaN, and so a bisection or a failed
-    fit, not an exception."""
+    """One step of the safeguarded Newton (module docstring) from x, where f
+    is fx and f' is d, on [lo, hi] with f(lo) > 0 >= f(hi): the step and the
+    bracket narrowed by x, elementwise on arrays or, with ops = _SCALARS,
+    on numpy float64 scalars, where inf and NaN stay values, not errors."""
     pick, every = ops
     above = fx > 0.0
     lo = pick(above, x, lo)
@@ -122,12 +109,9 @@ def _step(x, fx, d, lo, hi, ops=_ARRAYS):
 
 
 def _safeguarded_newton(f, lo, hi, x):
-    """Elementwise root of f on [lo, hi] by ``_step``, from x inside the
-    bracket, where f(x, done) gives f and f' per element, any value at all
-    for the elements that ``done`` marks as converged, until a step moves
-    an element by at most 1e-13 relative, in at most 200 steps.  Returns
-    the roots and which elements converged; a converged element stays
-    where it is."""
+    """Elementwise root of f on [lo, hi] by ``_step`` from x, where f(x, done)
+    gives f and f', any values where ``done`` marks an element converged,
+    which then stays where it is.  Returns the roots and the flags."""
     done = np.zeros(x.shape, dtype=bool)
     for _ in range(200):
         step, lo, hi = _step(x, *f(x, done), lo, hi)
@@ -140,11 +124,9 @@ def _safeguarded_newton(f, lo, hi, x):
 
 
 def _lockstep_newton(f, lo, hi, x):
-    """``_safeguarded_newton`` of two elements, each a numpy float64 scalar
-    in a pair: f(x) gives the pair of f and the pair of f' at the pair x,
-    and each element steps until it converges, as it would in the array
-    run.  Returns the pair of roots and the pair of flags."""
-    lo, hi, x = list(lo), list(hi), list(x)
+    """``_safeguarded_newton`` of two numpy float64 scalars, the lists lo, hi
+    and x, where f(x) gives the pairs of f and f': each steps until it
+    converges, as in the array run."""
     done = [False, False]
     for _ in range(200):
         fx, d = f(x)
@@ -238,10 +220,9 @@ def _profile_equation(b, m1, m2, s, r, r2):
 
 def _solve(m, phi0):
     """The roots of H in row 0 and G in row 1 of a (2, K) iterate, on the
-    brackets [0, hi] and [r, s], from sqrt(s r), and which of them
-    converged: scalar summaries by ``_solve_one``, as a pair of roots and
-    a pair of flags, and arrays by one array run, whatever their number
-    of rows."""
+    brackets [0, hi] and [r, s], from sqrt(s r), and which converged:
+    scalar summaries by ``_solve_one``, as pairs, and arrays by one array
+    run, whatever their number of rows."""
     n, s, r, xcs = m
     c = phi0**2
     rc = r * c
@@ -276,16 +257,15 @@ def _solve(m, phi0):
 
 def _solve_one(xv, n, s, r, c, rc, r2, sr):
     """``_solve`` of one data set, its column xv, on scalars: H and G in
-    lockstep by ``_lockstep_newton``, each sweep through one (4, n) buffer
-    that holds x + b for H's and G's iterate, their reciprocals, and in
-    rows 2-3 their squares, whose four row sums come from one reduce."""
+    lockstep, each sweep through one (4, n) buffer that holds x + b for
+    both iterates, then their reciprocals, and their squares in rows 2-3."""
     buf = np.empty((4, len(xv)))
-    rows, u, squares = (buf[0], buf[1]), buf[:2], buf[2:]
+    u, squares = buf[:2], buf[2:]
 
     def HG(b):
         """H and G with their derivatives at the pair b."""
-        for row, bi in zip(rows, b):
-            np.add(xv, bi, out=row)
+        np.add(xv, b[0], out=buf[0])
+        np.add(xv, b[1], out=buf[1])
         np.divide(1.0, u, out=u)
         np.multiply(u, u, out=squares)
         m1t, m1h, m2t, m2h = np.add.reduce(buf, axis=1) / n
@@ -293,10 +273,9 @@ def _solve_one(xv, n, s, r, c, rc, r2, sr):
         g, dg = _profile_equation(b[1], m1h, m2h, s, r, r2)
         return (h, g), (dh, dg)
 
-    # np.clip of the array run, on scalars: H's start sqrt(s r) is inside
-    # its bracket, G's is kept inside [r, s]
-    return _lockstep_newton(HG, (0.0, r), (rc + sr, s),
-                            (sr, min(max(sr, r), s)))
+    # the array run's np.clip: sqrt(s r) is inside H's bracket
+    return _lockstep_newton(HG, [0.0, r], [rc + sr, s],
+                            [sr, min(max(sr, r), s)])
 
 
 class BirnbaumSaunders(ModelFamily):
@@ -372,8 +351,7 @@ class BirnbaumSaunders(ModelFamily):
                                    - 34.0 * f + 4.0 * _SQRT_2PI * R)
               / (8.0 * b**4 * f**3)}
         d2 = {(0, 0, 0): 4.0 / f**3,            # [k,l,u] = D_u kappa_{kl}
-              (1, 1, 0): (-_SQRT_2PI * f**2 * R + 6.0 * f
-                          - 4.0 * _SQRT_2PI * R) / (2.0 * b**2 * f**4),
+              (1, 1, 0): -W / (2.0 * b**2 * f**4),
               (1, 1, 1): T / (b**3 * f**2)}
         d3 = {(0, 0, 0, 0): -30.0 / f**4,       # [j,r,s,u] = D_j kappa_{rsu}
               (0, 0, 1, 1): -(f**2 + 6.0) / (b**2 * f**4),

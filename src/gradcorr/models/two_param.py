@@ -17,9 +17,9 @@ geometric-mean scale beta = sqrt(mu1 mu2) as nuisance: equal sample
 sizes n/2 each, n total.  At phi0 = 1 the statistic is
 S = n (xbar1 - xbar2)^2 / (4 xbar1 xbar), xbar the pooled mean.
 
-Each family states its nonzero cumulants once, as Python floats under
-one index (``ModelFamily._cumulant_entries``); ``_build`` fills the dense
-arrays from them, and the orthogonal closed forms read them directly.
+Each family states its nonzero cumulants once, as Python floats
+(``ModelFamily._cumulant_entries``), which fill the dense arrays and
+which the orthogonal closed forms read directly.
 """
 
 from __future__ import annotations

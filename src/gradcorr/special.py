@@ -298,8 +298,7 @@ def _quantile(p: float, df: int) -> float:
             return step if lo <= step <= hi else x
         if not lo < step < hi:
             step = 2.0 * lo if hi == math.inf else 0.5 * (lo + hi)
-        if step == x:
-            # a fixed point: every further step would be this one
+        if step == x:       # a fixed point: every further step is this one
             break
         x = step
     return x

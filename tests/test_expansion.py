@@ -392,7 +392,7 @@ def test_orthogonal_families_state_each_cumulant_once(model_id):
     # (its index sorted within each run), no two entries share an orbit,
     # and the dense arrays hold each entry on its orbit and zero elsewhere;
     # the closed forms read the entries to the bit of the dense arrays
-    from gradcorr.models._build import SYMMETRY
+    from gradcorr.models.base import SYMMETRY
     m = make_model(model_id)
     for theta in ([0.7, 1.3], [1.0, 1.0], [2.5, 0.2]):
         entries = m._cumulant_entries(np.array(theta))
