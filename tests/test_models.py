@@ -561,6 +561,48 @@ def test_birnbaum_saunders_cumulants_match_quadrature(phi):
             assert abs(arr[idx] - want) <= 1e-9 * max(1.0, abs(want)), idx
 
 
+@pytest.mark.parametrize("theta", [(0.3, 1.7), (-1.0, 0.4)])
+def test_two_parameter_normal_cumulants_are_expected_derivatives(theta):
+    # kappa_{rs..} = E[d^k ell] for ell = -log(b)/2 - (x - mu)^2/(2 b): the
+    # mu-derivatives of -(x - mu)^2/2 have means -b/2, 0 and -1, then 0,
+    # and d^j/db^j b^-1 = (-1)^j j! b^-(j+1); a cumulant with i mu-axes and
+    # j b-axes is a multiple of b^-(j + [i == 2]), which gives its exact
+    # derivatives; kappa4 and most derivative entries enter no coefficient
+    mu, b = theta
+    got = make_model("two-parameter-normal").cumulants(np.array(theta))
+
+    def derivative(idx, by):
+        """D_by of the expected cumulant over idx, by a tuple of axes."""
+        i = idx.count(0)
+        out, power = expect(i, len(idx) - i), len(idx) - i + (i == 2)
+        for axis in by:
+            out *= 0.0 if axis == 0 else -power / b
+            power += 1
+        return out
+
+    def expect(i, j):
+        out = ((-0.5 * b, 0.0, -1.0, 0.0, 0.0)[i] * (-1) ** j
+               * math.factorial(j) / b ** (j + 1))
+        if i == 0:
+            out -= 0.5 * (-1) ** (j - 1) * math.factorial(j - 1) / b ** j
+        return out
+
+    for arr in (got.kappa2, got.kappa3, got.kappa4):
+        for idx in np.ndindex(arr.shape):
+            i = idx.count(0)
+            want = expect(i, len(idx) - i)
+            assert abs(arr[idx] - want) <= 1e-14 * max(1.0, abs(want)), idx
+    for arr in (got.d_kappa2, got.d_kappa3, got.dd_kappa2):
+        for idx in np.ndindex(arr.shape):
+            # d_kappa2[k,l,u] = D_u kappa_kl, d_kappa3[j,r,s,u] = D_j kappa_rsu,
+            # dd_kappa2[j,r,s,u] = D_j D_r kappa_su
+            kappa, by = ((idx[:2], idx[2:]) if arr is got.d_kappa2
+                         else (idx[1:], idx[:1]) if arr is got.d_kappa3
+                         else (idx[2:], idx[:2]))
+            want = derivative(kappa, by)
+            assert abs(arr[idx] - want) <= 1e-14 * max(1.0, abs(want)), idx
+
+
 @pytest.mark.parametrize("phi", [0.5, 1.0, 2.0])
 def test_truncated_extreme_value_is_exponential_in_expm1(phi):
     # in phi the log-likelihood is the exponential one in y = expm1(x), so
