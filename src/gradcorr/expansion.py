@@ -88,6 +88,18 @@ class OneParamCumulants(Record):
                  kppp_p: float, kpp_pp: float):
         self._fill(kpp, kppp, kpppp, kpp_p, kppp_p, kpp_pp)
 
+    # where each field sits: the array, in CumulantBundle field order, and
+    # the index (phi 0), sorted within each run of symmetric axes
+    index = ((0, (0, 0)), (1, (0, 0, 0)), (2, (0, 0, 0, 0)), (3, (0, 0, 0)),
+             (4, (0, 0, 0, 0)), (5, (0, 0, 0, 0)))
+
+    @classmethod
+    def from_arrays(cls, kappa2, kappa3, kappa4, d_kappa2, d_kappa3,
+                    dd_kappa2):
+        """The scalars at ``index`` of a model's cumulant arrays."""
+        arrays = (kappa2, kappa3, kappa4, d_kappa2, d_kappa3, dd_kappa2)
+        return cls(*(arrays[a][i] for a, i in cls.index))
+
 
 class OrthogonalCumulants(OneParamCumulants):
     """The sixteen scalars the orthogonal closed forms consume: the six
@@ -109,21 +121,11 @@ class OrthogonalCumulants(OneParamCumulants):
         self._fill(kpp, kppp, kpppp, kpp_p, kppp_p, kpp_pp, kbb, kbbb, kpbb,
                    kppb, kppbb, kpp_b, kppb_b, kpbb_p, kbb_b, kbb_p)
 
-    # where each field sits: the array, in CumulantBundle field order, and
-    # the index (phi 0, beta 1), sorted within each run of symmetric axes
-    index = ((0, (0, 0)), (1, (0, 0, 0)), (2, (0, 0, 0, 0)), (3, (0, 0, 0)),
-             (4, (0, 0, 0, 0)), (5, (0, 0, 0, 0)), (0, (1, 1)),
-             (1, (1, 1, 1)), (1, (0, 1, 1)), (1, (0, 0, 1)),
-             (2, (0, 0, 1, 1)), (3, (0, 0, 1)), (4, (1, 0, 0, 1)),
-             (4, (0, 0, 1, 1)), (3, (1, 1, 1)), (3, (1, 1, 0)))
-
-    @classmethod
-    def from_arrays(cls, kappa2, kappa3, kappa4, d_kappa2, d_kappa3,
-                    dd_kappa2) -> "OrthogonalCumulants":
-        """Index the scalars from a p = 2 model's cumulant arrays (the
-        CumulantBundle layouts) by ``index``."""
-        arrays = (kappa2, kappa3, kappa4, d_kappa2, d_kappa3, dd_kappa2)
-        return cls(*(arrays[a][i] for a, i in cls.index))
+    # the phi scalars' positions, then the ten more (beta 1)
+    index = OneParamCumulants.index + (
+        (0, (1, 1)), (1, (1, 1, 1)), (1, (0, 1, 1)), (1, (0, 0, 1)),
+        (2, (0, 0, 1, 1)), (3, (0, 0, 1)), (4, (1, 0, 0, 1)),
+        (4, (0, 0, 1, 1)), (3, (1, 1, 1)), (3, (1, 1, 0)))
 
 
 # Slots of S = stack(Kinv, A, M) and of V: V[U + m] traces kappa3 with

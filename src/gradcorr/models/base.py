@@ -44,8 +44,9 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .._record import Record
-from ..expansion import (ExpansionCoefficients, OrthogonalCumulants,
-                         coefficients_general, coefficients_orthogonal)
+from ..expansion import (ExpansionCoefficients, OneParamCumulants,
+                         OrthogonalCumulants, coefficients_general,
+                         coefficients_one_param, coefficients_orthogonal)
 
 __all__ = ["ModelFamily", "GradientStatistic", "FitError",
            "gradient_statistic", "check_observations", "POSITIVE"]
@@ -116,15 +117,16 @@ class ModelFamily(ABC):
         """Unclamped S = n U_1(theta_tilde)'(theta_hat_1 - theta10) per row,
         from the components of both fits, as ``estimates`` gives them."""
 
-    def _cumulant_entries(self, theta) -> tuple:
-        """Every nonzero cumulant at theta checked by ``_theta``, stated
-        once, as a Python float: six dicts in CumulantBundle field order,
-        each keyed by the index sorted within each run of the array's
-        interchangeable axes, whose lengths ``SYMMETRY`` gives: kappa2,
-        kappa3 and kappa4 are fully symmetric, d_kappa2[k,l,u] = D_u
-        kappa_kl is symmetric in (k, l), d_kappa3[j,r,s,u] = D_j kappa_rsu
-        in (r, s, u), and dd_kappa2[j,r,s,u] = D_j D_r kappa_su in (j, r)
-        and in (s, u)."""
+    def cumulant_entries(self, theta) -> tuple:
+        """Every cumulant at theta checked by ``_theta``, stated once, as a
+        Python float: six dicts in CumulantBundle field order, each keyed
+        by the index sorted within each run of the array's interchangeable
+        axes, whose lengths ``SYMMETRY`` gives: kappa2, kappa3 and kappa4
+        are fully symmetric, d_kappa2[k,l,u] = D_u kappa_kl is symmetric in
+        (k, l), d_kappa3[j,r,s,u] = D_j kappa_rsu in (r, s, u), and
+        dd_kappa2[j,r,s,u] = D_j D_r kappa_su in (j, r) and in (s, u).  A
+        missing entry is zero: at p = 1 all six are stated, zero or not,
+        and at larger p one that is zero at every theta is left out."""
         raise NotImplementedError(f"{self.name} has no cumulant arrays")
 
     def cumulant_arrays(self, theta) -> tuple:
@@ -132,7 +134,7 @@ class ModelFamily(ABC):
         at theta checked by ``_theta``, without the bundle's shape,
         symmetry and definiteness checks: here each entry on every index
         that the array's symmetry makes equal to its own, zero elsewhere."""
-        entries = self._cumulant_entries(theta)
+        entries = self.cumulant_entries(theta)
         values = np.array([0.0, *itertools.chain(*map(dict.values, entries))])
         return tuple([values[g] for g in
                       _gathers(self.p, tuple(map(tuple, entries)))])
@@ -143,20 +145,19 @@ class ModelFamily(ABC):
         return CumulantBundle(*self.cumulant_arrays(theta))
 
     def specialized_coefficients(self, theta) -> ExpansionCoefficients:
-        """The scalar route: here the orthogonal closed forms (p = 2, q = 1,
-        kappa_phibeta = 0) on the entries, which one-parameter families
-        override.  The entries are Python floats, so a value out of range
-        raises instead of running on as inf."""
-        if (self.p, self.q) != (2, 1):
+        """The scalar route: the closed forms of ``_ROUTES`` for (p, q) on
+        the scalars their record's ``index`` reads from the entries, Python
+        floats, so a value out of range raises instead of running on."""
+        if (self.p, self.q) not in _ROUTES:
             raise NotImplementedError(f"{self.name} has no specialized route")
-        entries = self._cumulant_entries(theta)
+        scalars, closed_forms = _ROUTES[self.p, self.q]
+        entries = self.cumulant_entries(theta)
         if entries[0].get((0, 1), 0.0) != 0.0:
             raise NotImplementedError(f"{self.name}: parameters are not "
                                       "orthogonal")
-        scalars = [entries[a].get(i, 0.0)
-                   for a, i in OrthogonalCumulants.index]
         try:
-            coef = coefficients_orthogonal(OrthogonalCumulants(*scalars))
+            coef = closed_forms(scalars(*[entries[a].get(i, 0.0)
+                                          for a, i in scalars.index]))
             if all(map(math.isfinite, coef.as_tuple())):
                 return coef
         except (OverflowError, ZeroDivisionError):
@@ -300,6 +301,10 @@ def _holds(theta, ok):
         ok = ok & (component == component)
     return ok
 
+
+# the scalar routes by (p, q): the record of the scalars, the closed forms
+_ROUTES = {(1, 1): (OneParamCumulants, coefficients_one_param),
+           (2, 1): (OrthogonalCumulants, coefficients_orthogonal)}
 
 # the lengths of the runs of interchangeable axes of each cumulant array
 SYMMETRY = ((2,), (3,), (4,), (2, 1), (1, 3), (2, 2))

@@ -335,7 +335,7 @@ class BirnbaumSaunders(ModelFamily):
         return (n * (theta_hat[0] - phi0) / phi0**3
                 * (s / bt + bt / r - (2.0 + phi0**2)))
 
-    def _cumulant_entries(self, theta) -> tuple:
+    def cumulant_entries(self, theta) -> tuple:
         f, b = self._theta(theta).tolist()
         R = std_normal_tail_scaled(2.0 / f)
         T = f**2 - _SQRT_2PI * f * R + 2.0

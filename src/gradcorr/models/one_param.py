@@ -6,7 +6,8 @@ beta = -(log xi)'/alpha' and E d(X) = -beta(phi).  The full MLE solves
 beta(phi_hat) = -dbar, which every family here inverts in closed form,
 and the statistic reduces to S = n (phi0 - phi_hat) alpha'(phi0) (beta(phi0) + dbar).
 
-Cumulant arrays come from the chain rule on ell = -alpha d + log xi:
+The six cumulants, the entries of one-element arrays (``cumulant_entries``),
+come from the chain rule on ell = -alpha d + log xi:
 
     k_pp    = -a1 b1            k_pp^(p)   = -(a2 b1 + a1 b2)
     k_ppp   = -(2 a2 b1 + a1 b2)  k_ppp^(p) = -(2 a3 b1 + 3 a2 b2 + a1 b3)
@@ -27,8 +28,6 @@ import numbers
 
 import numpy as np
 
-from ..expansion import (ExpansionCoefficients, OneParamCumulants,
-                         coefficients_one_param)
 from .base import POSITIVE, ModelFamily, check_observations
 
 __all__ = ["OneParamExpFamily", "exponential", "normal_mean_known",
@@ -84,27 +83,16 @@ class OneParamExpFamily(ModelFamily):
         return (n * (phi0 - theta_hat[0]) * self._alpha_derivs(phi0)[0]
                 * (self._beta(phi0) + dbar))
 
-    def scalar_cumulants(self, theta) -> OneParamCumulants:
+    def cumulant_entries(self, theta) -> tuple:
         phi, = self._theta(theta).tolist()
         a1, a2, a3 = self._alpha_derivs(phi)
         b1, b2, b3 = self._beta_derivs(phi)
-        return OneParamCumulants(
-            kpp=-a1 * b1,
-            kppp=-(2.0 * a2 * b1 + a1 * b2),
-            kpppp=-(3.0 * a2 * b2 + 3.0 * a3 * b1 + a1 * b3),
-            kpp_p=-(a2 * b1 + a1 * b2),
-            kppp_p=-(2.0 * a3 * b1 + 3.0 * a2 * b2 + a1 * b3),
-            kpp_pp=-(a3 * b1 + 2.0 * a2 * b2 + a1 * b3),
-        )
-
-    def cumulant_arrays(self, theta) -> tuple:
-        c = self.scalar_cumulants(theta)
-        return tuple(np.full((1,) * k, float(v)) for v, k in (
-            (c.kpp, 2), (c.kppp, 3), (c.kpppp, 4), (c.kpp_p, 3),
-            (c.kppp_p, 4), (c.kpp_pp, 4)))
-
-    def specialized_coefficients(self, theta) -> ExpansionCoefficients:
-        return coefficients_one_param(self.scalar_cumulants(theta))
+        return ({(0, 0): -a1 * b1},
+                {(0, 0, 0): -(2.0 * a2 * b1 + a1 * b2)},
+                {(0, 0, 0, 0): -(3.0 * a2 * b2 + 3.0 * a3 * b1 + a1 * b3)},
+                {(0, 0, 0): -(a2 * b1 + a1 * b2)},
+                {(0, 0, 0, 0): -(2.0 * a3 * b1 + 3.0 * a2 * b2 + a1 * b3)},
+                {(0, 0, 0, 0): -(a3 * b1 + 2.0 * a2 * b2 + a1 * b3)})
 
 
 def _constant(name: str, value, positive: bool = True) -> None:

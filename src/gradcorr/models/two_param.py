@@ -18,8 +18,8 @@ sizes n/2 each, n total.  At phi0 = 1 the statistic is
 S = n (xbar1 - xbar2)^2 / (4 xbar1 xbar), xbar the pooled mean.
 
 Each family states its nonzero cumulants once, as Python floats
-(``ModelFamily._cumulant_entries``), which fill the dense arrays and
-which the orthogonal closed forms read directly.
+(``ModelFamily.cumulant_entries``), which fill the dense arrays and
+from which the scalar route reads the orthogonal closed forms' scalars.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ class NormalMeanTest(ModelFamily):
         shift = xbar - float(theta10[0])
         return n * (shift * shift) / theta_tilde[1]
 
-    def _cumulant_entries(self, theta) -> tuple:
+    def cumulant_entries(self, theta) -> tuple:
         _, b = self._theta(theta).tolist()
         b2, b3, b4 = b**2, b**3, b**4
         return ({(0, 0): -1.0 / b, (1, 1): -0.5 / b2},
@@ -131,7 +131,7 @@ class TwoSampleExponential(ModelFamily):
         u_phi = (-m1 / rp + m2 / (phi0 * rp)) / (4.0 * theta_tilde[1])
         return n * u_phi * (theta_hat[0] - phi0)
 
-    def _cumulant_entries(self, theta) -> tuple:
+    def cumulant_entries(self, theta) -> tuple:
         f, b = self._theta(theta).tolist()
         return ({(0, 0): -0.25 / f**2, (1, 1): -1.0 / b**2},
                 {(0, 0, 0): 0.75 / f**3, (0, 0, 1): 0.25 / (b * f**2),

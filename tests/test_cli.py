@@ -342,7 +342,20 @@ def test_tiny_parameter_values_exit_2(capsys, tmp_path, argv):
                    "is too small\n")
 
 
-_BS_TEST = ("test", "--theta10", "1", "--data", "bs.txt")
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_exponential_scaled_to_tiny_values_reports_underflow(capsys,
+                                                             tmp_path):
+    # data and null scaled by 1e-60: kappa_phiphi cubed overflows in the
+    # closed forms, which the family reports as a parameter too small
+    data = _write(tmp_path / "x.csv", "1.1e-60\n0.4e-60\n2.3e-60\n0.9e-60")
+    code, out, err = run_cli(capsys, "test", "--model", "exponential",
+                             "--theta10", "1e-60", "--data", data)
+    assert (code, out) == (2, "")
+    assert err == ("error: numeric underflow; a parameter or an observation "
+                   "is too small\n")
+
+
+_BS_TEST =("test", "--theta10", "1", "--data", "bs.txt")
 
 
 @pytest.mark.parametrize("argv, scale", [

@@ -224,7 +224,8 @@ def test_one_param_route_exponential():
 
 def test_one_param_route_inverse_normal_shape_known():
     m = make_model("inverse-normal", known="shape", shape=2.0)
-    c = coefficients_one_param(m.scalar_cumulants(np.array([3.0])))
+    c = coefficients_one_param(OneParamCumulants.from_arrays(
+        *m.cumulant_arrays(np.array([3.0]))))
     # 45 mu / lambda at mu = 3, lambda = 2
     assert np.allclose(c.as_tuple(), (0.0, 67.5, 67.5), rtol=1e-10)
 
@@ -235,7 +236,8 @@ def test_one_param_route_truncated_extreme_value_quoted_values():
     # route must give the exponential row (0, 18, 20); the printed A2 = 12
     # does not satisfy the defining contractions
     m = make_model("truncated-extreme-value")
-    c = coefficients_one_param(m.scalar_cumulants(np.array([1.0])))
+    c = coefficients_one_param(OneParamCumulants.from_arrays(
+        *m.cumulant_arrays(np.array([1.0]))))
     assert np.allclose(c.as_tuple(), (0.0, 18.0, 20.0), rtol=1e-10)
 
 
@@ -257,7 +259,8 @@ def test_expfam_route_matches_scalar_route():
     for model_id, kwargs, phi, derivatives in EXPFAM_DERIVATIVES:
         m = make_model(model_id, **kwargs)
         got = expfam_coefficients(*derivatives)
-        want = coefficients_one_param(m.scalar_cumulants(np.array([phi])))
+        want = coefficients_one_param(OneParamCumulants.from_arrays(
+            *m.cumulant_arrays(np.array([phi]))))
         assert np.allclose(got, want.as_tuple(), rtol=1e-12)
 
 
@@ -313,7 +316,8 @@ def test_general_engine_matches_scalar_route(model_id):
     m = make_model(model_id)
     for shift in (0.0, 0.7):
         theta = np.asarray(m.default_theta, dtype=float) + shift
-        want = coefficients_one_param(m.scalar_cumulants(theta))
+        want = coefficients_one_param(OneParamCumulants.from_arrays(
+            *m.cumulant_arrays(theta)))
         got = coefficients_general(m.cumulants(theta),
                                    m.hypothesis(theta[:1]))
         for g, w in zip(got.as_tuple(), want.as_tuple()):
@@ -386,29 +390,34 @@ def _orbit(idx, runs) -> set:
     return {sum(part, ()) for part in itertools.product(*parts)}
 
 
-@pytest.mark.parametrize("model_id", TWO_PARAM)
+@pytest.mark.parametrize("model_id", TWO_PARAM + ONE_PARAM)
 def test_orthogonal_families_state_each_cumulant_once(model_id):
-    # every entry is a nonzero float under the least index of its orbit
-    # (its index sorted within each run), no two entries share an orbit,
-    # and the dense arrays hold each entry on its orbit and zero elsewhere;
-    # the closed forms read the entries to the bit of the dense arrays
-    from gradcorr.models.base import SYMMETRY
+    # every entry is a float under the least index of its orbit (its
+    # index sorted within each run), nonzero at p = 2, where a zero entry
+    # is left out, no two entries share an orbit, and the dense arrays
+    # hold each entry, to the bit, on its orbit and zero elsewhere; the
+    # scalar route's closed forms read the entries to the bit of the
+    # dense arrays
+    from gradcorr.models.base import _ROUTES, SYMMETRY
     m = make_model(model_id)
     for theta in ([0.7, 1.3], [1.0, 1.0], [2.5, 0.2]):
-        entries = m._cumulant_entries(np.array(theta))
-        arrays = m.cumulant_arrays(np.array(theta))
+        theta = np.array(theta[:m.p])
+        entries = m.cumulant_entries(theta)
+        arrays = m.cumulant_arrays(theta)
         for runs, table, a in zip(SYMMETRY, entries, arrays):
             orbits = [_orbit(idx, runs) for idx in table]
             held = set().union(*orbits)
             assert sum(map(len, orbits)) == len(held)
-            assert set(zip(*map(tuple, np.nonzero(a)))) == held
+            assert set(zip(*map(tuple, np.nonzero(a)))) == set().union(
+                *(o for o, v in zip(orbits, table.values()) if v != 0.0))
             for (idx, value), orbit in zip(table.items(), orbits):
                 assert idx == min(orbit)
-                assert type(value) is float and value != 0.0
-                assert all(a[i] == value for i in orbit)
-        got = OrthogonalCumulants(*(entries[a].get(i, 0.0)
-                                    for a, i in OrthogonalCumulants.index))
-        want = OrthogonalCumulants.from_arrays(*arrays)
+                assert type(value) is float and (value != 0.0 or m.p == 1)
+                assert all(a[i].tobytes() == np.float64(value).tobytes()
+                           for i in orbit)
+        scalars = _ROUTES[m.p, m.q][0]
+        got = scalars(*(entries[a].get(i, 0.0) for a, i in scalars.index))
+        want = scalars.from_arrays(*arrays)
         assert [float(v).hex() for v in got._values()] == \
             [float(v).hex() for v in want._values()]
 
@@ -452,8 +461,8 @@ def test_orthogonal_route_matches_engine_on_random_bundles(seed):
 class _Correlated(NormalMeanTest):
     """The two-parameter normal with a nonzero kappa_phibeta."""
 
-    def _cumulant_entries(self, theta):
-        k2, *rest = super()._cumulant_entries(theta)
+    def cumulant_entries(self, theta):
+        k2, *rest = super().cumulant_entries(theta)
         return ({**k2, (0, 1): 0.1}, *rest)
 
 
@@ -479,9 +488,10 @@ def test_coefficients_invariant_under_scale_reparameterization(model_id):
     # linear family phi = c * psi by transforming the scalar cumulants
     m = make_model(model_id)
     theta = np.asarray(m.default_theta, dtype=float) + 0.31
-    base = coefficients_one_param(m.scalar_cumulants(theta))
+    c = OneParamCumulants.from_arrays(*m.cumulant_arrays(theta))
+    base = coefficients_one_param(c)
     for s in (0.5, 2.0, 3.7):
-        scaled = coefficients_one_param(_scaled(m.scalar_cumulants(theta), s))
+        scaled = coefficients_one_param(_scaled(c, s))
         for g, w in zip(scaled.as_tuple(), base.as_tuple()):
             assert abs(g - w) <= 1e-9 * max(1.0, abs(w))
 

@@ -2,6 +2,7 @@
 
 import contextlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -209,10 +210,11 @@ class _StubFamily(ModelFamily):
 
 
 def test_family_without_cumulants_has_no_coefficients():
-    # the specialized route is for p = 2, q = 1 only, and the general
-    # route needs the cumulant arrays the stub does not define
+    # both routes read the cumulant entries, which the stub does not
+    # state: the specialized route for p = q = 1, the general route
+    # through the cumulant arrays
     with pytest.raises(NotImplementedError,
-                       match="^stub has no specialized route$"):
+                       match="^stub has no cumulant arrays$"):
         _StubFamily().specialized_coefficients((1.0,))
     with pytest.raises(NotImplementedError,
                        match="^stub has no cumulant arrays$"):
@@ -495,6 +497,42 @@ def test_orthogonal_coefficients_raise_where_a_power_leaves_the_floats():
             m.coefficients(theta)
 
 
+@pytest.mark.parametrize("model_id, constants, phi", (
+    ("exponential", {}, 1e-60), ("normal-mean-known", {}, 1e-60),
+    ("normal-variance-known", dict(variance=1e-110), 0.5),
+    ("inverse-normal", {}, 1e-60),
+    ("inverse-normal", dict(known="shape"), 1e-60),
+    ("gamma-rate", {}, 1e-60), ("truncated-extreme-value", {}, 1e-60),
+    ("pareto-shape", {}, 1e-60), ("power-shape", {}, 1e-60),
+    ("laplace-scale", {}, 1e-60)))
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_one_param_coefficients_raise_where_kappa_cubed_overflows(
+        model_id, constants, phi):
+    # the closed forms divide by kappa_phiphi cubed, which overflows at phi
+    # (at the tiny known variance for normal-variance-known): the family
+    # names it as a parameter too small for A.  On the way up from phi,
+    # where the cube nears the float limit, the route raises that error
+    # or returns finite A's, never an OverflowError or an inf or NaN A;
+    # only where 5 kappa_phiphiphi^2 overflows alone do the closed forms
+    # refuse the infinite A3 themselves
+    m = make_model(model_id, **constants)
+    with pytest.raises(OverflowError):
+        m.cumulant_entries([phi])[0][0, 0] ** 3
+    message = f"^{m.name}: parameter too small for A$"
+    with pytest.raises(ZeroDivisionError, match=message):
+        m.coefficients([phi])
+    for scale in np.geomspace(1.0, 1e15, 301):
+        try:
+            coef = m.coefficients([phi * scale])
+        except ZeroDivisionError as refused:
+            assert re.match(message, str(refused)), scale
+        except ValueError as refused:
+            assert str(refused) == ("A3 must be finite and nonnegative, "
+                                    "got inf"), scale
+        else:
+            assert all(map(math.isfinite, coef.as_tuple())), scale
+
+
 @pytest.mark.parametrize("beta", [0.7, 2.5])
 def test_birnbaum_saunders_closed_form_matches_routes_across_shape(beta):
     # the closed interaction terms must hold along the whole shape axis,
@@ -601,6 +639,105 @@ def test_two_parameter_normal_cumulants_are_expected_derivatives(theta):
                          else (idx[2:], idx[:2]))
             want = derivative(kappa, by)
             assert abs(arr[idx] - want) <= 1e-14 * max(1.0, abs(want)), idx
+
+
+@pytest.mark.parametrize("phi", [0.7, 1.5])
+def test_one_param_chain_rule_cumulants_are_expected_derivatives(phi):
+    # ell = -alpha d + log xi with (log xi)' = -alpha' beta and E d = -beta,
+    # so E[ell^(k)] = alpha^(k) beta - (alpha' beta)^(k-1), read off
+    # polynomials alpha and beta whose first three derivatives are all
+    # nonzero and none +-1, unlike every catalog family's
+    from gradcorr.models.one_param import OneParamExpFamily
+    P = np.polynomial.Polynomial
+    alpha, beta = P([0.0, 1.0, 0.0, 0.0, 1.0]), P([0.0, 2.0, 0.0, 1.0])
+
+    def derivs(f):
+        return lambda x: tuple(float(f.deriv(k)(x)) for k in (1, 2, 3))
+
+    m = OneParamExpFamily(name="poly", d=None, alpha_derivs=derivs(alpha),
+                          beta=beta, beta_derivs=derivs(beta),
+                          mle_from_dbar=None, sampler=None)
+    e2, e3, e4 = (alpha.deriv(k) * beta - (alpha.deriv() * beta).deriv(k - 1)
+                  for k in (2, 3, 4))
+    want = (e2, e3, e4, e2.deriv(), e3.deriv(), e2.deriv(2))
+    for table, w in zip(m.cumulant_entries([phi]), want):
+        (value,) = table.values()
+        assert abs(value - w(phi)) <= 1e-13 * abs(w(phi))
+
+
+# (the cumulant's index, the axes it is differentiated by) of an index of
+# d_kappa2[k,l,u] = D_u kappa_kl, d_kappa3[j,r,s,u] = D_j kappa_rsu and
+# dd_kappa2[j,r,s,u] = D_j D_r kappa_su
+_SPLITS = (lambda i: (i[:2], i[2:]), lambda i: (i[1:], i[:1]),
+           lambda i: (i[2:], i[:2]))
+
+
+@pytest.mark.parametrize("theta", [(1.2, 0.9), (0.4, 2.5)])
+def test_two_sample_exponential_cumulants_are_expected_derivatives(theta):
+    # kappa_{rs..} = E[d^k ell] averaged over the two samples s = +-1, where
+    # ell_s = -log b + (s/2) log f - x f^(s/2) / b and E X = b f^(-s/2):
+    # with i f-axes and j b-axes the x term gives -(s/2)_i (-1)^j j!
+    # f^-i b^-j, (a)_i the falling factorial, -log b gives
+    # -(-1)^(j-1) (j-1)! b^-j at i = 0, and (s/2) log f averages to 0; so
+    # each cumulant is a multiple of f^-i b^-j, which gives its exact
+    # derivatives.  kappa4 (0,0,0,1) and (1,1,1,1) enter no coefficient
+    f, b = theta
+    got = make_model("two-sample-exponential").cumulants(np.array(theta))
+
+    def expect(i, j):
+        out = sum(-math.prod(s / 2.0 - t for t in range(i))
+                  for s in (1.0, -1.0)) / 2.0
+        out *= (-1) ** j * math.factorial(j) / (f ** i * b ** j)
+        if i == 0:
+            out -= (-1) ** (j - 1) * math.factorial(j - 1) / b ** j
+        return out
+
+    def derivative(idx, by):
+        """D_by of the expected cumulant over idx, by a tuple of axes."""
+        powers = [idx.count(0), idx.count(1)]
+        out = expect(*powers)
+        for axis in by:
+            out *= -powers[axis] / theta[axis]
+            powers[axis] += 1
+        return out
+
+    for arr in (got.kappa2, got.kappa3, got.kappa4):
+        for idx in np.ndindex(arr.shape):
+            want = expect(idx.count(0), idx.count(1))
+            assert abs(arr[idx] - want) <= 1e-14 * abs(want), idx
+    for arr, split in zip((got.d_kappa2, got.d_kappa3, got.dd_kappa2),
+                          _SPLITS):
+        for idx in np.ndindex(arr.shape):
+            want = derivative(*split(idx))
+            assert abs(arr[idx] - want) <= 1e-14 * abs(want), idx
+
+
+def _five_point(f, theta, axes, h):
+    """The derivative of f at theta along the components in ``axes``, one
+    nested five-point stencil of step h per axis."""
+    if not axes:
+        return f(theta)
+    out = 0.0
+    for weight, k in ((1.0, -2.0), (-8.0, -1.0), (8.0, 1.0), (-1.0, 2.0)):
+        t = list(theta)
+        t[axes[0]] += k * h
+        out += weight * _five_point(f, t, axes[1:], h)
+    return out / (12.0 * h)
+
+
+@pytest.mark.parametrize("theta", [(0.8, 1.3), (1.0, 1.0), (2.0, 0.7)])
+def test_birnbaum_saunders_derivative_entries_match_stencils(theta):
+    # every stated entry of d_kappa2, d_kappa3 and dd_kappa2 against
+    # five-point stencils on the stated kappa2 and kappa3 entries, whose
+    # errors, O(h^4) and rounding over h^2, stay near 1e-10 here
+    m = make_model("birnbaum-saunders")
+    d2, d3, dd2 = m.cumulant_entries(np.array(theta))[3:]
+    for table, kappa, split in zip((d2, d3, dd2), (0, 1, 0), _SPLITS):
+        for idx, value in table.items():
+            at, by = split(idx)
+            want = _five_point(lambda t: m.cumulant_entries(t)[kappa][at],
+                               theta, by, 1e-3)
+            assert abs(value - want) <= 1e-8 * abs(want), idx
 
 
 @pytest.mark.parametrize("phi", [0.5, 1.0, 2.0])
@@ -872,6 +1009,20 @@ def test_birnbaum_saunders_restricted_fit_near_a_double_root(scale, spread,
     assert abs(_bs_restricted_residual(data, phi0, beta)) <= 1e-12
 
 
+def test_birnbaum_saunders_newton_step_onto_a_bracket_end_bisects():
+    # from x = 1 on [0, 2] with f' = -1, f = 1 moves lo to 1 and the Newton
+    # step lands on hi = 2, f = -1 moves hi to 1 and the step lands on
+    # lo = 0: an end set by an earlier iterate, so both bisect, on arrays
+    # and on numpy float64 scalars alike
+    from gradcorr.models.birnbaum_saunders import _ARRAYS, _SCALARS, _step
+    for fx, want in ((1.0, (1.5, 1.0, 2.0)), (-1.0, (0.5, 0.0, 1.0))):
+        for ops, kind in ((_ARRAYS, lambda v: np.array([v])),
+                          (_SCALARS, np.float64)):
+            args = [kind(v) for v in (1.0, fx, -1.0, 0.0, 2.0)]
+            got = tuple(v.item() for v in _step(*args, ops))
+            assert got == want, (fx, ops)
+
+
 def test_pairwise_sum_adds_in_numpys_row_order():
     # _pairwise_sum reads numpy's order off its source; if a numpy release
     # sums rows differently, this fails before any CSV moves
@@ -952,6 +1103,25 @@ def test_birnbaum_saunders_constant_data_fail_the_unrestricted_fit(value):
     blocks = [np.full((3, n), value) for n in range(2, 41)]
     S, failed = m.batch_statistics(blocks, (1.0,))
     assert failed == len(S) == 3 * 39 and np.isnan(S).all()
+
+
+@pytest.mark.parametrize("model_id, phi_hat", [
+    ("exponential", math.inf), ("normal-variance-known", math.inf),
+    ("gamma-rate", 0.0)])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_one_param_fit_fails_where_phi_hat_leaves_the_space(model_id,
+                                                            phi_hat):
+    # finite data whose mean overflows put phi_hat = dbar at inf, and the
+    # gamma rate k / dbar at its bound 0: no NaN, yet outside (phi_min, inf),
+    # so the unrestricted fit fails on both drivers
+    m = make_model(model_id)
+    x = np.full((1, 2), 1e308)
+    with np.errstate(all="ignore"):
+        (_, (hat, ok)) = m.estimates(m.summarize(x), np.array([1.0]))
+    assert (hat[0].tolist(), ok.tolist()) == ([phi_hat], [False])
+    with pytest.raises(FitError, match="unrestricted fit failed"):
+        m.fit_unrestricted(x[0])
+    assert m.batch_statistics(x, (1.0,))[1] == 1
 
 
 GROUP_SIZES = (2, 3, 5, 7, 8, 13, 16, 24, 100, 128, 129, 300)
